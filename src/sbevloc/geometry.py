@@ -238,12 +238,6 @@ def unproject(u: float, v: float, depth: float, k: Intrinsics) -> np.ndarray:
                      depth])
 
 
-def transform_points(cloud: PointCloud, pose: Pose3) -> PointCloud:
-    """Rotate then translate every point; labels pass through untouched."""
-    r = pose.rotation_matrix()
-    return PointCloud(cloud.xyz @ r.T + pose.translation, cloud.labels)
-
-
 def camera_to_ego(cloud: PointCloud, camera_height: float = 0.0) -> PointCloud:
     """Re-express an optical-frame cloud in the ego frame.
 

@@ -35,12 +35,19 @@ INDEX_MAGIC_LEN = 8  # count u32 + latent_dim u32
 
 
 def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Average-pool a square grid by an integer factor."""
-    grid = np.asarray(grid, dtype=np.float64)
+    """Average-pool a grid by an integer factor, as float64.
+
+    Block sums are taken in two passes, rows then columns, in float64. For
+    an integer grid every partial sum is an exact integer, so the result
+    equals a float64 block mean bit for bit.
+    """
+    grid = np.asarray(grid)
     h, w = grid.shape
     if h % factor or w % factor:
         raise InputError(f"grid {grid.shape} not divisible by pool factor {factor}")
-    return grid.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+    sums = (grid.reshape(h // factor, factor, w).sum(axis=1, dtype=np.float64)
+            .reshape(h // factor, w // factor, factor).sum(axis=2))
+    return sums / (factor * factor)
 
 
 def grid_to_input(grid: np.ndarray, pool: int = DEFAULT_POOL,
@@ -310,7 +317,9 @@ def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
     os.makedirs(dirpath, exist_ok=True)
     bundle.validate()
     write_topomap(os.path.join(dirpath, "topomap.json"), bundle.topo)
-    nnet.save_weights(os.path.join(dirpath, "ae.sbnn"), bundle.ae.net)
+    # localize reads only the encoder; load_bundle also takes a whole AE
+    encoder = nnet.DenseNet(bundle.ae.net.layers[:bundle.ae.encoder_layers])
+    nnet.save_weights(os.path.join(dirpath, "ae.sbnn"), encoder)
     nnet.save_weights(os.path.join(dirpath, "reg.sbnn"), bundle.reg.net)
     write_index(os.path.join(dirpath, "index.bin"), bundle.index)
     meta = {

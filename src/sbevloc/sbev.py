@@ -27,7 +27,6 @@ from .geometry import (
     Pose3,
     pose3_compose,
     pose3_inverse,
-    transform_points,
 )
 
 DEFAULT_SIZE = 352
@@ -149,41 +148,53 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec,
                   origin: Pose2 = Pose2(0, 0, 0), frame_id: int = 0) -> SBev:
     """Top-down projection: per cell, keep the label of the highest point.
 
-    Ties on height break toward the larger label ID, so the result is
-    independent of point order.
+    Among the points at a cell's top height, the larger label ID wins. The
+    points are grouped by cell and each cell is written once from a max over
+    its group, so the result depends neither on point order nor on the
+    stability of the sort.
     """
-    grid = np.zeros((spec.size, spec.size), dtype=np.uint8)
+    grid = np.zeros(spec.size * spec.size, dtype=np.uint8)
     if len(cloud):
         x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
         zmin, zmax = spec.height_window
         rows, cols, inside = cell_indices(spec, x, y)
         keep = inside & (z >= zmin) & (z <= zmax) & (cloud.labels != 0)
-        rows, cols = rows[keep], cols[keep]
-        z, labels = z[keep], cloud.labels[keep]
-        if len(rows):
-            order = np.lexsort((labels, z, rows * spec.size + cols))
-            grid[rows[order], cols[order]] = labels[order]
-    return SBev(grid, spec.resolution, origin, frame_id)
+        cell = rows[keep] * spec.size + cols[keep]
+        if len(cell):
+            order = np.argsort(cell)
+            cell, z, labels = cell[order], z[keep][order], cloud.labels[keep][order]
+            starts = np.flatnonzero(np.diff(cell, prepend=-1))
+            top = np.maximum.reduceat(z, starts)
+            at_top = z == np.repeat(top, np.diff(starts, append=len(cell)))
+            grid[cell[starts]] = np.maximum.reduceat(np.where(at_top, labels, 0), starts)
+    return SBev(grid.reshape(spec.size, spec.size), spec.resolution, origin, frame_id)
 
 
 def accumulate_sbev(frames, current_pose: Pose3, spec: GridSpec,
                     origin: Pose2 = Pose2(0, 0, 0), frame_id: int = 0) -> SBev:
     """Merge up to five (ego-frame cloud, ego Pose3) pairs, newest last.
 
-    Every cloud is moved into the newest frame's ego coordinates before a
-    single rasterization pass.
+    Every cloud is moved into the newest frame's ego coordinates, straight
+    into one buffer, before a single rasterization pass. Per cell the
+    highest point of the union wins, ties to the larger label; the result
+    depends neither on the order of the frames or their points nor on the
+    stability of a sort.
     """
     if not 1 <= len(frames) <= 5:
         raise InputError(f"need 1..5 frames, got {len(frames)}")
     inv_cur = pose3_inverse(current_pose)
-    parts_xyz, parts_labels = [], []
+    xyz = np.empty((sum(len(cloud) for cloud, _ in frames), 3))
+    labels = np.empty(len(xyz), dtype=np.uint8)
+    start = 0
     for cloud, pose in frames:
         rel = pose3_compose(inv_cur, pose)
-        moved = transform_points(cloud, rel)
-        parts_xyz.append(moved.xyz)
-        parts_labels.append(moved.labels)
-    merged = PointCloud(np.concatenate(parts_xyz), np.concatenate(parts_labels))
-    return rasterize_bev(merged, spec, origin=origin, frame_id=frame_id)
+        part = xyz[start:start + len(cloud)]
+        # a C-ordered R^T multiplies ~3x faster than the transposed view
+        np.matmul(cloud.xyz, np.ascontiguousarray(rel.rotation_matrix().T), out=part)
+        part += rel.translation
+        labels[start:start + len(cloud)] = cloud.labels
+        start += len(cloud)
+    return rasterize_bev(PointCloud(xyz, labels), spec, origin=origin, frame_id=frame_id)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from sbevloc.geometry import (
     quat_from_euler_zyx,
     quat_from_yaw,
     relative_pose,
-    transform_points,
     unproject,
     wrap_angle,
 )
@@ -183,32 +182,6 @@ def test_unproject_reprojects():
 
 
 # --- Pose3 / point transforms -------------------------------------------
-
-def test_transform_points_identity_and_translation():
-    cloud = PointCloud(np.array([[0.0, 0, 0], [1, 2, 3]]), np.array([4, 9]))
-    ident = Pose3(np.zeros(3), quat_from_yaw(0))
-    out = transform_points(cloud, ident)
-    assert np.allclose(out.xyz, cloud.xyz)
-    assert np.array_equal(out.labels, cloud.labels)
-
-    shift = Pose3(np.array([1.0, 2, 3]), quat_from_yaw(0))
-    out = transform_points(cloud, shift)
-    assert np.allclose(out.xyz[0], [1, 2, 3])
-
-
-def test_transform_points_matrix_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        q = quat_from_euler_zyx(*rng.uniform(-1.2, 1.2, 3))
-        pose = Pose3(rng.uniform(-5, 5, 3), q)
-        pts = rng.uniform(-10, 10, (20, 3))
-        cloud = PointCloud(pts, rng.integers(0, 255, 20))
-        got = transform_points(cloud, pose)
-        hom = np.concatenate([pts, np.ones((20, 1))], axis=1)
-        want = (pose3_to_mat(pose) @ hom.T).T[:, :3]
-        assert np.abs(got.xyz - want).max() < 1e-9
-        assert np.array_equal(got.labels, cloud.labels)
-
 
 def test_pose3_compose_inverse():
     rng = np.random.default_rng(3)

@@ -44,6 +44,22 @@ def tiny_ae(seed=0, in_dim=16, latent=4):
 def test_pool_grid_hand_case():
     g = np.array([[1, 3], [5, 7]], dtype=np.uint8)
     assert pool_grid(g, 2)[0, 0] == 4.0
+    assert pool_grid(g.astype(np.float64) + 0.5, 2)[0, 0] == 4.5
+
+
+def test_pool_grid_matches_float64_mean():
+    rng = np.random.default_rng(20)
+    grids = [rng.integers(0, 256, (352, 352), dtype=np.uint8) for _ in range(10)]
+    grids.append(np.full((352, 352), 255, dtype=np.uint8))
+    for pool in (2, 4, 8):
+        for g in grids:
+            mean = g.astype(np.float64).reshape(
+                352 // pool, pool, 352 // pool, pool).mean(axis=(1, 3))
+            got = pool_grid(g, pool)
+            assert got.dtype == mean.dtype and np.array_equal(got, mean)
+            want = (mean / 255.0).ravel().astype(np.float32)
+            x = grid_to_input(g, pool)
+            assert x.dtype == want.dtype and np.array_equal(x, want)
 
 
 def test_pool_grid_full_size():
@@ -298,6 +314,8 @@ def test_index_file_truncation(tmp_path):
 def test_bundle_round_trip(tmp_path):
     bundle = make_bundle()
     save_bundle(tmp_path / "bundle", bundle)
+    saved = nnet.load_weights(tmp_path / "bundle" / "ae.sbnn")
+    assert len(saved.layers) == bundle.ae.encoder_layers
     back = load_bundle(tmp_path / "bundle")
     grid = np.random.default_rng(18).integers(0, 200, (32, 32)).astype(np.uint8)
     a = localize(bundle, SBev(grid, 0.25))
@@ -305,6 +323,17 @@ def test_bundle_round_trip(tmp_path):
     assert a.node_id == b.node_id
     assert a.rel_pose.x == pytest.approx(b.rel_pose.x, abs=1e-6)
     assert a.nn_distance == pytest.approx(b.nn_distance, abs=1e-6)
+
+
+def test_bundle_with_whole_autoencoder_loads(tmp_path):
+    # bundles written before the encoder-only format hold the decoder too
+    bundle = make_bundle()
+    save_bundle(tmp_path / "bundle", bundle)
+    nnet.save_weights(tmp_path / "bundle" / "ae.sbnn", bundle.ae.net)
+    back = load_bundle(tmp_path / "bundle")
+    assert len(back.ae.net.layers) == len(bundle.ae.net.layers)
+    grid = np.random.default_rng(19).integers(0, 200, (32, 32)).astype(np.uint8)
+    assert localize(back, SBev(grid, 0.25)) == localize(bundle, SBev(grid, 0.25))
 
 
 def test_bundle_validation_catches_mismatch(tmp_path):

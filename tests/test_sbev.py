@@ -1,17 +1,24 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sbevloc.config import RunConfig, derive_seed, SEED_WORLD
 from sbevloc.errors import InputError
 from sbevloc.geometry import (
     Intrinsics,
     PointCloud,
     Pose2,
+    pose3_compose,
     pose3_from_pose2,
+    pose3_inverse,
+    quat_from_euler_zyx,
     quat_from_yaw,
     Pose3,
 )
+from sbevloc.localizer import grid_to_input
+from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, sbev_stream
 from sbevloc.sbev import (
     ClassPolicy,
     GridSpec,
@@ -24,6 +31,7 @@ from sbevloc.sbev import (
     read_sbev,
     write_sbev,
 )
+from sbevloc.synthworld import WeatherSpec, generate_world
 
 K = Intrinsics(fx=100, fy=100, cx=50, cy=50, baseline=0.5, width=101, height=101)
 SPEC = GridSpec()
@@ -36,7 +44,7 @@ def brute_rasterize(cloud, spec):
     zmin, zmax = spec.height_window
     grid = np.zeros((size, size), dtype=np.uint8)
     best = np.full((size, size), -np.inf)
-    for (x, y, z), label in zip(cloud.xyz, cloud.labels):
+    for (x, y, z), label in zip(cloud.xyz.tolist(), cloud.labels.tolist()):
         if label == 0 or not (zmin <= z <= zmax):
             continue
         xi = math.floor(x / res)
@@ -48,6 +56,18 @@ def brute_rasterize(cloud, spec):
             best[r, c] = z
             grid[r, c] = label
     return grid
+
+
+def tie_heavy_cloud(rng, n, spec):
+    """Heights from a handful of values (window edges and outside values
+    among them), labels 1..255, points on and off the grid."""
+    extent = spec.size * spec.resolution
+    xyz = np.column_stack([
+        rng.uniform(-0.1 * extent, 1.1 * extent, n),
+        rng.uniform(-0.6 * extent, 0.6 * extent, n),
+        rng.choice([-3.0, -2.5, 0.0, 1.0, 1.0 + 1e-9, 6.0, 7.0], n),
+    ])
+    return PointCloud(xyz, rng.integers(1, 256, n))
 
 
 def random_cloud(rng, n=1000):
@@ -160,6 +180,30 @@ def test_rasterize_permutation_invariant():
     assert np.array_equal(a, b)
 
 
+def test_rasterize_tie_heavy_matches_brute_force():
+    spec = GridSpec(size=16, resolution=0.5)
+    rng = np.random.default_rng(8)
+    for n in (1, 40, 3000):   # 3000 points: ~8 per cell, most of them tied
+        cloud = tie_heavy_cloud(rng, n, spec)
+        want = brute_rasterize(cloud, spec)
+        assert np.array_equal(rasterize_bev(cloud, spec).grid, want)
+        perm = rng.permutation(n)
+        shuffled = PointCloud(cloud.xyz[perm], cloud.labels[perm])
+        assert np.array_equal(rasterize_bev(shuffled, spec).grid, want)
+
+
+def test_rasterize_everything_filtered():
+    spec = GridSpec(size=16, resolution=0.5)
+    xyz = np.array([[1.0, 0.0, 7.0],      # above the height window
+                    [1.0, 0.0, -3.0],     # below it
+                    [-1.0, 0.0, 1.0],     # behind the ego
+                    [1.0, 5.0, 1.0],      # off the grid to the left
+                    [1.0, 0.0, 1.0]])     # label 0
+    out = rasterize_bev(PointCloud(xyz, np.array([5, 5, 5, 5, 0])), spec)
+    assert out.grid.shape == (16, 16)
+    assert not out.grid.any()
+
+
 def test_rasterize_tie_breaks_larger_label():
     xyz = np.array([[10.0, 0.0, 1.0], [10.1, 0.1, 1.0]])  # same cell, same z
     out = rasterize_bev(PointCloud(xyz, np.array([3, 9])), SPEC)
@@ -223,6 +267,33 @@ def test_accumulate_union_cloud_oracle():
     assert np.array_equal(got.grid, want.grid)
 
 
+def test_accumulate_full_3d_poses():
+    # window poses with pitch and roll: z changes under the transform too.
+    # Points sit at cell centers of the newest frame and have distinct
+    # heights, so the float rounding of the two transforms cannot move a
+    # point across a cell border or reorder a tie.
+    spec = GridSpec(size=32, resolution=0.5)
+    rng = np.random.default_rng(9)
+    n = 600
+    rows, cols = rng.integers(0, 32, n), rng.integers(0, 32, n)
+    x = (spec.size - 0.5 - rows) * spec.resolution
+    y = (spec.size - 0.5 - cols) * spec.resolution - spec.lateral_extent / 2.0
+    current = Pose3(rng.uniform(-5, 5, 3), quat_from_euler_zyx(*rng.uniform(-0.3, 0.3, 3)))
+    union = np.column_stack([x, y, rng.uniform(-2, 5, n)])
+    labels = rng.integers(1, 256, n)
+    world = union @ current.rotation_matrix().T + current.translation
+    frames = []
+    for _ in range(4):
+        pose = Pose3(rng.uniform(-5, 5, 3), quat_from_euler_zyx(*rng.uniform(-0.3, 0.3, 3)))
+        local = (world - pose.translation) @ pose.rotation_matrix()
+        frames.append((PointCloud(local, labels), pose))
+    frames.append((PointCloud(union, labels), current))
+    got = accumulate_sbev(frames, current, spec).grid
+    want = brute_rasterize(PointCloud(union, labels), spec)
+    assert want.any()
+    assert np.array_equal(got, want)
+
+
 def test_accumulate_duplicate_frames_idempotent():
     rng = np.random.default_rng(6)
     cloud = random_cloud(rng, 200)
@@ -239,6 +310,40 @@ def test_accumulate_frame_count_checked():
         accumulate_sbev([], pose, SPEC)
     with pytest.raises(InputError):
         accumulate_sbev([(cloud, pose)] * 6, pose, SPEC)
+
+
+def test_real_frame_windows_match_brute_force():
+    """sbev_stream on rendered frames, clean and in rain, against the brute
+    rasterization of each window's union cloud; pooled inputs against the
+    float64 block mean."""
+    cfg = RunConfig()
+    spec = GridSpec(stride=4)   # a quarter of the points keeps the oracle quick
+    k, policy, h = cfg.camera.intrinsics(), cfg.classes.policy(), cfg.synth.camera_height
+    # the moderate rain of the relocalize benchmark
+    rain = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2,
+                       depth_dropout_prob=0.05, depth_noise_sigma=0.05,
+                       range_attenuation=40.0)
+    world = generate_world(derive_seed(1, SEED_WORLD),
+                           dataclasses.replace(cfg.synth, route_length=40.0).world_spec())
+    poses = world.route[30:42]
+    for weather in (None, rain):
+        frames = list(render_stream(world, poses, k, weather=weather, weather_seed=1))
+        clouds = [(ego_cloud(d, l, k, policy, spec), pose3_from_pose2(p, z=h))
+                  for _, p, d, l in frames]
+        for i, sb in enumerate(sbev_stream(frames, k, policy, spec, h)):
+            window = clouds[max(0, i + 1 - ACCUMULATION_WINDOW):i + 1]
+            inv_cur = pose3_inverse(window[-1][1])
+            parts = []
+            for cloud, pose in window:
+                rel = pose3_compose(inv_cur, pose)
+                parts.append(cloud.xyz @ rel.rotation_matrix().T + rel.translation)
+            union = PointCloud(np.concatenate(parts),
+                               np.concatenate([c.labels for c, _ in window]))
+            assert np.array_equal(sb.grid, brute_rasterize(union, spec))
+            pooled = (sb.grid.astype(np.float64).reshape(44, 8, 44, 8).mean(axis=(1, 3))
+                      / 255.0).ravel().astype(np.float32)
+            got = grid_to_input(sb.grid, 8)
+            assert got.dtype == pooled.dtype and np.array_equal(got, pooled)
 
 
 # --- files ---------------------------------------------------------------
