@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 import typing
 from dataclasses import dataclass, field
 
@@ -90,13 +91,17 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class ClassConfig:
-    keep_set: tuple = tuple(sorted(DEFAULT_KEEP_SET))
+    keep_set: tuple[int, ...] = tuple(sorted(DEFAULT_KEEP_SET))
     remap: dict | None = None
 
     def policy(self) -> ClassPolicy:
         remap = None
         if self.remap:
-            remap = {int(k): int(v) for k, v in self.remap.items()}
+            try:
+                remap = {int(k): int(v) for k, v in self.remap.items()}
+            except (TypeError, ValueError):
+                raise InputError(f"config classes.remap: class ids must be "
+                                 f"integers, got {self.remap}") from None
         return ClassPolicy(keep_set=frozenset(self.keep_set), remap=remap)
 
 
@@ -114,8 +119,9 @@ class SplitConfig:
 @dataclass(frozen=True)
 class AugmentConfigDoc:
     enabled: bool = True
-    rotations_deg: tuple = (-5.0, 5.0)
-    shifts_cells: tuple = ((-4, 0), (4, 0), (0, -4), (0, 4), (0, -12), (0, 12))
+    rotations_deg: tuple[float, ...] = (-5.0, 5.0)
+    shifts_cells: tuple[tuple[int, int], ...] = (
+        (-4, 0), (4, 0), (0, -4), (0, 4), (0, -12), (0, 12))
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ class TrainDoc:
 
 @dataclass(frozen=True)
 class AeConfig:
-    hidden: tuple = (512,)
+    hidden: tuple[int, ...] = (512,)
     latent_dim: int = 128
     pool: int = 8
     activation: str = "sigmoid"
@@ -143,9 +149,9 @@ class AeConfig:
 
 @dataclass(frozen=True)
 class RegConfig:
-    hidden: tuple = (256, 128)
+    hidden: tuple[int, ...] = (256, 128)
     dropout: float = 0.2
-    loss_weights: tuple | None = None
+    loss_weights: tuple[float, ...] | None = None
     train: TrainDoc = field(default_factory=lambda: TrainDoc(epochs=60))
 
 
@@ -182,9 +188,9 @@ class WeatherDoc:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    modes: tuple = ("BASE",)
-    weather: tuple = (WeatherDoc(),)
-    lane_offsets_m: tuple = ()
+    modes: tuple[str, ...] = ("BASE",)
+    weather: tuple[WeatherDoc, ...] = (WeatherDoc(),)
+    lane_offsets_m: tuple[float, ...] = ()
     index_max_per_node: int | None = None
     run_filter: bool = False
 
@@ -210,21 +216,32 @@ class RunConfig:
 
 def _convert(value, hint, path):
     origin = typing.get_origin(hint)
+    if origin is typing.Union or origin is types.UnionType:  # X | None
+        if value is None:
+            return None
+        arg, = (a for a in typing.get_args(hint) if a is not type(None))
+        return _convert(value, arg, path)
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
             raise InputError(f"config {path}: expected object")
         return _from_dict(hint, value, path + ".")
-    if hint is tuple or origin is tuple:
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise InputError(f"config {path}: expected array")
-        return tuple(tuple(v) if isinstance(v, list) else v for v in value)
-    if origin is typing.Union:  # Optional[...]
-        if value is None:
-            return None
-        for arg in typing.get_args(hint):
-            if arg is type(None):
-                continue
-            return _convert(value, arg, path)
+        args = typing.get_args(hint)
+        if args[-1] is Ellipsis:  # tuple[X, ...]
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise InputError(f"config {path}: expected {len(args)} items")
+        return tuple(_convert(v, a, path) for v, a in zip(value, args))
+    if hint in (bool, int, float, str, dict):
+        if hint is float and type(value) is int:
+            return float(value)
+        # bool is an int subclass, but a number field takes no bool
+        if not isinstance(value, hint) or (isinstance(value, bool)
+                                           and hint is not bool):
+            raise InputError(f"config {path}: expected {hint.__name__}, "
+                             f"got {type(value).__name__}")
     return value
 
 
@@ -234,15 +251,8 @@ def _from_dict(cls, doc: dict, prefix: str = ""):
     for key in doc:
         if key not in names:
             raise InputError(f"unknown config key '{prefix}{key}'")
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in doc:
-            kwargs[f.name] = _convert(doc[f.name], hints[f.name], prefix + f.name)
-    # tuple-of-dataclass fields need explicit element conversion
-    if cls is EvalConfig and "weather" in kwargs:
-        kwargs["weather"] = tuple(
-            _from_dict(WeatherDoc, w, prefix + "weather.") if isinstance(w, dict) else w
-            for w in kwargs["weather"])
+    kwargs = {f.name: _convert(doc[f.name], hints[f.name], prefix + f.name)
+              for f in dataclasses.fields(cls) if f.name in doc}
     return cls(**kwargs)
 
 
@@ -251,11 +261,13 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as f:
-        try:
+    try:
+        with open(path) as f:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InputError(f"{path}: invalid JSON ({e})") from None
+    except json.JSONDecodeError as e:
+        raise InputError(f"{path}: invalid JSON ({e})") from None
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: config root must be an object")
     return config_from_dict(doc)

@@ -37,17 +37,15 @@ from .localizer import LocalizerBundle, coarse_localize, regressor_input
 from .pipeline import (
     TrainingArrays,
     embed_batched,
-    grid_to_input,
-    render_stream,
-    sbev_stream,
+    pool_traversal,
     train_localizer,
+    traversal_sbevs,
 )
 from .synthworld import generate_world, lane_shift
 from .topomap import (
     AugmentConfig,
     NodeDataset,
     assign_to_nodes,
-    augment_sample,
     balance_samples,
     build_topo_map,
 )
@@ -210,20 +208,6 @@ def _is_clean(wdoc) -> bool:
             and wdoc.depth_noise_sigma == 0 and wdoc.range_attenuation == 0)
 
 
-def _test_inputs_for(world, poses, test_ids, cfg, weather=None, weather_seed=0):
-    """Render one traversal and pool the S-BEVs of the test frames."""
-    k = cfg.camera.intrinsics()
-    stream = sbev_stream(
-        render_stream(world, poses, k, weather=weather, weather_seed=weather_seed),
-        k, cfg.classes.policy(), cfg.grid.grid_spec(), cfg.synth.camera_height)
-    want = set(test_ids)
-    inputs = {}
-    for sb in stream:
-        if sb.frame_id in want:
-            inputs[sb.frame_id] = grid_to_input(sb.grid, cfg.ae.pool)
-    return inputs
-
-
 def run_experiment(cfg: RunConfig, verbose: bool = False):
     """Full protocol; returns (report rows, artifacts)."""
     t0 = time.time()
@@ -233,8 +217,6 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
             print(f"[{time.time() - t0:7.1f}s] {msg}", flush=True)
 
     seed = cfg.seed
-    k = cfg.camera.intrinsics()
-    policy = cfg.classes.policy()
     grid = cfg.grid.grid_spec()
     world = generate_world(derive_seed(seed, SEED_WORLD), cfg.synth.world_spec())
     route = world.route
@@ -242,7 +224,7 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
 
     topo = build_topo_map(route, cfg.topo.trans_threshold_m,
                           math.radians(cfg.topo.ang_threshold_deg))
-    full_ds = assign_to_nodes(topo, [(i, p) for i, p in enumerate(route)])
+    full_ds = assign_to_nodes(topo, enumerate(route))
     train_ds, test_ds = split_train_test(full_ds, cfg.split.ratio,
                                          derive_seed(seed, SEED_SPLIT))
     balanced = balance_samples(train_ds, derive_seed(seed, SEED_BALANCE))
@@ -254,58 +236,37 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
     dt = cfg.synth.frame_spacing / cfg.synth.speed
     test_ids = [s.frame_id for s in test_ds.samples]
 
-    # one clean pass collects both the training arrays and clean test inputs
-    by_frame = {}
-    for s in balanced.samples:
-        by_frame.setdefault(s.frame_id, []).append(s)
-    test_want = set(test_ids)
-    tr_in, tr_ids, tr_poses, tr_orig, tr_fids = [], [], [], [], []
-    clean_inputs = {}
-    for sb in sbev_stream(render_stream(world, route, k), k, policy, grid,
-                          cfg.synth.camera_height):
-        for s in by_frame.get(sb.frame_id, ()):
-            variants = (augment_sample(sb, s.rel_pose, aug, grid)
-                        if aug is not None else [(sb, s.rel_pose)])
-            for j, (vsb, vrel) in enumerate(variants):
-                tr_in.append(grid_to_input(vsb.grid, cfg.ae.pool))
-                tr_ids.append(s.node_id)
-                tr_poses.append(vrel)
-                tr_orig.append(j == 0)
-                tr_fids.append(s.frame_id)
-        if sb.frame_id in test_want:
-            clean_inputs[sb.frame_id] = grid_to_input(sb.grid, cfg.ae.pool)
-    arrays = TrainingArrays(np.stack(tr_in), np.array(tr_ids), tr_poses,
-                            np.array(tr_orig), np.array(tr_fids))
-    log(f"clean pass done: {len(arrays.inputs)} training rows")
-
-    def make_condition(name, inputs_by_frame, samples, pose_of_frame, traversal):
-        rows = np.stack([inputs_by_frame[s.frame_id] for s in samples])
-        globs = tuple(pose_of_frame[s.frame_id] for s in samples)
+    def make_condition(name, inputs, samples, traversal):
+        globs = tuple(traversal[s.frame_id] for s in samples)
         times = tuple(s.frame_id * dt for s in samples)
-        return ConditionData(name, rows, tuple(samples), globs, times,
+        return ConditionData(name, inputs, tuple(samples), globs, times,
                              route=tuple(traversal))
 
-    conditions = [make_condition("clean", clean_inputs, test_ds.samples,
-                                 dict(enumerate(route)), route)]
+    # one clean pass pools both the training arrays and the clean test inputs
+    clean_inputs, arrays = pool_traversal(
+        traversal_sbevs(world, route, cfg), test_ids, cfg.ae.pool,
+        balanced.samples, aug, grid)
+    log(f"clean pass done: {len(arrays.inputs)} training rows")
+    conditions = [make_condition("clean", clean_inputs, test_ds.samples, route)]
 
     for wdoc in cfg.eval.weather:
         if _is_clean(wdoc):
             continue
-        inputs = _test_inputs_for(world, route, test_ids, cfg,
-                                  weather=wdoc.weather_spec(),
-                                  weather_seed=derive_seed(seed, SEED_WEATHER))
+        sbevs = traversal_sbevs(world, route, cfg, weather=wdoc.weather_spec(),
+                                weather_seed=derive_seed(seed, SEED_WEATHER))
+        inputs, _ = pool_traversal(sbevs, test_ids, cfg.ae.pool)
         conditions.append(make_condition(wdoc.name, inputs, test_ds.samples,
-                                         dict(enumerate(route)), route))
+                                         route))
         log(f"weather pass done: {wdoc.name}")
 
     for offset in cfg.eval.lane_offsets_m:
         shifted = lane_shift(route, offset)
-        shifted_ds = assign_to_nodes(topo, [(i, p) for i, p in enumerate(shifted)])
+        shifted_ds = assign_to_nodes(topo, enumerate(shifted))
         shifted_samples = [shifted_ds.samples[i] for i in test_ids]
-        inputs = _test_inputs_for(world, shifted, test_ids, cfg)
+        inputs, _ = pool_traversal(traversal_sbevs(world, shifted, cfg),
+                                   test_ids, cfg.ae.pool)
         conditions.append(make_condition(f"lane{offset:+g}", inputs,
-                                         shifted_samples,
-                                         dict(enumerate(shifted)), shifted))
+                                         shifted_samples, shifted))
         log(f"lane pass done: {offset:+g} m")
 
     rows = []

@@ -165,51 +165,3 @@ def fuse_trajectory(odometry, measurements, init: KfState,
                 out.append(FusedSample(tm, state, "update"))
             mi += 1  # too-old measurements are dropped
     return out
-
-
-# ---------------------------------------------------------------------------
-# stream files: timestamp,x,y,theta[,vx,vy,omega]
-
-STREAM_HEADER_POSE = "timestamp,x,y,theta"
-STREAM_HEADER_ODOM = "timestamp,x,y,theta,vx,vy,omega"
-FUSED_HEADER = "timestamp,x,y,theta,sxx,syy,stt"
-
-
-def read_stream(path):
-    """Read a pose or odometry CSV; rows come back as plain tuples."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines or lines[0] not in (STREAM_HEADER_POSE, STREAM_HEADER_ODOM):
-        raise InputError(f"{path}: expected header '{STREAM_HEADER_POSE}'"
-                         f" or '{STREAM_HEADER_ODOM}'")
-    want = 4 if lines[0] == STREAM_HEADER_POSE else 7
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != want:
-            raise InputError(f"{path} row {i}: expected {want} fields")
-        try:
-            vals = tuple(float(v) for v in parts)
-        except ValueError:
-            raise InputError(f"{path} row {i}: non-numeric field") from None
-        if not all(math.isfinite(v) for v in vals):
-            raise InputError(f"{path} row {i}: non-finite value")
-        rows.append(vals)
-    return rows
-
-
-def write_stream(path, rows, with_velocity: bool = False) -> None:
-    header = STREAM_HEADER_ODOM if with_velocity else STREAM_HEADER_POSE
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(f"{v:.9g}" for v in row) + "\n")
-
-
-def write_fused(path, fused) -> None:
-    with open(path, "w") as f:
-        f.write(FUSED_HEADER + "\n")
-        for s in fused:
-            d = np.diag(s.state.sigma)
-            f.write(f"{s.t:.9g},{s.state.mu[0]:.9g},{s.state.mu[1]:.9g},"
-                    f"{s.state.mu[2]:.9g},{d[0]:.9g},{d[1]:.9g},{d[2]:.9g}\n")

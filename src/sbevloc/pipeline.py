@@ -1,9 +1,9 @@
-"""Glue between the stages: frames -> S-BEVs -> training arrays -> bundle.
+"""Glue between the stages: frames -> S-BEVs -> pooled inputs -> bundle.
 
-Frames flow through as (frame_id, pose, depth, labels) tuples whether they
-come from the synthetic renderer or from dataset files, so every consumer
-is agnostic to the source. S-BEV accumulation uses a sliding window of the
-current plus the previous four frames.
+The synthetic renderer yields frames as (frame_id, pose, depth, labels)
+tuples. S-BEV accumulation uses a sliding window of the current plus the
+previous four frames. One pass over a traversal's S-BEVs pools both the
+test inputs and the (augmented) training arrays.
 """
 
 from __future__ import annotations
@@ -13,21 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datasets as ds_io
 from .config import (
     SEED_AE,
-    SEED_BALANCE,
     SEED_INDEX,
     SEED_REG,
     RunConfig,
     derive_seed,
 )
 from .errors import InputError
-from .geometry import Intrinsics, Pose2, camera_to_ego, pose3_from_pose2
+from .geometry import Intrinsics, camera_to_ego, pose3_from_pose2
 from .localizer import (
     AEModel,
     LocalizerBundle,
-    RegModel,
     ae_targets,
     build_index,
     embed_vec,
@@ -38,13 +35,12 @@ from .localizer import (
 from .sbev import (
     ClassPolicy,
     GridSpec,
-    SBev,
     accumulate_sbev,
     build_point_cloud,
     filter_labels,
 )
 from .synthworld import WeatherSpec, World, perturb_weather, render_frame
-from .topomap import AugmentConfig, NodeDataset, TopoMap, augment_sample
+from .topomap import AugmentConfig, TopoMap, augment_sample
 
 ACCUMULATION_WINDOW = 5
 
@@ -66,13 +62,6 @@ def render_stream(world: World, poses, k: Intrinsics,
             depth, labels = perturb_weather((depth, labels), weather,
                                             derive_seed(weather_seed, frame_id))
         yield frame_id, pose, depth, labels
-
-
-def dataset_stream(manifest: ds_io.DatasetManifest):
-    """Yield (frame_id, pose, depth, labels) from an on-disk dataset."""
-    for i, ref in enumerate(manifest.frames):
-        depth, labels = ds_io.load_frame(manifest, i)
-        yield ref.frame_id, ref.pose, depth, labels
 
 
 def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
@@ -98,21 +87,35 @@ class TrainingArrays:
     frame_ids: np.ndarray       # (n,) source frame of each row
 
 
-def collect_training_arrays(sbevs, samples, aug: AugmentConfig | None,
-                            pool: int, grid: GridSpec) -> TrainingArrays:
-    """Pool (and optionally augment) the training S-BEVs into flat arrays.
+def traversal_sbevs(world: World, poses, cfg: RunConfig,
+                    weather: WeatherSpec | None = None, weather_seed: int = 0):
+    """Render `poses` in `world` and yield one S-BEV per frame, set up as
+    `cfg` describes the camera, classes, grid and camera height."""
+    k = cfg.camera.intrinsics()
+    frames = render_stream(world, poses, k, weather=weather,
+                           weather_seed=weather_seed)
+    return sbev_stream(frames, k, cfg.classes.policy(), cfg.grid.grid_spec(),
+                       cfg.synth.camera_height)
 
-    `sbevs` yields SBev objects in frame order; `samples` is the balanced
-    training set. Frames not in the training set are skipped.
+
+def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
+                   aug: AugmentConfig | None = None,
+                   grid: GridSpec | None = None):
+    """Pool one traversal's S-BEVs into network inputs in a single pass.
+
+    Returns `(test_inputs, arrays)`. `test_inputs` stacks the pooled inputs
+    of `test_ids` in the order given. `arrays` holds the `train_samples`
+    rows, each followed by its `aug` variants, in the stream's frame order.
+    Either is None when it has no frames.
     """
-    wanted = {}
-    for s in samples:
-        wanted.setdefault(s.frame_id, []).append(s)
+    by_frame = {}
+    for s in train_samples:
+        by_frame.setdefault(s.frame_id, []).append(s)
+    want = set(test_ids)
+    test_rows = {}
     inputs, ids, poses, orig, fids = [], [], [], [], []
-    seen = set()
     for sb in sbevs:
-        for s in wanted.get(sb.frame_id, ()):
-            seen.add(s.frame_id)
+        for s in by_frame.pop(sb.frame_id, ()):
             variants = (augment_sample(sb, s.rel_pose, aug, grid)
                         if aug is not None else [(sb, s.rel_pose)])
             for j, (vsb, vrel) in enumerate(variants):
@@ -121,24 +124,17 @@ def collect_training_arrays(sbevs, samples, aug: AugmentConfig | None,
                 poses.append(vrel)
                 orig.append(j == 0)
                 fids.append(s.frame_id)
-    missing = {s.frame_id for s in samples} - seen
+        if sb.frame_id in want:
+            test_rows[sb.frame_id] = grid_to_input(sb.grid, pool)
+    missing = sorted(by_frame.keys() | (want - test_rows.keys()))
     if missing:
-        raise InputError(f"training frames without S-BEVs: {sorted(missing)[:10]}")
-    return TrainingArrays(np.stack(inputs), np.array(ids), poses,
-                          np.array(orig), np.array(fids))
-
-
-def collect_inputs(sbevs, frame_ids, pool: int):
-    """Pooled inputs for the given frames, in the order frame_ids lists them."""
-    wanted = set(frame_ids)
-    got = {}
-    for sb in sbevs:
-        if sb.frame_id in wanted:
-            got[sb.frame_id] = grid_to_input(sb.grid, pool)
-    missing = wanted - got.keys()
-    if missing:
-        raise InputError(f"frames without S-BEVs: {sorted(missing)[:10]}")
-    return np.stack([got[f] for f in frame_ids])
+        raise InputError(f"frames without S-BEVs: {missing[:10]}")
+    test_inputs = (np.stack([test_rows[f] for f in test_ids])
+                   if test_rows else None)
+    arrays = (TrainingArrays(np.stack(inputs), np.array(ids), poses,
+                             np.array(orig), np.array(fids))
+              if inputs else None)
+    return test_inputs, arrays
 
 
 @dataclass
@@ -191,27 +187,3 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
 def embed_batched(ae: AEModel, inputs: np.ndarray, chunk: int = 1024) -> np.ndarray:
     out = [embed_vec(ae, inputs[i:i + chunk]) for i in range(0, len(inputs), chunk)]
     return np.concatenate(out, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# dataset directory writer (the cmd_synth body)
-
-def write_synth_dataset(out_dir, world: World, k: Intrinsics) -> int:
-    """Render every route pose to depth/label PGMs plus poses.csv/world.json."""
-    import os
-
-    from .synthworld import write_world
-
-    os.makedirs(os.path.join(out_dir, "depth"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "labels"), exist_ok=True)
-    samples = []
-    for frame_id, pose, depth, labels in render_stream(world, world.route, k):
-        name = ds_io.frame_name(frame_id)
-        ds_io.write_depth_pgm(os.path.join(out_dir, "depth", name), depth)
-        ds_io.write_label_pgm(os.path.join(out_dir, "labels", name), labels)
-        t = frame_id * world.spec.frame_spacing / world.spec.speed
-        samples.append(ds_io.TrajectorySample(frame_id, t, pose))
-    ds_io.write_trajectory(os.path.join(out_dir, "poses.csv"), samples)
-    write_world(os.path.join(out_dir, "world.json"), world)
-    ds_io.write_format_manifest(out_dir)
-    return len(samples)

@@ -12,13 +12,10 @@ index decreases with leftward offset y in [-extent/2, +extent/2).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datasets
 from .errors import InputError
 from .geometry import (
     Intrinsics,
@@ -195,30 +192,3 @@ def accumulate_sbev(frames, current_pose: Pose3, spec: GridSpec,
         labels[start:start + len(cloud)] = cloud.labels
         start += len(cloud)
     return rasterize_bev(PointCloud(xyz, labels), spec, origin=origin, frame_id=frame_id)
-
-
-# ---------------------------------------------------------------------------
-# S-BEV files: 8-bit PGM + JSON sidecar
-
-def sidecar_path(path) -> str:
-    return os.fspath(path) + ".json"
-
-
-def write_sbev(path, sbev: SBev) -> None:
-    datasets.write_pgm(path, sbev.grid, bits=8)
-    record = {
-        "frame_id": sbev.frame_id,
-        "origin": {"x": sbev.origin.x, "y": sbev.origin.y, "theta": sbev.origin.theta},
-        "resolution": sbev.resolution,
-    }
-    with open(sidecar_path(path), "w") as f:
-        json.dump(record, f)
-        f.write("\n")
-
-
-def read_sbev(path) -> SBev:
-    grid = datasets.read_pgm(path)
-    with open(sidecar_path(path)) as f:
-        rec = json.load(f)
-    origin = Pose2(rec["origin"]["x"], rec["origin"]["y"], rec["origin"]["theta"])
-    return SBev(grid, rec["resolution"], origin, int(rec["frame_id"]))

@@ -13,9 +13,8 @@ that small confusions stay "numerically close" to the true class.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +87,6 @@ class WeatherSpec:
         for p in (self.label_confusion_prob, self.depth_dropout_prob):
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"probability {p} outside [0, 1]")
-
-
-CLEAR_WEATHER = WeatherSpec()
 
 
 def generate_world(seed: int, spec: WorldSpec = WorldSpec()) -> World:
@@ -311,52 +307,3 @@ def perturb_weather(frame, w: WeatherSpec, seed: int):
     if w.range_attenuation > 0:
         depth[depth > w.range_attenuation] = 0.0
     return depth, labels
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def world_to_dict(world: World) -> dict:
-    return {
-        "seed": world.seed,
-        "spec": {
-            "route_length": world.spec.route_length,
-            "frame_spacing": world.spec.frame_spacing,
-            "speed": world.spec.speed,
-            "curviness": world.spec.curviness,
-            "primitive_density": world.spec.primitive_density,
-            "clearance": world.spec.clearance,
-            "max_lateral": world.spec.max_lateral,
-            "camera_height": world.spec.camera_height,
-            "max_range": world.spec.max_range,
-            "ground_class": world.spec.ground_class,
-            "palette": list(world.spec.palette),
-        },
-        "route": [[p.x, p.y, p.theta] for p in world.route],
-        "primitives": [
-            {"center": b.center.tolist(), "extent": b.extent.tolist(),
-             "class_id": b.class_id} for b in world.primitives
-        ],
-    }
-
-
-def write_world(path, world: World) -> None:
-    with open(path, "w") as f:
-        json.dump(world_to_dict(world), f)
-        f.write("\n")
-
-
-def read_world(path) -> World:
-    with open(path) as f:
-        doc = json.load(f)
-    sp = doc["spec"]
-    spec = WorldSpec(route_length=sp["route_length"], frame_spacing=sp["frame_spacing"],
-                     speed=sp["speed"], curviness=sp["curviness"],
-                     primitive_density=sp["primitive_density"], clearance=sp["clearance"],
-                     max_lateral=sp["max_lateral"], camera_height=sp["camera_height"],
-                     max_range=sp["max_range"], ground_class=sp["ground_class"],
-                     palette=tuple(sp["palette"]))
-    route = tuple(Pose2(*p) for p in doc["route"])
-    prims = tuple(Box(np.array(b["center"]), np.array(b["extent"]), b["class_id"])
-                  for b in doc["primitives"])
-    return World(doc["seed"], spec, route, prims)

@@ -51,7 +51,6 @@ class Sample:
     frame_id: int
     node_id: int
     rel_pose: Pose2
-    sbev_path: str = ""
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,11 @@ def nearest_node(topo: TopoMap, pose: Pose2) -> int:
 
 
 def assign_to_nodes(topo: TopoMap, frames) -> NodeDataset:
-    """Label (frame_id, pose[, sbev_path]) records with node id and rel pose."""
+    """Label (frame_id, pose) records with node id and rel pose."""
     samples = []
-    for rec in frames:
-        frame_id, pose = rec[0], rec[1]
-        path = rec[2] if len(rec) > 2 else ""
+    for frame_id, pose in frames:
         nid = nearest_node(topo, pose)
-        samples.append(Sample(frame_id, nid, relative_pose(topo.nodes[nid].pose, pose), path))
+        samples.append(Sample(frame_id, nid, relative_pose(topo.nodes[nid].pose, pose)))
     return NodeDataset(tuple(samples), n_nodes=len(topo))
 
 
@@ -237,30 +234,3 @@ def read_topomap(path) -> TopoMap:
                   for n in doc["nodes"])
     return TopoMap(nodes, float(doc["trans_threshold_m"]),
                    math.radians(float(doc["ang_threshold_deg"])))
-
-
-DATASET_INDEX_HEADER = "frame_id,node_id,rel_x,rel_y,rel_theta,sbev_path"
-
-
-def write_dataset_index(path, ds: NodeDataset) -> None:
-    with open(path, "w") as f:
-        f.write(DATASET_INDEX_HEADER + "\n")
-        for s in ds.samples:
-            f.write(f"{s.frame_id},{s.node_id},{s.rel_pose.x:.9g},"
-                    f"{s.rel_pose.y:.9g},{s.rel_pose.theta:.9g},{s.sbev_path}\n")
-
-
-def read_dataset_index(path, n_nodes: int) -> NodeDataset:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0] != DATASET_INDEX_HEADER:
-        raise InputError(f"{path}: expected header '{DATASET_INDEX_HEADER}'")
-    samples = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise InputError(f"{path} row {i}: expected 6 fields")
-        samples.append(Sample(int(parts[0]), int(parts[1]),
-                              Pose2(float(parts[2]), float(parts[3]), float(parts[4])),
-                              parts[5]))
-    return NodeDataset(tuple(samples), n_nodes)

@@ -1,0 +1,36 @@
+import json
+
+from conftest import tiny_config
+from sbevloc import cli
+from sbevloc.config import load_config, save_resolved_config
+from sbevloc.evaluate import REPORT_HEADER
+
+
+def test_run_writes_config_and_report(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg_path = tmp_path / "in.json"
+    save_resolved_config(cfg_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert load_config(out / "config.json") == cfg
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines[0] == REPORT_HEADER
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["clean", "clean"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].split()[:2] == ["condition", "node_acc"]
+    assert len(printed) == len(lines) + 1
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"synth": {"route_lenght": 60}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "synth.route_lenght" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_missing_config_file_exits_2(tmp_path):
+    code = cli.main(["run", "--config", str(tmp_path / "none.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2

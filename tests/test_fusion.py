@@ -5,16 +5,12 @@ import pytest
 
 from sbevloc.errors import InputError, NumericalError
 from sbevloc.fusion import (
-    FUSED_HEADER,
     KfState,
     OdomSample,
     estimate_measurement_noise,
     fuse_trajectory,
     kf_predict,
     kf_update,
-    read_stream,
-    write_fused,
-    write_stream,
 )
 from sbevloc.geometry import wrap_angle
 
@@ -233,31 +229,3 @@ def test_fuse_noisy_measurements_improve_mae():
     post_mae = np.mean(post_err, axis=0)
     assert post_mae[0] <= pre_mae[0]
     assert post_mae[1] <= pre_mae[1]
-
-
-# --- stream files -------------------------------------------------------------
-
-def test_stream_round_trip(tmp_path):
-    rows = [(0.0, 1.0, 2.0, 0.1, 10.0, 0.0, 0.02), (0.1, 2.0, 2.1, 0.12, 10.0, 0.1, 0.0)]
-    p = tmp_path / "odom.csv"
-    write_stream(p, rows, with_velocity=True)
-    assert read_stream(p) == [tuple(pytest.approx(r) for r in row) for row in rows]
-
-
-def test_fused_output_format(tmp_path):
-    fused = fuse_trajectory([(0.0, 1, 0, 0), (1.0, 1, 0, 0)], [],
-                            state(sigma=np.eye(3)), Q_DEFAULT, R_EYE)
-    p = tmp_path / "fused.csv"
-    write_fused(p, fused)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == FUSED_HEADER
-    assert len(lines) == 2
-    vals = [float(v) for v in lines[1].split(",")]
-    assert vals[1] == pytest.approx(1.0)
-
-
-def test_stream_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("time,x\n0,1\n")
-    with pytest.raises(InputError):
-        read_stream(p)

@@ -22,14 +22,11 @@ from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, sbev
 from sbevloc.sbev import (
     ClassPolicy,
     GridSpec,
-    SBev,
     accumulate_sbev,
     build_point_cloud,
     cell_indices,
     filter_labels,
     rasterize_bev,
-    read_sbev,
-    write_sbev,
 )
 from sbevloc.synthworld import WeatherSpec, generate_world
 
@@ -344,18 +341,3 @@ def test_real_frame_windows_match_brute_force():
                       / 255.0).ravel().astype(np.float32)
             got = grid_to_input(sb.grid, 8)
             assert got.dtype == pooled.dtype and np.array_equal(got, pooled)
-
-
-# --- files ---------------------------------------------------------------
-
-def test_sbev_file_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
-    sb = SBev(rng.integers(0, 256, (352, 352)).astype(np.uint8), 0.25,
-              Pose2(1.5, -2.0, 0.7), frame_id=42)
-    p = tmp_path / "s.pgm"
-    write_sbev(p, sb)
-    back = read_sbev(p)
-    assert np.array_equal(back.grid, sb.grid)
-    assert back.origin == sb.origin
-    assert back.resolution == 0.25
-    assert back.frame_id == 42

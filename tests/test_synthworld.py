@@ -12,10 +12,7 @@ from sbevloc.synthworld import (
     generate_world,
     lane_shift,
     perturb_weather,
-    read_world,
     render_frame,
-    world_to_dict,
-    write_world,
 )
 
 K = Intrinsics(fx=160.0, fy=160.0, cx=159.5, cy=119.5, baseline=0.3,
@@ -30,13 +27,21 @@ def small_spec(**kw):
 
 # --- generate_world ------------------------------------------------------
 
-def test_world_deterministic_serialization(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_world(a, generate_world(7, small_spec()))
-    write_world(b, generate_world(7, small_spec()))
-    assert a.read_bytes() == b.read_bytes()
-    back = read_world(a)
-    assert len(back.route) == len(generate_world(7, small_spec()).route)
+def world_bytes(w):
+    """Canonical bytes of a world: route poses, then each box in order."""
+    parts = [np.array([(p.x, p.y, p.theta) for p in w.route]).tobytes()]
+    for b in w.primitives:
+        parts += [b.center.tobytes(), b.extent.tobytes(), b.class_id.to_bytes(2, "little")]
+    return b"".join(parts)
+
+
+def test_world_deterministic_serialization():
+    a = generate_world(7, small_spec())
+    b = generate_world(7, small_spec())
+    assert a.seed == b.seed and a.spec == b.spec
+    assert len(a.route) > 0 and len(a.primitives) > 0
+    assert world_bytes(a) == world_bytes(b)
+    assert world_bytes(generate_world(8, small_spec())) != world_bytes(a)
 
 
 def test_world_zero_density():

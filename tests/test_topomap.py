@@ -17,11 +17,9 @@ from sbevloc.topomap import (
     build_topo_map,
     nearest_node,
     node_average_sbev,
-    read_dataset_index,
     read_topomap,
     rotate_grid,
     shift_grid,
-    write_dataset_index,
     write_topomap,
 )
 
@@ -120,9 +118,9 @@ def test_nearest_node_brute_force():
 
 def test_assign_to_nodes_rel_pose():
     topo = make_map([(0, 0), (20, 0)])
-    ds = assign_to_nodes(topo, [(7, Pose2(21, 1, 0.2), "a.pgm")])
+    ds = assign_to_nodes(topo, [(7, Pose2(21, 1, 0.2))])
     s = ds.samples[0]
-    assert s.node_id == 1
+    assert s.frame_id == 7 and s.node_id == 1
     back = global_from_relative(topo.nodes[1].pose, s.rel_pose)
     assert back.x == pytest.approx(21)
     assert back.y == pytest.approx(1)
@@ -284,17 +282,3 @@ def test_topomap_round_trip(tmp_path):
         assert a.id == b.id
         assert a.pose.x == pytest.approx(b.pose.x)
         assert a.pose.theta == pytest.approx(b.pose.theta)
-
-
-def test_dataset_index_round_trip(tmp_path):
-    ds = NodeDataset((Sample(0, 1, Pose2(1.5, -0.25, 0.1), "sbev/00000.pgm"),
-                      Sample(3, 0, Pose2(-2.0, 0.5, -0.4), "sbev/00003.pgm")), 2)
-    p = tmp_path / "index.csv"
-    write_dataset_index(p, ds)
-    back = read_dataset_index(p, 2)
-    assert back.n_nodes == 2
-    for a, b in zip(back.samples, ds.samples):
-        assert a.frame_id == b.frame_id
-        assert a.node_id == b.node_id
-        assert a.sbev_path == b.sbev_path
-        assert a.rel_pose.x == pytest.approx(b.rel_pose.x)
