@@ -145,25 +145,22 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec,
                   origin: Pose2 = Pose2(0, 0, 0), frame_id: int = 0) -> SBev:
     """Top-down projection: per cell, keep the label of the highest point.
 
-    Among the points at a cell's top height, the larger label ID wins. The
-    points are grouped by cell and each cell is written once from a max over
-    its group, so the result depends neither on point order nor on the
-    stability of the sort.
+    Among the points at a cell's top height, the larger label ID wins. Two
+    scatter-max passes over the flat cell index: the first gives each
+    cell's top height, the second the largest label among the points at it.
+    A max does not depend on the order of its inputs, so neither does the
+    result; -0.0 and +0.0 tie.
     """
     grid = np.zeros(spec.size * spec.size, dtype=np.uint8)
-    if len(cloud):
-        x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
-        zmin, zmax = spec.height_window
-        rows, cols, inside = cell_indices(spec, x, y)
-        keep = inside & (z >= zmin) & (z <= zmax) & (cloud.labels != 0)
-        cell = rows[keep] * spec.size + cols[keep]
-        if len(cell):
-            order = np.argsort(cell)
-            cell, z, labels = cell[order], z[keep][order], cloud.labels[keep][order]
-            starts = np.flatnonzero(np.diff(cell, prepend=-1))
-            top = np.maximum.reduceat(z, starts)
-            at_top = z == np.repeat(top, np.diff(starts, append=len(cell)))
-            grid[cell[starts]] = np.maximum.reduceat(np.where(at_top, labels, 0), starts)
+    x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
+    zmin, zmax = spec.height_window
+    rows, cols, inside = cell_indices(spec, x, y)
+    keep = inside & (z >= zmin) & (z <= zmax) & (cloud.labels != 0)
+    cell, z, labels = rows[keep] * spec.size + cols[keep], z[keep], cloud.labels[keep]
+    top = np.full(grid.size, -np.inf)
+    np.maximum.at(top, cell, z)
+    at_top = z == top[cell]
+    np.maximum.at(grid, cell[at_top], labels[at_top])
     return SBev(grid.reshape(spec.size, spec.size), spec.resolution, origin, frame_id)
 
 

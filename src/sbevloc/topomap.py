@@ -9,6 +9,7 @@ here too.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -174,22 +175,34 @@ def shift_grid(grid: np.ndarray, di: int, dj: int) -> np.ndarray:
     return out
 
 
-def rotate_grid(grid: np.ndarray, angle: float, spec: GridSpec) -> np.ndarray:
-    """Simulate a viewpoint yawed by +angle: content rotates by -angle about
-    the ego point, nearest-neighbor resampled."""
+@functools.lru_cache(maxsize=8)
+def _rotation_source(angle: float, size: int, resolution: float) -> np.ndarray:
+    """Flat source cell of each output cell of rotate_grid, as read-only
+    intp; cells whose source falls off the grid point one past its end."""
+    spec = GridSpec(size=size, resolution=resolution)
     xc, yc = cell_centers(spec)
-    x = np.broadcast_to(xc[:, None], grid.shape)
-    y = np.broadcast_to(yc[None, :], grid.shape)
+    x = np.broadcast_to(xc[:, None], (size, size))
+    y = np.broadcast_to(yc[None, :], (size, size))
     c, s = math.cos(angle), math.sin(angle)
     # inverse map: source coords in the original grid
-    sx = c * x - s * y
-    sy = s * x + c * y
-    rows, cols, inside = cell_indices(spec, sx.ravel(), sy.ravel())
-    out = np.zeros_like(grid)
-    flat = np.zeros(grid.size, dtype=grid.dtype)
-    flat[inside] = grid[rows[inside], cols[inside]]
-    out[:] = flat.reshape(grid.shape)
-    return out
+    rows, cols, inside = cell_indices(spec, (c * x - s * y).ravel(), (s * x + c * y).ravel())
+    src = np.where(inside, rows * size + cols, size * size).astype(np.intp)
+    src.flags.writeable = False
+    return src
+
+
+def rotate_grid(grid: np.ndarray, angle: float, spec: GridSpec) -> np.ndarray:
+    """Simulate a viewpoint yawed by +angle: content rotates by -angle about
+    the ego point, nearest-neighbor resampled.
+
+    The inverse map depends only on the angle and the grid geometry, so it
+    is computed once per (angle, size, resolution) and each call is one
+    gather.
+    """
+    if grid.shape != (spec.size, spec.size):
+        raise InputError(f"grid {grid.shape} does not match a {spec.size}-cell spec")
+    src = _rotation_source(angle, spec.size, spec.resolution)
+    return np.append(grid.ravel(), grid.dtype.type(0))[src].reshape(grid.shape)
 
 
 def augment_sample(sb: SBev, rel_pose: Pose2, cfg: AugmentConfig,

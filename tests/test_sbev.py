@@ -1,8 +1,11 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbevloc.config import RunConfig, derive_seed, SEED_WORLD
 from sbevloc.errors import InputError
@@ -209,6 +212,32 @@ def test_rasterize_tie_breaks_larger_label():
     assert out.grid[311, 175] == 9
 
 
+def test_rasterize_signed_zeros_tie():
+    # -0.0 == +0.0, so both points are at the cell's top and the larger label wins
+    for heights in ((-0.0, 0.0), (0.0, -0.0)):
+        xyz = np.array([[10.0, 0.0, heights[0]], [10.1, 0.1, heights[1]]])
+        for labels in ([3, 9], [9, 3]):
+            assert rasterize_bev(PointCloud(xyz, np.array(labels)), SPEC).grid[311, 175] == 9
+
+
+SPEC8 = GridSpec(size=8, resolution=0.5)
+# both window edges, both signed zeros, and heights just outside the window
+HEIGHTS8 = (-3.0, -2.5, -1.0, -0.0, 0.0, 1.0, 6.0, 6.5, float("nan"))
+# a few rows and columns, so that points often share a cell; -1 and 8 are off the grid
+INDEX8 = st.sampled_from((-1, 0, 3, 7, 8))
+point8 = st.tuples(INDEX8, INDEX8, st.sampled_from((0.1, 0.9)),
+                   st.sampled_from(HEIGHTS8), st.integers(0, 255))
+
+
+@given(st.lists(point8, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_rasterize_property_matches_brute_force(points):
+    res, half = SPEC8.resolution, SPEC8.lateral_extent / 2.0
+    xyz = np.array([((i + f) * res, (j + f) * res - half, z) for i, j, f, z, _ in points])
+    cloud = PointCloud(xyz, np.array([p[4] for p in points], dtype=np.uint8))
+    assert np.array_equal(rasterize_bev(cloud, SPEC8).grid, brute_rasterize(cloud, SPEC8))
+
+
 def test_rasterize_height_window():
     xyz = np.array([[10.0, 0.0, 7.0], [10.0, 0.0, -3.0]])  # both outside window
     out = rasterize_bev(PointCloud(xyz, np.array([5, 5])), SPEC)
@@ -298,6 +327,33 @@ def test_accumulate_duplicate_frames_idempotent():
     one = accumulate_sbev([(cloud, pose)], pose, SPEC)
     five = accumulate_sbev([(cloud, pose)] * 5, pose, SPEC)
     assert np.array_equal(one.grid, five.grid)
+
+
+def window_frames(rng, n_frames, n_points):
+    poses = [Pose3(rng.uniform(-3, 3, 3), quat_from_euler_zyx(*rng.uniform(-0.2, 0.2, 3)))
+             for _ in range(n_frames)]
+    return [(random_cloud(rng, n_points), p) for p in poses]
+
+
+def test_accumulate_frame_order_invariant():
+    spec = GridSpec(size=64, resolution=1.0)
+    frames = window_frames(np.random.default_rng(10), 5, 300)
+    current = frames[-1][1]
+    want = accumulate_sbev(frames, current, spec).grid
+    assert want.any()
+    for perm in itertools.permutations(frames):
+        assert np.array_equal(accumulate_sbev(list(perm), current, spec).grid, want)
+
+
+def test_accumulate_empty_cloud_is_neutral():
+    spec = GridSpec(size=64, resolution=1.0)
+    frames = window_frames(np.random.default_rng(11), 4, 300)
+    current = frames[-1][1]
+    want = accumulate_sbev(frames, current, spec).grid
+    empty = (PointCloud(np.zeros((0, 3))), ego_pose3(Pose2(1, 0, 0.1)))
+    for i in range(len(frames) + 1):
+        window = frames[:i] + [empty] + frames[i:]
+        assert np.array_equal(accumulate_sbev(window, current, spec).grid, want)
 
 
 def test_accumulate_frame_count_checked():

@@ -5,7 +5,7 @@ import pytest
 
 from sbevloc.errors import InputError
 from sbevloc.geometry import Pose2, global_from_relative, relative_pose, wrap_angle
-from sbevloc.sbev import GridSpec, SBev
+from sbevloc.sbev import GridSpec, SBev, cell_centers, cell_indices
 from sbevloc.topomap import (
     AugmentConfig,
     NodeDataset,
@@ -258,6 +258,36 @@ def test_rotation_moves_content_against_yaw():
     rr, cc = np.nonzero(rot)
     assert len(rr) >= 1
     assert cc.mean() > 176
+
+
+def rotate_grid_uncached(grid, angle, spec):
+    """The inverse-map formula, evaluated afresh on every call."""
+    xc, yc = cell_centers(spec)
+    x = np.broadcast_to(xc[:, None], grid.shape)
+    y = np.broadcast_to(yc[None, :], grid.shape)
+    c, s = math.cos(angle), math.sin(angle)
+    rows, cols, inside = cell_indices(spec, (c * x - s * y).ravel(), (s * x + c * y).ravel())
+    flat = np.zeros(grid.size, dtype=grid.dtype)
+    flat[inside] = grid[rows[inside], cols[inside]]
+    return flat.reshape(grid.shape)
+
+
+def test_rotate_grid_cache_matches_uncached():
+    spec = GridSpec()
+    grid = np.random.default_rng(4).integers(0, 256, (352, 352)).astype(np.uint8)
+    for deg in (-5.0, 5.0, 0.0, 30.0):
+        angle = math.radians(deg)
+        want = rotate_grid_uncached(grid, angle, spec)
+        for _ in range(2):   # the first call fills the cache, the second reads it
+            got = rotate_grid(grid, angle, spec)
+            assert got.dtype == grid.dtype and np.array_equal(got, want)
+            got[:] = 255     # a returned grid is the caller's own
+    small = GridSpec(size=16, resolution=0.5)
+    grid16 = grid[:16, :16].copy()
+    assert np.array_equal(rotate_grid(grid16, 0.3, small),
+                          rotate_grid_uncached(grid16, 0.3, small))
+    with pytest.raises(InputError):
+        rotate_grid(grid16, 0.3, spec)
 
 
 def test_shift_grid_zero_fill():
