@@ -66,7 +66,7 @@ def test_accumulate_sbev_window(benchmark, noisy):
 def world():
     # the 160 m route of the relocalize benchmark, seed 1
     synth = dataclasses.replace(CFG.synth, route_length=160.0)
-    return generate_world(derive_seed(1, SEED_WORLD), synth.world_spec())
+    return generate_world(derive_seed(1, SEED_WORLD), synth)
 
 
 @pytest.fixture(scope="module")

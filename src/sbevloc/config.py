@@ -20,6 +20,7 @@ from .errors import InputError
 from .geometry import Intrinsics
 from .sbev import ClassPolicy, GridSpec
 from .synthworld import DEFAULT_KEEP_SET, WeatherSpec, WorldSpec
+from .topomap import AugmentConfig
 
 
 def derive_seed(master: int, tag: int) -> int:
@@ -44,35 +45,12 @@ class CameraConfig:
     fy: float = 160.0
     cx: float = 159.5
     cy: float = 119.5
-    baseline: float = 0.3
     width: int = 320
     height: int = 240
 
     def intrinsics(self) -> Intrinsics:
-        return Intrinsics(self.fx, self.fy, self.cx, self.cy, self.baseline,
-                          self.width, self.height)
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    route_length: float = 1200.0
-    frame_spacing: float = 0.5
-    speed: float = 10.0
-    curviness: float = 1.0
-    primitive_density: float = 0.15
-    clearance: float = 5.5
-    max_lateral: float = 20.0
-    camera_height: float = 1.5
-    max_range: float = 48.0
-
-    def world_spec(self) -> WorldSpec:
-        return WorldSpec(route_length=self.route_length,
-                         frame_spacing=self.frame_spacing, speed=self.speed,
-                         curviness=self.curviness,
-                         primitive_density=self.primitive_density,
-                         clearance=self.clearance, max_lateral=self.max_lateral,
-                         camera_height=self.camera_height,
-                         max_range=self.max_range)
+        return Intrinsics(self.fx, self.fy, self.cx, self.cy, self.width,
+                          self.height)
 
 
 @dataclass(frozen=True)
@@ -114,14 +92,6 @@ class TopoConfig:
 @dataclass(frozen=True)
 class SplitConfig:
     ratio: float = 0.8
-
-
-@dataclass(frozen=True)
-class AugmentConfigDoc:
-    enabled: bool = True
-    rotations_deg: tuple[float, ...] = (-5.0, 5.0)
-    shifts_cells: tuple[tuple[int, int], ...] = (
-        (-4, 0), (4, 0), (0, -4), (0, 4), (0, -12), (0, 12))
 
 
 @dataclass(frozen=True)
@@ -198,13 +168,13 @@ class EvalConfig:
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    synth: WorldSpec = field(default_factory=WorldSpec)
     camera: CameraConfig = field(default_factory=CameraConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     classes: ClassConfig = field(default_factory=ClassConfig)
     topo: TopoConfig = field(default_factory=TopoConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
-    augment: AugmentConfigDoc = field(default_factory=AugmentConfigDoc)
+    augment: AugmentConfig = field(default_factory=AugmentConfig)
     ae: AeConfig = field(default_factory=AeConfig)
     reg: RegConfig = field(default_factory=RegConfig)
     kf: KfConfig = field(default_factory=KfConfig)
@@ -253,7 +223,10 @@ def _from_dict(cls, doc: dict, prefix: str = ""):
             raise InputError(f"unknown config key '{prefix}{key}'")
     kwargs = {f.name: _convert(doc[f.name], hints[f.name], prefix + f.name)
               for f in dataclasses.fields(cls) if f.name in doc}
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except InputError as e:  # a section's own checks, e.g. WorldSpec's
+        raise InputError(f"config {prefix[:-1]}: {e}") from None
 
 
 def config_from_dict(doc: dict) -> RunConfig:

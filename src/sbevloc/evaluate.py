@@ -43,7 +43,6 @@ from .pipeline import (
 )
 from .synthworld import generate_world, lane_shift
 from .topomap import (
-    AugmentConfig,
     NodeDataset,
     assign_to_nodes,
     balance_samples,
@@ -218,7 +217,7 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
 
     seed = cfg.seed
     grid = cfg.grid.grid_spec()
-    world = generate_world(derive_seed(seed, SEED_WORLD), cfg.synth.world_spec())
+    world = generate_world(derive_seed(seed, SEED_WORLD), cfg.synth)
     route = world.route
     log(f"world: {len(route)} frames, {len(world.primitives)} primitives")
 
@@ -231,8 +230,6 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
     log(f"map: {len(topo)} nodes; balanced train {len(balanced)}, "
         f"test {len(test_ds)}")
 
-    aug = (AugmentConfig(cfg.augment.rotations_deg, cfg.augment.shifts_cells)
-           if cfg.augment.enabled else None)
     dt = cfg.synth.frame_spacing / cfg.synth.speed
     test_ids = [s.frame_id for s in test_ds.samples]
 
@@ -245,7 +242,7 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
     # one clean pass pools both the training arrays and the clean test inputs
     clean_inputs, arrays = pool_traversal(
         traversal_sbevs(world, route, cfg), test_ids, cfg.ae.pool,
-        balanced.samples, aug, grid)
+        balanced.samples, cfg.augment, grid)
     log(f"clean pass done: {len(arrays.inputs)} training rows")
     conditions = [make_condition("clean", clean_inputs, test_ds.samples, route)]
 

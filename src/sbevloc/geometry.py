@@ -79,13 +79,12 @@ class Pose3:
 
 @dataclass(frozen=True)
 class Intrinsics:
-    """Rectified pinhole camera parameters (pixels; baseline in meters)."""
+    """Rectified pinhole camera parameters, in pixels."""
 
     fx: float
     fy: float
     cx: float
     cy: float
-    baseline: float
     width: int
     height: int
 
@@ -94,8 +93,6 @@ class Intrinsics:
             raise InputError("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point outside image")
-        if self.baseline <= 0:
-            raise InputError("baseline must be positive")
 
 
 @dataclass(frozen=True)

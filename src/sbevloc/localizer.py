@@ -339,18 +339,22 @@ def load_bundle(dirpath) -> LocalizerBundle:
     meta_path = os.path.join(dirpath, "bundle.json")
     if not os.path.exists(meta_path):
         raise FormatError(f"{meta_path}: missing bundle manifest")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    if meta.get("format_version") != BUNDLE_VERSION:
-        raise FormatError(f"{meta_path}: format_version {meta.get('format_version')}"
-                          f", expected {BUNDLE_VERSION}")
+    try:
+        with open(meta_path) as f:
+            meta = json.load(f)
+        if meta.get("format_version") != BUNDLE_VERSION:
+            raise FormatError(f"{meta_path}: format_version "
+                              f"{meta.get('format_version')}, expected {BUNDLE_VERSION}")
+        ae_fields = dict(encoder_layers=int(meta["encoder_layers"]),
+                         pool=int(meta["pool"]), mode=meta.get("ae_mode", "BASE"))
+        reg_fields = dict(n_nodes=int(meta["n_nodes"]),
+                          latent_dim=int(meta["latent_dim"]))
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"{meta_path}: malformed manifest "
+                          f"({type(e).__name__}: {e})") from None
     topo = read_topomap(os.path.join(dirpath, "topomap.json"))
-    ae = AEModel(nnet.load_weights(os.path.join(dirpath, "ae.sbnn")),
-                 encoder_layers=int(meta["encoder_layers"]),
-                 pool=int(meta["pool"]), mode=meta.get("ae_mode", "BASE"))
-    reg = RegModel(nnet.load_weights(os.path.join(dirpath, "reg.sbnn")),
-                   n_nodes=int(meta["n_nodes"]),
-                   latent_dim=int(meta["latent_dim"]))
+    ae = AEModel(nnet.load_weights(os.path.join(dirpath, "ae.sbnn")), **ae_fields)
+    reg = RegModel(nnet.load_weights(os.path.join(dirpath, "reg.sbnn")), **reg_fields)
     index = read_index(os.path.join(dirpath, "index.bin"))
     bundle = LocalizerBundle(topo, ae, reg, index)
     bundle.validate()

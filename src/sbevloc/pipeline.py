@@ -152,7 +152,7 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     BASE uses everything with node-average targets; AVG reconstructs each
     input instead; AUG drops the augmented variants.
     """
-    if mode == "AUG" or not cfg.augment.enabled:
+    if mode == "AUG":
         keep = arrays.is_original
     else:
         keep = np.ones(len(arrays.inputs), dtype=bool)

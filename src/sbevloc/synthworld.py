@@ -52,13 +52,12 @@ class WorldSpec:
     max_lateral: float = 20.0
     camera_height: float = 1.5
     max_range: float = 48.0
-    ground_class: int = GROUND_CLASS
-    palette: tuple = PRIMITIVE_CLASSES
 
     def __post_init__(self):
-        if self.route_length <= 0:
+        # "not > 0" also rejects NaN, which JSON configs can carry
+        if not self.route_length > 0:
             raise InputError("route length must be positive")
-        if self.frame_spacing <= 0 or self.speed <= 0:
+        if not (self.frame_spacing > 0 and self.speed > 0):
             raise InputError("frame spacing and speed must be positive")
 
 
@@ -123,7 +122,7 @@ def generate_world(seed: int, spec: WorldSpec = WorldSpec()) -> World:
             # keep every box clear of the whole route, not just its anchor
             d2 = np.min((route_xy[:, 0] - cx) ** 2 + (route_xy[:, 1] - cy) ** 2)
             if d2 >= (spec.clearance + half_diag) ** 2:
-                cls = int(spec.palette[rng.integers(0, len(spec.palette))])
+                cls = PRIMITIVE_CLASSES[rng.integers(0, len(PRIMITIVE_CLASSES))]
                 boxes.append(Box(np.array([cx, cy, ez / 2.0]),
                                  np.array([ex, ey, ez]), cls))
                 break
@@ -215,7 +214,7 @@ def render_frame(world: World, ego: Pose2, k: Intrinsics):
     t_ground = np.where(hit, cam[2] / np.maximum(-dz_world, 1e-12), np.inf)
     ground_ok = hit & (t_ground <= spec.max_range)
     depth[ground_ok] = t_ground[ground_ok]
-    labels[ground_ok] = spec.ground_class
+    labels[ground_ok] = GROUND_CLASS
     zbuf = np.where(ground_ok, t_ground, np.inf)
 
     cull = spec.max_range + 10.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FormatError, InputError
 from .geometry import Pose2, relative_pose, wrap_angle
 from .sbev import GridSpec, SBev, cell_centers, cell_indices
 
@@ -69,14 +69,6 @@ class NodeDataset:
         return c
 
 
-@dataclass(frozen=True)
-class AvgSBev:
-    """Cell-wise mean of a node's S-BEV grids (real-valued)."""
-
-    grid: np.ndarray
-    node_id: int
-
-
 def build_topo_map(trajectory, trans_threshold: float, ang_threshold: float) -> TopoMap:
     """Greedy walk: emit a node at the first pose far or turned enough."""
     trajectory = list(trajectory)
@@ -112,20 +104,6 @@ def assign_to_nodes(topo: TopoMap, frames) -> NodeDataset:
     return NodeDataset(tuple(samples), n_nodes=len(topo))
 
 
-def node_average_sbev(sbevs, node_id: int = 0) -> AvgSBev:
-    """Cell-wise arithmetic mean of class-ID grids, kept as reals."""
-    sbevs = list(sbevs)
-    if not sbevs:
-        raise InputError("no S-BEVs to average")
-    shape = sbevs[0].grid.shape
-    acc = np.zeros(shape, dtype=np.float64)
-    for s in sbevs:
-        if s.grid.shape != shape:
-            raise InputError("S-BEV dimension mismatch")
-        acc += s.grid
-    return AvgSBev(acc / len(sbevs), node_id)
-
-
 def balance_samples(ds: NodeDataset, seed: int) -> NodeDataset:
     """Undersample every node to the minimum per-node count (seeded)."""
     by_node = [[] for _ in range(ds.n_nodes)]
@@ -153,9 +131,9 @@ class AugmentConfig:
     simulated viewpoint; positive lateral means the vehicle moved left.
     """
 
-    rotations_deg: tuple = (-5.0, 5.0)
-    shifts_cells: tuple = ((-2, 0), (2, 0), (-4, 0), (4, 0),
-                           (0, -2), (0, 2), (0, -4), (0, 4))
+    rotations_deg: tuple[float, ...] = (-5.0, 5.0)
+    shifts_cells: tuple[tuple[int, int], ...] = (
+        (-4, 0), (4, 0), (0, -4), (0, 4), (0, -12), (0, 12))
 
 
 def shift_grid(grid: np.ndarray, di: int, dj: int) -> np.ndarray:
@@ -241,9 +219,13 @@ def write_topomap(path, topo: TopoMap) -> None:
 
 
 def read_topomap(path) -> TopoMap:
-    with open(path) as f:
-        doc = json.load(f)
-    nodes = tuple(NodePose(int(n["id"]), Pose2(n["x"], n["y"], n["theta"]))
-                  for n in doc["nodes"])
-    return TopoMap(nodes, float(doc["trans_threshold_m"]),
-                   math.radians(float(doc["ang_threshold_deg"])))
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        nodes = tuple(NodePose(int(n["id"]), Pose2(n["x"], n["y"], n["theta"]))
+                      for n in doc["nodes"])
+        trans, ang = float(doc["trans_threshold_m"]), float(doc["ang_threshold_deg"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise FormatError(f"{path}: malformed topological map "
+                          f"({type(e).__name__}: {e})") from None
+    return TopoMap(nodes, trans, math.radians(ang))

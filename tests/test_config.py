@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -46,6 +47,19 @@ def test_unknown_key_names_path():
         config_from_dict({"synth": {"route_lenght": 10.0}})
     with pytest.raises(InputError, match=r"'eval\.weather\.nme'"):
         config_from_dict({"eval": {"weather": [{"nme": "fog"}]}})
+    # the stereo baseline and the augmentation switch are no longer options
+    with pytest.raises(InputError, match=r"'camera\.baseline'"):
+        config_from_dict({"camera": {"baseline": 0.3}})
+    with pytest.raises(InputError, match=r"'augment\.enabled'"):
+        config_from_dict({"augment": {"enabled": True}})
+
+
+@pytest.mark.parametrize("synth", [
+    {"route_length": -1}, {"frame_spacing": 0}, {"speed": 0},
+    {"route_length": math.nan}])
+def test_bad_synth_values_rejected_at_load(synth):
+    with pytest.raises(InputError, match=r"config synth: .* must be positive"):
+        config_from_dict({"synth": synth})
 
 
 def test_weather_entries_must_be_objects():

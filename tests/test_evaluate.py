@@ -9,12 +9,13 @@ from sbevloc.config import SEED_WORLD, WeatherDoc, derive_seed
 from sbevloc.errors import InputError
 from sbevloc.evaluate import (
     REPORT_HEADER,
+    evaluate_condition,
     format_report_table,
     run_experiment,
     write_report_csv,
 )
 from sbevloc.geometry import Pose2
-from sbevloc.localizer import grid_to_input
+from sbevloc.localizer import grid_to_input, load_bundle, localize, save_bundle
 from sbevloc.pipeline import pool_traversal, render_stream, sbev_stream, traversal_sbevs
 from sbevloc.synthworld import generate_world
 from sbevloc.topomap import AugmentConfig, Sample
@@ -59,7 +60,7 @@ def test_run_experiment_conditions_and_rows(two_runs):
 
 def test_pool_traversal_test_inputs_match_sbev_stream(tiny_cfg):
     cfg = tiny_cfg
-    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth.world_spec())
+    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
     route = world.route[:24]
     k = cfg.camera.intrinsics()
     sbevs = list(sbev_stream(render_stream(world, route, k), k,
@@ -75,7 +76,7 @@ def test_pool_traversal_test_inputs_match_sbev_stream(tiny_cfg):
 
 def test_pool_traversal_training_rows_in_frame_order(tiny_cfg):
     cfg = tiny_cfg
-    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth.world_spec())
+    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
     route = world.route[:12]
     sbevs = list(traversal_sbevs(world, route, cfg))
     samples = [Sample(8, 1, Pose2(0.5, 0.0, 0.0)), Sample(2, 0, Pose2(1.0, 0.2, 0.1))]
@@ -93,7 +94,7 @@ def test_pool_traversal_training_rows_in_frame_order(tiny_cfg):
 
 def test_pool_traversal_names_missing_frames(tiny_cfg):
     cfg = tiny_cfg
-    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth.world_spec())
+    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
     sbevs = traversal_sbevs(world, world.route[:3], cfg)
     with pytest.raises(InputError, match=r"\[7\]"):
         pool_traversal(sbevs, [1, 7], cfg.ae.pool)
@@ -116,3 +117,19 @@ def test_report_csv_blanks_post_kf_accuracy(two_runs, tmp_path):
     table = format_report_table(rows).splitlines()
     assert len(table) == len(rows) + 2
     assert table[-1].split()[1] == "-"
+
+
+def test_trained_bundle_round_trip(two_runs, tmp_path):
+    cfg, (_, art), _ = two_runs
+    bundle = art.trained["BASE"].bundle
+    save_bundle(tmp_path, bundle)
+    back = load_bundle(tmp_path)
+    for cond in art.conditions:
+        want = evaluate_condition(bundle, cond, cfg, cfg.seed, run_filter=True)
+        got = evaluate_condition(back, cond, cfg, cfg.seed, run_filter=True)
+        assert repr(got) == repr(want)
+    test_ids = {s.frame_id for s in art.test_ds.samples}
+    sbevs = [sb for sb in traversal_sbevs(art.world, art.world.route, cfg)
+             if sb.frame_id in test_ids]
+    assert len(sbevs) == len(test_ids)
+    assert [localize(back, sb) for sb in sbevs] == [localize(bundle, sb) for sb in sbevs]

@@ -145,14 +145,14 @@ def test_relative_global_round_trip(node, frame):
 
 # --- intrinsics / unproject ---------------------------------------------
 
-K = Intrinsics(fx=100, fy=100, cx=50, cy=50, baseline=0.5, width=101, height=101)
+K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=101, height=101)
 
 
 def test_intrinsics_validation():
     with pytest.raises(InputError):
-        Intrinsics(fx=-1, fy=1, cx=0, cy=0, baseline=0.5, width=10, height=10)
+        Intrinsics(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
     with pytest.raises(InputError):
-        Intrinsics(fx=1, fy=1, cx=20, cy=0, baseline=0.5, width=10, height=10)
+        Intrinsics(fx=1, fy=1, cx=20, cy=0, width=10, height=10)
 
 
 def test_unproject_principal_point():

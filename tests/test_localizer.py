@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -343,3 +344,28 @@ def test_bundle_validation_catches_mismatch(tmp_path):
                           bundle.index)
     with pytest.raises(FormatError):
         bad.validate()
+
+
+def _edit_doc(edit):
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("bundle.json", lambda t: t[:len(t) // 2]),
+    ("bundle.json", _edit_doc(lambda d: d.pop("encoder_layers"))),
+    ("bundle.json", lambda t: f"[{t}]"),
+    ("topomap.json", lambda t: t[:len(t) // 2]),
+    ("topomap.json", _edit_doc(lambda d: d["nodes"][1].pop("x"))),
+    ("topomap.json", lambda t: f"[{t}]"),
+], ids=["manifest-truncated", "manifest-no-encoder_layers", "manifest-array-root",
+        "topomap-truncated", "topomap-node-without-x", "topomap-array-root"])
+def test_malformed_bundle_file_raises_format_error(tmp_path, name, corrupt):
+    save_bundle(tmp_path, make_bundle())
+    path = tmp_path / name
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(FormatError, match=name):
+        load_bundle(tmp_path)

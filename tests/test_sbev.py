@@ -33,7 +33,7 @@ from sbevloc.sbev import (
 )
 from sbevloc.synthworld import WeatherSpec, generate_world
 
-K = Intrinsics(fx=100, fy=100, cx=50, cy=50, baseline=0.5, width=101, height=101)
+K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=101, height=101)
 SPEC = GridSpec()
 
 
@@ -377,7 +377,7 @@ def test_real_frame_windows_match_brute_force():
                        depth_dropout_prob=0.05, depth_noise_sigma=0.05,
                        range_attenuation=40.0)
     world = generate_world(derive_seed(1, SEED_WORLD),
-                           dataclasses.replace(cfg.synth, route_length=40.0).world_spec())
+                           dataclasses.replace(cfg.synth, route_length=40.0))
     poses = world.route[30:42]
     for weather in (None, rain):
         frames = list(render_stream(world, poses, k, weather=weather, weather_seed=1))

@@ -5,6 +5,7 @@ import pytest
 
 from sbevloc.geometry import Intrinsics, Pose2
 from sbevloc.synthworld import (
+    GROUND_CLASS,
     Box,
     WeatherSpec,
     World,
@@ -15,8 +16,7 @@ from sbevloc.synthworld import (
     render_frame,
 )
 
-K = Intrinsics(fx=160.0, fy=160.0, cx=159.5, cy=119.5, baseline=0.3,
-               width=320, height=240)
+K = Intrinsics(fx=160.0, fy=160.0, cx=159.5, cy=119.5, width=320, height=240)
 
 
 def small_spec(**kw):
@@ -82,7 +82,7 @@ def test_render_ground_only():
     depth, labels = render_frame(w, Pose2(0, 0, 0), K)
     horizon = int(K.cy)
     assert labels[:horizon].sum() == 0              # sky above the horizon
-    assert (labels[-40:] == w.spec.ground_class).all()  # near ground visible
+    assert (labels[-40:] == GROUND_CLASS).all()  # near ground visible
     assert (depth[labels > 0] > 0).all()
     assert (depth[labels == 0] == 0).all()
 
@@ -117,7 +117,7 @@ def test_render_matches_ray_cast_oracle():
         if d[2] < -1e-12:
             t = -cam[2] / d[2]
             if 0.05 <= t <= w.spec.max_range:
-                best, cls = t, w.spec.ground_class
+                best, cls = t, GROUND_CLASS
         for b in w.primitives:
             tmin, tmax = -np.inf, np.inf
             ok = True

@@ -1,6 +1,7 @@
 """Guards on the names that packaging and the benchmark's traced run use."""
 
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -26,3 +27,15 @@ def test_traced_benchmark_targets_exist(monkeypatch):
     for module, func, _ in targets:
         mod = importlib.import_module(f"sbevloc.{module}")
         assert callable(getattr(mod, func, None)), f"sbevloc.{module}.{func}"
+
+
+def test_benchmark_modules_import(monkeypatch):
+    # perfbench/ and microbench/ sit outside testpaths; a name they import
+    # from sbevloc that goes away would otherwise fail no tier-1 test
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cfg = workloads.bench_config(1, workloads.MAP_ROUTE_M)
+    assert cfg.synth.route_length == workloads.MAP_ROUTE_M
+    spec = importlib.util.spec_from_file_location(
+        "sbevloc_microbench_layers", ROOT / "microbench" / "test_layers.py")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -16,7 +16,6 @@ from sbevloc.topomap import (
     balance_samples,
     build_topo_map,
     nearest_node,
-    node_average_sbev,
     read_topomap,
     rotate_grid,
     shift_grid,
@@ -124,36 +123,6 @@ def test_assign_to_nodes_rel_pose():
     back = global_from_relative(topo.nodes[1].pose, s.rel_pose)
     assert back.x == pytest.approx(21)
     assert back.y == pytest.approx(1)
-
-
-# --- node_average_sbev ---------------------------------------------------
-
-def test_average_single():
-    g = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    avg = node_average_sbev([SBev(g, 0.25)], node_id=3)
-    assert np.array_equal(avg.grid, g.astype(np.float64))
-    assert avg.node_id == 3
-
-
-def test_average_two_values():
-    a = SBev(np.full((4, 4), 10, dtype=np.uint8), 0.25)
-    b = SBev(np.full((4, 4), 20, dtype=np.uint8), 0.25)
-    avg = node_average_sbev([a, b])
-    assert np.all(avg.grid == 15.0)
-
-
-def test_average_reordered_summation_oracle():
-    rng = np.random.default_rng(2)
-    grids = [rng.integers(0, 256, (8, 8)).astype(np.uint8) for _ in range(37)]
-    avg = node_average_sbev([SBev(g, 0.25) for g in grids])
-    # accumulate in reversed order with a different reduction
-    want = np.sum(np.stack(grids[::-1]).astype(np.float64), axis=0) / 37
-    assert np.abs(avg.grid - want).max() < 1e-9
-
-
-def test_average_rejects_empty():
-    with pytest.raises(InputError):
-        node_average_sbev([])
 
 
 # --- balance_samples -----------------------------------------------------
