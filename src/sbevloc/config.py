@@ -2,22 +2,23 @@
 
 Configs load strictly from JSON (unknown keys are rejected, naming the bad
 key path) and serialize with every default materialized, so the resolved
-config written next to an output is a complete record of the run.
+config written next to an output is a complete record of the run. The
+synth, augment, ae and reg sections (and ae/reg's `train`) are the dataclasses
+their stages read; every section's own checks run at load.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import types
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nnet
 from .errors import InputError
 from .geometry import Intrinsics
+from .localizer import AeConfig, RegConfig
 from .sbev import ClassPolicy, GridSpec
 from .synthworld import DEFAULT_KEEP_SET, WeatherSpec, WorldSpec
 from .topomap import AugmentConfig
@@ -36,7 +37,6 @@ SEED_AE = 4
 SEED_REG = 5
 SEED_WEATHER = 6
 SEED_KF = 7
-SEED_INDEX = 8
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,9 @@ class GridConfig:
 @dataclass(frozen=True)
 class ClassConfig:
     keep_set: tuple[int, ...] = tuple(sorted(DEFAULT_KEEP_SET))
-    remap: dict | None = None
 
     def policy(self) -> ClassPolicy:
-        remap = None
-        if self.remap:
-            try:
-                remap = {int(k): int(v) for k, v in self.remap.items()}
-            except (TypeError, ValueError):
-                raise InputError(f"config classes.remap: class ids must be "
-                                 f"integers, got {self.remap}") from None
-        return ClassPolicy(keep_set=frozenset(self.keep_set), remap=remap)
+        return ClassPolicy(keep_set=frozenset(self.keep_set))
 
 
 @dataclass(frozen=True)
@@ -92,37 +84,6 @@ class TopoConfig:
 @dataclass(frozen=True)
 class SplitConfig:
     ratio: float = 0.8
-
-
-@dataclass(frozen=True)
-class TrainDoc:
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    epochs: int = 30
-
-    def train_config(self, seed: int, loss_weights=None) -> nnet.TrainConfig:
-        return nnet.TrainConfig(optimizer=self.optimizer,
-                                learning_rate=self.learning_rate,
-                                batch_size=self.batch_size, epochs=self.epochs,
-                                seed=seed, loss_weights=loss_weights)
-
-
-@dataclass(frozen=True)
-class AeConfig:
-    hidden: tuple[int, ...] = (512,)
-    latent_dim: int = 128
-    pool: int = 8
-    activation: str = "sigmoid"
-    train: TrainDoc = field(default_factory=lambda: TrainDoc(epochs=15))
-
-
-@dataclass(frozen=True)
-class RegConfig:
-    hidden: tuple[int, ...] = (256, 128)
-    dropout: float = 0.2
-    loss_weights: tuple[float, ...] | None = None
-    train: TrainDoc = field(default_factory=lambda: TrainDoc(epochs=60))
 
 
 @dataclass(frozen=True)
@@ -150,6 +111,9 @@ class WeatherDoc:
     depth_noise_sigma: float = 0.0
     range_attenuation: float = 0.0
 
+    def __post_init__(self):
+        self.weather_spec()  # WeatherSpec's checks, at load
+
     def weather_spec(self) -> WeatherSpec:
         return WeatherSpec(self.label_confusion_prob, self.confusion_radius,
                            self.depth_dropout_prob, self.depth_noise_sigma,
@@ -161,7 +125,6 @@ class EvalConfig:
     modes: tuple[str, ...] = ("BASE",)
     weather: tuple[WeatherDoc, ...] = (WeatherDoc(),)
     lane_offsets_m: tuple[float, ...] = ()
-    index_max_per_node: int | None = None
     run_filter: bool = False
 
 
@@ -185,17 +148,11 @@ class RunConfig:
 # strict load / full dump
 
 def _convert(value, hint, path):
-    origin = typing.get_origin(hint)
-    if origin is typing.Union or origin is types.UnionType:  # X | None
-        if value is None:
-            return None
-        arg, = (a for a in typing.get_args(hint) if a is not type(None))
-        return _convert(value, arg, path)
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
             raise InputError(f"config {path}: expected object")
         return _from_dict(hint, value, path + ".")
-    if origin is tuple:
+    if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise InputError(f"config {path}: expected array")
         args = typing.get_args(hint)
@@ -204,7 +161,7 @@ def _convert(value, hint, path):
         elif len(value) != len(args):
             raise InputError(f"config {path}: expected {len(args)} items")
         return tuple(_convert(v, a, path) for v, a in zip(value, args))
-    if hint in (bool, int, float, str, dict):
+    if hint in (bool, int, float, str):
         if hint is float and type(value) is int:
             return float(value)
         # bool is an int subclass, but a number field takes no bool

@@ -235,13 +235,7 @@ def unproject(u: float, v: float, depth: float, k: Intrinsics) -> np.ndarray:
                      depth])
 
 
-def camera_to_ego(cloud: PointCloud, camera_height: float = 0.0) -> PointCloud:
-    """Re-express an optical-frame cloud in the ego frame.
-
-    The ego origin sits at the camera when camera_height is 0; a positive
-    height drops the origin to the ground below the camera.
-    """
-    xyz = cloud.xyz @ CAM_TO_EGO_MAT.T
-    if camera_height != 0.0:
-        xyz = xyz + np.array([0.0, 0.0, camera_height])
-    return PointCloud(xyz, cloud.labels)
+def camera_to_ego(cloud: PointCloud) -> PointCloud:
+    """Re-express an optical-frame cloud in the ego frame, whose origin sits
+    at the camera."""
+    return PointCloud(cloud.xyz @ CAM_TO_EGO_MAT.T, cloud.labels)

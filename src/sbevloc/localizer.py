@@ -5,14 +5,16 @@ pooled, scaled to [0, 1]); its bottleneck embeds each grid. Coarse
 localization is exact 1-NN over stored embeddings; fine localization feeds
 [one_hot(node) ++ latent] to a small regressor producing the pose relative
 to the node, which is composed with the node pose for the global estimate.
+Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pathlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +25,6 @@ from .sbev import SBev
 from .topomap import TopoMap, read_topomap, write_topomap
 
 DEFAULT_POOL = 8
-DEFAULT_LATENT = 128
-DEFAULT_AE_HIDDEN = (512,)
-DEFAULT_REG_HIDDEN = (256, 128)
-DEFAULT_REG_DROPOUT = 0.2
 INPUT_SCALE = 255.0
 
 AE_MODES = ("BASE", "AVG", "AUG")
@@ -50,10 +48,25 @@ def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     return sums / (factor * factor)
 
 
-def grid_to_input(grid: np.ndarray, pool: int = DEFAULT_POOL,
-                  dtype=np.float32) -> np.ndarray:
-    """Pooled, [0,1]-scaled, flattened network input for one grid."""
-    return (pool_grid(grid, pool) / INPUT_SCALE).ravel().astype(dtype)
+def grid_to_input(grid: np.ndarray, pool: int = DEFAULT_POOL) -> np.ndarray:
+    """Pooled, [0,1]-scaled, flattened float32 network input for one grid."""
+    return (pool_grid(grid, pool) / INPUT_SCALE).ravel().astype(np.float32)
+
+
+@dataclass(frozen=True)
+class AeConfig:
+    hidden: tuple[int, ...] = (512,)
+    latent_dim: int = 128
+    pool: int = DEFAULT_POOL
+    activation: str = "sigmoid"
+    train: nnet.TrainConfig = field(default_factory=lambda: nnet.TrainConfig(epochs=15))
+
+
+@dataclass(frozen=True)
+class RegConfig:
+    hidden: tuple[int, ...] = (256, 128)
+    dropout: float = 0.2
+    train: nnet.TrainConfig = field(default_factory=lambda: nnet.TrainConfig(epochs=60))
 
 
 @dataclass
@@ -134,21 +147,21 @@ def ae_targets(inputs: np.ndarray, node_ids, mode: str,
     return targets
 
 
-def train_autoencoder(inputs, targets, config: nnet.TrainConfig,
-                      mode: str = "BASE", hidden=DEFAULT_AE_HIDDEN,
-                      latent_dim: int = DEFAULT_LATENT, pool: int = DEFAULT_POOL,
-                      activation: str = "sigmoid", dtype=np.float32):
-    """Train the symmetric dense AE; returns (AEModel, per-epoch losses)."""
+def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
+                      mode: str = "BASE"):
+    """Train the symmetric float32 dense AE; returns (AEModel, per-epoch losses)."""
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
-    inputs = np.asarray(inputs, dtype=dtype)
-    targets = np.asarray(targets, dtype=dtype)
+    inputs = np.asarray(inputs, dtype=np.float32)
+    targets = np.asarray(targets, dtype=np.float32)
     in_dim = inputs.shape[1]
-    dims = [in_dim, *hidden, latent_dim, *reversed(hidden), in_dim]
-    acts = [activation] * (len(dims) - 2) + ["linear"]
-    net = nnet.init_net(dims, acts, seed=config.seed, dtype=dtype)
-    trained, losses = nnet.train(net, inputs, targets, config)
-    return AEModel(trained, encoder_layers=len(hidden) + 1, pool=pool, mode=mode), losses
+    hidden = config.hidden
+    dims = [in_dim, *hidden, config.latent_dim, *reversed(hidden), in_dim]
+    acts = [config.activation] * (len(dims) - 2) + ["linear"]
+    net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)
+    trained, losses = nnet.train(net, inputs, targets, config.train, seed)
+    return AEModel(trained, encoder_layers=len(hidden) + 1, pool=config.pool,
+                   mode=mode), losses
 
 
 def embed_vec(model: AEModel, x: np.ndarray) -> np.ndarray:
@@ -181,22 +194,9 @@ def coarse_localize(index: EmbeddingIndex, latent: np.ndarray):
     return int(index.node_ids[winner]), float(np.sqrt(d2[winner]))
 
 
-def build_index(latents, node_ids, max_per_node: int | None = None,
-                seed: int = 0) -> EmbeddingIndex:
-    """Flat exact-NN index, optionally subsampled per node (seeded)."""
-    latents = np.asarray(latents, dtype=np.float32)
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    if max_per_node is None:
-        return EmbeddingIndex(latents, node_ids)
-    rng = np.random.default_rng([seed, 0x1D])
-    keep = []
-    for nid in np.unique(node_ids):
-        members = np.nonzero(node_ids == nid)[0]
-        if len(members) > max_per_node:
-            members = np.sort(rng.choice(members, max_per_node, replace=False))
-        keep.extend(members.tolist())
-    keep.sort()
-    return EmbeddingIndex(latents[keep], node_ids[keep])
+def build_index(latents, node_ids) -> EmbeddingIndex:
+    """Flat exact-NN index over every training row."""
+    return EmbeddingIndex(latents, node_ids)
 
 
 def regressor_input(node_id: int, n_nodes: int, latent: np.ndarray) -> np.ndarray:
@@ -215,40 +215,37 @@ def fine_localize(model: RegModel, node_id: int, latent: np.ndarray) -> Pose2:
 
 
 def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
-                    config: nnet.TrainConfig, hidden=DEFAULT_REG_HIDDEN,
-                    dropout: float = DEFAULT_REG_DROPOUT, dtype=np.float32,
-                    allow_unbalanced: bool = False):
-    """Train the 3-DoF regressor on frozen-encoder latents.
+                    config: RegConfig, seed: int):
+    """Train the float32 3-DoF regressor on frozen-encoder latents.
 
     Latents are standardized per dimension for training (their useful
     variation is orders of magnitude below the one-hot entries) and the
     standardization is folded back into the first layer afterwards, so the
     returned model consumes raw latents.
     """
-    latents = np.asarray(latents, dtype=dtype)
+    latents = np.asarray(latents, dtype=np.float32)
     node_ids = np.asarray(node_ids, dtype=np.int64)
     counts = np.bincount(node_ids, minlength=n_nodes)
-    if not allow_unbalanced and counts.max() - counts.min() != 0:
-        raise InputError(
-            f"unbalanced node counts (min {counts.min()}, max {counts.max()}); "
-            "balance the dataset or pass allow_unbalanced")
+    if counts.max() != counts.min():
+        raise InputError(f"unbalanced node counts (min {counts.min()}, "
+                         f"max {counts.max()}); balance the dataset")
     mu = latents.mean(axis=0, dtype=np.float64)
     sd = latents.std(axis=0, dtype=np.float64)
     sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
-    std_lat = ((latents - mu) / sd).astype(dtype)
+    std_lat = ((latents - mu) / sd).astype(np.float32)
     xs = np.stack([regressor_input(int(n), n_nodes, lat)
                    for n, lat in zip(node_ids, std_lat)])
-    ys = np.array([[p.x, p.y, p.theta] for p in rel_poses], dtype=dtype)
-    dims = [n_nodes + latents.shape[1], *hidden, 3]
-    acts = ["relu"] * len(hidden) + ["linear"]
-    drops = [dropout] * len(hidden) + [0.0]
-    net = nnet.init_net(dims, acts, dropout=drops, seed=config.seed, dtype=dtype)
-    trained, losses = nnet.train(net, xs, ys, config)
+    ys = np.array([[p.x, p.y, p.theta] for p in rel_poses], dtype=np.float32)
+    dims = [n_nodes + latents.shape[1], *config.hidden, 3]
+    acts = ["relu"] * len(config.hidden) + ["linear"]
+    drops = [config.dropout] * len(config.hidden) + [0.0]
+    net = nnet.init_net(dims, acts, dropout=drops, seed=seed, dtype=np.float32)
+    trained, losses = nnet.train(net, xs, ys, config.train, seed)
     # fold (z - mu)/sd into layer 0: W' = W/sd, b' = b - W @ (mu/sd)
     first = trained.layers[0]
     w_lat = first.weights[:, n_nodes:]
-    first.bias[:] = first.bias - (w_lat @ (mu / sd)).astype(dtype)
-    first.weights[:, n_nodes:] = (w_lat / sd).astype(dtype)
+    first.bias[:] = first.bias - (w_lat @ (mu / sd)).astype(np.float32)
+    first.weights[:, n_nodes:] = (w_lat / sd).astype(np.float32)
     return RegModel(trained, n_nodes=n_nodes, latent_dim=latents.shape[1]), losses
 
 
@@ -268,6 +265,9 @@ class LocalizerBundle:
                               f"encoder {self.ae.latent_dim}")
         if self.reg.net.in_dim != self.reg.n_nodes + self.ae.latent_dim:
             raise FormatError("regressor input dim inconsistent with map + encoder")
+        ids = self.index.node_ids
+        if len(ids) and not 0 <= ids.min() <= ids.max() < self.reg.n_nodes:
+            raise FormatError(f"index node ids outside 0..{self.reg.n_nodes - 1}")
 
 
 def localize(bundle: LocalizerBundle, sb: SBev) -> LocalizationResult:
@@ -285,12 +285,18 @@ def localize(bundle: LocalizerBundle, sb: SBev) -> LocalizationResult:
 BUNDLE_VERSION = 1
 
 
+def _index_rows(dim: int) -> np.dtype:
+    """One packed index.bin row: node id u32, then the latent as f32."""
+    return np.dtype([("id", "<u4"), ("lat", "<f4", (dim,))])
+
+
 def write_index(path, index: EmbeddingIndex) -> None:
+    rows = np.empty(len(index), dtype=_index_rows(index.latent_dim))
+    rows["id"] = index.node_ids
+    rows["lat"] = index.latents
     with open(path, "wb") as f:
         f.write(struct.pack("<II", len(index), index.latent_dim))
-        for nid, lat in zip(index.node_ids, index.latents):
-            f.write(struct.pack("<I", int(nid)))
-            f.write(lat.astype("<f4").tobytes())
+        f.write(rows.tobytes())
 
 
 def read_index(path) -> EmbeddingIndex:
@@ -299,18 +305,12 @@ def read_index(path) -> EmbeddingIndex:
     if len(data) < INDEX_MAGIC_LEN:
         raise FormatError(f"{path}: truncated index header", offset=len(data))
     count, dim = struct.unpack_from("<II", data, 0)
-    stride = 4 + 4 * dim
-    if len(data) != INDEX_MAGIC_LEN + count * stride:
-        raise FormatError(f"{path}: expected {count} entries of {stride} bytes",
-                          offset=INDEX_MAGIC_LEN)
-    ids = np.empty(count, dtype=np.int64)
-    lats = np.empty((count, dim), dtype=np.float32)
-    pos = INDEX_MAGIC_LEN
-    for i in range(count):
-        ids[i] = struct.unpack_from("<I", data, pos)[0]
-        lats[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=pos + 4)
-        pos += stride
-    return EmbeddingIndex(lats, ids)
+    row = _index_rows(dim)
+    if len(data) != INDEX_MAGIC_LEN + count * row.itemsize:
+        raise FormatError(f"{path}: expected {count} entries of {row.itemsize} "
+                          "bytes", offset=INDEX_MAGIC_LEN)
+    rows = np.frombuffer(data, dtype=row, count=count, offset=INDEX_MAGIC_LEN)
+    return EmbeddingIndex(rows["lat"], rows["id"])
 
 
 def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
@@ -336,12 +336,18 @@ def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
 
 
 def load_bundle(dirpath) -> LocalizerBundle:
+    def read(name, reader):
+        path = os.path.join(dirpath, name)
+        try:
+            return reader(path)
+        except OSError as e:
+            raise FormatError(f"{path}: cannot read bundle file "
+                              f"({e.strerror})") from None
+
     meta_path = os.path.join(dirpath, "bundle.json")
-    if not os.path.exists(meta_path):
-        raise FormatError(f"{meta_path}: missing bundle manifest")
+    manifest = read("bundle.json", lambda path: pathlib.Path(path).read_bytes())
     try:
-        with open(meta_path) as f:
-            meta = json.load(f)
+        meta = json.loads(manifest)
         if meta.get("format_version") != BUNDLE_VERSION:
             raise FormatError(f"{meta_path}: format_version "
                               f"{meta.get('format_version')}, expected {BUNDLE_VERSION}")
@@ -352,10 +358,11 @@ def load_bundle(dirpath) -> LocalizerBundle:
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"{meta_path}: malformed manifest "
                           f"({type(e).__name__}: {e})") from None
-    topo = read_topomap(os.path.join(dirpath, "topomap.json"))
-    ae = AEModel(nnet.load_weights(os.path.join(dirpath, "ae.sbnn")), **ae_fields)
-    reg = RegModel(nnet.load_weights(os.path.join(dirpath, "reg.sbnn")), **reg_fields)
-    index = read_index(os.path.join(dirpath, "index.bin"))
+
+    topo = read("topomap.json", read_topomap)
+    ae = AEModel(read("ae.sbnn", nnet.load_weights), **ae_fields)
+    reg = RegModel(read("reg.sbnn", nnet.load_weights), **reg_fields)
+    index = read("index.bin", read_index)
     bundle = LocalizerBundle(topo, ae, reg, index)
     bundle.validate()
     return bundle

@@ -1,8 +1,8 @@
 """Minimal dense neural-network engine (numpy only).
 
 Supports exactly what the localization models need: affine layers with
-relu/linear/sigmoid activations, inverted dropout, MSE loss, SGD and Adam,
-and fully seeded (hence bit-reproducible) mini-batch training. Gradients
+relu/linear/sigmoid activations, inverted dropout, MSE loss, Adam, and
+fully seeded (hence bit-reproducible) mini-batch training. Gradients
 are hand-derived reverse mode and are validated against central differences
 in the test suite.
 """
@@ -63,16 +63,13 @@ class DenseNet:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"
+    """Adam mini-batch training (config `ae.train`, `reg.train`); no seed."""
+
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 30
-    seed: int = 0
-    loss_weights: tuple | None = None   # optional per-output MSE weights
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
-            raise InputError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0:
             raise InputError("learning rate must be positive")
         if self.batch_size < 1:
@@ -185,24 +182,14 @@ def backward(net: DenseNet, rec: ForwardRecord, grad_out):
     return grads
 
 
-def mse_loss(pred, target, weights=None):
-    """Mean squared error and its gradient w.r.t. pred.
-
-    `weights` optionally scales each output component's squared error.
-    """
+def mse_loss(pred, target):
+    """Mean squared error and its gradient w.r.t. pred."""
     pred = np.asarray(pred)
     target = np.asarray(target)
     if pred.shape != target.shape:
         raise InputError(f"shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
-    if weights is not None:
-        wvec = np.asarray(weights, dtype=pred.dtype)
-        loss = float(np.mean(wvec * diff * diff))
-        grad = 2.0 * wvec * diff / diff.size
-    else:
-        loss = float(np.mean(diff * diff))
-        grad = 2.0 * diff / diff.size
-    return loss, grad
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
 @dataclass
@@ -214,17 +201,11 @@ class OptState:
 
 def optimizer_step(net: DenseNet, grads, config: TrainConfig,
                    state: OptState | None = None) -> OptState:
-    """Apply one SGD or Adam update in place; returns the optimizer state."""
+    """Apply one Adam update in place; returns the optimizer state."""
     for layer, (dw, db) in zip(net.layers, grads):
         if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise InputError("gradient shapes do not match parameters")
     lr = config.learning_rate
-    if config.optimizer == "sgd":
-        for layer, (dw, db) in zip(net.layers, grads):
-            layer.weights -= lr * dw
-            layer.bias -= lr * db
-        return state if state is not None else OptState()
-
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if state is None or not state.m:
         state = OptState(
@@ -244,7 +225,7 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
     return state
 
 
-def train(net: DenseNet, inputs, targets, config: TrainConfig):
+def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
     """Seeded mini-batch training; returns (trained copy, per-epoch losses)."""
     inputs = np.asarray(inputs)
     targets = np.asarray(targets)
@@ -253,8 +234,8 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig):
     if len(inputs) != len(targets):
         raise InputError("inputs/targets length mismatch")
     net = net.copy()
-    shuffle_rng = np.random.default_rng([config.seed, 0x21])
-    dropout_rng = np.random.default_rng([config.seed, 0x22])
+    shuffle_rng = np.random.default_rng([seed, 0x21])
+    dropout_rng = np.random.default_rng([seed, 0x22])
     state = None
     losses = []
     n = len(inputs)
@@ -266,7 +247,7 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig):
             idx = order[start:start + config.batch_size]
             x, y = inputs[idx], targets[idx]
             out, rec = forward(net, x, mode="train", rng=dropout_rng)
-            loss, grad = mse_loss(out, y, weights=config.loss_weights)
+            loss, grad = mse_loss(out, y)
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}")

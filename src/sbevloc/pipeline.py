@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (
-    SEED_AE,
-    SEED_INDEX,
-    SEED_REG,
-    RunConfig,
-    derive_seed,
-)
+from .config import SEED_AE, SEED_REG, RunConfig, derive_seed
 from .errors import InputError
 from .geometry import Intrinsics, camera_to_ego, pose3_from_pose2
 from .localizer import (
@@ -164,21 +158,12 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     targets = ae_targets(inputs, node_ids, mode,
                          node_inputs=inputs[orig_mask],
                          node_input_ids=node_ids[orig_mask])
-    ae_cfg = cfg.ae.train.train_config(derive_seed(seed, SEED_AE))
-    ae, ae_losses = train_autoencoder(inputs, targets, ae_cfg, mode=mode,
-                                      hidden=cfg.ae.hidden,
-                                      latent_dim=cfg.ae.latent_dim,
-                                      pool=cfg.ae.pool,
-                                      activation=cfg.ae.activation)
+    ae, ae_losses = train_autoencoder(inputs, targets, cfg.ae,
+                                      derive_seed(seed, SEED_AE), mode)
     latents = embed_batched(ae, inputs)
-    index = build_index(latents, node_ids,
-                        max_per_node=cfg.eval.index_max_per_node,
-                        seed=derive_seed(seed, SEED_INDEX))
-    reg_cfg = cfg.reg.train.train_config(derive_seed(seed, SEED_REG),
-                                         loss_weights=cfg.reg.loss_weights)
+    index = build_index(latents, node_ids)
     reg, reg_losses = train_regressor(latents, node_ids, rel_poses, len(topo),
-                                      reg_cfg, hidden=cfg.reg.hidden,
-                                      dropout=cfg.reg.dropout)
+                                      cfg.reg, derive_seed(seed, SEED_REG))
     bundle = LocalizerBundle(topo, ae, reg, index)
     bundle.validate()
     return TrainedPipeline(bundle, ae_losses, reg_losses, arrays)

@@ -57,10 +57,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ClassPolicy:
-    """Which class IDs survive into the S-BEV, and an optional re-labeling."""
+    """Which class IDs survive into the S-BEV."""
 
     keep_set: frozenset
-    remap: dict | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "keep_set", frozenset(int(c) for c in self.keep_set))
@@ -88,14 +87,10 @@ class SBev:
 
 
 def filter_labels(labels: np.ndarray, policy: ClassPolicy) -> np.ndarray:
-    """Zero out IDs outside keep_set, then apply the remap table."""
+    """Zero out IDs outside keep_set."""
     lut = np.zeros(256, dtype=np.uint8)
     for c in policy.keep_set:
         lut[c] = c
-    if policy.remap:
-        for src, dst in policy.remap.items():
-            if lut[int(src)]:
-                lut[int(src)] = int(dst)
     return lut[np.asarray(labels, dtype=np.uint8)]
 
 

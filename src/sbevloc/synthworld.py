@@ -73,7 +73,8 @@ class World:
 class WeatherSpec:
     """Per-frame perturbation knobs. The all-zero spec is a no-op.
 
-    range_attenuation == 0 disables the fog cutoff.
+    range_attenuation == 0 disables the fog cutoff. Every knob is
+    non-negative and the two probabilities are at most 1.
     """
 
     label_confusion_prob: float = 0.0
@@ -86,6 +87,10 @@ class WeatherSpec:
         for p in (self.label_confusion_prob, self.depth_dropout_prob):
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"probability {p} outside [0, 1]")
+        for name in ("confusion_radius", "depth_noise_sigma", "range_attenuation"):
+            value = getattr(self, name)
+            if not value >= 0:  # "not >= 0" also rejects NaN
+                raise InputError(f"{name} must be non-negative, got {value}")
 
 
 def generate_world(seed: int, spec: WorldSpec = WorldSpec()) -> World:

@@ -1,10 +1,10 @@
-import dataclasses
 import json
 import math
 
 import pytest
 
 from conftest import RAIN, tiny_config
+from sbevloc import nnet
 from sbevloc.config import (
     RunConfig,
     WeatherDoc,
@@ -18,20 +18,16 @@ from sbevloc.errors import InputError
 
 def full_config() -> RunConfig:
     """A config that sets every non-scalar field kind the loader converts."""
-    cfg = tiny_config(modes=("BASE", "AUG"), weather=(WeatherDoc(), RAIN),
-                      lane_offsets_m=(1.5, -1.0), index_max_per_node=5,
-                      run_filter=True)
-    return dataclasses.replace(
-        cfg,
-        classes=dataclasses.replace(cfg.classes, remap={"101": 100}),
-        reg=dataclasses.replace(cfg.reg, loss_weights=(1.0, 1.0, 2.0)))
+    return tiny_config(modes=("BASE", "AUG"), weather=(WeatherDoc(), RAIN),
+                       lane_offsets_m=(1.5, -1.0), run_filter=True)
 
 
 def test_dump_load_identity_in_memory():
     cfg = full_config()
     back = config_from_dict(config_to_dict(cfg))
     assert back == cfg
-    assert isinstance(back.reg.loss_weights, tuple)
+    assert isinstance(back.reg.hidden, tuple)
+    assert isinstance(back.reg.train, nnet.TrainConfig)
     assert back.eval.weather[1] == RAIN
 
 
@@ -52,6 +48,66 @@ def test_unknown_key_names_path():
         config_from_dict({"camera": {"baseline": 0.3}})
     with pytest.raises(InputError, match=r"'augment\.enabled'"):
         config_from_dict({"augment": {"enabled": True}})
+    # nor are the optimizer, loss weights, index cap and class remap
+    for doc, path in (({"ae": {"train": {"optimizer": "sgd"}}}, "ae.train.optimizer"),
+                      ({"reg": {"loss_weights": [1, 1, 2]}}, "reg.loss_weights"),
+                      ({"eval": {"index_max_per_node": 5}}, "eval.index_max_per_node"),
+                      ({"classes": {"remap": {"101": 100}}}, "classes.remap")):
+        with pytest.raises(InputError, match="'" + path.replace(".", r"\.") + "'"):
+            config_from_dict(doc)
+
+
+# every key of the resolved config; adding or dropping a knob changes this
+KEY_PATHS = {
+    "seed",
+    *(f"synth.{k}" for k in ("route_length", "frame_spacing", "speed", "curviness",
+                             "primitive_density", "clearance", "max_lateral",
+                             "camera_height", "max_range")),
+    *(f"camera.{k}" for k in ("fx", "fy", "cx", "cy", "width", "height")),
+    *(f"grid.{k}" for k in ("size", "resolution", "height_min", "height_max",
+                            "stride")),
+    "classes.keep_set",
+    "topo.trans_threshold_m", "topo.ang_threshold_deg",
+    "split.ratio",
+    "augment.rotations_deg", "augment.shifts_cells",
+    *(f"ae.{k}" for k in ("hidden", "latent_dim", "pool", "activation")),
+    *(f"{s}.train.{k}" for s in ("ae", "reg")
+      for k in ("learning_rate", "batch_size", "epochs")),
+    "reg.hidden", "reg.dropout",
+    *(f"kf.{k}" for k in ("q_xy", "q_theta", "r_floor", "init_sigma_xy",
+                          "init_sigma_theta")),
+    *(f"eval.{k}" for k in ("modes", "weather", "lane_offsets_m", "run_filter")),
+}
+
+
+def _key_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+def test_config_key_paths():
+    paths = list(_key_paths(config_to_dict(RunConfig())))
+    assert len(paths) == len(KEY_PATHS) == 48
+    assert set(paths) == KEY_PATHS
+
+
+@pytest.mark.parametrize("weather, field", [
+    ({"label_confusion_prob": 2.0}, "probability 2.0"),
+    ({"confusion_radius": -1}, "confusion_radius"),
+    ({"depth_noise_sigma": -0.1}, "depth_noise_sigma"),
+    ({"range_attenuation": -40.0}, "range_attenuation"),
+])
+def test_bad_weather_rejected_at_load(weather, field):
+    with pytest.raises(InputError, match=r"config eval\.weather: " + field):
+        config_from_dict({"eval": {"weather": [{"name": "x", **weather}]}})
+
+
+def test_bad_train_values_rejected_at_load():
+    with pytest.raises(InputError, match=r"config reg\.train: learning rate"):
+        config_from_dict({"reg": {"train": {"learning_rate": 0}}})
 
 
 @pytest.mark.parametrize("synth", [
@@ -74,9 +130,9 @@ def test_weather_entries_must_be_objects():
     ({"synth": {"speed": False}}, "synth.speed"),
     ({"synth": {"speed": "10"}}, "synth.speed"),
     ({"eval": {"run_filter": 1}}, "eval.run_filter"),
-    ({"eval": {"index_max_per_node": 2.5}}, "eval.index_max_per_node"),
+    ({"reg": {"dropout": "0.2"}}, "reg.dropout"),
     ({"ae": {"activation": 1}}, "ae.activation"),
-    ({"classes": {"remap": [1, 2]}}, "classes.remap"),
+    ({"classes": {"keep_set": [1.5]}}, "classes.keep_set"),
     ({"eval": {"weather": [{"depth_noise_sigma": "0.1"}]}},
      "eval.weather.depth_noise_sigma"),
     ({"eval": {"lane_offsets_m": ["1.5"]}}, "eval.lane_offsets_m"),
@@ -90,18 +146,11 @@ def test_mistyped_scalars_rejected_with_path(doc, path):
         config_from_dict(doc)
 
 
-def test_remap_ids_must_be_integers():
-    cfg = config_from_dict({"classes": {"remap": {"101": 100}}})
-    assert cfg.classes.policy().remap == {101: 100}
-    bad = config_from_dict({"classes": {"remap": {"tree": 100}}})
-    with pytest.raises(InputError, match=r"classes\.remap"):
-        bad.classes.policy()
-
-
 def test_int_accepted_where_float_declared():
     cfg = config_from_dict({"synth": {"speed": 10, "route_length": 60}})
     assert cfg.synth.speed == 10.0 and isinstance(cfg.synth.speed, float)
-    assert config_from_dict({"eval": {"index_max_per_node": None}}) == RunConfig()
+    train = config_from_dict({"ae": {"train": {"learning_rate": 1}}}).ae.train
+    assert train.learning_rate == 1.0 and isinstance(train.learning_rate, float)
 
 
 def test_load_config_rejects_bad_files(tmp_path):

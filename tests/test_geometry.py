@@ -222,8 +222,6 @@ def test_camera_to_ego_axes():
     assert np.allclose(ego.xyz[0], [1, 0, 0])
     assert np.allclose(ego.xyz[1], [0, -1, 0])
     assert np.allclose(ego.xyz[2], [0, 0, -1])
-    lifted = camera_to_ego(cloud, camera_height=1.5)
-    assert np.allclose(lifted.xyz[0], [1, 0, 1.5])
 
 
 def test_pose2_rejects_nonfinite():

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from sbevloc import nnet
 from sbevloc.errors import FormatError, InputError
 from sbevloc.geometry import Pose2, global_from_relative
 from sbevloc.localizer import (
+    AeConfig,
     AEModel,
     EmbeddingIndex,
     LocalizerBundle,
+    RegConfig,
     RegModel,
     ae_targets,
-    build_index,
     coarse_localize,
     embed,
     embed_vec,
@@ -106,11 +108,15 @@ def test_ae_targets_separate_source_set():
 
 # --- autoencoder -------------------------------------------------------------
 
+def small_ae(**train) -> AeConfig:
+    return AeConfig(hidden=(8,), latent_dim=4, train=nnet.TrainConfig(**train))
+
+
 def test_train_autoencoder_overfits_one_sample():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (1, 16)).astype(np.float32)
-    cfg = nnet.TrainConfig(epochs=300, learning_rate=0.01, batch_size=1, seed=2)
-    model, losses = train_autoencoder(x, x, cfg, hidden=(8,), latent_dim=4)
+    cfg = small_ae(epochs=300, learning_rate=0.01, batch_size=1)
+    model, losses = train_autoencoder(x, x, cfg, 2)
     assert losses[-1] < 1e-3 * max(losses[0], 1e-12)
     assert model.latent_dim == 4
 
@@ -118,16 +124,16 @@ def test_train_autoencoder_overfits_one_sample():
 def test_train_autoencoder_deterministic():
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (10, 16)).astype(np.float32)
-    cfg = nnet.TrainConfig(epochs=10, seed=4)
-    _, l1 = train_autoencoder(x, x, cfg, hidden=(8,), latent_dim=4)
-    _, l2 = train_autoencoder(x, x, cfg, hidden=(8,), latent_dim=4)
+    cfg = small_ae(epochs=10)
+    _, l1 = train_autoencoder(x, x, cfg, 4)
+    _, l2 = train_autoencoder(x, x, cfg, 4)
     assert l1 == l2
 
 
 def test_train_autoencoder_rejects_bad_mode():
     with pytest.raises(InputError):
         train_autoencoder(np.zeros((1, 4)), np.zeros((1, 4)),
-                          nnet.TrainConfig(epochs=0), mode="FOO")
+                          small_ae(epochs=0), 0, mode="FOO")
 
 
 # --- embed --------------------------------------------------------------------
@@ -188,17 +194,6 @@ def test_coarse_matches_brute_force():
         assert dist == pytest.approx(d[j], rel=1e-5)
 
 
-def test_build_index_subsample():
-    rng = np.random.default_rng(9)
-    lats = rng.normal(size=(100, 4)).astype(np.float32)
-    ids = np.repeat(np.arange(10), 10)
-    idx = build_index(lats, ids, max_per_node=3, seed=1)
-    assert len(idx) == 30
-    assert np.bincount(idx.node_ids).max() == 3
-    again = build_index(lats, ids, max_per_node=3, seed=1)
-    assert np.array_equal(idx.latents, again.latents)
-
-
 # --- fine_localize ---------------------------------------------------------------
 
 def zero_reg(n_nodes=4, latent_dim=8):
@@ -231,17 +226,21 @@ def test_train_regressor_linear_task():
     targets = lats @ a.T
     poses = [Pose2(*t) for t in targets]
     ids = np.tile([0, 1], 32)
-    cfg = nnet.TrainConfig(epochs=500, learning_rate=0.005, batch_size=16, seed=11)
-    model, losses = train_regressor(lats, ids, poses, 2, cfg, hidden=(32,),
-                                    dropout=0.0)
+    cfg = RegConfig(hidden=(32,), dropout=0.0, train=nnet.TrainConfig(
+        epochs=500, learning_rate=0.005, batch_size=16))
+    model, losses = train_regressor(lats, ids, poses, 2, cfg, 11)
     assert losses[-1] < 1e-4
+
+
+def zero_epoch_reg() -> RegConfig:
+    return RegConfig(train=nnet.TrainConfig(epochs=0))
 
 
 def test_train_regressor_zero_epochs_returns_init():
     lats = np.zeros((4, 8), dtype=np.float32)
     poses = [Pose2(0, 0, 0)] * 4
     model, losses = train_regressor(lats, [0, 0, 1, 1], poses, 2,
-                                    nnet.TrainConfig(epochs=0))
+                                    zero_epoch_reg(), 0)
     assert losses == []
     assert model.n_nodes == 2
 
@@ -250,10 +249,7 @@ def test_train_regressor_balance_guard():
     lats = np.zeros((3, 8), dtype=np.float32)
     poses = [Pose2(0, 0, 0)] * 3
     with pytest.raises(InputError, match="unbalanced"):
-        train_regressor(lats, [0, 0, 1], poses, 2, nnet.TrainConfig(epochs=0))
-    model, _ = train_regressor(lats, [0, 0, 1], poses, 2,
-                               nnet.TrainConfig(epochs=0), allow_unbalanced=True)
-    assert model.n_nodes == 2
+        train_regressor(lats, [0, 0, 1], poses, 2, zero_epoch_reg(), 0)
 
 
 def test_regressor_training_freezes_encoder():
@@ -262,7 +258,7 @@ def test_regressor_training_freezes_encoder():
     lats = np.random.default_rng(13).normal(size=(8, 4)).astype(np.float32)
     poses = [Pose2(0.1, 0.2, 0.05)] * 8
     train_regressor(lats, np.tile([0, 1], 4), poses, 2,
-                    nnet.TrainConfig(epochs=3, seed=14))
+                    RegConfig(train=nnet.TrainConfig(epochs=3)), 14)
     after = [l.weights.tobytes() + l.bias.tobytes() for l in model.net.layers]
     assert before == after
 
@@ -301,6 +297,16 @@ def test_index_file_round_trip(tmp_path):
     back = read_index(p)
     assert np.array_equal(back.latents, index.latents)
     assert np.array_equal(back.node_ids, index.node_ids)
+
+
+def test_index_file_bytes(tmp_path):
+    # count and latent dim as u32, then per row: node id u32, latent f32s
+    lats = np.array([[0.5, -1.0], [2.0, 3.25], [-0.0, 1e-3]], dtype=np.float32)
+    ids = [2, 0, 7]
+    want = struct.pack("<II", 3, 2) + b"".join(
+        struct.pack("<I2f", nid, *lat) for nid, lat in zip(ids, lats))
+    write_index(tmp_path / "index.bin", EmbeddingIndex(lats, ids))
+    assert (tmp_path / "index.bin").read_bytes() == want
 
 
 def test_index_file_truncation(tmp_path):
@@ -344,6 +350,21 @@ def test_bundle_validation_catches_mismatch(tmp_path):
                           bundle.index)
     with pytest.raises(FormatError):
         bad.validate()
+    # index.bin stores ids as u32; an id past the map would wrap or misroute
+    for wrong in (-1, 3):
+        index = EmbeddingIndex(bundle.index.latents,
+                               np.where(bundle.index.node_ids == 2, wrong, 0))
+        with pytest.raises(FormatError, match="index node ids"):
+            LocalizerBundle(bundle.topo, bundle.ae, bundle.reg, index).validate()
+
+
+@pytest.mark.parametrize("name", ["bundle.json", "index.bin", "topomap.json", "ae.sbnn",
+                                  "reg.sbnn"])
+def test_missing_bundle_file_raises_format_error(tmp_path, name):
+    save_bundle(tmp_path, make_bundle())
+    (tmp_path / name).unlink()
+    with pytest.raises(FormatError, match=name):
+        load_bundle(tmp_path)
 
 
 def _edit_doc(edit):

@@ -216,38 +216,23 @@ def test_mse_length_mismatch():
         mse_loss(np.zeros(3), np.zeros(4))
 
 
-def test_mse_weighted():
-    loss, g = mse_loss(np.array([1.0, 1.0]), np.array([0.0, 0.0]),
-                       weights=(4.0, 1.0))
-    assert loss == pytest.approx((4 + 1) / 2)
-    assert np.allclose(g, [4.0, 1.0])
-
-
 # --- optimizer ---------------------------------------------------------------
 
 def one_param_net(w=1.0):
     return DenseNet([Layer(np.array([[w]]), np.zeros(1), "linear")])
 
 
-def test_sgd_step():
-    net = one_param_net(1.0)
-    cfg = TrainConfig(optimizer="sgd", learning_rate=0.1)
-    optimizer_step(net, [(np.array([[2.0]]), np.zeros(1))], cfg)
-    assert net.layers[0].weights[0, 0] == pytest.approx(0.8)
-
-
 def test_zero_gradient_no_change():
-    for opt in ("sgd", "adam"):
-        net = one_param_net(1.5)
-        cfg = TrainConfig(optimizer=opt, learning_rate=0.1)
-        optimizer_step(net, [(np.zeros((1, 1)), np.zeros(1))], cfg)
-        assert net.layers[0].weights[0, 0] == 1.5
+    net = one_param_net(1.5)
+    optimizer_step(net, [(np.zeros((1, 1)), np.zeros(1))],
+                   TrainConfig(learning_rate=0.1))
+    assert net.layers[0].weights[0, 0] == 1.5
 
 
 def test_adam_quadratic_bowl():
     # minimize (w - 3)^2 by gradient descent with Adam
     net = one_param_net(-5.0)
-    cfg = TrainConfig(optimizer="adam", learning_rate=0.05)
+    cfg = TrainConfig(learning_rate=0.05)
     state = OptState()
     for _ in range(2000):
         w = net.layers[0].weights[0, 0]
@@ -264,9 +249,8 @@ def test_train_linear_regression_converges():
     x = rng.normal(size=(200, 5))
     y = x @ a.T
     net = init_net([5, 3], ["linear"], seed=13)
-    cfg = TrainConfig(optimizer="adam", learning_rate=0.01, batch_size=32,
-                      epochs=200, seed=13)
-    trained, losses = train(net, x, y, cfg)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, epochs=200)
+    trained, losses = train(net, x, y, cfg, 13)
     assert losses[-1] < 1e-6
     assert losses[0] > losses[-1]
 
@@ -275,7 +259,7 @@ def test_train_zero_epochs_unchanged():
     net = init_net([4, 2], ["linear"], seed=14)
     before = flat_params(net).copy()
     trained, losses = train(net, np.ones((3, 4)), np.ones((3, 2)),
-                            TrainConfig(epochs=0))
+                            TrainConfig(epochs=0), 0)
     assert losses == []
     assert np.array_equal(flat_params(trained), before)
     assert np.array_equal(flat_params(net), before)  # original untouched
@@ -286,12 +270,12 @@ def test_train_deterministic_per_seed():
     x = rng.normal(size=(100, 6))
     y = rng.normal(size=(100, 2))
     net = init_net([6, 8, 2], ["relu", "linear"], dropout=[0.2, 0.0], seed=16)
-    cfg = TrainConfig(epochs=5, seed=17)
-    a, la = train(net, x, y, cfg)
-    b, lb = train(net, x, y, cfg)
+    cfg = TrainConfig(epochs=5)
+    a, la = train(net, x, y, cfg, 17)
+    b, lb = train(net, x, y, cfg, 17)
     assert la == lb
     assert np.array_equal(flat_params(a), flat_params(b))
-    c, lc = train(net, x, y, TrainConfig(epochs=5, seed=18))
+    c, lc = train(net, x, y, cfg, 18)
     assert not np.array_equal(flat_params(a), flat_params(c))
 
 
@@ -301,7 +285,7 @@ def test_train_aborts_on_nonfinite():
     net = init_net([2, 1], ["linear"], seed=19)
     net.layers[0].weights[:] = 1e300
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="epoch 0"):
-        train(net, x, y, TrainConfig(epochs=1, optimizer="sgd"))
+        train(net, x, y, TrainConfig(epochs=1), 0)
 
 
 # --- weights file -------------------------------------------------------------

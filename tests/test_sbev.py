@@ -104,12 +104,6 @@ def test_filter_labels_histogram_oracle():
         assert h_out[c] == (h_in[c] if c in keep else 0)
 
 
-def test_filter_labels_remap_after_filter():
-    policy = ClassPolicy(keep_set={4}, remap={4: 2, 13: 1})
-    labels = np.array([[4, 13]], dtype=np.uint8)
-    assert filter_labels(labels, policy).tolist() == [[2, 0]]
-
-
 # --- build_point_cloud ---------------------------------------------------
 
 def test_cloud_empty_on_invalid_depth():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sbevloc.errors import InputError
 from sbevloc.geometry import Intrinsics, Pose2
 from sbevloc.synthworld import (
     GROUND_CLASS,
@@ -216,6 +217,15 @@ def test_weather_deterministic_and_shape_preserving():
     b = perturb_weather(frame, spec, seed=11)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert a[0].shape == frame[0].shape
+
+
+@pytest.mark.parametrize("knobs", [
+    {"label_confusion_prob": 1.5}, {"depth_dropout_prob": -0.1},
+    {"confusion_radius": -1}, {"depth_noise_sigma": -0.05},
+    {"range_attenuation": -40.0}, {"depth_noise_sigma": math.nan}])
+def test_weather_spec_rejects_bad_knobs(knobs):
+    with pytest.raises(InputError):
+        WeatherSpec(**knobs)
 
 
 # --- lane_shift ----------------------------------------------------------

@@ -6,6 +6,8 @@ import pathlib
 
 import pytest
 
+from sbevloc import nnet
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -36,6 +38,11 @@ def test_benchmark_modules_import(monkeypatch):
     workloads = importlib.import_module("workloads")
     cfg = workloads.bench_config(1, workloads.MAP_ROUTE_M)
     assert cfg.synth.route_length == workloads.MAP_ROUTE_M
+    # the epoch override lands on the objects the trainers read
+    for train, epochs in ((cfg.ae.train, workloads.AE_EPOCHS),
+                          (cfg.reg.train, workloads.REG_EPOCHS)):
+        assert isinstance(train, nnet.TrainConfig)
+        assert train.epochs == epochs
     spec = importlib.util.spec_from_file_location(
         "sbevloc_microbench_layers", ROOT / "microbench" / "test_layers.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
