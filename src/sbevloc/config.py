@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Intrinsics
-from .localizer import AeConfig, RegConfig
+from .localizer import AE_MODES, AeConfig, RegConfig
 from .sbev import ClassPolicy, GridSpec
 from .synthworld import DEFAULT_KEEP_SET, WeatherSpec, WorldSpec
 from .topomap import AugmentConfig
@@ -126,6 +126,11 @@ class EvalConfig:
     weather: tuple[WeatherDoc, ...] = (WeatherDoc(),)
     lane_offsets_m: tuple[float, ...] = ()
     run_filter: bool = False
+
+    def __post_init__(self):
+        for mode in self.modes:
+            if mode not in AE_MODES:
+                raise InputError(f"mode {mode!r} not one of {AE_MODES}")
 
 
 @dataclass(frozen=True)

@@ -116,52 +116,22 @@ def estimate_measurement_noise(residuals, floor: float = 1e-4) -> np.ndarray:
     return np.diag(var)
 
 
-# ---------------------------------------------------------------------------
-# stream processing
+def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
+                    r: np.ndarray) -> list[KfState]:
+    """Run the filter one step per odometry sample.
 
-@dataclass(frozen=True)
-class FusedSample:
-    t: float
-    state: KfState
-    kind: str   # "predict" | "update"
-
-
-def fuse_trajectory(odometry, measurements, init: KfState,
-                    q: np.ndarray, r: np.ndarray):
-    """Run the filter over time-ordered streams.
-
-    odometry: iterable of (t, vx, vy, omega); velocities are held constant
-    from each sample until the next one. measurements: iterable of
-    (t, [x, y, theta]); each is applied at the nearest odometry step when
-    within half that step's dt, otherwise it is skipped.
-
-    Returns a list of FusedSample emitted after every predict and update.
+    Step i, for i in 1..len(odometry), predicts with the OdomSample
+    odometry[i - 1] and then applies fixes[i], an [x, y, theta]
+    measurement, when there is one. Returns the state after every step,
+    with init first: len(odometry) + 1 states.
     """
-    odometry = list(odometry)
-    measurements = list(measurements)
-    if len(odometry) < 1:
-        raise InputError("need at least one odometry sample")
-    for name, stream in (("odometry", [t for t, *_ in odometry]),
-                         ("measurements", [t for t, _ in measurements])):
-        for a, b in zip(stream, stream[1:]):
-            if b < a:
-                raise InputError(f"{name} timestamps out of order ({b} after {a})")
-
-    out = []
-    state = init
-    mi = 0
-    for i in range(1, len(odometry)):
-        t_prev, vx, vy, om = odometry[i - 1]
-        t = odometry[i][0]
-        dt = t - t_prev
-        if dt <= 0:
-            raise InputError(f"odometry timestamps not increasing at t={t}")
-        state = kf_predict(state, OdomSample(vx, vy, om, dt), q)
-        out.append(FusedSample(t, state, "predict"))
-        while mi < len(measurements) and measurements[mi][0] <= t + dt / 2:
-            tm, z = measurements[mi]
-            if tm >= t - dt / 2:
-                state = kf_update(state, z, r)
-                out.append(FusedSample(tm, state, "update"))
-            mi += 1  # too-old measurements are dropped
-    return out
+    for i in fixes:
+        if not 1 <= i <= len(odometry):
+            raise InputError(f"fix step {i} outside 1..{len(odometry)}")
+    states = [init]
+    for i, odom in enumerate(odometry, start=1):
+        state = kf_predict(states[-1], odom, q)
+        if i in fixes:
+            state = kf_update(state, fixes[i], r)
+        states.append(state)
+    return states

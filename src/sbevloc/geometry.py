@@ -7,7 +7,7 @@ Conventions used package-wide:
 - ground-plane poses are (x, y, theta) in a locally-linearized global frame
 - camera optical frame: X right, Y down, Z forward
 - ego (vehicle) frame: x forward, y left, z up
-- yaw extraction uses the ZYX Euler convention
+- Euler angles use the ZYX convention
 """
 
 from __future__ import annotations
@@ -209,31 +209,8 @@ def pose3_from_pose2(p: Pose2, z: float = 0.0) -> Pose3:
     return Pose3(np.array([p.x, p.y, z]), quat_from_yaw(p.theta))
 
 
-def pose2_from_pose3(p: Pose3) -> Pose2:
-    """Project to the ground plane; yaw extracted with the ZYX convention.
-
-    Raises InputError when pitch exceeds 89 degrees (yaw is numerically
-    meaningless there, so the trajectory sample is unusable).
-    """
-    r = p.rotation_matrix()
-    sin_pitch = -r[2, 0]
-    if abs(sin_pitch) > math.sin(math.radians(89.0)):
-        raise InputError(f"gimbal-degenerate pose (|pitch| > 89 deg, sin={sin_pitch:.6f})")
-    yaw = math.atan2(r[1, 0], r[0, 0])
-    return Pose2(p.translation[0], p.translation[1], yaw)
-
-
 # ---------------------------------------------------------------------------
 # camera operations
-
-def unproject(u: float, v: float, depth: float, k: Intrinsics) -> np.ndarray:
-    """Pixel + depth -> camera-frame point (X right, Y down, Z forward)."""
-    if depth <= 0:
-        raise InputError(f"non-positive depth {depth}")
-    return np.array([(u - k.cx) * depth / k.fx,
-                     (v - k.cy) * depth / k.fy,
-                     depth])
-
 
 def camera_to_ego(cloud: PointCloud) -> PointCloud:
     """Re-express an optical-frame cloud in the ego frame, whose origin sits

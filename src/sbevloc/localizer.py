@@ -61,12 +61,23 @@ class AeConfig:
     activation: str = "sigmoid"
     train: nnet.TrainConfig = field(default_factory=lambda: nnet.TrainConfig(epochs=15))
 
+    def __post_init__(self):
+        if self.activation not in nnet.ACTIVATIONS:
+            raise InputError(f"activation {self.activation!r} not one of "
+                             f"{nnet.ACTIVATIONS}")
+        if self.latent_dim < 1:
+            raise InputError(f"latent_dim must be >= 1, got {self.latent_dim}")
+
 
 @dataclass(frozen=True)
 class RegConfig:
     hidden: tuple[int, ...] = (256, 128)
     dropout: float = 0.2
     train: nnet.TrainConfig = field(default_factory=lambda: nnet.TrainConfig(epochs=60))
+
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise InputError(f"dropout {self.dropout} outside [0, 1)")
 
 
 @dataclass
@@ -199,17 +210,20 @@ def build_index(latents, node_ids) -> EmbeddingIndex:
     return EmbeddingIndex(latents, node_ids)
 
 
-def regressor_input(node_id: int, n_nodes: int, latent: np.ndarray) -> np.ndarray:
-    if not 0 <= node_id < n_nodes:
-        raise InputError(f"node id {node_id} outside 0..{n_nodes - 1}")
-    one_hot = np.zeros(n_nodes, dtype=np.float32)
-    one_hot[node_id] = 1.0
-    return np.concatenate([one_hot, np.asarray(latent, dtype=np.float32)])
+def regressor_inputs(node_ids, n_nodes: int, latents) -> np.ndarray:
+    """float32 regressor rows [one_hot(node) ++ latent], one per node id."""
+    ids = np.asarray(node_ids, dtype=np.int64)
+    # checked first: fancy indexing would wrap a negative id silently
+    bad = ids[(ids < 0) | (ids >= n_nodes)]
+    if len(bad):
+        raise InputError(f"node id {bad[0]} outside 0..{n_nodes - 1}")
+    return np.concatenate([np.eye(n_nodes, dtype=np.float32)[ids],
+                           np.asarray(latents, dtype=np.float32)], axis=1)
 
 
 def fine_localize(model: RegModel, node_id: int, latent: np.ndarray) -> Pose2:
     """Regress the (x, y, theta) pose relative to the chosen node."""
-    x = regressor_input(node_id, model.n_nodes, latent)
+    x = regressor_inputs([node_id], model.n_nodes, np.reshape(latent, (1, -1)))[0]
     out, _ = nnet.forward(model.net, x, mode="eval")
     return Pose2(float(out[0]), float(out[1]), wrap_angle(float(out[2])))
 
@@ -233,8 +247,7 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     sd = latents.std(axis=0, dtype=np.float64)
     sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
     std_lat = ((latents - mu) / sd).astype(np.float32)
-    xs = np.stack([regressor_input(int(n), n_nodes, lat)
-                   for n, lat in zip(node_ids, std_lat)])
+    xs = regressor_inputs(node_ids, n_nodes, std_lat)
     ys = np.array([[p.x, p.y, p.theta] for p in rel_poses], dtype=np.float32)
     dims = [n_nodes + latents.shape[1], *config.hidden, 3]
     acts = ["relu"] * len(config.hidden) + ["linear"]

@@ -74,6 +74,8 @@ class TrainConfig:
             raise InputError("learning rate must be positive")
         if self.batch_size < 1:
             raise InputError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise InputError("epochs must be >= 1")
 
 
 def init_net(dims, activations, dropout=None, seed=0, dtype=np.float64) -> DenseNet:

@@ -108,6 +108,20 @@ def test_bad_weather_rejected_at_load(weather, field):
 def test_bad_train_values_rejected_at_load():
     with pytest.raises(InputError, match=r"config reg\.train: learning rate"):
         config_from_dict({"reg": {"train": {"learning_rate": 0}}})
+    with pytest.raises(InputError, match=r"config ae\.train: epochs"):
+        config_from_dict({"ae": {"train": {"epochs": 0}}})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"ae": {"activation": "tanh"}}, r"config ae: activation 'tanh'"),
+    ({"ae": {"latent_dim": 0}}, r"config ae: latent_dim"),
+    ({"reg": {"dropout": 1.0}}, r"config reg: dropout 1\.0"),
+    ({"reg": {"dropout": -0.1}}, r"config reg: dropout -0\.1"),
+    ({"eval": {"modes": ["BASE", "FOO"]}}, r"config eval: mode 'FOO'"),
+])
+def test_bad_section_values_rejected_at_load(doc, message):
+    with pytest.raises(InputError, match=message):
+        config_from_dict(doc)
 
 
 @pytest.mark.parametrize("synth", [

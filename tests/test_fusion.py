@@ -161,70 +161,76 @@ def test_estimate_measurement_noise_floor():
 # --- fuse_trajectory ---------------------------------------------------------
 
 def dead_reckon(odometry):
+    """Poses at steps 0..len(odometry), starting from the origin."""
     xs = [np.array([0.0, 0.0, 0.0])]
-    for i in range(1, len(odometry)):
-        t0, vx, vy, om = odometry[i - 1]
-        dt = odometry[i][0] - t0
+    for o in odometry:
         x, y, th = xs[-1]
         xs.append(np.array([
-            x + (vx * math.cos(th) - vy * math.sin(th)) * dt,
-            y + (vx * math.sin(th) + vy * math.cos(th)) * dt,
-            wrap_angle(th + om * dt)]))
-    return xs[1:]
+            x + (o.vx * math.cos(th) - o.vy * math.sin(th)) * o.dt,
+            y + (o.vx * math.sin(th) + o.vy * math.cos(th)) * o.dt,
+            wrap_angle(th + o.omega * o.dt)]))
+    return xs
 
 
 def test_fuse_pure_odometry_dead_reckons():
     rng = np.random.default_rng(3)
-    odom = [(0.1 * i, rng.uniform(5, 12), rng.uniform(-0.5, 0.5),
-             rng.uniform(-0.2, 0.2)) for i in range(50)]
+    odom = [OdomSample(rng.uniform(5, 12), rng.uniform(-0.5, 0.5),
+                       rng.uniform(-0.2, 0.2), 0.1) for _ in range(49)]
     init = state(sigma=np.eye(3) * 100.0)
-    fused = fuse_trajectory(odom, [], init, Q_DEFAULT, R_EYE)
+    states = fuse_trajectory(odom, {}, init, Q_DEFAULT, R_EYE)
     want = dead_reckon(odom)
-    assert len(fused) == 49
-    for f, w in zip(fused, want):
-        assert np.allclose(f.state.mu, w, atol=1e-12)
+    assert len(states) == 50
+    assert states[0] is init
+    for s, w in zip(states, want):
+        assert np.allclose(s.mu, w, atol=1e-12)
 
 
 def test_fuse_converges_to_noiseless_measurements():
-    odom = [(0.1 * i, 10.0, 0.0, 0.0) for i in range(30)]
+    odom = [OdomSample(10.0, 0.0, 0.0, 0.1)] * 29
     truth = dead_reckon(odom)
-    meas = [(0.1 * (i + 1), truth[i]) for i in range(len(truth))]
+    fixes = {i: truth[i] for i in range(1, 30)}
     init = KfState(np.array([5.0, 5.0, 0.5]), np.eye(3) * 100.0)
-    fused = fuse_trajectory(odom, meas, init, Q_DEFAULT, np.eye(3) * 1e-10)
-    updates = [f for f in fused if f.kind == "update"]
-    err = np.abs(updates[10].state.mu - np.asarray(meas[10][1]))
-    assert err.max() < 1e-6
+    states = fuse_trajectory(odom, fixes, init, Q_DEFAULT, np.eye(3) * 1e-10)
+    assert np.abs(states[11].mu - truth[11]).max() < 1e-6
 
 
-def test_fuse_rejects_out_of_order():
-    odom = [(0.0, 1, 0, 0), (0.2, 1, 0, 0), (0.1, 1, 0, 0)]
-    with pytest.raises(InputError, match="out of order"):
-        fuse_trajectory(odom, [], state(), Q_DEFAULT, R_EYE)
+def test_fuse_step_is_predict_then_update():
+    init = state(1.0, -2.0, 0.4, sigma=np.diag([4.0, 9.0, 0.1]))
+    odom = [OdomSample(8.0, 0.3, 0.05, 0.1), OdomSample(9.0, -0.2, -0.1, 0.2)]
+    z = [2.5, -1.0, 0.3]
+    r = np.diag([2.0, 3.0, 0.01])
+    states = fuse_trajectory(odom, {2: z}, init, Q_DEFAULT, r)
+    first = kf_predict(init, odom[0], Q_DEFAULT)
+    second = kf_update(kf_predict(first, odom[1], Q_DEFAULT), z, r)
+    assert len(states) == 3
+    for got, want in zip(states[1:], (first, second)):
+        assert np.array_equal(got.mu, want.mu)
+        assert np.array_equal(got.sigma, want.sigma)
+
+
+@pytest.mark.parametrize("step", [0, 3, -1])
+def test_fuse_rejects_fix_outside_steps(step):
+    odom = [OdomSample(1.0, 0.0, 0.0, 0.1)] * 2
+    with pytest.raises(InputError, match="outside 1..2"):
+        fuse_trajectory(odom, {1: [0.0, 0.0, 0.0], step: [0.0, 0.0, 0.0]},
+                        state(), Q_DEFAULT, R_EYE)
 
 
 def test_fuse_noisy_measurements_improve_mae():
     rng = np.random.default_rng(4)
-    n = 400
-    odom_true = [(0.1 * i, 10.0, 0.0, 0.05) for i in range(n)]
+    odom_true = [OdomSample(10.0, 0.0, 0.05, 0.1)] * 399
     truth = dead_reckon(odom_true)
-    odom_noisy = [(t, vx + rng.normal(0, 0.3), vy + rng.normal(0, 0.05),
-                   om + rng.normal(0, 0.01)) for t, vx, vy, om in odom_true]
-    meas = []
-    for i in range(4, len(truth), 5):
-        z = truth[i] + np.array([rng.normal(0, 3.0), rng.normal(0, 3.0),
-                                 rng.normal(0, math.radians(1.0))])
-        meas.append((0.1 * (i + 1), z))
+    odom_noisy = [OdomSample(o.vx + rng.normal(0, 0.3), o.vy + rng.normal(0, 0.05),
+                             o.omega + rng.normal(0, 0.01), o.dt)
+                  for o in odom_true]
+    fixes = {i: truth[i] + np.array([rng.normal(0, 3.0), rng.normal(0, 3.0),
+                                     rng.normal(0, math.radians(1.0))])
+             for i in range(5, len(truth), 5)}
     init = KfState(truth[0], np.eye(3) * 25.0)
     r = np.diag([9.0, 9.0, math.radians(1.0) ** 2])
-    fused = fuse_trajectory(odom_noisy, meas, init, Q_DEFAULT, r)
-    post = {round(f.t, 6): f.state.mu for f in fused if f.kind == "update"}
-    pre_err, post_err = [], []
-    for i in range(4, len(truth), 5):
-        t = round(0.1 * (i + 1), 6)
-        if t in post:
-            z = [m for tm, m in meas if round(tm, 6) == t][0]
-            pre_err.append(np.abs(np.asarray(z[:2]) - truth[i][:2]))
-            post_err.append(np.abs(post[t][:2] - truth[i][:2]))
+    states = fuse_trajectory(odom_noisy, fixes, init, Q_DEFAULT, r)
+    pre_err = [np.abs(z[:2] - truth[i][:2]) for i, z in fixes.items()]
+    post_err = [np.abs(states[i].mu[:2] - truth[i][:2]) for i in fixes]
     pre_mae = np.mean(pre_err, axis=0)
     post_mae = np.mean(post_err, axis=0)
     assert post_mae[0] <= pre_mae[0]

@@ -14,7 +14,6 @@ from sbevloc.geometry import (
     camera_to_ego,
     global_from_relative,
     pose2_compose,
-    pose2_from_pose3,
     pose2_inverse,
     pose3_compose,
     pose3_from_pose2,
@@ -22,7 +21,6 @@ from sbevloc.geometry import (
     quat_from_euler_zyx,
     quat_from_yaw,
     relative_pose,
-    unproject,
     wrap_angle,
 )
 
@@ -143,42 +141,13 @@ def test_relative_global_round_trip(node, frame):
     assert abs(wrap_angle(back.theta - frame.theta)) < 1e-12
 
 
-# --- intrinsics / unproject ---------------------------------------------
-
-K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=101, height=101)
-
+# --- intrinsics ---------------------------------------------------------
 
 def test_intrinsics_validation():
     with pytest.raises(InputError):
         Intrinsics(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
     with pytest.raises(InputError):
         Intrinsics(fx=1, fy=1, cx=20, cy=0, width=10, height=10)
-
-
-def test_unproject_principal_point():
-    p = unproject(50, 50, 10, K)
-    assert np.allclose(p, [0, 0, 10])
-
-
-def test_unproject_hand_case():
-    p = unproject(150, 50, 2, K)
-    assert np.allclose(p, [2, 0, 2])
-
-
-def test_unproject_rejects_bad_depth():
-    with pytest.raises(InputError):
-        unproject(10, 10, 0.0, K)
-
-
-def test_unproject_reprojects():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        u, v = rng.uniform(0, 100, 2)
-        d = rng.uniform(0.1, 80)
-        x, y, z = unproject(u, v, d, K)
-        # independent pinhole forward projection
-        assert abs(K.fx * x / z + K.cx - u) < 1e-9
-        assert abs(K.fy * y / z + K.cy - v) < 1e-9
 
 
 # --- Pose3 / point transforms -------------------------------------------
@@ -192,27 +161,6 @@ def test_pose3_compose_inverse():
         assert np.abs(m - pose3_to_mat(a) @ pose3_to_mat(b)).max() < 1e-9
         ident = pose3_to_mat(pose3_compose(a, pose3_inverse(a)))
         assert np.abs(ident - np.eye(4)).max() < 1e-9
-
-
-def test_pose2_from_pose3():
-    ident = pose2_from_pose3(Pose3(np.zeros(3), quat_from_yaw(0)))
-    assert (ident.x, ident.y, ident.theta) == (0, 0, 0)
-
-    yawed = pose2_from_pose3(Pose3(np.array([1.0, 2, 3]), quat_from_yaw(0.5)))
-    assert yawed.theta == pytest.approx(0.5)
-    assert (yawed.x, yawed.y) == (1, 2)
-
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        yaw = rng.uniform(-math.pi, math.pi)
-        p2 = pose2_from_pose3(pose3_from_pose2(Pose2(0, 0, yaw)))
-        assert abs(wrap_angle(p2.theta - yaw)) < 1e-12
-
-
-def test_pose2_from_pose3_gimbal_error():
-    q = quat_from_euler_zyx(0.3, math.radians(89.5), 0.0)
-    with pytest.raises(InputError):
-        pose2_from_pose3(Pose3(np.zeros(3), q))
 
 
 def test_camera_to_ego_axes():

@@ -25,7 +25,7 @@ from sbevloc.localizer import (
     localize,
     pool_grid,
     read_index,
-    regressor_input,
+    regressor_inputs,
     save_bundle,
     train_autoencoder,
     train_regressor,
@@ -133,7 +133,7 @@ def test_train_autoencoder_deterministic():
 def test_train_autoencoder_rejects_bad_mode():
     with pytest.raises(InputError):
         train_autoencoder(np.zeros((1, 4)), np.zeros((1, 4)),
-                          small_ae(epochs=0), 0, mode="FOO")
+                          small_ae(epochs=1), 0, mode="FOO")
 
 
 # --- embed --------------------------------------------------------------------
@@ -212,11 +212,14 @@ def test_fine_zero_net_outputs_origin():
 
 
 def test_regressor_input_one_hot():
-    x = regressor_input(2, 5, np.array([9.0, 9.0], dtype=np.float32))
-    assert x[:5].tolist() == [0, 0, 1, 0, 0]
-    assert x[5:].tolist() == [9.0, 9.0]
-    with pytest.raises(InputError):
-        regressor_input(5, 5, np.zeros(2))
+    x = regressor_inputs([2, 0], 5, np.array([[9.0, 8.0], [7.0, 6.0]]))
+    assert x.dtype == np.float32
+    assert x.tolist() == [[0, 0, 1, 0, 0, 9.0, 8.0], [1, 0, 0, 0, 0, 7.0, 6.0]]
+    assert regressor_inputs([], 5, np.zeros((0, 2))).shape == (0, 7)
+    # a negative id must not wrap onto the last node
+    for bad in ([5], [-1], [0, 5]):
+        with pytest.raises(InputError):
+            regressor_inputs(bad, 5, np.zeros((len(bad), 2)))
 
 
 def test_train_regressor_linear_task():
@@ -232,16 +235,20 @@ def test_train_regressor_linear_task():
     assert losses[-1] < 1e-4
 
 
-def zero_epoch_reg() -> RegConfig:
-    return RegConfig(train=nnet.TrainConfig(epochs=0))
+def one_epoch_reg() -> RegConfig:
+    return RegConfig(train=nnet.TrainConfig(epochs=1))
 
 
 def test_train_regressor_zero_epochs_returns_init():
+    # zero epochs, which trained nothing and returned the initial weights,
+    # are now rejected with the section, before any data is touched
+    with pytest.raises(InputError, match="epochs"):
+        RegConfig(train=nnet.TrainConfig(epochs=0))
     lats = np.zeros((4, 8), dtype=np.float32)
     poses = [Pose2(0, 0, 0)] * 4
     model, losses = train_regressor(lats, [0, 0, 1, 1], poses, 2,
-                                    zero_epoch_reg(), 0)
-    assert losses == []
+                                    one_epoch_reg(), 0)
+    assert len(losses) == 1
     assert model.n_nodes == 2
 
 
@@ -249,7 +256,7 @@ def test_train_regressor_balance_guard():
     lats = np.zeros((3, 8), dtype=np.float32)
     poses = [Pose2(0, 0, 0)] * 3
     with pytest.raises(InputError, match="unbalanced"):
-        train_regressor(lats, [0, 0, 1], poses, 2, zero_epoch_reg(), 0)
+        train_regressor(lats, [0, 0, 1], poses, 2, one_epoch_reg(), 0)
 
 
 def test_regressor_training_freezes_encoder():

@@ -256,12 +256,16 @@ def test_train_linear_regression_converges():
 
 
 def test_train_zero_epochs_unchanged():
+    # zero epochs are rejected at config time; training works on a copy, so
+    # the caller's net stays unchanged
+    with pytest.raises(InputError, match="epochs"):
+        TrainConfig(epochs=0)
     net = init_net([4, 2], ["linear"], seed=14)
     before = flat_params(net).copy()
     trained, losses = train(net, np.ones((3, 4)), np.ones((3, 2)),
-                            TrainConfig(epochs=0), 0)
-    assert losses == []
-    assert np.array_equal(flat_params(trained), before)
+                            TrainConfig(epochs=1), 0)
+    assert len(losses) == 1
+    assert not np.array_equal(flat_params(trained), before)
     assert np.array_equal(flat_params(net), before)  # original untouched
 
 
