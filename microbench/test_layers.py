@@ -1,8 +1,11 @@
 """Layer microbenchmarks with pytest-benchmark, kept out of the tier-1 run.
 
-    PYTHONPATH=src python -m pytest microbench -q
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest microbench -q
 
-Each benchmark also checks its output once, so a fast wrong result fails.
+One BLAS thread, as in perfbench: on a 2-core machine the default two
+threads made the AE forward pass read ~110 ms in some runs and ~3 ms in
+others. Each benchmark also checks its output once, so a fast wrong result
+fails.
 """
 
 import dataclasses
@@ -11,8 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from sbevloc import nnet
 from sbevloc.config import SEED_WORLD, RunConfig, derive_seed
-from sbevloc.geometry import PointCloud, Pose2, pose3_compose, pose3_from_pose2, pose3_inverse
+from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import grid_to_input
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud
 from sbevloc.sbev import GridSpec, accumulate_sbev, rasterize_bev
@@ -55,8 +59,7 @@ def test_rasterize_bev(benchmark, request, name):
 
 def test_accumulate_sbev_window(benchmark, noisy):
     parts = np.array_split(np.arange(N_POINTS), 5)
-    frames = [(PointCloud(noisy.xyz[p], noisy.labels[p]),
-               pose3_from_pose2(Pose2(0.5 * i, 0.0, 0.01 * i), z=1.5))
+    frames = [(PointCloud(noisy.xyz[p], noisy.labels[p]), Pose2(0.5 * i, 0.0, 0.01 * i))
               for i, p in enumerate(parts)]
     sb = benchmark(accumulate_sbev, frames, frames[-1][1], SPEC)
     assert sb.grid.any()
@@ -73,8 +76,7 @@ def world():
 def real_window(world):
     """The ego clouds and poses of 5 consecutive rendered frames, newest last."""
     k, policy, spec = CFG.camera.intrinsics(), CFG.classes.policy(), CFG.grid.grid_spec()
-    return [(ego_cloud(*render_frame(world, p, k), k, policy, spec),
-             pose3_from_pose2(p, z=CFG.synth.camera_height))
+    return [(ego_cloud(*render_frame(world, p, k), k, policy, spec), p)
             for p in world.route[100:100 + ACCUMULATION_WINDOW]]
 
 
@@ -93,13 +95,21 @@ def lexsort_rasterize(xyz, labels, spec):
     return grid.reshape(spec.size, spec.size)
 
 
+def in_ego_of(current, pose, xyz):
+    """Reference: ego points of `pose` in the ego coordinates of `current`,
+    moved on the ground plane; z is kept."""
+    c, s = math.cos(pose.theta - current.theta), math.sin(pose.theta - current.theta)
+    cc, sc = math.cos(current.theta), math.sin(current.theta)
+    dx, dy = pose.x - current.x, pose.y - current.y
+    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return xyz @ rot.T + (cc * dx + sc * dy, -sc * dx + cc * dy, 0.0)
+
+
 def test_accumulate_sbev_real_window(benchmark, real_window):
     spec = CFG.grid.grid_spec()
     current = real_window[-1][1]
     sb = benchmark(accumulate_sbev, real_window, current, spec)
-    inv_cur = pose3_inverse(current)
-    rels = [(cloud, pose3_compose(inv_cur, pose)) for cloud, pose in real_window]
-    xyz = np.concatenate([c.xyz @ r.rotation_matrix().T + r.translation for c, r in rels])
+    xyz = np.concatenate([in_ego_of(current, pose, cloud.xyz) for cloud, pose in real_window])
     labels = np.concatenate([c.labels for c, _ in real_window])
     assert sb.grid.any()
     assert np.array_equal(sb.grid, lexsort_rasterize(xyz, labels, spec))
@@ -125,3 +135,82 @@ def test_grid_to_input(benchmark):
     grid = np.random.default_rng(3).integers(0, 256, (SPEC.size, SPEC.size), dtype=np.uint8)
     x = benchmark(grid_to_input, grid, 8)
     assert x.shape == ((SPEC.size // 8) ** 2,)
+
+
+# the default networks at the training batch: the 1936-512-128-512-1936
+# autoencoder, and the regressor over the 59 nodes of the default 1200 m
+# route (59 one-hot + 128 latent inputs, 256-128 hidden, dropout 0.2)
+BATCH = CFG.ae.train.batch_size
+REG_NODES = 59
+
+
+def default_net(name):
+    ae, reg = CFG.ae, CFG.reg
+    if name == "ae":
+        in_dim = (SPEC.size // ae.pool) ** 2
+        dims = [in_dim, *ae.hidden, ae.latent_dim, *reversed(ae.hidden), in_dim]
+        return nnet.init_net(dims, [ae.activation] * (len(dims) - 2) + ["linear"],
+                             seed=1, dtype=np.float32)
+    dims = [REG_NODES + ae.latent_dim, *reg.hidden, 3]
+    return nnet.init_net(dims, ["relu"] * len(reg.hidden) + ["linear"],
+                         dropout=[reg.dropout] * len(reg.hidden) + [0.0],
+                         seed=2, dtype=np.float32)
+
+
+@pytest.fixture(scope="module", params=["ae", "reg"])
+def net_batch(request):
+    """(net, input batch, forward record, gradients) of one default net."""
+    net = default_net(request.param)
+    rng = np.random.default_rng(4)
+    x = rng.random((BATCH, net.layers[0].weights.shape[1]), dtype=np.float32)
+    out, rec = nnet.forward(net, x, mode="train", rng=np.random.default_rng(5))
+    _, grad = nnet.mse_loss(out, np.zeros_like(out))
+    return net, x, rec, nnet.backward(net, rec, grad)
+
+
+def dense_reference(net, x, masks):
+    """Reference forward pass in float64 with the given dropout masks."""
+    h = x.astype(np.float64)
+    for layer, mask in zip(net.layers, masks):
+        z = h @ layer.weights.T.astype(np.float64) + layer.bias
+        h = {"relu": np.maximum(z, 0.0), "sigmoid": 1.0 / (1.0 + np.exp(-z)),
+             "linear": z}[layer.activation]
+        h = h if mask is None else h * mask
+    return h
+
+
+def test_nnet_forward(benchmark, net_batch):
+    net, x, _, _ = net_batch
+    out, rec = benchmark(nnet.forward, net, x, mode="train", rng=np.random.default_rng(6))
+    assert out.shape == (BATCH, net.layers[-1].weights.shape[0]) and out.dtype == np.float32
+    assert np.allclose(out, dense_reference(net, x, rec.masks), rtol=1e-4, atol=1e-5)
+
+
+def test_nnet_backward(benchmark, net_batch):
+    net, _, rec, want = net_batch
+    out = rec.post[-1]
+    grads = benchmark(nnet.backward, net, rec, 2.0 * out / out.size)
+    # the last layer is linear without dropout: db = sum of dL/dout,
+    # dW = dL/dout^T @ its input
+    g = 2.0 * out / out.size
+    assert np.array_equal(grads[-1][1], g.sum(axis=0))
+    assert np.allclose(grads[-1][0], g.T @ rec.post[-2], rtol=1e-4, atol=1e-9)
+    for (dw, db), layer, (w_dw, w_db) in zip(grads, net.layers, want):
+        assert dw.shape == layer.weights.shape and db.shape == layer.bias.shape
+        assert np.array_equal(dw, w_dw) and np.array_equal(db, w_db)
+
+
+def test_nnet_optimizer_step(benchmark, net_batch):
+    net, _, _, grads = net_batch
+    config = CFG.ae.train
+    # the first Adam step moves each parameter by ~lr against its gradient's sign
+    first = net.copy()
+    nnet.optimizer_step(first, grads, config)
+    for layer, new, (dw, _) in zip(net.layers, first.layers, grads):
+        big = np.abs(dw) > 1e-4
+        step = (new.weights - layer.weights)[big]
+        assert np.allclose(step, -config.learning_rate * np.sign(dw[big]), rtol=1e-2)
+    # steady state: the moment buffers exist, as in every step after a
+    # training run's first
+    state = nnet.optimizer_step(first, grads, config)
+    benchmark(nnet.optimizer_step, first, grads, config, state)

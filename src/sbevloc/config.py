@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -94,6 +95,14 @@ class KfConfig:
     init_sigma_xy: float = 100.0
     init_sigma_theta: float = 1.0
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InputError(f"{f.name} {value} must be finite and >= 0")
+        if self.r_floor <= 0:
+            raise InputError(f"r_floor {self.r_floor} must be positive")
+
     def q(self) -> np.ndarray:
         return np.diag([self.q_xy, self.q_xy, self.q_theta])
 
@@ -131,6 +140,9 @@ class EvalConfig:
         for mode in self.modes:
             if mode not in AE_MODES:
                 raise InputError(f"mode {mode!r} not one of {AE_MODES}")
+        for offset in self.lane_offsets_m:
+            if not math.isfinite(offset):
+                raise InputError(f"lane offset {offset} must be finite")
 
 
 @dataclass(frozen=True)

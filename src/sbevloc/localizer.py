@@ -91,10 +91,6 @@ class AEModel:
     def latent_dim(self):
         return self.net.layers[self.encoder_layers - 1].weights.shape[0]
 
-    @property
-    def input_dim(self):
-        return self.net.in_dim
-
 
 @dataclass
 class RegModel:

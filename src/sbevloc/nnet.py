@@ -53,10 +53,6 @@ class DenseNet:
     def in_dim(self):
         return self.layers[0].weights.shape[1]
 
-    @property
-    def out_dim(self):
-        return self.layers[-1].weights.shape[0]
-
     def copy(self) -> "DenseNet":
         return copy.deepcopy(self)
 

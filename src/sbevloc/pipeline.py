@@ -2,8 +2,9 @@
 
 The synthetic renderer yields frames as (frame_id, pose, depth, labels)
 tuples. S-BEV accumulation uses a sliding window of the current plus the
-previous four frames. One pass over a traversal's S-BEVs pools both the
-test inputs and the (augmented) training arrays.
+previous four frames, each moved on the ground plane by its Pose2. One pass
+over a traversal's S-BEVs pools both the test inputs and the (augmented)
+training arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .config import SEED_AE, SEED_REG, RunConfig, derive_seed
 from .errors import InputError
-from .geometry import Intrinsics, camera_to_ego, pose3_from_pose2
+from .geometry import Intrinsics
 from .localizer import (
     AEModel,
     LocalizerBundle,
@@ -41,9 +42,7 @@ ACCUMULATION_WINDOW = 5
 
 def ego_cloud(depth, labels, k: Intrinsics, policy: ClassPolicy, grid: GridSpec):
     """Filtered labels + depth -> labeled cloud in the ego frame (camera origin)."""
-    kept = filter_labels(labels, policy)
-    cam = build_point_cloud(depth, kept, k, stride=grid.stride)
-    return camera_to_ego(cam)
+    return build_point_cloud(depth, filter_labels(labels, policy), k, stride=grid.stride)
 
 
 def render_stream(world: World, poses, k: Intrinsics,
@@ -59,15 +58,16 @@ def render_stream(world: World, poses, k: Intrinsics,
 
 
 def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
-                camera_height: float, window: int = ACCUMULATION_WINDOW):
-    """Yield one motion-compensated SBev per incoming frame."""
+                camera_height: float | None = None, window: int = ACCUMULATION_WINDOW):
+    """Yield one motion-compensated SBev per incoming frame.
+
+    `camera_height` is unused. It stays only because `perfbench/workloads.py`
+    passes it positionally; dropping it is ROADMAP item 4.
+    """
     recent = deque(maxlen=window)
     for frame_id, pose, depth, labels in frames:
-        cloud = ego_cloud(depth, labels, k, policy, grid)
-        ego3 = pose3_from_pose2(pose, z=camera_height)
-        recent.append((cloud, ego3))
-        yield accumulate_sbev(list(recent), ego3, grid,
-                              origin=pose, frame_id=frame_id)
+        recent.append((ego_cloud(depth, labels, k, policy, grid), pose))
+        yield accumulate_sbev(list(recent), pose, grid, frame_id=frame_id)
 
 
 @dataclass
@@ -84,12 +84,11 @@ class TrainingArrays:
 def traversal_sbevs(world: World, poses, cfg: RunConfig,
                     weather: WeatherSpec | None = None, weather_seed: int = 0):
     """Render `poses` in `world` and yield one S-BEV per frame, set up as
-    `cfg` describes the camera, classes, grid and camera height."""
+    `cfg` describes the camera, classes and grid."""
     k = cfg.camera.intrinsics()
     frames = render_stream(world, poses, k, weather=weather,
                            weather_seed=weather_seed)
-    return sbev_stream(frames, k, cfg.classes.policy(), cfg.grid.grid_spec(),
-                       cfg.synth.camera_height)
+    return sbev_stream(frames, k, cfg.classes.policy(), cfg.grid.grid_spec())
 
 
 def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),

@@ -1,9 +1,10 @@
 """Semantic bird's-eye-view construction.
 
 A frame's depth map and class-ID label map are unprojected into a labeled
-3D point cloud, re-expressed in the ego frame (x forward, y left, z up, origin
-at the camera), and rasterized top-down into a square class-ID grid. Up to
-five consecutive frames are motion-compensated into one accumulated grid.
+3D point cloud in the ego frame (x forward, y left, z up, origin at the
+camera) and rasterized top-down into a square class-ID grid. Up to five
+consecutive frames are motion-compensated on the ground plane into one
+accumulated grid.
 
 Grid layout: the ego sits at the bottom-center cell looking "up" the image.
 Row index decreases with forward distance x in [0, size*resolution); column
@@ -12,19 +13,13 @@ index decreases with leftward offset y in [-extent/2, +extent/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import (
-    Intrinsics,
-    PointCloud,
-    Pose2,
-    Pose3,
-    pose3_compose,
-    pose3_inverse,
-)
+from .geometry import Intrinsics, PointCloud, Pose2
 
 DEFAULT_SIZE = 352
 
@@ -45,10 +40,6 @@ class GridSpec:
             raise InputError("height window must satisfy z_min < z_max")
         if self.stride < 1:
             raise InputError("stride must be >= 1")
-
-    @property
-    def forward_extent(self) -> float:
-        return self.size * self.resolution
 
     @property
     def lateral_extent(self) -> float:
@@ -98,8 +89,9 @@ def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics,
                       stride: int = 2) -> PointCloud:
     """Unproject every valid-depth, labeled pixel on the stride lattice.
 
-    Returned points are in the camera optical frame (X right, Y down,
-    Z forward).
+    `depth` is the distance along the viewing axis, which is ego x. Returned
+    points are in the ego frame: a pixel right of the principal point has
+    y < 0, one below it z < 0.
     """
     depth = np.asarray(depth, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.uint8)
@@ -111,9 +103,9 @@ def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics,
     dv = d[vs, us]
     u = us * stride
     v = vs * stride
-    xyz = np.stack([(u - k.cx) * dv / k.fx,
-                    (v - k.cy) * dv / k.fy,
-                    dv], axis=1)
+    xyz = np.stack([dv,
+                    -((u - k.cx) * dv / k.fx),
+                    -((v - k.cy) * dv / k.fy)], axis=1)
     return PointCloud(xyz, l[vs, us])
 
 
@@ -159,28 +151,33 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec,
     return SBev(grid.reshape(spec.size, spec.size), spec.resolution, origin, frame_id)
 
 
-def accumulate_sbev(frames, current_pose: Pose3, spec: GridSpec,
-                    origin: Pose2 = Pose2(0, 0, 0), frame_id: int = 0) -> SBev:
-    """Merge up to five (ego-frame cloud, ego Pose3) pairs, newest last.
+def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
+                    frame_id: int = 0) -> SBev:
+    """Merge up to five (ego-frame cloud, ego Pose2) pairs, newest last.
 
-    Every cloud is moved into the newest frame's ego coordinates, straight
-    into one buffer, before a single rasterization pass. Per cell the
-    highest point of the union wins, ties to the larger label; the result
-    depends neither on the order of the frames or their points nor on the
-    stability of a sort.
+    Every cloud is moved on the ground plane into the ego coordinates of
+    `current`, straight into one buffer, before a single rasterization pass;
+    z is kept. The result's origin is `current`. Per cell the highest point
+    of the union wins, ties to the larger label; the result depends neither
+    on the order of the frames or their points nor on the stability of a
+    sort.
     """
     if not 1 <= len(frames) <= 5:
         raise InputError(f"need 1..5 frames, got {len(frames)}")
-    inv_cur = pose3_inverse(current_pose)
+    cc, sc = math.cos(current.theta), math.sin(current.theta)
     xyz = np.empty((sum(len(cloud) for cloud, _ in frames), 3))
     labels = np.empty(len(xyz), dtype=np.uint8)
     start = 0
     for cloud, pose in frames:
-        rel = pose3_compose(inv_cur, pose)
+        # p' = R(theta_i - theta_c) p + R(-theta_c) (t_i - t_c); the row
+        # vectors are multiplied by R^T
+        dx, dy = pose.x - current.x, pose.y - current.y
+        dtheta = pose.theta - current.theta
+        c, s = math.cos(dtheta), math.sin(dtheta)
         part = xyz[start:start + len(cloud)]
-        # a C-ordered R^T multiplies ~3x faster than the transposed view
-        np.matmul(cloud.xyz, np.ascontiguousarray(rel.rotation_matrix().T), out=part)
-        part += rel.translation
+        np.matmul(cloud.xyz, np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]),
+                  out=part)
+        part += (cc * dx + sc * dy, -sc * dx + cc * dy, 0.0)
         labels[start:start + len(cloud)] = cloud.labels
         start += len(cloud)
-    return rasterize_bev(PointCloud(xyz, labels), spec, origin=origin, frame_id=frame_id)
+    return rasterize_bev(PointCloud(xyz, labels), spec, origin=current, frame_id=frame_id)

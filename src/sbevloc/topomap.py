@@ -225,7 +225,7 @@ def read_topomap(path) -> TopoMap:
         nodes = tuple(NodePose(int(n["id"]), Pose2(n["x"], n["y"], n["theta"]))
                       for n in doc["nodes"])
         trans, ang = float(doc["trans_threshold_m"]), float(doc["ang_threshold_deg"])
-    except (ValueError, KeyError, TypeError) as e:
+        return TopoMap(nodes, trans, math.radians(ang))
+    except (ValueError, KeyError, TypeError, InputError) as e:
         raise FormatError(f"{path}: malformed topological map "
                           f"({type(e).__name__}: {e})") from None
-    return TopoMap(nodes, trans, math.radians(ang))

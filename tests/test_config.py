@@ -118,6 +118,15 @@ def test_bad_train_values_rejected_at_load():
     ({"reg": {"dropout": 1.0}}, r"config reg: dropout 1\.0"),
     ({"reg": {"dropout": -0.1}}, r"config reg: dropout -0\.1"),
     ({"eval": {"modes": ["BASE", "FOO"]}}, r"config eval: mode 'FOO'"),
+    ({"kf": {"q_xy": -1}}, r"config kf: q_xy -1\.0 must be finite and >= 0"),
+    ({"kf": {"init_sigma_xy": -100.0}}, r"config kf: init_sigma_xy -100\.0"),
+    ({"kf": {"init_sigma_theta": -1.0}}, r"config kf: init_sigma_theta -1\.0"),
+    ({"kf": {"r_floor": -1e-4}}, r"config kf: r_floor -0\.0001"),
+    ({"kf": {"r_floor": 0}}, r"config kf: r_floor 0\.0 must be positive"),
+    ({"kf": {"q_theta": math.nan}}, r"config kf: q_theta nan"),
+    ({"kf": {"q_xy": math.inf}}, r"config kf: q_xy inf"),
+    ({"eval": {"lane_offsets_m": [1.5, math.nan]}}, r"config eval: lane offset nan"),
+    ({"eval": {"lane_offsets_m": [-math.inf]}}, r"config eval: lane offset -inf"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

@@ -64,8 +64,7 @@ def test_pool_traversal_test_inputs_match_sbev_stream(tiny_cfg):
     route = world.route[:24]
     k = cfg.camera.intrinsics()
     sbevs = list(sbev_stream(render_stream(world, route, k), k,
-                             cfg.classes.policy(), cfg.grid.grid_spec(),
-                             cfg.synth.camera_height))
+                             cfg.classes.policy(), cfg.grid.grid_spec()))
     ids = [17, 3, 20, 9]
     inputs, arrays = pool_traversal(traversal_sbevs(world, route, cfg), ids,
                                     cfg.ae.pool)

@@ -8,18 +8,10 @@ from hypothesis import strategies as st
 from sbevloc.errors import InputError
 from sbevloc.geometry import (
     Intrinsics,
-    PointCloud,
     Pose2,
-    Pose3,
-    camera_to_ego,
     global_from_relative,
     pose2_compose,
     pose2_inverse,
-    pose3_compose,
-    pose3_from_pose2,
-    pose3_inverse,
-    quat_from_euler_zyx,
-    quat_from_yaw,
     relative_pose,
     wrap_angle,
 )
@@ -34,13 +26,6 @@ def pose2_to_mat(p):
 
 def mat_to_pose2(m):
     return Pose2(m[0, 2], m[1, 2], math.atan2(m[1, 0], m[0, 0]))
-
-
-def pose3_to_mat(p):
-    m = np.eye(4)
-    m[:3, :3] = p.rotation_matrix()
-    m[:3, 3] = p.translation
-    return m
 
 
 finite_angle = st.floats(-50.0, 50.0)
@@ -148,28 +133,6 @@ def test_intrinsics_validation():
         Intrinsics(fx=-1, fy=1, cx=0, cy=0, width=10, height=10)
     with pytest.raises(InputError):
         Intrinsics(fx=1, fy=1, cx=20, cy=0, width=10, height=10)
-
-
-# --- Pose3 / point transforms -------------------------------------------
-
-def test_pose3_compose_inverse():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = Pose3(rng.uniform(-5, 5, 3), quat_from_euler_zyx(*rng.uniform(-1, 1, 3)))
-        b = Pose3(rng.uniform(-5, 5, 3), quat_from_euler_zyx(*rng.uniform(-1, 1, 3)))
-        m = pose3_to_mat(pose3_compose(a, b))
-        assert np.abs(m - pose3_to_mat(a) @ pose3_to_mat(b)).max() < 1e-9
-        ident = pose3_to_mat(pose3_compose(a, pose3_inverse(a)))
-        assert np.abs(ident - np.eye(4)).max() < 1e-9
-
-
-def test_camera_to_ego_axes():
-    # optical Z (forward) -> ego x; optical X (right) -> ego -y; optical Y (down) -> ego -z
-    cloud = PointCloud(np.array([[0.0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-    ego = camera_to_ego(cloud)
-    assert np.allclose(ego.xyz[0], [1, 0, 0])
-    assert np.allclose(ego.xyz[1], [0, -1, 0])
-    assert np.allclose(ego.xyz[2], [0, 0, -1])
 
 
 def test_pose2_rejects_nonfinite():

@@ -389,8 +389,11 @@ def _edit_doc(edit):
     ("topomap.json", lambda t: t[:len(t) // 2]),
     ("topomap.json", _edit_doc(lambda d: d["nodes"][1].pop("x"))),
     ("topomap.json", lambda t: f"[{t}]"),
+    ("topomap.json", _edit_doc(lambda d: d["nodes"][1].update(id=5))),
+    ("topomap.json", _edit_doc(lambda d: d["nodes"][1].update(x=math.nan))),
 ], ids=["manifest-truncated", "manifest-no-encoder_layers", "manifest-array-root",
-        "topomap-truncated", "topomap-node-without-x", "topomap-array-root"])
+        "topomap-truncated", "topomap-node-without-x", "topomap-array-root",
+        "topomap-ids-not-contiguous", "topomap-nan-pose"])
 def test_malformed_bundle_file_raises_format_error(tmp_path, name, corrupt):
     save_bundle(tmp_path, make_bundle())
     path = tmp_path / name

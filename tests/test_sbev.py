@@ -9,17 +9,7 @@ from hypothesis import strategies as st
 
 from sbevloc.config import RunConfig, derive_seed, SEED_WORLD
 from sbevloc.errors import InputError
-from sbevloc.geometry import (
-    Intrinsics,
-    PointCloud,
-    Pose2,
-    pose3_compose,
-    pose3_from_pose2,
-    pose3_inverse,
-    quat_from_euler_zyx,
-    quat_from_yaw,
-    Pose3,
-)
+from sbevloc.geometry import Intrinsics, PointCloud, Pose2
 from sbevloc.localizer import grid_to_input
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, sbev_stream
 from sbevloc.sbev import (
@@ -68,6 +58,20 @@ def tie_heavy_cloud(rng, n, spec):
         rng.choice([-3.0, -2.5, 0.0, 1.0, 1.0 + 1e-9, 6.0, 7.0], n),
     ])
     return PointCloud(xyz, rng.integers(1, 256, n))
+
+
+def to_world(pose, xyz):
+    """Ego points of `pose` in world coordinates (the oracle); z is kept."""
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    x, y = xyz[:, 0], xyz[:, 1]
+    return np.column_stack([pose.x + c * x - s * y, pose.y + s * x + c * y, xyz[:, 2]])
+
+
+def to_ego(pose, xyz):
+    """World points in the ego coordinates of `pose` (the oracle); z is kept."""
+    c, s = math.cos(pose.theta), math.sin(pose.theta)
+    dx, dy = xyz[:, 0] - pose.x, xyz[:, 1] - pose.y
+    return np.column_stack([c * dx + s * dy, -s * dx + c * dy, xyz[:, 2]])
 
 
 def random_cloud(rng, n=1000):
@@ -119,8 +123,20 @@ def test_cloud_single_pixel():
     labels[50, 50] = 9
     cloud = build_point_cloud(depth, labels, K, stride=1)
     assert len(cloud) == 1
-    assert np.allclose(cloud.xyz[0], [0, 0, 5])
+    assert np.allclose(cloud.xyz[0], [5, 0, 0])
     assert cloud.labels[0] == 9
+
+
+def test_cloud_axes_are_ego():
+    # a pixel right of (u > cx) and below (v > cy) the principal point is
+    # `depth` ahead, to the right (y < 0) and below the camera (z < 0)
+    depth = np.zeros((101, 101))
+    labels = np.zeros((101, 101), dtype=np.uint8)
+    depth[70, 60] = 4.0
+    labels[70, 60] = 3
+    x, y, z = build_point_cloud(depth, labels, K, stride=1).xyz[0]
+    assert x == 4.0 and y < 0 and z < 0
+    assert (y, z) == pytest.approx((-(60 - 50) * 4.0 / 100, -(70 - 50) * 4.0 / 100))
 
 
 def test_cloud_counting_oracle():
@@ -249,17 +265,14 @@ def test_cell_indices_boundaries():
 
 # --- accumulate_sbev -----------------------------------------------------
 
-def ego_pose3(p: Pose2, cam_h=1.5):
-    return pose3_from_pose2(p, z=cam_h)
-
-
 def test_accumulate_single_frame_equals_rasterize():
     rng = np.random.default_rng(4)
     cloud = random_cloud(rng, 300)
-    pose = ego_pose3(Pose2(3, 4, 0.3))
-    got = accumulate_sbev([(cloud, pose)], pose, SPEC)
+    pose = Pose2(3, 4, 0.3)
+    got = accumulate_sbev([(cloud, pose)], pose, SPEC, frame_id=7)
     want = rasterize_bev(cloud, SPEC)
     assert np.array_equal(got.grid, want.grid)
+    assert got.origin == pose and got.frame_id == 7
 
 
 def test_accumulate_union_cloud_oracle():
@@ -270,61 +283,53 @@ def test_accumulate_union_cloud_oracle():
         rng.uniform(5, 60, 400), rng.uniform(-30, 30, 400), rng.uniform(0, 4, 400)])
     world_labels = rng.integers(1, 200, 400)
     poses = [Pose2(0, 0, 0), Pose2(2, 0.5, 0.05), Pose2(4, 1.0, 0.1)]
-    frames = []
-    for p in poses:
-        p3 = ego_pose3(p)
-        r = p3.rotation_matrix()
-        local = (world_pts - p3.translation) @ r  # world -> ego (R^T applied)
-        frames.append((PointCloud(local, world_labels), p3))
-    current = frames[-1][1]
-    got = accumulate_sbev(frames, current, SPEC)
+    frames = [(PointCloud(to_ego(p, world_pts), world_labels), p) for p in poses]
+    got = accumulate_sbev(frames, poses[-1], SPEC)
 
-    union_local = np.concatenate([
-        (world_pts - current.translation) @ current.rotation_matrix()
-        for _ in poses])
-    union = PointCloud(union_local, np.concatenate([world_labels] * 3))
+    union = PointCloud(np.concatenate([to_ego(poses[-1], world_pts)] * 3),
+                       np.concatenate([world_labels] * 3))
     want = rasterize_bev(union, SPEC)
     assert np.array_equal(got.grid, want.grid)
 
 
-def test_accumulate_full_3d_poses():
-    # window poses with pitch and roll: z changes under the transform too.
-    # Points sit at cell centers of the newest frame and have distinct
-    # heights, so the float rounding of the two transforms cannot move a
-    # point across a cell border or reorder a tie.
+def test_accumulate_planar_poses_cell_centres():
+    # window poses anywhere on the plane, yaw differences past +-pi among
+    # them. Points sit at cell centers of the newest frame and have distinct
+    # heights, so the float rounding of the transforms cannot move a point
+    # across a cell border or reorder a tie.
     spec = GridSpec(size=32, resolution=0.5)
     rng = np.random.default_rng(9)
     n = 600
     rows, cols = rng.integers(0, 32, n), rng.integers(0, 32, n)
     x = (spec.size - 0.5 - rows) * spec.resolution
     y = (spec.size - 0.5 - cols) * spec.resolution - spec.lateral_extent / 2.0
-    current = Pose3(rng.uniform(-5, 5, 3), quat_from_euler_zyx(*rng.uniform(-0.3, 0.3, 3)))
     union = np.column_stack([x, y, rng.uniform(-2, 5, n)])
     labels = rng.integers(1, 256, n)
-    world = union @ current.rotation_matrix().T + current.translation
+    current = Pose2(*rng.uniform(-50, 50, 2), 3.0)
+    world = to_world(current, union)
     frames = []
-    for _ in range(4):
-        pose = Pose3(rng.uniform(-5, 5, 3), quat_from_euler_zyx(*rng.uniform(-0.3, 0.3, 3)))
-        local = (world - pose.translation) @ pose.rotation_matrix()
-        frames.append((PointCloud(local, labels), pose))
+    for theta in (-3.0, -1.0, 0.5, 2.5):
+        pose = Pose2(*rng.uniform(-50, 50, 2), theta)
+        frames.append((PointCloud(to_ego(pose, world), labels), pose))
     frames.append((PointCloud(union, labels), current))
-    got = accumulate_sbev(frames, current, spec).grid
+    got = accumulate_sbev(frames, current, spec)
     want = brute_rasterize(PointCloud(union, labels), spec)
     assert want.any()
-    assert np.array_equal(got, want)
+    assert np.array_equal(got.grid, want)
+    assert got.origin == current
 
 
 def test_accumulate_duplicate_frames_idempotent():
     rng = np.random.default_rng(6)
     cloud = random_cloud(rng, 200)
-    pose = ego_pose3(Pose2(1, 2, 0.2))
+    pose = Pose2(1, 2, 0.2)
     one = accumulate_sbev([(cloud, pose)], pose, SPEC)
     five = accumulate_sbev([(cloud, pose)] * 5, pose, SPEC)
     assert np.array_equal(one.grid, five.grid)
 
 
 def window_frames(rng, n_frames, n_points):
-    poses = [Pose3(rng.uniform(-3, 3, 3), quat_from_euler_zyx(*rng.uniform(-0.2, 0.2, 3)))
+    poses = [Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-0.2, 0.2))
              for _ in range(n_frames)]
     return [(random_cloud(rng, n_points), p) for p in poses]
 
@@ -344,7 +349,7 @@ def test_accumulate_empty_cloud_is_neutral():
     frames = window_frames(np.random.default_rng(11), 4, 300)
     current = frames[-1][1]
     want = accumulate_sbev(frames, current, spec).grid
-    empty = (PointCloud(np.zeros((0, 3))), ego_pose3(Pose2(1, 0, 0.1)))
+    empty = (PointCloud(np.zeros((0, 3))), Pose2(1, 0, 0.1))
     for i in range(len(frames) + 1):
         window = frames[:i] + [empty] + frames[i:]
         assert np.array_equal(accumulate_sbev(window, current, spec).grid, want)
@@ -352,7 +357,7 @@ def test_accumulate_empty_cloud_is_neutral():
 
 def test_accumulate_frame_count_checked():
     cloud = PointCloud(np.zeros((0, 3)))
-    pose = ego_pose3(Pose2(0, 0, 0))
+    pose = Pose2(0, 0, 0)
     with pytest.raises(InputError):
         accumulate_sbev([], pose, SPEC)
     with pytest.raises(InputError):
@@ -365,7 +370,7 @@ def test_real_frame_windows_match_brute_force():
     float64 block mean."""
     cfg = RunConfig()
     spec = GridSpec(stride=4)   # a quarter of the points keeps the oracle quick
-    k, policy, h = cfg.camera.intrinsics(), cfg.classes.policy(), cfg.synth.camera_height
+    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
     # the moderate rain of the relocalize benchmark
     rain = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2,
                        depth_dropout_prob=0.05, depth_noise_sigma=0.05,
@@ -375,15 +380,19 @@ def test_real_frame_windows_match_brute_force():
     poses = world.route[30:42]
     for weather in (None, rain):
         frames = list(render_stream(world, poses, k, weather=weather, weather_seed=1))
-        clouds = [(ego_cloud(d, l, k, policy, spec), pose3_from_pose2(p, z=h))
-                  for _, p, d, l in frames]
-        for i, sb in enumerate(sbev_stream(frames, k, policy, spec, h)):
+        clouds = [(ego_cloud(d, l, k, policy, spec), p) for _, p, d, l in frames]
+        for i, sb in enumerate(sbev_stream(frames, k, policy, spec)):
             window = clouds[max(0, i + 1 - ACCUMULATION_WINDOW):i + 1]
-            inv_cur = pose3_inverse(window[-1][1])
+            cur = window[-1][1]
             parts = []
             for cloud, pose in window:
-                rel = pose3_compose(inv_cur, pose)
-                parts.append(cloud.xyz @ rel.rotation_matrix().T + rel.translation)
+                # the newest frame's ego coordinates: rotate by the yaw
+                # difference, then shift by the ground-plane offset
+                cr, sr = math.cos(pose.theta - cur.theta), math.sin(pose.theta - cur.theta)
+                rot = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
+                dx, dy = pose.x - cur.x, pose.y - cur.y
+                cc, sc = math.cos(cur.theta), math.sin(cur.theta)
+                parts.append(cloud.xyz @ rot.T + (cc * dx + sc * dy, -sc * dx + cc * dy, 0.0))
             union = PointCloud(np.concatenate(parts),
                                np.concatenate([c.labels for c, _ in window]))
             assert np.array_equal(sb.grid, brute_rasterize(union, spec))
