@@ -102,11 +102,10 @@ def _activate(z, kind):
 
 
 def _activate_grad(pre, post, kind):
+    """Derivative of a relu or sigmoid activation; linear needs none."""
     if kind == "relu":
         return (pre > 0).astype(pre.dtype)
-    if kind == "sigmoid":
-        return post * (1.0 - post)
-    return np.ones_like(pre)
+    return post * (1.0 - post)
 
 
 @dataclass
@@ -168,11 +167,13 @@ def backward(net: DenseNet, rec: ForwardRecord, grad_out):
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
+        act_out = rec.post[i]
         if rec.masks[i] is not None:
             g = g * rec.masks[i]
-        # post-dropout activation isn't the activation output; recompute it
-        act_out = _activate(rec.pre[i], layer.activation)
-        g = g * _activate_grad(rec.pre[i], act_out, layer.activation)
+            # post-dropout activation isn't the activation output; recompute it
+            act_out = _activate(rec.pre[i], layer.activation)
+        if layer.activation != "linear":
+            g = g * _activate_grad(rec.pre[i], act_out, layer.activation)
         inp = rec.x if i == 0 else rec.post[i - 1]
         grads[i] = (g.T @ inp, g.sum(axis=0))
         if i > 0:
@@ -190,36 +191,68 @@ def mse_loss(pred, target):
     return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
+_ADAM_BLOCK = 1 << 16   # elements per in-place Adam pass, a cache-sized block
+
+
 @dataclass
 class OptState:
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    scratch: dict = field(default_factory=dict)   # dtype -> (2, block) buffer
 
 
 def optimizer_step(net: DenseNet, grads, config: TrainConfig,
                    state: OptState | None = None) -> OptState:
-    """Apply one Adam update in place; returns the optimizer state."""
+    """Apply one Adam update in place; returns the optimizer state.
+
+    Each parameter is updated in blocks of `_ADAM_BLOCK` elements through
+    two scratch blocks, with the same float operations, in the same order,
+    as `m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    p -= lr (m / c1) / (sqrt(v / c2) + eps)`.
+    """
     for layer, (dw, db) in zip(net.layers, grads):
         if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise InputError("gradient shapes do not match parameters")
+        if dw.dtype != layer.weights.dtype or db.dtype != layer.bias.dtype:
+            raise InputError("gradient dtypes do not match parameters")
+        if not (layer.weights.flags.c_contiguous and layer.bias.flags.c_contiguous):
+            raise InputError("parameters must be C-contiguous to update in place")
     lr = config.learning_rate
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if state is None or not state.m:
         state = OptState(
             m=[(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers],
             v=[(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers])
+        state.scratch = {p.dtype: np.empty((2, _ADAM_BLOCK), dtype=p.dtype)
+                         for l in net.layers for p in (l.weights, l.bias)}
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     for i, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
         for param, grad, m, v in ((layer.weights, dw, state.m[i][0], state.v[i][0]),
                                   (layer.bias, db, state.m[i][1], state.v[i][1])):
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad * grad
-            param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            # flat views: the moments were made like their C-contiguous parameter
+            p, g, m, v = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
+            a_all, b_all = state.scratch[p.dtype]
+            for lo in range(0, p.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, p.size)
+                pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = a_all[:hi - lo], b_all[:hi - lo]
+                mb *= beta1
+                np.multiply(gb, 1 - beta1, out=a)
+                mb += a
+                vb *= beta2
+                np.multiply(gb, 1 - beta2, out=a)
+                a *= gb
+                vb += a
+                np.divide(mb, c1, out=a)
+                a *= lr
+                np.divide(vb, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                pb -= a
     return state
 
 

@@ -58,13 +58,13 @@ def render_stream(world: World, poses, k: Intrinsics,
 
 
 def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
-                camera_height: float | None = None, window: int = ACCUMULATION_WINDOW):
+                camera_height: float | None = None):
     """Yield one motion-compensated SBev per incoming frame.
 
     `camera_height` is unused. It stays only because `perfbench/workloads.py`
     passes it positionally; dropping it is ROADMAP item 4.
     """
-    recent = deque(maxlen=window)
+    recent = deque(maxlen=ACCUMULATION_WINDOW)
     for frame_id, pose, depth, labels in frames:
         recent.append((ego_cloud(depth, labels, k, policy, grid), pose))
         yield accumulate_sbev(list(recent), pose, grid, frame_id=frame_id)

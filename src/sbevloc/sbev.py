@@ -14,7 +14,7 @@ index decreases with leftward offset y in [-extent/2, +extent/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class SBev:
 
     grid: np.ndarray               # (size, size) uint8, 0 = empty
     resolution: float
-    origin: Pose2 = field(default_factory=lambda: Pose2(0, 0, 0))
     frame_id: int = 0
 
     def __post_init__(self):
@@ -128,8 +127,7 @@ def cell_centers(spec: GridSpec):
     return x, y
 
 
-def rasterize_bev(cloud: PointCloud, spec: GridSpec,
-                  origin: Pose2 = Pose2(0, 0, 0), frame_id: int = 0) -> SBev:
+def rasterize_bev(cloud: PointCloud, spec: GridSpec, frame_id: int = 0) -> SBev:
     """Top-down projection: per cell, keep the label of the highest point.
 
     Among the points at a cell's top height, the larger label ID wins. Two
@@ -148,7 +146,7 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec,
     np.maximum.at(top, cell, z)
     at_top = z == top[cell]
     np.maximum.at(grid, cell[at_top], labels[at_top])
-    return SBev(grid.reshape(spec.size, spec.size), spec.resolution, origin, frame_id)
+    return SBev(grid.reshape(spec.size, spec.size), spec.resolution, frame_id)
 
 
 def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
@@ -157,10 +155,10 @@ def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
 
     Every cloud is moved on the ground plane into the ego coordinates of
     `current`, straight into one buffer, before a single rasterization pass;
-    z is kept. The result's origin is `current`. Per cell the highest point
-    of the union wins, ties to the larger label; the result depends neither
-    on the order of the frames or their points nor on the stability of a
-    sort.
+    z is kept, so the grid lies in the ego frame of `current`. Per cell the
+    highest point of the union wins, ties to the larger label; the result
+    depends neither on the order of the frames or their points nor on the
+    stability of a sort.
     """
     if not 1 <= len(frames) <= 5:
         raise InputError(f"need 1..5 frames, got {len(frames)}")
@@ -180,4 +178,4 @@ def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
         part += (cc * dx + sc * dy, -sc * dx + cc * dy, 0.0)
         labels[start:start + len(cloud)] = cloud.labels
         start += len(cloud)
-    return rasterize_bev(PointCloud(xyz, labels), spec, origin=current, frame_id=frame_id)
+    return rasterize_bev(PointCloud(xyz, labels), spec, frame_id=frame_id)

@@ -7,14 +7,23 @@ plane), producing exactly the (depth, label) pair the S-BEV pipeline
 consumes. Weather perturbations and lateral lane shifts model degraded
 segmentation/depth and cross-lane traversals.
 
+Rendering does per frame only the work that depends on the pose. Per
+camera (intrinsics, camera height, max range) the pixel coordinates, their
+ray slopes and the ground plane's depth, labels and z-buffer are built once
+and cached read-only; each frame starts from copies of the three ground
+planes. Per world, the six faces of every box are built once, when the
+`World` is made. A frame culls all faces by range and facing in one pass and
+rasterizes the rest in box order.
+
 Class IDs are organized in contiguous bands (vegetation, buildings, ...) so
 that small confusions stay "numerically close" to the true class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +76,10 @@ class World:
     spec: WorldSpec
     route: tuple          # Pose2 per frame
     primitives: tuple     # Box
+    faces: FaceTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "faces", FaceTable.of(self.primitives))
 
 
 @dataclass(frozen=True)
@@ -195,6 +208,60 @@ def _box_faces(box: Box):
             yield axis, box.center[axis] + sign * half[axis], sign, corners
 
 
+@dataclass(frozen=True)
+class FaceTable:
+    """The six faces of every box of a world, in `_box_faces` order box by
+    box; row f is face f, and all arrays are read-only."""
+
+    box: np.ndarray       # (F,) index into World.primitives
+    axis: np.ndarray      # (F,) axis of the face's plane
+    value: np.ndarray     # (F,) plane coordinate along that axis
+    sign: np.ndarray      # (F,) side of the box the face bounds, -1 or +1
+    corners: np.ndarray   # (F, 4, 3) world corners
+    center_xy: np.ndarray  # (F, 2) ground position of the face's box
+
+    @classmethod
+    def of(cls, boxes) -> FaceTable:
+        rows = [(i, *face, box.center[:2])
+                for i, box in enumerate(boxes) for face in _box_faces(box)]
+
+        def column(j, dtype, shape=()):
+            col = np.array([row[j] for row in rows], dtype=dtype).reshape(-1, *shape)
+            col.flags.writeable = False
+            return col
+
+        return cls(box=column(0, np.intp), axis=column(1, np.intp),
+                   value=column(2, np.float64), sign=column(3, np.float64),
+                   corners=column(4, np.float64, (4, 3)),
+                   center_xy=column(5, np.float64, (2,)))
+
+
+@functools.lru_cache(maxsize=8)
+def _camera_planes(k: Intrinsics, camera_height: float, max_range: float):
+    """Pose-independent planes of one camera, read-only: pixel columns `us`
+    (w,) and rows `vs` (h, 1), their ray slopes `dx` and `dy`, and the
+    ground plane's depth, labels and z-buffer (h, w)."""
+    h, w = k.height, k.width
+    us = np.arange(w, dtype=np.float64)
+    vs = np.arange(h, dtype=np.float64)[:, None]
+    dx = (us - k.cx) / k.fx
+    dy = (vs - k.cy) / k.fy
+    # ground plane z=0: rays with a downward world component hit it
+    dz_world = -dy  # world z of the (unnormalized, unit-camera-z) ray
+    hit = dz_world < -1e-9
+    t_ground = np.where(hit, np.float64(camera_height) / np.maximum(-dz_world, 1e-12),
+                        np.inf)
+    ground_ok = np.broadcast_to(hit & (t_ground <= max_range), (h, w))
+    t_ground = np.broadcast_to(t_ground, (h, w))
+    depth = np.where(ground_ok, t_ground, 0.0)
+    labels = np.where(ground_ok, GROUND_CLASS, 0).astype(np.uint8)
+    zbuf = np.where(ground_ok, t_ground, np.inf)
+    planes = (us, vs, dx, dy, depth, labels, zbuf)
+    for plane in planes:
+        plane.flags.writeable = False
+    return planes
+
+
 def render_frame(world: World, ego: Pose2, k: Intrinsics):
     """Render (depth_m, labels) for the camera at `ego` facing its heading.
 
@@ -205,81 +272,76 @@ def render_frame(world: World, ego: Pose2, k: Intrinsics):
     h, w = k.height, k.width
     r_wc = _camera_basis(ego)
     cam = np.array([ego.x, ego.y, spec.camera_height])
+    us, vs, dx, dy, depth, labels, zbuf = _camera_planes(
+        k, spec.camera_height, spec.max_range)
+    depth, labels, zbuf = depth.copy(), labels.copy(), zbuf.copy()
 
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    dx = (us - k.cx) / k.fx
-    dy = (vs - k.cy) / k.fy
-
-    # ground plane z=0: rays with a downward world component hit it
-    dz_world = -dy  # world z of the (unnormalized, unit-camera-z) ray
-    depth = np.zeros((h, w))
-    labels = np.zeros((h, w), dtype=np.uint8)
-    hit = dz_world < -1e-9
-    t_ground = np.where(hit, cam[2] / np.maximum(-dz_world, 1e-12), np.inf)
-    ground_ok = hit & (t_ground <= spec.max_range)
-    depth[ground_ok] = t_ground[ground_ok]
-    labels[ground_ok] = GROUND_CLASS
-    zbuf = np.where(ground_ok, t_ground, np.inf)
-
+    # range cull by box centre, then backface cull: the camera must sit on
+    # a face's outward side; the survivors keep box and face order, which
+    # the z-buffer's strict < makes matter
+    faces = world.faces
     cull = spec.max_range + 10.0
-    for box in world.primitives:
-        rel = box.center - cam
-        if rel[0] ** 2 + rel[1] ** 2 > cull ** 2:
-            continue
-        for axis, value, sign, corners in _box_faces(box):
-            # backface cull: camera must sit on the outward side
-            if sign * (cam[axis] - value) <= 0:
-                continue
-            poly_cam = (corners - cam) @ r_wc
+    rel = faces.center_xy - cam[:2]
+    d2 = rel[:, 0] ** 2 + rel[:, 1] ** 2
+    in_range = ~(d2 > cull ** 2)
+    # numpy squares arrays exactly but scalars with libm pow, which can be
+    # a bit off; decide the faces at the cull radius with scalars, as the
+    # per-box test always did
+    for f in np.flatnonzero(np.abs(d2 - cull ** 2) <= 1e-9 * cull ** 2).tolist():
+        in_range[f] = not rel[f, 0] ** 2 + rel[f, 1] ** 2 > cull ** 2
+    drawn = in_range & ~(faces.sign * (cam[faces.axis] - faces.value) <= 0)
+    for f in np.flatnonzero(drawn).tolist():
+        axis, sign = int(faces.axis[f]), float(faces.sign[f])
+        poly_cam = (faces.corners[f] - cam) @ r_wc
+        # _clip_near returns a polygon wholly in front of the plane as it is
+        if not (poly_cam[:, 2] >= _NEAR).all():
             poly_cam = _clip_near(poly_cam)
             if len(poly_cam) < 3:
                 continue
-            pu = k.fx * poly_cam[:, 0] / poly_cam[:, 2] + k.cx
-            pv = k.fy * poly_cam[:, 1] / poly_cam[:, 2] + k.cy
-            u0 = max(int(math.ceil(pu.min())), 0)
-            u1 = min(int(math.floor(pu.max())), w - 1)
-            v0 = max(int(math.ceil(pv.min())), 0)
-            v1 = min(int(math.floor(pv.max())), h - 1)
-            if u0 > u1 or v0 > v1:
-                continue
-            gu = us[v0:v1 + 1, u0:u1 + 1]
-            gv = vs[v0:v1 + 1, u0:u1 + 1]
-            inside = np.ones(gu.shape, dtype=bool)
-            m = len(pu)
-            # convex polygon: consistent orientation of all edge cross products
-            area = 0.0
-            for i in range(m):
-                j = (i + 1) % m
-                area += pu[i] * pv[j] - pu[j] * pv[i]
-            orient = 1.0 if area > 0 else -1.0
-            for i in range(m):
-                j = (i + 1) % m
-                cross = ((pu[j] - pu[i]) * (gv - pv[i])
-                         - (pv[j] - pv[i]) * (gu - pu[i]))
-                inside &= orient * cross >= 0
-            if not inside.any():
-                continue
-            # plane in camera frame: n_cam . p = n_cam . p0
-            n_world = np.zeros(3)
-            n_world[axis] = sign
-            n_cam = r_wc.T @ n_world
-            p0 = poly_cam[0]
-            denom = (n_cam[0] * dx[v0:v1 + 1, u0:u1 + 1]
-                     + n_cam[1] * dy[v0:v1 + 1, u0:u1 + 1] + n_cam[2])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (n_cam @ p0) / denom
-            ok = inside & np.isfinite(t) & (t >= _NEAR) & (t <= spec.max_range)
-            ok &= t < zbuf[v0:v1 + 1, u0:u1 + 1]
-            if not ok.any():
-                continue
-            sub = (slice(v0, v1 + 1), slice(u0, u1 + 1))
-            zb = zbuf[sub]
-            zb[ok] = t[ok]
-            lb = labels[sub]
-            lb[ok] = box.class_id
-            db = depth[sub]
-            db[ok] = t[ok]
+        pu = k.fx * poly_cam[:, 0] / poly_cam[:, 2] + k.cx
+        pv = k.fy * poly_cam[:, 1] / poly_cam[:, 2] + k.cy
+        u0 = max(int(math.ceil(pu.min())), 0)
+        u1 = min(int(math.floor(pu.max())), w - 1)
+        v0 = max(int(math.ceil(pv.min())), 0)
+        v1 = min(int(math.floor(pv.max())), h - 1)
+        if u0 > u1 or v0 > v1:
+            continue
+        gu = us[u0:u1 + 1]
+        gv = vs[v0:v1 + 1]
+        inside = np.ones((v1 - v0 + 1, u1 - u0 + 1), dtype=bool)
+        m = len(pu)
+        # convex polygon: consistent orientation of all edge cross products
+        area = 0.0
+        for i in range(m):
+            j = (i + 1) % m
+            area += pu[i] * pv[j] - pu[j] * pv[i]
+        orient = 1.0 if area > 0 else -1.0
+        for i in range(m):
+            j = (i + 1) % m
+            cross = ((pu[j] - pu[i]) * (gv - pv[i])
+                     - (pv[j] - pv[i]) * (gu - pu[i]))
+            inside &= orient * cross >= 0
+        if not inside.any():
+            continue
+        # plane in camera frame: n_cam . p = n_cam . p0
+        n_world = np.zeros(3)
+        n_world[axis] = sign
+        n_cam = r_wc.T @ n_world
+        p0 = poly_cam[0]
+        denom = n_cam[0] * dx[u0:u1 + 1] + n_cam[1] * dy[v0:v1 + 1] + n_cam[2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (n_cam @ p0) / denom
+        ok = inside & np.isfinite(t) & (t >= _NEAR) & (t <= spec.max_range)
+        ok &= t < zbuf[v0:v1 + 1, u0:u1 + 1]
+        if not ok.any():
+            continue
+        sub = (slice(v0, v1 + 1), slice(u0, u1 + 1))
+        zb = zbuf[sub]
+        zb[ok] = t[ok]
+        lb = labels[sub]
+        lb[ok] = world.primitives[faces.box[f]].class_id
+        db = depth[sub]
+        db[ok] = t[ok]
     return depth, labels
 
 

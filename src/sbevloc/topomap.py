@@ -192,11 +192,11 @@ def augment_sample(sb: SBev, rel_pose: Pose2, cfg: AugmentConfig,
     for deg in cfg.rotations_deg:
         dth = math.radians(deg)
         grid = rotate_grid(sb.grid, dth, spec)
-        out.append((SBev(grid, sb.resolution, sb.origin, sb.frame_id),
+        out.append((SBev(grid, sb.resolution, sb.frame_id),
                     Pose2(rel_pose.x, rel_pose.y, rel_pose.theta + dth)))
     for di, dj in cfg.shifts_cells:
         grid = shift_grid(sb.grid, di, dj)
-        out.append((SBev(grid, sb.resolution, sb.origin, sb.frame_id),
+        out.append((SBev(grid, sb.resolution, sb.frame_id),
                     Pose2(rel_pose.x + di * spec.resolution,
                           rel_pose.y + dj * spec.resolution,
                           rel_pose.theta)))

@@ -186,6 +186,25 @@ def test_gradient_deep_net_with_dropout():
     assert rel_err(ga, gn).max() < 1e-4
 
 
+@pytest.mark.parametrize("dropout", [None, [0.3, 0.3, 0.0]])
+def test_gradient_sigmoid_net(dropout):
+    # without dropout, backward reuses the recorded activations; with it,
+    # it recomputes them from the pre-activations
+    rng = np.random.default_rng(12)
+    net = init_net([7, 9, 5, 3], ["sigmoid", "sigmoid", "linear"],
+                   dropout=dropout, seed=13)
+    x = rng.normal(size=(4, 7))
+    y = rng.normal(size=(4, 3))
+    masks = None
+    if dropout:
+        _, rec = forward(net, x, mode="train", rng=np.random.default_rng(14))
+        masks = rec.masks
+        assert masks[0] is not None and masks[-1] is None
+    ga = analytic_grad(net, x, y, masks=masks)
+    gn = numeric_grad(net, x, y, masks=masks)
+    assert rel_err(ga, gn).max() < 1e-4
+
+
 # --- mse_loss ---------------------------------------------------------------
 
 def test_mse_trivia():
@@ -239,6 +258,64 @@ def test_adam_quadratic_bowl():
         g = 2 * (w - 3.0)
         state = optimizer_step(net, [(np.array([[g]]), np.zeros(1))], cfg, state)
     assert abs(net.layers[0].weights[0, 0] - 3.0) < 1e-3
+
+
+def adam_reference(params, grad_steps, lr):
+    """Adam on whole arrays, one expression per moment and update."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= 0.9
+            mi += (1 - 0.9) * g
+            vi *= 0.999
+            vi += (1 - 0.999) * g * g
+            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + 1e-8)
+    return m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_blocks_match_whole_array_update(dtype):
+    # 3 x 43693 = 2 * (1 << 16) + 7 weights: two full blocks and a short one
+    rng = np.random.default_rng(15)
+    net = DenseNet([Layer(rng.normal(size=(3, 43693)).astype(dtype),
+                          rng.normal(size=3).astype(dtype), "relu"),
+                    Layer(rng.normal(size=(2, 3)).astype(dtype),
+                          np.zeros(2, dtype=dtype), "linear")])
+    assert net.layers[0].weights.size == 2 * (1 << 16) + 7
+    want = [p.copy() for l in net.layers for p in (l.weights, l.bias)]
+    cfg = TrainConfig(learning_rate=3e-3)
+    grad_steps, state = [], None
+    for _ in range(5):
+        grads = [(rng.normal(size=l.weights.shape).astype(dtype),
+                  rng.normal(size=l.bias.shape).astype(dtype)) for l in net.layers]
+        kept = [(dw.copy(), db.copy()) for dw, db in grads]
+        state = optimizer_step(net, grads, cfg, state)
+        for (dw, db), (kw, kb) in zip(grads, kept):
+            assert dw.tobytes() == kw.tobytes() and db.tobytes() == kb.tobytes()
+        grad_steps.append([g for pair in grads for g in pair])
+    m, v = adam_reference(want, grad_steps, cfg.learning_rate)
+    got = [p for l in net.layers for p in (l.weights, l.bias)]
+    assert state.t == 5
+    for g, w in zip(got, want):
+        assert g.dtype == dtype and g.tobytes() == w.tobytes()
+    assert [a.tobytes() for pair in state.m for a in pair] == [a.tobytes() for a in m]
+    assert [a.tobytes() for pair in state.v for a in pair] == [a.tobytes() for a in v]
+
+
+def test_adam_rejects_gradient_dtype_mismatch():
+    net = one_param_net(1.0)
+    with pytest.raises(InputError):
+        optimizer_step(net, [(np.zeros((1, 1), dtype=np.float32), np.zeros(1))],
+                       TrainConfig())
+
+
+def test_adam_rejects_parameters_it_cannot_update_in_place():
+    # a flat copy of a Fortran-ordered weight matrix would take the update
+    net = DenseNet([Layer(np.asfortranarray(np.ones((2, 3))), np.zeros(2), "linear")])
+    with pytest.raises(InputError):
+        optimizer_step(net, [(np.ones((2, 3)), np.zeros(2))], TrainConfig())
 
 
 # --- train -------------------------------------------------------------------

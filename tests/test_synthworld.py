@@ -13,6 +13,7 @@ from sbevloc.synthworld import (
     WorldSpec,
     generate_world,
     lane_shift,
+    _camera_planes,
     perturb_weather,
     render_frame,
 )
@@ -151,6 +152,216 @@ def test_render_deterministic():
     a = render_frame(w, w.route[10], K)
     b = render_frame(w, w.route[10], K)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+# Reference renderer: the per-face loop the fast path replaced, kept as it
+# was (faces built and culled box by box, planes built per frame). The fast
+# path must reproduce it byte for byte.
+
+def reference_render(world, ego, k):
+    spec = world.spec
+    h, w = k.height, k.width
+    c, s = math.cos(ego.theta), math.sin(ego.theta)
+    r_wc = np.column_stack([[s, -c, 0.0], [0.0, 0.0, -1.0], [c, s, 0.0]])
+    cam = np.array([ego.x, ego.y, spec.camera_height])
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    dx = (us - k.cx) / k.fx
+    dy = (vs - k.cy) / k.fy
+    dz_world = -dy
+    depth = np.zeros((h, w))
+    labels = np.zeros((h, w), dtype=np.uint8)
+    hit = dz_world < -1e-9
+    t_ground = np.where(hit, cam[2] / np.maximum(-dz_world, 1e-12), np.inf)
+    ground_ok = hit & (t_ground <= spec.max_range)
+    depth[ground_ok] = t_ground[ground_ok]
+    labels[ground_ok] = GROUND_CLASS
+    zbuf = np.where(ground_ok, t_ground, np.inf)
+
+    def box_faces(box):
+        half = box.extent / 2.0
+        for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
+            for sign in (-1.0, 1.0):
+                corners = np.tile(box.center, (4, 1))
+                corners[:, axis] += sign * half[axis]
+                corners[:, u] += np.array([-1.0, 1.0, 1.0, -1.0]) * half[u]
+                corners[:, v] += np.array([-1.0, -1.0, 1.0, 1.0]) * half[v]
+                yield axis, box.center[axis] + sign * half[axis], sign, corners
+
+    def clip_near(poly):
+        out = []
+        for i in range(len(poly)):
+            a, b = poly[i], poly[(i + 1) % len(poly)]
+            if a[2] >= 0.05:
+                out.append(a)
+            if (a[2] >= 0.05) != (b[2] >= 0.05):
+                out.append(a + (0.05 - a[2]) / (b[2] - a[2]) * (b - a))
+        return np.array(out) if out else np.zeros((0, 3))
+
+    cull = spec.max_range + 10.0
+    for box in world.primitives:
+        rel = box.center - cam
+        if rel[0] ** 2 + rel[1] ** 2 > cull ** 2:
+            continue
+        for axis, value, sign, corners in box_faces(box):
+            if sign * (cam[axis] - value) <= 0:
+                continue
+            poly_cam = clip_near((corners - cam) @ r_wc)
+            if len(poly_cam) < 3:
+                continue
+            pu = k.fx * poly_cam[:, 0] / poly_cam[:, 2] + k.cx
+            pv = k.fy * poly_cam[:, 1] / poly_cam[:, 2] + k.cy
+            u0 = max(int(math.ceil(pu.min())), 0)
+            u1 = min(int(math.floor(pu.max())), w - 1)
+            v0 = max(int(math.ceil(pv.min())), 0)
+            v1 = min(int(math.floor(pv.max())), h - 1)
+            if u0 > u1 or v0 > v1:
+                continue
+            gu = us[v0:v1 + 1, u0:u1 + 1]
+            gv = vs[v0:v1 + 1, u0:u1 + 1]
+            inside = np.ones(gu.shape, dtype=bool)
+            m = len(pu)
+            area = 0.0
+            for i in range(m):
+                j = (i + 1) % m
+                area += pu[i] * pv[j] - pu[j] * pv[i]
+            orient = 1.0 if area > 0 else -1.0
+            for i in range(m):
+                j = (i + 1) % m
+                cross = ((pu[j] - pu[i]) * (gv - pv[i])
+                         - (pv[j] - pv[i]) * (gu - pu[i]))
+                inside &= orient * cross >= 0
+            if not inside.any():
+                continue
+            n_world = np.zeros(3)
+            n_world[axis] = sign
+            n_cam = r_wc.T @ n_world
+            denom = (n_cam[0] * dx[v0:v1 + 1, u0:u1 + 1]
+                     + n_cam[1] * dy[v0:v1 + 1, u0:u1 + 1] + n_cam[2])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (n_cam @ poly_cam[0]) / denom
+            ok = inside & np.isfinite(t) & (t >= 0.05) & (t <= spec.max_range)
+            ok &= t < zbuf[v0:v1 + 1, u0:u1 + 1]
+            if not ok.any():
+                continue
+            sub = (slice(v0, v1 + 1), slice(u0, u1 + 1))
+            zbuf[sub][ok] = t[ok]
+            labels[sub][ok] = box.class_id
+            depth[sub][ok] = t[ok]
+    return depth, labels
+
+
+K_SMALL = Intrinsics(fx=40.0, fy=40.0, cx=39.5, cy=29.5, width=80, height=60)
+
+
+def assert_same_frame(world, ego, k=K_SMALL):
+    depth, labels = render_frame(world, ego, k)
+    want_depth, want_labels = reference_render(world, ego, k)
+    assert depth.dtype == np.float64 and labels.dtype == np.uint8
+    assert depth.tobytes() == want_depth.tobytes(), ego
+    assert labels.tobytes() == want_labels.tobytes(), ego
+    return depth, labels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("lane", [0.0, 1.5, -1.5])
+def test_render_matches_reference_on_routes(seed, lane):
+    w = generate_world(seed, WorldSpec(route_length=60.0, frame_spacing=1.0))
+    assert w.primitives
+    for ego in lane_shift(w.route, lane):
+        assert_same_frame(w, ego)
+
+
+def test_render_matches_reference_near_plane_clip():
+    # the box spans the camera's x, so its side face has corners behind
+    # the camera and must be clipped against the near plane
+    spec = small_spec(primitive_density=0.0)
+    box = Box(np.array([1.0, 3.0, 1.5]), np.array([6.0, 2.0, 3.0]), 101)
+    w = World(0, spec, (Pose2(0, 0, 0),), (box,))
+    corners = w.faces.corners[(w.faces.axis == 1) & (w.faces.sign == -1.0)][0]
+    assert corners[:, 0].min() < 0 < corners[:, 0].max()
+    for theta in (0.0, 0.3, 0.8):
+        _, labels = assert_same_frame(w, Pose2(0, 0, theta))
+        assert (labels == 101).any()
+
+
+def test_render_coplanar_faces_keep_box_order():
+    # both boxes' near faces lie in the plane x = 9, so the depths tie and
+    # the z-buffer's strict < lets the earlier box keep the shared pixels
+    spec = small_spec(primitive_density=0.0)
+    a = Box(np.array([10.0, 0.0, 1.5]), np.array([2.0, 4.0, 3.0]), 100)
+    b = Box(np.array([10.0, 1.0, 1.5]), np.array([2.0, 4.0, 3.0]), 140)
+    for boxes, first in (((a, b), 100), ((b, a), 140)):
+        _, labels = assert_same_frame(World(0, spec, (Pose2(0, 0, 0),), boxes),
+                                      Pose2(0, 0, 0))
+        assert labels[int(K_SMALL.cy), int(K_SMALL.cx)] == first
+
+
+def test_render_matches_reference_without_boxes():
+    w = World(0, small_spec(), (Pose2(0, 0, 0),), ())
+    assert len(w.faces.box) == 0
+    depth, labels = assert_same_frame(w, Pose2(2.0, -1.0, 0.4))
+    assert set(np.unique(labels).tolist()) == {0, GROUND_CLASS}
+
+
+def test_render_matches_reference_at_cull_radius():
+    # box centres at the cull radius (max range + 10 m), 40 degrees off
+    # the axis, where the range cull alone decides whether they are drawn
+    spec = small_spec(primitive_density=0.0)
+    cull = spec.max_range + 10.0
+    extent = np.array([6.0, 6.0, 8.0])
+
+    def box_at(dist, angle, cls):
+        return Box(np.array([dist * math.cos(angle), dist * math.sin(angle), 4.0]),
+                   extent, cls)
+
+    inside = box_at(cull - 1e-6, math.radians(40), 100)
+    outside = box_at(cull + 1e-6, math.radians(-40), 140)
+    w = World(0, spec, (Pose2(0, 0, 0),), (inside, outside))
+    _, labels = assert_same_frame(w, Pose2(0, 0, 0))
+    assert (labels == 100).any() and not (labels == 140).any()
+    # centres a bit from the radius, where libm's x**2 and an exact x*x
+    # disagree; the per-box test squared scalars, so the first is culled
+    # and the second drawn
+    for xy, drawn in (((45.93705640350955, 35.40885269224043), False),
+                      ((45.79717944427689, 35.58958211258882), True)):
+        box = Box(np.array([*xy, 4.0]), extent, 180)
+        _, labels = assert_same_frame(World(0, spec, (Pose2(0, 0, 0),), (box,)),
+                                      Pose2(0, 0, 0))
+        assert (labels == 180).any() == drawn
+
+
+def test_render_frame_copies_cached_planes():
+    w = generate_world(9, small_spec())
+    depth, labels = render_frame(w, w.route[10], K_SMALL)
+    want = depth.copy(), labels.copy()
+    depth[:] = -1.0
+    labels[:] = 7
+    again = render_frame(w, w.route[10], K_SMALL)
+    assert np.array_equal(again[0], want[0]) and np.array_equal(again[1], want[1])
+    ground = render_frame(World(0, small_spec(), (), ()), Pose2(0, 0, 0), K_SMALL)
+    assert (ground[1] != 7).any() and (ground[0] != -1.0).any()
+
+
+def test_camera_planes_read_only_and_per_camera():
+    spec = small_spec()
+    planes = _camera_planes(K_SMALL, spec.camera_height, spec.max_range)
+    assert _camera_planes(K_SMALL, spec.camera_height, spec.max_range) is planes
+    us, vs, dx, dy, depth, labels, zbuf = planes
+    assert us.shape == dx.shape == (K_SMALL.width,)
+    assert vs.shape == dy.shape == (K_SMALL.height, 1)
+    assert depth.shape == labels.shape == zbuf.shape == (K_SMALL.height, K_SMALL.width)
+    for plane in planes:
+        assert not plane.flags.writeable
+        with pytest.raises(ValueError):
+            plane[(0,) * plane.ndim] = 1
+    # a second camera gets its own entry, and frames of its own size
+    k2 = Intrinsics(fx=30.0, fy=30.0, cx=29.5, cy=19.5, width=60, height=40)
+    other = _camera_planes(k2, spec.camera_height, spec.max_range)
+    assert other is not planes and other[4].shape == (40, 60)
+    assert _camera_planes(K_SMALL, spec.camera_height, spec.max_range) is planes
+    w = generate_world(9, spec)
+    assert render_frame(w, w.route[5], k2)[0].shape == (40, 60)
+    assert_same_frame(w, w.route[5], k2)
 
 
 # --- weather -------------------------------------------------------------
