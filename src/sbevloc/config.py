@@ -91,7 +91,6 @@ class SplitConfig:
 class KfConfig:
     q_xy: float = 0.01            # m^2 per second
     q_theta: float = 7.6e-5       # rad^2 per second (~0.5 deg)
-    r_floor: float = 1e-4
     init_sigma_xy: float = 100.0
     init_sigma_theta: float = 1.0
 
@@ -100,8 +99,6 @@ class KfConfig:
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
                 raise InputError(f"{f.name} {value} must be finite and >= 0")
-        if self.r_floor <= 0:
-            raise InputError(f"r_floor {self.r_floor} must be positive")
 
     def q(self) -> np.ndarray:
         return np.diag([self.q_xy, self.q_xy, self.q_theta])

@@ -14,16 +14,7 @@ class InputError(SbevError):
 
 
 class FormatError(SbevError):
-    """Unparseable or version-mismatched file content.
-
-    `offset` is the byte offset of the first bad byte when known.
-    """
-
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset
+    """Unparseable or version-mismatched file content."""
 
 
 class NumericalError(SbevError):

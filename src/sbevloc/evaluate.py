@@ -31,7 +31,7 @@ from .config import (
     derive_seed,
 )
 from .errors import InputError
-from .fusion import KfState, OdomSample, estimate_measurement_noise, fuse_trajectory
+from .fusion import KfState, OdomSample, fuse_trajectory
 from .geometry import Pose2, global_from_relative, wrap_angle
 from .localizer import LocalizerBundle, coarse_localize, regressor_inputs
 from .pipeline import (
@@ -50,6 +50,10 @@ from .topomap import (
 )
 
 REPORT_HEADER = "condition,node_acc,mae_x_m,mae_y_m,mae_theta_deg,variant,n"
+
+# measurement noise of a localization fix: 2 m, 2 degrees, fixed rather than
+# fitted, so that no test ground truth reaches the filter
+R_FIX = np.diag([2.0 ** 2, 2.0 ** 2, math.radians(2.0) ** 2])
 
 
 @dataclass(frozen=True)
@@ -167,23 +171,13 @@ def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
         odom.append(OdomSample(speed + rng.normal(0, 0.2),
                                rng.normal(0, 0.05),
                                om + rng.normal(0, 0.005), step_dt))
-    residuals = np.array([[p.x - t.x, p.y - t.y, wrap_angle(p.theta - t.theta)]
-                          for p, t in zip(glob_pred, cond.globals)])
-    r = estimate_measurement_noise(residuals, floor=cfg.kf.r_floor)
-    # frame 0's fix is left out and its row drops out of n, as the report
-    # has always done; scoring every test row is ROADMAP item 2's fixed n
     fixes = {s.frame_id: [p.x, p.y, p.theta]
-             for s, p in zip(cond.samples, glob_pred) if s.frame_id >= 1}
+             for s, p in zip(cond.samples, glob_pred)}
     init = KfState(np.array([route[0].x, route[0].y, route[0].theta]),
                    cfg.kf.init_sigma())
-    states = fuse_trajectory(odom, fixes, init, cfg.kf.q(), r)
-    preds, truths = [], []
-    for s, truth in zip(cond.samples, cond.globals):
-        if s.frame_id in fixes:
-            mu = states[s.frame_id].mu
-            preds.append(Pose2(mu[0], mu[1], mu[2]))
-            truths.append(truth)
-    mae_f = mae_xytheta(preds, truths)
+    states = fuse_trajectory(odom, fixes, init, cfg.kf.q(), R_FIX)
+    preds = [Pose2(*states[s.frame_id].mu) for s in cond.samples]
+    mae_f = mae_xytheta(preds, cond.globals)
     return EvalReport(cond.name, float("nan"), *mae_f,
                       "predicted_node_post_kf", len(preds))
 
@@ -194,8 +188,6 @@ def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
 @dataclass
 class ExperimentArtifacts:
     topo: object
-    full_ds: NodeDataset
-    train_ds: NodeDataset
     test_ds: NodeDataset
     arrays: TrainingArrays
     trained: dict            # mode -> TrainedPipeline
@@ -284,8 +276,8 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
                 f"MAE ({got[0].mae_x:.3f} m, {got[0].mae_y:.3f} m, "
                 f"{got[0].mae_theta_deg:.3f} deg)")
 
-    artifacts = ExperimentArtifacts(topo, full_ds, train_ds, test_ds, arrays,
-                                    trained, conditions, world)
+    artifacts = ExperimentArtifacts(topo, test_ds, arrays, trained, conditions,
+                                    world)
     return rows, artifacts
 
 

@@ -105,32 +105,22 @@ def kf_update(state: KfState, z, r: np.ndarray) -> KfState:
     return KfState(mu, sigma)
 
 
-def estimate_measurement_noise(residuals, floor: float = 1e-4) -> np.ndarray:
-    """Diagonal R fit to per-component localization residuals."""
-    res = np.asarray(residuals, dtype=np.float64)
-    if res.ndim != 2 or res.shape[1] != 3 or len(res) == 0:
-        raise InputError("residuals must be a non-empty (n, 3) array")
-    res = res.copy()
-    res[:, 2] = [wrap_angle(v) for v in res[:, 2]]
-    var = np.maximum(np.mean(res * res, axis=0), floor)
-    return np.diag(var)
-
-
 def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
                     r: np.ndarray) -> list[KfState]:
     """Run the filter one step per odometry sample.
 
-    Step i, for i in 1..len(odometry), predicts with the OdomSample
-    odometry[i - 1] and then applies fixes[i], an [x, y, theta]
-    measurement, when there is one. Returns the state after every step,
-    with init first: len(odometry) + 1 states.
+    fixes[i] is an [x, y, theta] measurement of step i. Step 0 applies
+    fixes[0], when there is one, to init. Step i, for i in 1..len(odometry),
+    predicts with the OdomSample odometry[i - 1] and then applies fixes[i].
+    Returns the state after every step: len(odometry) + 1 states.
     """
     for i in fixes:
-        if not 1 <= i <= len(odometry):
-            raise InputError(f"fix step {i} outside 1..{len(odometry)}")
-    states = [init]
+        if not 0 <= i <= len(odometry):
+            raise InputError(f"fix step {i} outside 0..{len(odometry)}")
+    state = kf_update(init, fixes[0], r) if 0 in fixes else init
+    states = [state]
     for i, odom in enumerate(odometry, start=1):
-        state = kf_predict(states[-1], odom, q)
+        state = kf_predict(state, odom, q)
         if i in fixes:
             state = kf_update(state, fixes[i], r)
         states.append(state)

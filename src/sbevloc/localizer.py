@@ -6,30 +6,42 @@ localization is exact 1-NN over stored embeddings; fine localization feeds
 [one_hot(node) ++ latent] to a small regressor producing the pose relative
 to the node, which is composed with the node pose for the global estimate.
 Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
+
+A trained bundle is saved as one uncompressed numpy archive, DIR/bundle.npz,
+format version 2, that `load_bundle` reads without unpickling:
+
+- `format_version` int64 (2), `pool` int64, `ae_mode` str;
+- `nodes` (n_nodes, 3) float64: x, y, theta of node i in row i;
+- `thresholds` (2,) float64: the map's metres and radians;
+- `index_latents` (rows, latent_dim) float32, `index_node_ids` (rows,) <u4;
+- per net, `ae` (the encoder only) and `reg`: `{net}.{i}.weights` (out, in)
+  and `{net}.{i}.bias` (out,) float32 for layer i, `{net}.activation` (layers,)
+  str and `{net}.dropout` (layers,) float64.
+
+`n_nodes`, `latent_dim` and `encoder_layers` follow from these arrays.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nnet
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, SbevError
 from .geometry import Pose2, global_from_relative, wrap_angle
 from .sbev import SBev
-from .topomap import TopoMap, read_topomap, write_topomap
+from .topomap import NodePose, TopoMap
 
 DEFAULT_POOL = 8
 INPUT_SCALE = 255.0
 
 AE_MODES = ("BASE", "AVG", "AUG")
 
-INDEX_MAGIC_LEN = 8  # count u32 + latent_dim u32
+BUNDLE_FILE = "bundle.npz"
+BUNDLE_VERSION = 2
 
 
 def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -96,7 +108,6 @@ class AEModel:
 class RegModel:
     net: nnet.DenseNet
     n_nodes: int
-    latent_dim: int
 
 
 @dataclass(frozen=True)
@@ -255,7 +266,7 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     w_lat = first.weights[:, n_nodes:]
     first.bias[:] = first.bias - (w_lat @ (mu / sd)).astype(np.float32)
     first.weights[:, n_nodes:] = (w_lat / sd).astype(np.float32)
-    return RegModel(trained, n_nodes=n_nodes, latent_dim=latents.shape[1]), losses
+    return RegModel(trained, n_nodes=n_nodes), losses
 
 
 @dataclass
@@ -289,89 +300,64 @@ def localize(bundle: LocalizerBundle, sb: SBev) -> LocalizationResult:
 
 
 # ---------------------------------------------------------------------------
-# bundle files
-
-BUNDLE_VERSION = 1
-
-
-def _index_rows(dim: int) -> np.dtype:
-    """One packed index.bin row: node id u32, then the latent as f32."""
-    return np.dtype([("id", "<u4"), ("lat", "<f4", (dim,))])
-
-
-def write_index(path, index: EmbeddingIndex) -> None:
-    rows = np.empty(len(index), dtype=_index_rows(index.latent_dim))
-    rows["id"] = index.node_ids
-    rows["lat"] = index.latents
-    with open(path, "wb") as f:
-        f.write(struct.pack("<II", len(index), index.latent_dim))
-        f.write(rows.tobytes())
-
-
-def read_index(path) -> EmbeddingIndex:
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < INDEX_MAGIC_LEN:
-        raise FormatError(f"{path}: truncated index header", offset=len(data))
-    count, dim = struct.unpack_from("<II", data, 0)
-    row = _index_rows(dim)
-    if len(data) != INDEX_MAGIC_LEN + count * row.itemsize:
-        raise FormatError(f"{path}: expected {count} entries of {row.itemsize} "
-                          "bytes", offset=INDEX_MAGIC_LEN)
-    rows = np.frombuffer(data, dtype=row, count=count, offset=INDEX_MAGIC_LEN)
-    return EmbeddingIndex(rows["lat"], rows["id"])
-
+# bundle file
 
 def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
-    os.makedirs(dirpath, exist_ok=True)
+    """Write `bundle` as the one file DIR/bundle.npz (members above)."""
     bundle.validate()
-    write_topomap(os.path.join(dirpath, "topomap.json"), bundle.topo)
-    # localize reads only the encoder; load_bundle also takes a whole AE
-    encoder = nnet.DenseNet(bundle.ae.net.layers[:bundle.ae.encoder_layers])
-    nnet.save_weights(os.path.join(dirpath, "ae.sbnn"), encoder)
-    nnet.save_weights(os.path.join(dirpath, "reg.sbnn"), bundle.reg.net)
-    write_index(os.path.join(dirpath, "index.bin"), bundle.index)
-    meta = {
-        "format_version": BUNDLE_VERSION,
-        "pool": bundle.ae.pool,
-        "encoder_layers": bundle.ae.encoder_layers,
-        "ae_mode": bundle.ae.mode,
-        "latent_dim": bundle.ae.latent_dim,
-        "n_nodes": bundle.reg.n_nodes,
-    }
-    with open(os.path.join(dirpath, "bundle.json"), "w") as f:
-        json.dump(meta, f, indent=1)
-        f.write("\n")
+    os.makedirs(dirpath, exist_ok=True)
+    # localize reads only the encoder
+    nets = {"ae": bundle.ae.net.layers[:bundle.ae.encoder_layers],
+            "reg": bundle.reg.net.layers}
+    members = {}
+    for name, layers in nets.items():
+        for i, layer in enumerate(layers):
+            members[f"{name}.{i}.weights"] = np.asarray(layer.weights, np.float32)
+            members[f"{name}.{i}.bias"] = np.asarray(layer.bias, np.float32)
+        members[f"{name}.activation"] = np.array([l.activation for l in layers])
+        members[f"{name}.dropout"] = np.array([l.dropout for l in layers])
+    topo = bundle.topo
+    np.savez(os.path.join(dirpath, BUNDLE_FILE),
+             format_version=BUNDLE_VERSION, pool=bundle.ae.pool,
+             ae_mode=bundle.ae.mode,
+             nodes=np.array([[n.pose.x, n.pose.y, n.pose.theta] for n in topo.nodes]),
+             thresholds=np.array([topo.trans_threshold, topo.ang_threshold]),
+             index_latents=bundle.index.latents,
+             index_node_ids=bundle.index.node_ids.astype("<u4"), **members)
+
+
+def _net(z, name: str) -> nnet.DenseNet:
+    layers = []
+    for i, (act, dropout) in enumerate(zip(z[f"{name}.activation"].tolist(),
+                                           z[f"{name}.dropout"].tolist(),
+                                           strict=True)):
+        w, b = z[f"{name}.{i}.weights"], z[f"{name}.{i}.bias"]
+        if w.dtype != np.float32 or b.dtype != np.float32:
+            raise ValueError(f"{name}.{i} parameters are {w.dtype}/{b.dtype}, "
+                             "not float32")
+        layers.append(nnet.Layer(w, b, act, float(dropout)))
+    return nnet.DenseNet(layers)
 
 
 def load_bundle(dirpath) -> LocalizerBundle:
-    def read(name, reader):
-        path = os.path.join(dirpath, name)
-        try:
-            return reader(path)
-        except OSError as e:
-            raise FormatError(f"{path}: cannot read bundle file "
-                              f"({e.strerror})") from None
-
-    meta_path = os.path.join(dirpath, "bundle.json")
-    manifest = read("bundle.json", lambda path: pathlib.Path(path).read_bytes())
+    """Read DIR/bundle.npz; any fault in it raises FormatError naming the file."""
+    path = os.path.join(dirpath, BUNDLE_FILE)
     try:
-        meta = json.loads(manifest)
-        if meta.get("format_version") != BUNDLE_VERSION:
-            raise FormatError(f"{meta_path}: format_version "
-                              f"{meta.get('format_version')}, expected {BUNDLE_VERSION}")
-        ae_fields = dict(encoder_layers=int(meta["encoder_layers"]),
-                         pool=int(meta["pool"]), mode=meta.get("ae_mode", "BASE"))
-        reg_fields = dict(n_nodes=int(meta["n_nodes"]),
-                          latent_dim=int(meta["latent_dim"]))
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
-        raise FormatError(f"{meta_path}: malformed manifest "
-                          f"({type(e).__name__}: {e})") from None
-
-    topo = read("topomap.json", read_topomap)
-    ae = AEModel(read("ae.sbnn", nnet.load_weights), **ae_fields)
-    reg = RegModel(read("reg.sbnn", nnet.load_weights), **reg_fields)
-    index = read("index.bin", read_index)
-    bundle = LocalizerBundle(topo, ae, reg, index)
-    bundle.validate()
+        with np.load(path, allow_pickle=False) as z:
+            version = z["format_version"].item()
+            if version != BUNDLE_VERSION:
+                raise ValueError(f"format_version {version}, expected {BUNDLE_VERSION}")
+            trans, ang = z["thresholds"].tolist()
+            topo = TopoMap(tuple(NodePose(i, Pose2(x, y, theta)) for i, (x, y, theta)
+                                 in enumerate(z["nodes"].tolist())), trans, ang)
+            encoder = _net(z, "ae")
+            ae = AEModel(encoder, encoder_layers=len(encoder.layers),
+                         pool=int(z["pool"].item()), mode=str(z["ae_mode"].item()))
+            reg = RegModel(_net(z, "reg"), n_nodes=len(topo))
+            index = EmbeddingIndex(z["index_latents"], z["index_node_ids"])
+        bundle = LocalizerBundle(topo, ae, reg, index)
+        bundle.validate()
+    except (OSError, EOFError, LookupError, ValueError, TypeError,
+            zipfile.BadZipFile, SbevError) as e:
+        raise FormatError(f"{path}: unreadable bundle ({type(e).__name__}: {e})") from None
     return bundle

@@ -10,17 +10,13 @@ in the test suite.
 from __future__ import annotations
 
 import copy
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError, NumericalError
+from .errors import InputError, NumericalError
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
-
-WEIGHTS_MAGIC = b"SBNN"
-WEIGHTS_VERSION = 1
 
 
 @dataclass
@@ -288,58 +284,3 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
             n_batches += 1
         losses.append(epoch_loss / n_batches)
     return net, losses
-
-
-# ---------------------------------------------------------------------------
-# weights file: magic "SBNN", then little-endian fields
-
-_ACT_CODE = {"linear": 0, "relu": 1, "sigmoid": 2}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
-
-
-def save_weights(path, net: DenseNet) -> None:
-    with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC)
-        f.write(struct.pack("<HH", WEIGHTS_VERSION, len(net.layers)))
-        for layer in net.layers:
-            n_out, n_in = layer.weights.shape
-            f.write(struct.pack("<IIBf", n_in, n_out,
-                                _ACT_CODE[layer.activation], layer.dropout))
-            f.write(layer.weights.astype("<f4").tobytes())
-            f.write(layer.bias.astype("<f4").tobytes())
-
-
-def load_weights(path) -> DenseNet:
-    """Load an SBNN file; parameters come back as float32."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != WEIGHTS_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}", offset=0)
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated header", offset=len(data))
-    version, n_layers = struct.unpack_from("<HH", data, 4)
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"{path}: weights version {version}, "
-                          f"expected {WEIGHTS_VERSION}", offset=4)
-    pos = 8
-    layers = []
-    for _ in range(n_layers):
-        if pos + 13 > len(data):
-            raise FormatError(f"{path}: truncated layer header", offset=pos)
-        n_in, n_out, act, dropout = struct.unpack_from("<IIBf", data, pos)
-        pos += 13
-        if act not in _ACT_NAME:
-            raise FormatError(f"{path}: unknown activation code {act}", offset=pos - 5)
-        nw, nb = n_out * n_in * 4, n_out * 4
-        if pos + nw + nb > len(data):
-            raise FormatError(f"{path}: truncated parameters", offset=pos)
-        w = np.frombuffer(data, dtype="<f4", count=n_out * n_in, offset=pos)
-        pos += nw
-        b = np.frombuffer(data, dtype="<f4", count=n_out, offset=pos)
-        pos += nb
-        layers.append(Layer(w.reshape(n_out, n_in).astype(np.float32),
-                            b.astype(np.float32), _ACT_NAME[act], float(dropout)))
-    if pos != len(data):
-        raise FormatError(f"{path}: {len(data) - pos} trailing bytes", offset=pos)
-    return DenseNet(layers)

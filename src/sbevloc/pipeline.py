@@ -28,6 +28,7 @@ from .localizer import (
     train_regressor,
 )
 from .sbev import (
+    ACCUMULATION_WINDOW,
     ClassPolicy,
     GridSpec,
     accumulate_sbev,
@@ -36,8 +37,6 @@ from .sbev import (
 )
 from .synthworld import WeatherSpec, World, perturb_weather, render_frame
 from .topomap import AugmentConfig, TopoMap, augment_sample
-
-ACCUMULATION_WINDOW = 5
 
 
 def ego_cloud(depth, labels, k: Intrinsics, policy: ClassPolicy, grid: GridSpec):

@@ -2,9 +2,9 @@
 
 A frame's depth map and class-ID label map are unprojected into a labeled
 3D point cloud in the ego frame (x forward, y left, z up, origin at the
-camera) and rasterized top-down into a square class-ID grid. Up to five
-consecutive frames are motion-compensated on the ground plane into one
-accumulated grid.
+camera) and rasterized top-down into a square class-ID grid. Up to
+ACCUMULATION_WINDOW consecutive frames are motion-compensated on the ground
+plane into one accumulated grid.
 
 Grid layout: the ego sits at the bottom-center cell looking "up" the image.
 Row index decreases with forward distance x in [0, size*resolution); column
@@ -22,6 +22,7 @@ from .errors import InputError
 from .geometry import Intrinsics, PointCloud, Pose2
 
 DEFAULT_SIZE = 352
+ACCUMULATION_WINDOW = 5   # frames merged into one S-BEV, the current one last
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,8 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec, frame_id: int = 0) -> SBev:
 
 def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
                     frame_id: int = 0) -> SBev:
-    """Merge up to five (ego-frame cloud, ego Pose2) pairs, newest last.
+    """Merge up to ACCUMULATION_WINDOW (ego-frame cloud, ego Pose2) pairs,
+    newest last.
 
     Every cloud is moved on the ground plane into the ego coordinates of
     `current`, straight into one buffer, before a single rasterization pass;
@@ -160,8 +162,8 @@ def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
     depends neither on the order of the frames or their points nor on the
     stability of a sort.
     """
-    if not 1 <= len(frames) <= 5:
-        raise InputError(f"need 1..5 frames, got {len(frames)}")
+    if not 1 <= len(frames) <= ACCUMULATION_WINDOW:
+        raise InputError(f"need 1..{ACCUMULATION_WINDOW} frames, got {len(frames)}")
     cc, sc = math.cos(current.theta), math.sin(current.theta)
     xyz = np.empty((sum(len(cloud) for cloud, _ in frames), 3))
     labels = np.empty(len(xyz), dtype=np.uint8)

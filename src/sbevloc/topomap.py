@@ -10,13 +10,12 @@ here too.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import InputError
 from .geometry import Pose2, relative_pose, wrap_angle
 from .sbev import GridSpec, SBev, cell_centers, cell_indices
 
@@ -201,31 +200,3 @@ def augment_sample(sb: SBev, rel_pose: Pose2, cfg: AugmentConfig,
                           rel_pose.y + dj * spec.resolution,
                           rel_pose.theta)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# on-disk formats
-
-def write_topomap(path, topo: TopoMap) -> None:
-    doc = {
-        "trans_threshold_m": topo.trans_threshold,
-        "ang_threshold_deg": math.degrees(topo.ang_threshold),
-        "nodes": [{"id": n.id, "x": n.pose.x, "y": n.pose.y, "theta": n.pose.theta}
-                  for n in topo.nodes],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
-        f.write("\n")
-
-
-def read_topomap(path) -> TopoMap:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-        nodes = tuple(NodePose(int(n["id"]), Pose2(n["x"], n["y"], n["theta"]))
-                      for n in doc["nodes"])
-        trans, ang = float(doc["trans_threshold_m"]), float(doc["ang_threshold_deg"])
-        return TopoMap(nodes, trans, math.radians(ang))
-    except (ValueError, KeyError, TypeError, InputError) as e:
-        raise FormatError(f"{path}: malformed topological map "
-                          f"({type(e).__name__}: {e})") from None

@@ -74,8 +74,7 @@ KEY_PATHS = {
     *(f"{s}.train.{k}" for s in ("ae", "reg")
       for k in ("learning_rate", "batch_size", "epochs")),
     "reg.hidden", "reg.dropout",
-    *(f"kf.{k}" for k in ("q_xy", "q_theta", "r_floor", "init_sigma_xy",
-                          "init_sigma_theta")),
+    *(f"kf.{k}" for k in ("q_xy", "q_theta", "init_sigma_xy", "init_sigma_theta")),
     *(f"eval.{k}" for k in ("modes", "weather", "lane_offsets_m", "run_filter")),
 }
 
@@ -90,7 +89,7 @@ def _key_paths(doc, prefix=""):
 
 def test_config_key_paths():
     paths = list(_key_paths(config_to_dict(RunConfig())))
-    assert len(paths) == len(KEY_PATHS) == 48
+    assert len(paths) == len(KEY_PATHS) == 47
     assert set(paths) == KEY_PATHS
 
 
@@ -121,8 +120,9 @@ def test_bad_train_values_rejected_at_load():
     ({"kf": {"q_xy": -1}}, r"config kf: q_xy -1\.0 must be finite and >= 0"),
     ({"kf": {"init_sigma_xy": -100.0}}, r"config kf: init_sigma_xy -100\.0"),
     ({"kf": {"init_sigma_theta": -1.0}}, r"config kf: init_sigma_theta -1\.0"),
-    ({"kf": {"r_floor": -1e-4}}, r"config kf: r_floor -0\.0001"),
-    ({"kf": {"r_floor": 0}}, r"config kf: r_floor 0\.0 must be positive"),
+    # R is fixed; a config that still sets the deleted r_floor fails to load
+    ({"kf": {"r_floor": 1e-4}}, r"unknown config key 'kf\.r_floor'"),
+    ({"kf": {"init_sigma_xy": math.inf}}, r"config kf: init_sigma_xy inf"),
     ({"kf": {"q_theta": math.nan}}, r"config kf: q_theta nan"),
     ({"kf": {"q_xy": math.inf}}, r"config kf: q_xy inf"),
     ({"eval": {"lane_offsets_m": [1.5, math.nan]}}, r"config eval: lane offset nan"),

@@ -52,7 +52,7 @@ def test_run_experiment_conditions_and_rows(two_runs):
     assert variants == ["perfect_node", "predicted_node",
                         "predicted_node_post_kf"] * 3
     for r in rows:
-        assert 0 < r.n <= n_test
+        assert r.n == n_test
         assert all(math.isfinite(v) for v in (r.mae_x, r.mae_y, r.mae_theta_deg))
     n_variants = 1 + len(cfg.augment.rotations_deg) + len(cfg.augment.shifts_cells)
     assert art.arrays.is_original.sum() * n_variants == len(art.arrays.inputs)

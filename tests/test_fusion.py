@@ -7,7 +7,6 @@ from sbevloc.errors import InputError, NumericalError
 from sbevloc.fusion import (
     KfState,
     OdomSample,
-    estimate_measurement_noise,
     fuse_trajectory,
     kf_predict,
     kf_update,
@@ -148,16 +147,6 @@ def test_update_singular_innovation_raises():
         kf_update(s, np.zeros(3), np.zeros((3, 3)))
 
 
-def test_estimate_measurement_noise_floor():
-    res = np.zeros((10, 3))
-    r = estimate_measurement_noise(res)
-    assert np.allclose(np.diag(r), 1e-4)
-    res = np.tile([2.0, 0.0, 0.1], (100, 1))
-    r = estimate_measurement_noise(res)
-    assert r[0, 0] == pytest.approx(4.0)
-    assert r[2, 2] == pytest.approx(0.01)
-
-
 # --- fuse_trajectory ---------------------------------------------------------
 
 def dead_reckon(odometry):
@@ -208,10 +197,23 @@ def test_fuse_step_is_predict_then_update():
         assert np.array_equal(got.sigma, want.sigma)
 
 
-@pytest.mark.parametrize("step", [0, 3, -1])
+def test_fuse_applies_step_zero_fix_to_init():
+    init = state(1.0, -2.0, 0.4, sigma=np.diag([4.0, 9.0, 0.1]))
+    odom = [OdomSample(8.0, 0.3, 0.05, 0.1)]
+    z0, r = [2.5, -1.0, 0.3], np.diag([2.0, 3.0, 0.01])
+    states = fuse_trajectory(odom, {0: z0}, init, Q_DEFAULT, r)
+    first = kf_update(init, z0, r)
+    second = kf_predict(first, odom[0], Q_DEFAULT)
+    assert len(states) == 2
+    for got, want in zip(states, (first, second)):
+        assert np.array_equal(got.mu, want.mu)
+        assert np.array_equal(got.sigma, want.sigma)
+
+
+@pytest.mark.parametrize("step", [3, -1])
 def test_fuse_rejects_fix_outside_steps(step):
     odom = [OdomSample(1.0, 0.0, 0.0, 0.1)] * 2
-    with pytest.raises(InputError, match="outside 1..2"):
+    with pytest.raises(InputError, match="outside 0..2"):
         fuse_trajectory(odom, {1: [0.0, 0.0, 0.0], step: [0.0, 0.0, 0.0]},
                         state(), Q_DEFAULT, R_EYE)
 

@@ -1,6 +1,5 @@
-import json
 import math
-import struct
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +23,10 @@ from sbevloc.localizer import (
     load_bundle,
     localize,
     pool_grid,
-    read_index,
     regressor_inputs,
     save_bundle,
     train_autoencoder,
     train_regressor,
-    write_index,
 )
 from sbevloc.sbev import SBev
 from sbevloc.topomap import NodePose, TopoMap
@@ -202,7 +199,7 @@ def zero_reg(n_nodes=4, latent_dim=8):
     for l in net.layers:
         l.weights[:] = 0
         l.bias[:] = 0
-    return RegModel(net, n_nodes=n_nodes, latent_dim=latent_dim)
+    return RegModel(net, n_nodes=n_nodes)
 
 
 def test_fine_zero_net_outputs_origin():
@@ -279,7 +276,7 @@ def make_bundle(seed=15):
     ae = tiny_ae(seed=seed, in_dim=16, latent=4)
     reg_net = nnet.init_net([3 + 4, 8, 3], ["relu", "linear"], seed=seed + 1,
                             dtype=np.float32)
-    reg = RegModel(reg_net, n_nodes=3, latent_dim=4)
+    reg = RegModel(reg_net, n_nodes=3)
     lats = rng.normal(size=(9, 4)).astype(np.float32)
     index = EmbeddingIndex(lats, np.repeat(np.arange(3), 3))
     return LocalizerBundle(topo, ae, reg, index)
@@ -295,69 +292,46 @@ def test_localize_consistency():
     assert res.nn_distance >= 0
 
 
-def test_index_file_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    index = EmbeddingIndex(rng.normal(size=(7, 5)).astype(np.float32),
-                           rng.integers(0, 9, 7))
-    p = tmp_path / "index.bin"
-    write_index(p, index)
-    back = read_index(p)
-    assert np.array_equal(back.latents, index.latents)
-    assert np.array_equal(back.node_ids, index.node_ids)
-
-
-def test_index_file_bytes(tmp_path):
-    # count and latent dim as u32, then per row: node id u32, latent f32s
-    lats = np.array([[0.5, -1.0], [2.0, 3.25], [-0.0, 1e-3]], dtype=np.float32)
-    ids = [2, 0, 7]
-    want = struct.pack("<II", 3, 2) + b"".join(
-        struct.pack("<I2f", nid, *lat) for nid, lat in zip(ids, lats))
-    write_index(tmp_path / "index.bin", EmbeddingIndex(lats, ids))
-    assert (tmp_path / "index.bin").read_bytes() == want
-
-
-def test_index_file_truncation(tmp_path):
-    p = tmp_path / "index.bin"
-    index = EmbeddingIndex(np.zeros((2, 3), dtype=np.float32), np.array([0, 1]))
-    write_index(p, index)
-    (tmp_path / "bad.bin").write_bytes(p.read_bytes()[:-2])
-    with pytest.raises(FormatError):
-        read_index(tmp_path / "bad.bin")
+def _npz_members(path) -> dict:
+    with np.load(path, allow_pickle=False) as z:
+        return {k: z[k] for k in z.files}
 
 
 def test_bundle_round_trip(tmp_path):
     bundle = make_bundle()
     save_bundle(tmp_path / "bundle", bundle)
-    saved = nnet.load_weights(tmp_path / "bundle" / "ae.sbnn")
-    assert len(saved.layers) == bundle.ae.encoder_layers
+    assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["bundle.npz"]
+    stored = _npz_members(tmp_path / "bundle" / "bundle.npz")
+    assert stored["format_version"] == 2
+    assert stored["index_node_ids"].dtype == np.dtype("<u4")
+    # only the encoder half of the autoencoder is stored
+    assert stored["ae.activation"].tolist() == ["relu", "relu"]
     back = load_bundle(tmp_path / "bundle")
+    assert back.topo == bundle.topo
+    assert (back.ae.encoder_layers, back.ae.pool, back.ae.mode) == (2, 8, "BASE")
+    assert back.reg.n_nodes == bundle.reg.n_nodes
+    for got, want in ((back.ae.net.layers, bundle.ae.net.layers[:2]),
+                      (back.reg.net.layers, bundle.reg.net.layers)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.weights.dtype == g.bias.dtype == np.float32
+            assert np.array_equal(g.weights, w.weights)
+            assert np.array_equal(g.bias, w.bias)
+            assert (g.activation, g.dropout) == (w.activation, w.dropout)
+    assert back.index.latents.dtype == np.float32
+    assert np.array_equal(back.index.latents, bundle.index.latents)
+    assert np.array_equal(back.index.node_ids, bundle.index.node_ids)
     grid = np.random.default_rng(18).integers(0, 200, (32, 32)).astype(np.uint8)
-    a = localize(bundle, SBev(grid, 0.25))
-    b = localize(back, SBev(grid, 0.25))
-    assert a.node_id == b.node_id
-    assert a.rel_pose.x == pytest.approx(b.rel_pose.x, abs=1e-6)
-    assert a.nn_distance == pytest.approx(b.nn_distance, abs=1e-6)
-
-
-def test_bundle_with_whole_autoencoder_loads(tmp_path):
-    # bundles written before the encoder-only format hold the decoder too
-    bundle = make_bundle()
-    save_bundle(tmp_path / "bundle", bundle)
-    nnet.save_weights(tmp_path / "bundle" / "ae.sbnn", bundle.ae.net)
-    back = load_bundle(tmp_path / "bundle")
-    assert len(back.ae.net.layers) == len(bundle.ae.net.layers)
-    grid = np.random.default_rng(19).integers(0, 200, (32, 32)).astype(np.uint8)
     assert localize(back, SBev(grid, 0.25)) == localize(bundle, SBev(grid, 0.25))
 
 
 def test_bundle_validation_catches_mismatch(tmp_path):
     bundle = make_bundle()
     bad = LocalizerBundle(bundle.topo, bundle.ae,
-                          RegModel(bundle.reg.net, n_nodes=5, latent_dim=4),
-                          bundle.index)
+                          RegModel(bundle.reg.net, n_nodes=5), bundle.index)
     with pytest.raises(FormatError):
         bad.validate()
-    # index.bin stores ids as u32; an id past the map would wrap or misroute
+    # bundle.npz stores ids as u32; an id past the map would wrap or misroute
     for wrong in (-1, 3):
         index = EmbeddingIndex(bundle.index.latents,
                                np.where(bundle.index.node_ids == 2, wrong, 0))
@@ -365,38 +339,51 @@ def test_bundle_validation_catches_mismatch(tmp_path):
             LocalizerBundle(bundle.topo, bundle.ae, bundle.reg, index).validate()
 
 
-@pytest.mark.parametrize("name", ["bundle.json", "index.bin", "topomap.json", "ae.sbnn",
-                                  "reg.sbnn"])
-def test_missing_bundle_file_raises_format_error(tmp_path, name):
+def test_missing_bundle_file_raises_format_error(tmp_path):
     save_bundle(tmp_path, make_bundle())
-    (tmp_path / name).unlink()
-    with pytest.raises(FormatError, match=name):
+    (tmp_path / "bundle.npz").unlink()
+    with pytest.raises(FormatError, match=r"bundle\.npz: .*No such file"):
         load_bundle(tmp_path)
 
 
-def _edit_doc(edit):
-    def apply(text):
-        doc = json.loads(text)
-        edit(doc)
-        return json.dumps(doc)
+def _flip_weight_byte(raw: bytes) -> bytes:
+    weights = make_bundle().reg.net.layers[1].weights.tobytes()
+    at = raw.index(weights) + len(weights) // 2
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
+
+
+def _edit_members(edit):
+    def apply(path):
+        members = _npz_members(path)
+        edit(members)
+        np.savez(path, **members)
     return apply
 
 
-@pytest.mark.parametrize("name, corrupt", [
-    ("bundle.json", lambda t: t[:len(t) // 2]),
-    ("bundle.json", _edit_doc(lambda d: d.pop("encoder_layers"))),
-    ("bundle.json", lambda t: f"[{t}]"),
-    ("topomap.json", lambda t: t[:len(t) // 2]),
-    ("topomap.json", _edit_doc(lambda d: d["nodes"][1].pop("x"))),
-    ("topomap.json", lambda t: f"[{t}]"),
-    ("topomap.json", _edit_doc(lambda d: d["nodes"][1].update(id=5))),
-    ("topomap.json", _edit_doc(lambda d: d["nodes"][1].update(x=math.nan))),
-], ids=["manifest-truncated", "manifest-no-encoder_layers", "manifest-array-root",
-        "topomap-truncated", "topomap-node-without-x", "topomap-array-root",
-        "topomap-ids-not-contiguous", "topomap-nan-pose"])
-def test_malformed_bundle_file_raises_format_error(tmp_path, name, corrupt):
+def _raw(edit):
+    def apply(path):
+        path.write_bytes(edit(path.read_bytes()))
+    return apply
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_raw(lambda raw: raw[:len(raw) // 2]), "not a zip file"),
+    (_raw(_flip_weight_byte), "Bad CRC-32"),
+    (_edit_members(lambda m: m.pop("reg.0.bias")), "reg.0.bias"),
+    (_edit_members(lambda m: m.update(pool=np.array([8, "x"], dtype=object))),
+     "allow_pickle=False"),
+    (_edit_members(lambda m: m.update(format_version=1)), "format_version 1"),
+    (_edit_members(lambda m: m["nodes"].__setitem__((1, 0), math.nan)), "non-finite pose"),
+    (_edit_members(lambda m: m["index_node_ids"].__setitem__(0, 3)), "index node ids"),
+    (_edit_members(lambda m: m.update({"reg.1.weights": np.zeros((3, 7), np.float32)})),
+     "do not chain"),
+    (_edit_members(lambda m: m.update({"ae.activation": np.array(["relu", "tanh"])})),
+     "'tanh'"),
+], ids=["truncated", "flipped-weight-byte", "no-reg.0.bias", "object-member",
+        "format-version-1", "nan-node", "index-id-past-map", "weights-do-not-chain",
+        "activation-tanh"])
+def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
     save_bundle(tmp_path, make_bundle())
-    path = tmp_path / name
-    path.write_text(corrupt(path.read_text()))
-    with pytest.raises(FormatError, match=name):
+    corrupt(tmp_path / "bundle.npz")
+    with pytest.raises(FormatError, match=r"bundle\.npz: .*" + re.escape(reason)):
         load_bundle(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sbevloc.errors import FormatError, InputError, NumericalError
+from sbevloc.errors import InputError, NumericalError
 from sbevloc import nnet
 from sbevloc.nnet import (
     DenseNet,
@@ -11,10 +11,8 @@ from sbevloc.nnet import (
     backward,
     forward,
     init_net,
-    load_weights,
     mse_loss,
     optimizer_step,
-    save_weights,
     train,
 )
 
@@ -367,42 +365,6 @@ def test_train_aborts_on_nonfinite():
     net.layers[0].weights[:] = 1e300
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="epoch 0"):
         train(net, x, y, TrainConfig(epochs=1), 0)
-
-
-# --- weights file -------------------------------------------------------------
-
-def test_weights_round_trip(tmp_path):
-    net = init_net([7, 5, 2], ["relu", "sigmoid"], dropout=[0.25, 0.0], seed=20,
-                   dtype=np.float32)
-    p = tmp_path / "w.sbnn"
-    save_weights(p, net)
-    back = load_weights(p)
-    assert len(back.layers) == 2
-    for a, b in zip(net.layers, back.layers):
-        assert np.array_equal(a.weights.astype(np.float32), b.weights)
-        assert np.array_equal(a.bias.astype(np.float32), b.bias)
-        assert a.activation == b.activation
-        assert a.dropout == pytest.approx(b.dropout)
-    # float32 nets survive save/load bit-exactly
-    p2 = tmp_path / "w2.sbnn"
-    save_weights(p2, back)
-    assert p.read_bytes() == p2.read_bytes()
-
-
-def test_weights_bad_magic(tmp_path):
-    p = tmp_path / "bad.sbnn"
-    p.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(FormatError, match="magic"):
-        load_weights(p)
-
-
-def test_weights_truncated(tmp_path):
-    net = init_net([3, 2], ["linear"], seed=21, dtype=np.float32)
-    p = tmp_path / "w.sbnn"
-    save_weights(p, net)
-    (tmp_path / "t.sbnn").write_bytes(p.read_bytes()[:-4])
-    with pytest.raises(FormatError, match="truncated"):
-        load_weights(tmp_path / "t.sbnn")
 
 
 # --- full-size architecture spot checks ---------------------------------------

@@ -4,9 +4,13 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from sbevloc import nnet
+from sbevloc.localizer import localize, save_bundle
+from sbevloc.sbev import SBev
+from test_localizer import make_bundle
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -46,3 +50,17 @@ def test_benchmark_modules_import(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "sbevloc_microbench_layers", ROOT / "microbench" / "test_layers.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_benchmark_map_kb_is_the_bundle_file(monkeypatch, tmp_path):
+    # the benchmark's map_kb adds up the files that save_bundle leaves in its
+    # directory; it must be the one bundle.npz, and the reload must localize
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    bundle = make_bundle()
+    save_bundle(tmp_path / "saved", bundle)
+    kb, loaded = workloads._save_and_load(bundle, str(tmp_path))
+    assert kb == (tmp_path / "saved" / "bundle.npz").stat().st_size / 1024
+    grids = np.random.default_rng(22).integers(0, 200, (4, 32, 32)).astype(np.uint8)
+    for grid in grids:
+        assert localize(loaded, SBev(grid, 0.25)) == localize(bundle, SBev(grid, 0.25))

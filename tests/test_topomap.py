@@ -16,10 +16,8 @@ from sbevloc.topomap import (
     balance_samples,
     build_topo_map,
     nearest_node,
-    read_topomap,
     rotate_grid,
     shift_grid,
-    write_topomap,
 )
 
 
@@ -264,20 +262,3 @@ def test_shift_grid_zero_fill():
     out = shift_grid(g, 1, -2)
     assert out[0].sum() == 0          # vacated top row zero-filled
     assert out[1, 0] == g[0, 2]
-
-
-# --- persistence ---------------------------------------------------------
-
-def test_topomap_round_trip(tmp_path):
-    traj = [Pose2(i * 1.0, math.sin(i * 0.1), 0.1 * i) for i in range(100)]
-    topo = build_topo_map(traj, 10.0, math.radians(30))
-    p = tmp_path / "topomap.json"
-    write_topomap(p, topo)
-    back = read_topomap(p)
-    assert back.trans_threshold == topo.trans_threshold
-    assert back.ang_threshold == pytest.approx(topo.ang_threshold)
-    assert len(back) == len(topo)
-    for a, b in zip(back.nodes, topo.nodes):
-        assert a.id == b.id
-        assert a.pose.x == pytest.approx(b.pose.x)
-        assert a.pose.theta == pytest.approx(b.pose.theta)
