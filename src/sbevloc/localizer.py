@@ -33,7 +33,7 @@ from . import nnet
 from .errors import FormatError, InputError, SbevError
 from .geometry import Pose2, global_from_relative, wrap_angle
 from .sbev import SBev
-from .topomap import NodePose, TopoMap
+from .topomap import TopoMap
 
 DEFAULT_POOL = 8
 INPUT_SCALE = 255.0
@@ -306,37 +306,17 @@ def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
     """Write `bundle` as the one file DIR/bundle.npz (members above)."""
     bundle.validate()
     os.makedirs(dirpath, exist_ok=True)
-    # localize reads only the encoder
-    nets = {"ae": bundle.ae.net.layers[:bundle.ae.encoder_layers],
-            "reg": bundle.reg.net.layers}
-    members = {}
-    for name, layers in nets.items():
-        for i, layer in enumerate(layers):
-            members[f"{name}.{i}.weights"] = np.asarray(layer.weights, np.float32)
-            members[f"{name}.{i}.bias"] = np.asarray(layer.bias, np.float32)
-        members[f"{name}.activation"] = np.array([l.activation for l in layers])
-        members[f"{name}.dropout"] = np.array([l.dropout for l in layers])
     topo = bundle.topo
     np.savez(os.path.join(dirpath, BUNDLE_FILE),
              format_version=BUNDLE_VERSION, pool=bundle.ae.pool,
-             ae_mode=bundle.ae.mode,
-             nodes=np.array([[n.pose.x, n.pose.y, n.pose.theta] for n in topo.nodes]),
+             ae_mode=bundle.ae.mode, nodes=topo.poses(),
              thresholds=np.array([topo.trans_threshold, topo.ang_threshold]),
              index_latents=bundle.index.latents,
-             index_node_ids=bundle.index.node_ids.astype("<u4"), **members)
-
-
-def _net(z, name: str) -> nnet.DenseNet:
-    layers = []
-    for i, (act, dropout) in enumerate(zip(z[f"{name}.activation"].tolist(),
-                                           z[f"{name}.dropout"].tolist(),
-                                           strict=True)):
-        w, b = z[f"{name}.{i}.weights"], z[f"{name}.{i}.bias"]
-        if w.dtype != np.float32 or b.dtype != np.float32:
-            raise ValueError(f"{name}.{i} parameters are {w.dtype}/{b.dtype}, "
-                             "not float32")
-        layers.append(nnet.Layer(w, b, act, float(dropout)))
-    return nnet.DenseNet(layers)
+             index_node_ids=bundle.index.node_ids.astype("<u4"),
+             # localize reads only the encoder
+             **nnet.net_arrays(nnet.DenseNet(
+                 bundle.ae.net.layers[:bundle.ae.encoder_layers]), "ae"),
+             **nnet.net_arrays(bundle.reg.net, "reg"))
 
 
 def load_bundle(dirpath) -> LocalizerBundle:
@@ -348,12 +328,11 @@ def load_bundle(dirpath) -> LocalizerBundle:
             if version != BUNDLE_VERSION:
                 raise ValueError(f"format_version {version}, expected {BUNDLE_VERSION}")
             trans, ang = z["thresholds"].tolist()
-            topo = TopoMap(tuple(NodePose(i, Pose2(x, y, theta)) for i, (x, y, theta)
-                                 in enumerate(z["nodes"].tolist())), trans, ang)
-            encoder = _net(z, "ae")
+            topo = TopoMap.from_poses(z["nodes"], trans, ang)
+            encoder = nnet.net_from_arrays(z, "ae")
             ae = AEModel(encoder, encoder_layers=len(encoder.layers),
                          pool=int(z["pool"].item()), mode=str(z["ae_mode"].item()))
-            reg = RegModel(_net(z, "reg"), n_nodes=len(topo))
+            reg = RegModel(nnet.net_from_arrays(z, "reg"), n_nodes=len(topo))
             index = EmbeddingIndex(z["index_latents"], z["index_node_ids"])
         bundle = LocalizerBundle(topo, ae, reg, index)
         bundle.validate()

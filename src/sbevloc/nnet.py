@@ -284,3 +284,28 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
             n_batches += 1
         losses.append(epoch_loss / n_batches)
     return net, losses
+
+
+def net_arrays(net: DenseNet, name: str) -> dict:
+    """Named arrays: float32 `{name}.{i}.weights`/`.bias`, `{name}.activation`/`.dropout`."""
+    arrays = {}
+    for i, layer in enumerate(net.layers):
+        arrays[f"{name}.{i}.weights"] = np.asarray(layer.weights, np.float32)
+        arrays[f"{name}.{i}.bias"] = np.asarray(layer.bias, np.float32)
+    arrays[f"{name}.activation"] = np.array([l.activation for l in net.layers])
+    arrays[f"{name}.dropout"] = np.array([l.dropout for l in net.layers])
+    return arrays
+
+
+def net_from_arrays(arrays, name: str) -> DenseNet:
+    """Inverse of `net_arrays` over any mapping; parameters must be float32."""
+    layers = []
+    for i, (act, dropout) in enumerate(zip(arrays[f"{name}.activation"].tolist(),
+                                           arrays[f"{name}.dropout"].tolist(),
+                                           strict=True)):
+        w, b = arrays[f"{name}.{i}.weights"], arrays[f"{name}.{i}.bias"]
+        if w.dtype != np.float32 or b.dtype != np.float32:
+            raise ValueError(f"{name}.{i} parameters are {w.dtype}/{b.dtype}, "
+                             "not float32")
+        layers.append(Layer(w, b, act, float(dropout)))
+    return DenseNet(layers)

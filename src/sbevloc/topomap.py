@@ -43,6 +43,21 @@ class TopoMap:
     def positions(self) -> np.ndarray:
         return np.array([[n.pose.x, n.pose.y] for n in self.nodes])
 
+    def poses(self) -> np.ndarray:
+        """(n, 3) float64 rows of x, y, theta; row i is node i."""
+        return np.array([[n.pose.x, n.pose.y, n.pose.theta]
+                         for n in self.nodes]).reshape(-1, 3)
+
+    @classmethod
+    def from_poses(cls, poses, trans_threshold: float, ang_threshold: float):
+        """Inverse of `poses`: node i sits at row i of an (n, 3) array."""
+        poses = np.asarray(poses, dtype=np.float64)
+        if poses.ndim != 2 or poses.shape[1] != 3:
+            raise InputError(f"node poses must be (n, 3), got shape {poses.shape}")
+        return cls(tuple(NodePose(i, Pose2(x, y, theta))
+                         for i, (x, y, theta) in enumerate(poses.tolist())),
+                   trans_threshold, ang_threshold)
+
 
 @dataclass(frozen=True)
 class Sample:

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -339,11 +340,32 @@ def test_bundle_validation_catches_mismatch(tmp_path):
             LocalizerBundle(bundle.topo, bundle.ae, bundle.reg, index).validate()
 
 
-def test_missing_bundle_file_raises_format_error(tmp_path):
+def test_absent_bundle_file_raises_format_error(tmp_path):
     save_bundle(tmp_path, make_bundle())
     (tmp_path / "bundle.npz").unlink()
     with pytest.raises(FormatError, match=r"bundle\.npz: .*No such file"):
         load_bundle(tmp_path)
+
+
+# the map's parts, each by the file that held it before bundle.npz held them all
+BUNDLE_PARTS = {
+    "bundle.json": ("format_version", "pool", "ae_mode"),
+    "topomap.json": ("nodes", "thresholds"),
+    "index.bin": ("index_latents", "index_node_ids"),
+    "ae.sbnn": ("ae.",),
+    "reg.sbnn": ("reg.",),
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLE_PARTS))
+def test_missing_bundle_file_raises_format_error(tmp_path, name):
+    save_bundle(tmp_path, make_bundle())
+    path = tmp_path / "bundle.npz"
+    gone = [k for k in _npz_members(path) if k.startswith(BUNDLE_PARTS[name])]
+    _edit_members(lambda m: [m.pop(k) for k in gone])(path)
+    with pytest.raises(FormatError, match=r"bundle\.npz: .*KeyError") as e:
+        load_bundle(tmp_path)
+    assert any(f"'{k} is not a file in the archive'" in str(e.value) for k in gone)
 
 
 def _flip_weight_byte(raw: bytes) -> bytes:
@@ -374,16 +396,63 @@ def _raw(edit):
      "allow_pickle=False"),
     (_edit_members(lambda m: m.update(format_version=1)), "format_version 1"),
     (_edit_members(lambda m: m["nodes"].__setitem__((1, 0), math.nan)), "non-finite pose"),
+    (_edit_members(lambda m: m.update(format_version=np.array([], np.int64))),
+     "size 1"),
+    (_edit_members(lambda m: m.update(ae_mode=np.array(["BASE", "AVG"]))), "size 1"),
+    (_edit_members(lambda m: m.update(thresholds=m["thresholds"][:1])),
+     "not enough values to unpack"),
+    (_edit_members(lambda m: m.update(nodes=m["nodes"].ravel())),
+     "node poses must be (n, 3), got shape (9,)"),
+    (_edit_members(lambda m: m.update(nodes=m["nodes"][:, 1:])),
+     "node poses must be (n, 3), got shape (3, 2)"),
     (_edit_members(lambda m: m["index_node_ids"].__setitem__(0, 3)), "index node ids"),
     (_edit_members(lambda m: m.update({"reg.1.weights": np.zeros((3, 7), np.float32)})),
      "do not chain"),
     (_edit_members(lambda m: m.update({"ae.activation": np.array(["relu", "tanh"])})),
      "'tanh'"),
 ], ids=["truncated", "flipped-weight-byte", "no-reg.0.bias", "object-member",
-        "format-version-1", "nan-node", "index-id-past-map", "weights-do-not-chain",
+        "format-version-1", "topomap-nan-pose", "manifest-truncated",
+        "manifest-array-root", "topomap-truncated", "topomap-array-root",
+        "topomap-node-without-x", "index-id-past-map", "weights-do-not-chain",
         "activation-tanh"])
 def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
     save_bundle(tmp_path, make_bundle())
     corrupt(tmp_path / "bundle.npz")
     with pytest.raises(FormatError, match=r"bundle\.npz: .*" + re.escape(reason)):
+        load_bundle(tmp_path)
+
+
+def _with_index(latents, node_ids) -> LocalizerBundle:
+    bundle = make_bundle()
+    return LocalizerBundle(bundle.topo, bundle.ae, bundle.reg,
+                           EmbeddingIndex(latents, node_ids))
+
+
+def test_index_file_round_trip(tmp_path):
+    rng = np.random.default_rng(17)
+    lats = rng.normal(size=(7, 4)).astype(np.float32)
+    ids = rng.integers(0, 3, 7)
+    save_bundle(tmp_path, _with_index(lats, ids))
+    back = load_bundle(tmp_path).index
+    assert back.latents.dtype == np.float32
+    assert np.array_equal(back.latents, lats)
+    assert np.array_equal(back.node_ids, ids)
+
+
+def test_index_file_bytes(tmp_path):
+    # the index members hold latents as little-endian f4 and node ids as u4
+    lats = np.array([[0.5, -1.0, 2.0, 3.25], [-0.0, 1e-3, 0.0, 7.0]], dtype=np.float32)
+    ids = [2, 0]
+    save_bundle(tmp_path, _with_index(lats, ids))
+    stored = _npz_members(tmp_path / "bundle.npz")
+    assert stored["index_node_ids"].dtype == np.dtype("<u4")
+    assert stored["index_node_ids"].tobytes() == struct.pack("<2I", *ids)
+    assert stored["index_latents"].tobytes() == struct.pack("<8f", *lats.ravel())
+
+
+def test_index_file_truncation(tmp_path):
+    save_bundle(tmp_path, make_bundle())
+    _edit_members(lambda m: m.update(index_node_ids=m["index_node_ids"][:-1]))(
+        tmp_path / "bundle.npz")
+    with pytest.raises(FormatError, match=r"bundle\.npz: .*latents/node_ids mismatch"):
         load_bundle(tmp_path)

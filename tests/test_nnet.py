@@ -12,6 +12,8 @@ from sbevloc.nnet import (
     forward,
     init_net,
     mse_loss,
+    net_arrays,
+    net_from_arrays,
     optimizer_step,
     train,
 )
@@ -365,6 +367,42 @@ def test_train_aborts_on_nonfinite():
     net.layers[0].weights[:] = 1e300
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="epoch 0"):
         train(net, x, y, TrainConfig(epochs=1), 0)
+
+
+# --- weights as named arrays -----------------------------------------------------
+
+def _saved(tmp_path, arrays) -> dict:
+    np.savez(tmp_path / "w.npz", **arrays)
+    with np.load(tmp_path / "w.npz", allow_pickle=False) as z:
+        return {k: z[k] for k in z.files}
+
+
+def test_weights_round_trip(tmp_path):
+    net = init_net([7, 5, 2], ["relu", "sigmoid"], dropout=[0.25, 0.0], seed=20,
+                   dtype=np.float32)
+    arrays = net_arrays(net, "w")
+    back = net_from_arrays(_saved(tmp_path, arrays), "w")
+    assert len(back.layers) == 2
+    for a, b in zip(net.layers, back.layers):
+        assert b.weights.dtype == b.bias.dtype == np.float32
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
+        assert (a.activation, a.dropout) == (b.activation, b.dropout)
+    # float32 nets survive save/load bit-exactly
+    again = net_arrays(back, "w")
+    assert again.keys() == arrays.keys()
+    assert all(again[k].tobytes() == arrays[k].tobytes() for k in arrays)
+
+
+def test_weights_truncated(tmp_path):
+    net = init_net([3, 2], ["linear"], seed=21, dtype=np.float32)
+    arrays = _saved(tmp_path, net_arrays(net, "w"))
+    with pytest.raises(KeyError, match="w.0.bias"):
+        net_from_arrays({k: v for k, v in arrays.items() if k != "w.0.bias"}, "w")
+    with pytest.raises(InputError, match="shape mismatch"):
+        net_from_arrays({**arrays, "w.0.weights": arrays["w.0.weights"][:-1]}, "w")
+    with pytest.raises(ValueError, match="not float32"):
+        net_from_arrays({**arrays, "w.0.bias": arrays["w.0.bias"].astype(np.float64)}, "w")
 
 
 # --- full-size architecture spot checks ---------------------------------------

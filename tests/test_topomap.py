@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,3 +263,18 @@ def test_shift_grid_zero_fill():
     out = shift_grid(g, 1, -2)
     assert out[0].sum() == 0          # vacated top row zero-filled
     assert out[1, 0] == g[0, 2]
+
+
+# --- persistence ---------------------------------------------------------
+
+def test_topomap_round_trip(tmp_path):
+    traj = [Pose2(i * 1.0, math.sin(i * 0.1), 0.1 * i) for i in range(100)]
+    topo = build_topo_map(traj, 10.0, math.radians(30))
+    poses = topo.poses()
+    assert poses.shape == (len(topo), 3) and poses.dtype == np.float64
+    np.savez(tmp_path / "topo.npz", nodes=poses)
+    with np.load(tmp_path / "topo.npz", allow_pickle=False) as z:
+        back = TopoMap.from_poses(z["nodes"], topo.trans_threshold, topo.ang_threshold)
+    assert back == topo
+    with pytest.raises(InputError, match=re.escape(f"got shape ({len(topo)}, 2)")):
+        TopoMap.from_poses(poses[:, :2], 10.0, 1.0)
