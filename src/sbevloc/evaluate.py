@@ -1,9 +1,12 @@
 """Metrics and experiment orchestration.
 
 `run_experiment` reproduces the evaluation protocol end to end on the
-synthetic world: build S-BEVs, drop topological nodes, stratified 80-20
-split, balance, train per ablation mode, then score every configured
-condition (clean, weather perturbations, lane-shifted traversals).
+synthetic world: drop topological nodes along the route, split its frames
+80-20 per node and balance the training side. One loop then makes a
+(name, poses, weather) pass per condition: clean, each weather perturbation,
+each lane-shifted traversal. A pass pools the test frames of its poses, and
+the clean pass, which runs first, also the augmented training arrays. Each
+ablation mode is then trained and scored on every condition.
 
 Fine-localization errors are reported two ways: the perfect-node variant
 scores the regressor against the true node's relative pose (regressor
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,12 +45,7 @@ from .pipeline import (
     traversal_sbevs,
 )
 from .synthworld import generate_world, lane_shift
-from .topomap import (
-    NodeDataset,
-    assign_to_nodes,
-    balance_samples,
-    build_topo_map,
-)
+from .topomap import assign_to_nodes, balance_samples, build_topo_map
 
 REPORT_HEADER = "condition,node_acc,mae_x_m,mae_y_m,mae_theta_deg,variant,n"
 
@@ -67,12 +65,13 @@ class EvalReport:
     n: int
 
 
-def split_train_test(ds: NodeDataset, ratio: float = 0.8, seed: int = 0):
-    """Per-node seeded split; train gets floor(ratio*n), test at least 1."""
+def split_train_test(samples, n_nodes: int, ratio: float = 0.8, seed: int = 0):
+    """Per-node seeded split of Samples into (train, test) tuples; train
+    gets floor(ratio * n) of a node's n samples, clamped to [1, n - 1]."""
     if not 0.0 < ratio < 1.0:
         raise InputError(f"split ratio {ratio} outside (0, 1)")
-    by_node = [[] for _ in range(ds.n_nodes)]
-    for i, s in enumerate(ds.samples):
+    by_node = [[] for _ in range(n_nodes)]
+    for i, s in enumerate(samples):
         by_node[s.node_id].append(i)
     rng = np.random.default_rng([seed, 0x57])
     train_idx, test_idx = [], []
@@ -85,8 +84,8 @@ def split_train_test(ds: NodeDataset, ratio: float = 0.8, seed: int = 0):
         test_idx.extend(members[j] for j in order[n_train:])
     train_idx.sort()
     test_idx.sort()
-    return (NodeDataset(tuple(ds.samples[i] for i in train_idx), ds.n_nodes),
-            NodeDataset(tuple(ds.samples[i] for i in test_idx), ds.n_nodes))
+    return (tuple(samples[i] for i in train_idx),
+            tuple(samples[i] for i in test_idx))
 
 
 def node_accuracy(predictions, truth) -> float:
@@ -120,7 +119,7 @@ class ConditionData:
     inputs: np.ndarray      # (n, in_dim) pooled test S-BEV inputs
     samples: tuple          # ground-truth Sample per row (node id + rel pose)
     globals: tuple          # ground-truth global Pose2 per row
-    route: tuple = field(default=(), repr=False)  # the traversal's full poses
+    route: tuple = field(repr=False)  # the traversal's full poses
 
 
 def _batch_fine(bundle: LocalizerBundle, node_ids, latents):
@@ -188,7 +187,6 @@ def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
 @dataclass
 class ExperimentArtifacts:
     topo: object
-    test_ds: NodeDataset
     arrays: TrainingArrays
     trained: dict            # mode -> TrainedPipeline
     conditions: list         # ConditionData
@@ -209,53 +207,39 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
             print(f"[{time.time() - t0:7.1f}s] {msg}", flush=True)
 
     seed = cfg.seed
-    grid = cfg.grid.grid_spec()
     world = generate_world(derive_seed(seed, SEED_WORLD), cfg.synth)
     route = world.route
     log(f"world: {len(route)} frames, {len(world.primitives)} primitives")
 
     topo = build_topo_map(route, cfg.topo.trans_threshold_m,
                           math.radians(cfg.topo.ang_threshold_deg))
-    full_ds = assign_to_nodes(topo, enumerate(route))
-    train_ds, test_ds = split_train_test(full_ds, cfg.split.ratio,
-                                         derive_seed(seed, SEED_SPLIT))
-    balanced = balance_samples(train_ds, derive_seed(seed, SEED_BALANCE))
+    train, test = split_train_test(assign_to_nodes(topo, enumerate(route)),
+                                   len(topo), cfg.split.ratio,
+                                   derive_seed(seed, SEED_SPLIT))
+    balanced = balance_samples(train, len(topo), derive_seed(seed, SEED_BALANCE))
     log(f"map: {len(topo)} nodes; balanced train {len(balanced)}, "
-        f"test {len(test_ds)}")
+        f"test {len(test)}")
 
-    test_ids = [s.frame_id for s in test_ds.samples]
-
-    def make_condition(name, inputs, samples, traversal):
-        globs = tuple(traversal[s.frame_id] for s in samples)
-        return ConditionData(name, inputs, tuple(samples), globs,
-                             route=tuple(traversal))
-
-    # one clean pass pools both the training arrays and the clean test inputs
-    clean_inputs, arrays = pool_traversal(
-        traversal_sbevs(world, route, cfg), test_ids, cfg.ae.pool,
-        balanced.samples, cfg.augment, grid)
-    log(f"clean pass done: {len(arrays.inputs)} training rows")
-    conditions = [make_condition("clean", clean_inputs, test_ds.samples, route)]
-
-    for wdoc in cfg.eval.weather:
-        if _is_clean(wdoc):
-            continue
-        sbevs = traversal_sbevs(world, route, cfg, weather=wdoc.weather_spec(),
+    test_ids = [s.frame_id for s in test]
+    passes = ([("clean", route, None)]
+              + [(w.name, route, w.weather_spec())
+                 for w in cfg.eval.weather if not _is_clean(w)]
+              + [(f"lane{offset:+g}", lane_shift(route, offset), None)
+                 for offset in cfg.eval.lane_offsets_m])
+    conditions, arrays = [], None
+    for name, poses, weather in passes:
+        sbevs = traversal_sbevs(world, poses, cfg, weather=weather,
                                 weather_seed=derive_seed(seed, SEED_WEATHER))
-        inputs, _ = pool_traversal(sbevs, test_ids, cfg.ae.pool)
-        conditions.append(make_condition(wdoc.name, inputs, test_ds.samples,
-                                         route))
-        log(f"weather pass done: {wdoc.name}")
-
-    for offset in cfg.eval.lane_offsets_m:
-        shifted = lane_shift(route, offset)
-        shifted_ds = assign_to_nodes(topo, enumerate(shifted))
-        shifted_samples = [shifted_ds.samples[i] for i in test_ids]
-        inputs, _ = pool_traversal(traversal_sbevs(world, shifted, cfg),
-                                   test_ids, cfg.ae.pool)
-        conditions.append(make_condition(f"lane{offset:+g}", inputs,
-                                         shifted_samples, shifted))
-        log(f"lane pass done: {offset:+g} m")
+        # the first (clean) pass also pools the balanced training rows
+        inputs, pooled = pool_traversal(sbevs, test_ids, cfg.ae.pool,
+                                        () if conditions else balanced,
+                                        cfg.augment)
+        arrays = arrays or pooled
+        samples = assign_to_nodes(topo, ((i, poses[i]) for i in test_ids))
+        conditions.append(ConditionData(name, inputs, samples,
+                                        tuple(poses[i] for i in test_ids),
+                                        poses))
+        log(f"{name} pass done")
 
     rows = []
     trained = {}
@@ -268,16 +252,14 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
             got = evaluate_condition(tp.bundle, cond, cfg, seed,
                                      run_filter=cfg.eval.run_filter)
             if len(cfg.eval.modes) > 1:
-                got = [EvalReport(f"{mode}/{r.condition}", r.node_accuracy,
-                                  r.mae_x, r.mae_y, r.mae_theta_deg,
-                                  r.variant, r.n) for r in got]
+                got = [replace(r, condition=f"{mode}/{r.condition}")
+                       for r in got]
             rows.extend(got)
             log(f"{mode}/{cond.name}: acc {got[0].node_accuracy:.3f}, perfect "
                 f"MAE ({got[0].mae_x:.3f} m, {got[0].mae_y:.3f} m, "
                 f"{got[0].mae_theta_deg:.3f} deg)")
 
-    artifacts = ExperimentArtifacts(topo, test_ds, arrays, trained, conditions,
-                                    world)
+    artifacts = ExperimentArtifacts(topo, arrays, trained, conditions, world)
     return rows, artifacts
 
 

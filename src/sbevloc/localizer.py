@@ -139,29 +139,26 @@ class LocalizationResult:
     nn_distance: float
 
 
-def ae_targets(inputs: np.ndarray, node_ids, mode: str,
-               node_inputs: np.ndarray | None = None,
-               node_input_ids=None) -> np.ndarray:
+def ae_targets(inputs: np.ndarray, node_ids, is_original, mode: str) -> np.ndarray:
     """Reconstruction targets per training mode.
 
-    BASE/AUG reconstruct the node mean (computed from ``node_inputs`` when
-    given, e.g. the un-augmented originals); AVG reconstructs each sample's
-    own input.
+    BASE/AUG reconstruct the mean of the node's original (un-augmented)
+    rows; AVG reconstructs each row's own input.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
     inputs = np.asarray(inputs)
     if mode == "AVG":
         return inputs.copy()
-    src = inputs if node_inputs is None else np.asarray(node_inputs)
-    src_ids = np.asarray(node_ids if node_input_ids is None else node_input_ids)
     ids = np.asarray(node_ids)
+    is_original = np.asarray(is_original, dtype=bool)
     targets = np.empty_like(inputs)
     for nid in np.unique(ids):
-        members = src_ids == nid
-        if not members.any():
-            raise InputError(f"no source samples for node {nid}")
-        targets[ids == nid] = src[members].mean(axis=0, dtype=np.float64)
+        members = ids == nid
+        originals = inputs[members & is_original]
+        if not len(originals):
+            raise InputError(f"no original rows for node {nid}")
+        targets[members] = originals.mean(axis=0, dtype=np.float64)
     return targets
 
 

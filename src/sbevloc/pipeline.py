@@ -61,7 +61,7 @@ def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
     """Yield one motion-compensated SBev per incoming frame.
 
     `camera_height` is unused. It stays only because `perfbench/workloads.py`
-    passes it positionally; dropping it is ROADMAP item 4.
+    passes it positionally; dropping it is ROADMAP item 1.
     """
     recent = deque(maxlen=ACCUMULATION_WINDOW)
     for frame_id, pose, depth, labels in frames:
@@ -91,8 +91,7 @@ def traversal_sbevs(world: World, poses, cfg: RunConfig,
 
 
 def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
-                   aug: AugmentConfig | None = None,
-                   grid: GridSpec | None = None):
+                   aug: AugmentConfig = AugmentConfig((), ())):
     """Pool one traversal's S-BEVs into network inputs in a single pass.
 
     Returns `(test_inputs, arrays)`. `test_inputs` stacks the pooled inputs
@@ -108,9 +107,7 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
     inputs, ids, poses, orig, fids = [], [], [], [], []
     for sb in sbevs:
         for s in by_frame.pop(sb.frame_id, ()):
-            variants = (augment_sample(sb, s.rel_pose, aug, grid)
-                        if aug is not None else [(sb, s.rel_pose)])
-            for j, (vsb, vrel) in enumerate(variants):
+            for j, (vsb, vrel) in enumerate(augment_sample(sb, s.rel_pose, aug)):
                 inputs.append(grid_to_input(vsb.grid, pool))
                 ids.append(s.node_id)
                 poses.append(vrel)
@@ -151,11 +148,7 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     inputs = arrays.inputs[keep]
     node_ids = arrays.node_ids[keep]
     rel_poses = [p for p, k in zip(arrays.rel_poses, keep) if k]
-
-    orig_mask = arrays.is_original[keep]
-    targets = ae_targets(inputs, node_ids, mode,
-                         node_inputs=inputs[orig_mask],
-                         node_input_ids=node_ids[orig_mask])
+    targets = ae_targets(inputs, node_ids, arrays.is_original[keep], mode)
     ae, ae_losses = train_autoencoder(inputs, targets, cfg.ae,
                                       derive_seed(seed, SEED_AE), mode)
     latents = embed_batched(ae, inputs)

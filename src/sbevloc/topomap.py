@@ -68,21 +68,6 @@ class Sample:
     rel_pose: Pose2
 
 
-@dataclass(frozen=True)
-class NodeDataset:
-    samples: tuple
-    n_nodes: int
-
-    def __len__(self):
-        return len(self.samples)
-
-    def counts(self) -> np.ndarray:
-        c = np.zeros(self.n_nodes, dtype=int)
-        for s in self.samples:
-            c[s.node_id] += 1
-        return c
-
-
 def build_topo_map(trajectory, trans_threshold: float, ang_threshold: float) -> TopoMap:
     """Greedy walk: emit a node at the first pose far or turned enough."""
     trajectory = list(trajectory)
@@ -109,19 +94,19 @@ def nearest_node(topo: TopoMap, pose: Pose2) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
 
-def assign_to_nodes(topo: TopoMap, frames) -> NodeDataset:
-    """Label (frame_id, pose) records with node id and rel pose."""
+def assign_to_nodes(topo: TopoMap, frames) -> tuple:
+    """Label (frame_id, pose) records with node id and rel pose: one Sample each."""
     samples = []
     for frame_id, pose in frames:
         nid = nearest_node(topo, pose)
         samples.append(Sample(frame_id, nid, relative_pose(topo.nodes[nid].pose, pose)))
-    return NodeDataset(tuple(samples), n_nodes=len(topo))
+    return tuple(samples)
 
 
-def balance_samples(ds: NodeDataset, seed: int) -> NodeDataset:
+def balance_samples(samples, n_nodes: int, seed: int) -> tuple:
     """Undersample every node to the minimum per-node count (seeded)."""
-    by_node = [[] for _ in range(ds.n_nodes)]
-    for i, s in enumerate(ds.samples):
+    by_node = [[] for _ in range(n_nodes)]
+    for i, s in enumerate(samples):
         by_node[s.node_id].append(i)
     sizes = [len(b) for b in by_node]
     if min(sizes, default=0) == 0:
@@ -134,7 +119,7 @@ def balance_samples(ds: NodeDataset, seed: int) -> NodeDataset:
         pick = rng.choice(len(idx), size=m, replace=False)
         chosen.extend(idx[i] for i in sorted(pick))
     chosen.sort()
-    return NodeDataset(tuple(ds.samples[i] for i in chosen), ds.n_nodes)
+    return tuple(samples[i] for i in chosen)
 
 
 @dataclass(frozen=True)
@@ -197,11 +182,9 @@ def rotate_grid(grid: np.ndarray, angle: float, spec: GridSpec) -> np.ndarray:
     return np.append(grid.ravel(), grid.dtype.type(0))[src].reshape(grid.shape)
 
 
-def augment_sample(sb: SBev, rel_pose: Pose2, cfg: AugmentConfig,
-                   spec: GridSpec | None = None):
+def augment_sample(sb: SBev, rel_pose: Pose2, cfg: AugmentConfig):
     """Expand one sample into pose-consistent variants (original first)."""
-    if spec is None:
-        spec = GridSpec(size=sb.grid.shape[0], resolution=sb.resolution)
+    spec = GridSpec(size=sb.grid.shape[0], resolution=sb.resolution)
     out = [(sb, rel_pose)]
     for deg in cfg.rotations_deg:
         dth = math.radians(deg)

@@ -11,14 +11,17 @@ from sbevloc.evaluate import (
     REPORT_HEADER,
     evaluate_condition,
     format_report_table,
+    mae_xytheta,
+    node_accuracy,
     run_experiment,
+    split_train_test,
     write_report_csv,
 )
 from sbevloc.geometry import Pose2
 from sbevloc.localizer import grid_to_input, load_bundle, localize, save_bundle
 from sbevloc.pipeline import pool_traversal, render_stream, sbev_stream, traversal_sbevs
 from sbevloc.synthworld import generate_world
-from sbevloc.topomap import AugmentConfig, Sample
+from sbevloc.topomap import AugmentConfig, Sample, assign_to_nodes
 
 ALL_PASSES = dict(weather=(WeatherDoc(), RAIN), lane_offsets_m=(1.5,),
                   run_filter=True)
@@ -45,7 +48,7 @@ def test_run_experiment_conditions_and_rows(two_runs):
     cfg, (rows, art), _ = two_runs
     # the clean weather entry adds no second clean pass
     assert [c.name for c in art.conditions] == ["clean", "rain", "lane+1.5"]
-    n_test = len(art.test_ds)
+    n_test = len(art.conditions[0].samples)
     for cond in art.conditions:
         assert cond.inputs.shape == (n_test, art.arrays.inputs.shape[1])
     variants = [r.variant for r in rows]
@@ -56,6 +59,54 @@ def test_run_experiment_conditions_and_rows(two_runs):
         assert all(math.isfinite(v) for v in (r.mae_x, r.mae_y, r.mae_theta_deg))
     n_variants = 1 + len(cfg.augment.rotations_deg) + len(cfg.augment.shifts_cells)
     assert art.arrays.is_original.sum() * n_variants == len(art.arrays.inputs)
+
+
+def test_conditions_follow_the_one_pass_rule(two_runs):
+    # every condition is its own poses at the same test frames
+    _, (_, art), _ = two_runs
+    clean, rain, lane = art.conditions
+    test_ids = [s.frame_id for s in clean.samples]
+    assert test_ids == sorted(test_ids)
+    for cond in art.conditions:
+        assert cond.samples == assign_to_nodes(
+            art.topo, ((i, cond.route[i]) for i in test_ids))
+        assert cond.globals == tuple(cond.route[s.frame_id] for s in cond.samples)
+    assert rain.samples == clean.samples and rain.route == clean.route
+    assert lane.route != clean.route
+
+
+def _samples(counts):
+    return tuple(Sample(10 * node + j, node, Pose2(0, 0, 0))
+                 for node, n in enumerate(counts) for j in range(n))
+
+
+@pytest.mark.parametrize("ratio, want_train", [
+    (0.8, [1, 2, 4, 8]), (0.1, [1, 1, 1, 1]), (0.99, [1, 2, 4, 9])])
+def test_split_train_test_counts(ratio, want_train):
+    samples = _samples([2, 3, 5, 10])
+    train, test = split_train_test(samples, 4, ratio, seed=3)
+    assert np.bincount([s.node_id for s in train], minlength=4).tolist() == want_train
+    assert sorted(train + test, key=lambda s: s.frame_id) == list(samples)
+    assert list(train) == sorted(train, key=lambda s: s.frame_id)
+    assert list(test) == sorted(test, key=lambda s: s.frame_id)
+    assert split_train_test(samples, 4, ratio, seed=3) == (train, test)
+
+
+@pytest.mark.parametrize("counts, ratio, match", [
+    ([3, 3], 0.0, "outside"), ([3, 3], 1.0, "outside"), ([3, 3], -0.2, "outside"),
+    ([3, 1], 0.8, "node 1 has 1 samples"), ([3, 0], 0.8, "node 1 has 0 samples")])
+def test_split_train_test_rejects_bad_input(counts, ratio, match):
+    with pytest.raises(InputError, match=match):
+        split_train_test(_samples(counts), len(counts), ratio, seed=0)
+
+
+@pytest.mark.parametrize("metric, pred, truth", [
+    (node_accuracy, [], []), (node_accuracy, [1, 2], [1]),
+    (mae_xytheta, [], []), (mae_xytheta, [Pose2(0, 0, 0)], []),
+    (mae_xytheta, [Pose2(0, 0, 0)], [Pose2(1, 0, 0)] * 2)])
+def test_metrics_reject_empty_or_mismatched(metric, pred, truth):
+    with pytest.raises(InputError, match="lengths differ or are empty"):
+        metric(pred, truth)
 
 
 def test_pool_traversal_test_inputs_match_sbev_stream(tiny_cfg):
@@ -80,8 +131,7 @@ def test_pool_traversal_training_rows_in_frame_order(tiny_cfg):
     sbevs = list(traversal_sbevs(world, route, cfg))
     samples = [Sample(8, 1, Pose2(0.5, 0.0, 0.0)), Sample(2, 0, Pose2(1.0, 0.2, 0.1))]
     aug = AugmentConfig(rotations_deg=(5.0,), shifts_cells=((0, 4),))
-    inputs, arrays = pool_traversal(iter(sbevs), [5], cfg.ae.pool, samples, aug,
-                                    cfg.grid.grid_spec())
+    inputs, arrays = pool_traversal(iter(sbevs), [5], cfg.ae.pool, samples, aug)
     assert np.array_equal(inputs[0], grid_to_input(sbevs[5].grid, cfg.ae.pool))
     assert arrays.frame_ids.tolist() == [2, 2, 2, 8, 8, 8]
     assert arrays.node_ids.tolist() == [0, 0, 0, 1, 1, 1]
@@ -127,7 +177,7 @@ def test_trained_bundle_round_trip(two_runs, tmp_path):
         want = evaluate_condition(bundle, cond, cfg, cfg.seed, run_filter=True)
         got = evaluate_condition(back, cond, cfg, cfg.seed, run_filter=True)
         assert repr(got) == repr(want)
-    test_ids = {s.frame_id for s in art.test_ds.samples}
+    test_ids = {s.frame_id for s in art.conditions[0].samples}
     sbevs = [sb for sb in traversal_sbevs(art.world, art.world.route, cfg)
              if sb.frame_id in test_ids]
     assert len(sbevs) == len(test_ids)

@@ -83,7 +83,7 @@ def test_pool_grid_divisibility():
 def test_ae_targets_base_is_node_mean():
     inputs = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]])
     ids = [0, 0, 1]
-    t = ae_targets(inputs, ids, "BASE")
+    t = ae_targets(inputs, ids, [True] * 3, "BASE")
     assert np.allclose(t[0], [0.5, 0.5])
     assert np.allclose(t[1], [0.5, 0.5])
     assert np.allclose(t[2], [4.0, 2.0])
@@ -91,17 +91,18 @@ def test_ae_targets_base_is_node_mean():
 
 def test_ae_targets_avg_is_identity():
     inputs = np.random.default_rng(0).normal(size=(5, 3))
-    t = ae_targets(inputs, [0, 0, 1, 1, 1], "AVG")
+    t = ae_targets(inputs, [0, 0, 1, 1, 1], [True, False] * 2 + [True], "AVG")
     assert np.array_equal(t, inputs)
 
 
 def test_ae_targets_separate_source_set():
     # augmented inputs reconstruct the mean of the ORIGINAL samples
-    originals = np.array([[2.0], [4.0]])
-    aug_inputs = np.array([[2.1], [1.9], [4.2]])
-    t = ae_targets(aug_inputs, [0, 0, 0], "BASE",
-                   node_inputs=originals, node_input_ids=[0, 0])
-    assert np.allclose(t, 3.0)
+    inputs = np.array([[2.0], [2.1], [1.9], [4.0], [4.2], [7.0]])
+    is_original = [True, False, False, True, False, True]
+    t = ae_targets(inputs, [0, 0, 0, 0, 0, 1], is_original, "BASE")
+    assert np.allclose(t[:5], 3.0) and t[5] == 7.0
+    with pytest.raises(InputError, match="no original rows for node 1"):
+        ae_targets(inputs, [0, 0, 0, 0, 0, 1], is_original[:5] + [False], "AUG")
 
 
 # --- autoencoder -------------------------------------------------------------

@@ -9,7 +9,6 @@ from sbevloc.geometry import Pose2, global_from_relative, relative_pose, wrap_an
 from sbevloc.sbev import GridSpec, SBev, cell_centers, cell_indices
 from sbevloc.topomap import (
     AugmentConfig,
-    NodeDataset,
     Sample,
     TopoMap,
     assign_to_nodes,
@@ -116,8 +115,7 @@ def test_nearest_node_brute_force():
 
 def test_assign_to_nodes_rel_pose():
     topo = make_map([(0, 0), (20, 0)])
-    ds = assign_to_nodes(topo, [(7, Pose2(21, 1, 0.2))])
-    s = ds.samples[0]
+    (s,) = assign_to_nodes(topo, [(7, Pose2(21, 1, 0.2))])
     assert s.frame_id == 7 and s.node_id == 1
     back = global_from_relative(topo.nodes[1].pose, s.rel_pose)
     assert back.x == pytest.approx(21)
@@ -133,43 +131,43 @@ def make_dataset(counts):
         for _ in range(n):
             samples.append(Sample(fid, node, Pose2(0, 0, 0)))
             fid += 1
-    return NodeDataset(tuple(samples), n_nodes=len(counts))
+    return tuple(samples)
+
+
+def counts(samples, n_nodes):
+    return np.bincount([s.node_id for s in samples], minlength=n_nodes).tolist()
 
 
 def test_balance_already_equal():
-    ds = balance_samples(make_dataset([5, 5]), seed=0)
-    assert ds.counts().tolist() == [5, 5]
+    out = balance_samples(make_dataset([5, 5]), 2, seed=0)
+    assert counts(out, 2) == [5, 5]
 
 
 def test_balance_undersamples():
-    ds = balance_samples(make_dataset([10, 4]), seed=0)
-    assert ds.counts().tolist() == [4, 4]
-    assert ds.counts().max() - ds.counts().min() == 0
+    out = balance_samples(make_dataset([10, 4]), 2, seed=0)
+    assert counts(out, 2) == [4, 4]
 
 
 def test_balance_deterministic_per_seed():
     big = make_dataset([30, 7, 19])
-    a = balance_samples(big, seed=42)
-    b = balance_samples(big, seed=42)
-    c = balance_samples(big, seed=43)
-    assert [s.frame_id for s in a.samples] == [s.frame_id for s in b.samples]
-    assert a.counts().tolist() == c.counts().tolist() == [7, 7, 7]
-    assert [s.frame_id for s in a.samples] != [s.frame_id for s in c.samples]
+    a = balance_samples(big, 3, seed=42)
+    b = balance_samples(big, 3, seed=42)
+    c = balance_samples(big, 3, seed=43)
+    assert a == b
+    assert counts(a, 3) == counts(c, 3) == [7, 7, 7]
+    assert [s.frame_id for s in a] != [s.frame_id for s in c]
 
 
 def test_balance_rejects_empty_node():
     with pytest.raises(InputError):
-        balance_samples(make_dataset([3, 0]), seed=0)
+        balance_samples(make_dataset([3, 0]), 2, seed=0)
 
 
 # --- augmentation --------------------------------------------------------
 
-SPEC8 = GridSpec(size=8, resolution=0.25)
-
-
 def test_augment_empty_config():
     sb = SBev(np.zeros((8, 8), dtype=np.uint8), 0.25)
-    out = augment_sample(sb, Pose2(1, 2, 0.3), AugmentConfig((), ()), SPEC8)
+    out = augment_sample(sb, Pose2(1, 2, 0.3), AugmentConfig((), ()))
     assert len(out) == 1
     assert out[0][1] == Pose2(1, 2, 0.3)
 
@@ -210,9 +208,9 @@ def test_augment_rotation_label_round_trip():
     # label arithmetic round-trips exactly
     rel = Pose2(1, 2, 0.3)
     cfg = AugmentConfig(rotations_deg=(5.0,), shifts_cells=())
-    _, (sb2, rel2) = augment_sample(sb, rel, cfg, spec)
+    _, (sb2, rel2) = augment_sample(sb, rel, cfg)
     cfg_back = AugmentConfig(rotations_deg=(-5.0,), shifts_cells=())
-    _, (_, rel3) = augment_sample(sb2, rel2, cfg_back, spec)
+    _, (_, rel3) = augment_sample(sb2, rel2, cfg_back)
     assert abs(wrap_angle(rel3.theta - rel.theta)) < 1e-12
     assert rel3.x == rel.x and rel3.y == rel.y
 
