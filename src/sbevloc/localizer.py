@@ -53,6 +53,8 @@ def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     """
     grid = np.asarray(grid)
     h, w = grid.shape
+    if factor < 1:
+        raise InputError(f"pool factor must be >= 1, got {factor}")
     if h % factor or w % factor:
         raise InputError(f"grid {grid.shape} not divisible by pool factor {factor}")
     sums = (grid.reshape(h // factor, factor, w).sum(axis=1, dtype=np.float64)
@@ -274,6 +276,8 @@ class LocalizerBundle:
     index: EmbeddingIndex
 
     def validate(self):
+        if self.ae.pool < 1:
+            raise FormatError(f"pool factor must be >= 1, got {self.ae.pool}")
         if self.reg.n_nodes != len(self.topo):
             raise FormatError(f"regressor built for {self.reg.n_nodes} nodes, "
                               f"map has {len(self.topo)}")

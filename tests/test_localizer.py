@@ -76,6 +76,9 @@ def test_pool_grid_full_size():
 def test_pool_grid_divisibility():
     with pytest.raises(InputError):
         pool_grid(np.zeros((10, 10)), 3)
+    for factor in (0, -2):
+        with pytest.raises(InputError, match="pool factor must be >= 1"):
+            pool_grid(np.zeros((8, 8)), factor)
 
 
 # --- AE targets ------------------------------------------------------------
@@ -411,11 +414,12 @@ def _raw(edit):
      "do not chain"),
     (_edit_members(lambda m: m.update({"ae.activation": np.array(["relu", "tanh"])})),
      "'tanh'"),
+    (_edit_members(lambda m: m.update(pool=0)), "pool factor must be >= 1, got 0"),
 ], ids=["truncated", "flipped-weight-byte", "no-reg.0.bias", "object-member",
         "format-version-1", "topomap-nan-pose", "manifest-truncated",
         "manifest-array-root", "topomap-truncated", "topomap-array-root",
         "topomap-node-without-x", "index-id-past-map", "weights-do-not-chain",
-        "activation-tanh"])
+        "activation-tanh", "pool-zero"])
 def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
     save_bundle(tmp_path, make_bundle())
     corrupt(tmp_path / "bundle.npz")
