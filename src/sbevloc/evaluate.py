@@ -156,7 +156,11 @@ def evaluate_condition(bundle: LocalizerBundle, cond: ConditionData,
 
 
 def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
-    """Fuse the predicted-node global poses with noisy synthetic odometry."""
+    """Fuse the predicted-node global poses with noisy synthetic odometry.
+
+    The filter starts at the first scored frame from that frame's own fix,
+    as an online run would, so no ground-truth pose seeds it.
+    """
     rng = np.random.default_rng([derive_seed(seed, SEED_KF), 0x0F])
     speed = cfg.synth.speed
     dt = cfg.synth.frame_spacing / speed
@@ -170,12 +174,12 @@ def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
         odom.append(OdomSample(speed + rng.normal(0, 0.2),
                                rng.normal(0, 0.05),
                                om + rng.normal(0, 0.005), step_dt))
-    fixes = {s.frame_id: [p.x, p.y, p.theta]
+    first = min(s.frame_id for s in cond.samples)
+    fixes = {s.frame_id - first: [p.x, p.y, p.theta]
              for s, p in zip(cond.samples, glob_pred)}
-    init = KfState(np.array([route[0].x, route[0].y, route[0].theta]),
-                   cfg.kf.init_sigma())
-    states = fuse_trajectory(odom, fixes, init, cfg.kf.q(), R_FIX)
-    preds = [Pose2(*states[s.frame_id].mu) for s in cond.samples]
+    init = KfState(np.array(fixes[0]), cfg.kf.init_sigma())
+    states = fuse_trajectory(odom[first:], fixes, init, cfg.kf.q(), R_FIX)
+    preds = [Pose2(*states[s.frame_id - first].mu) for s in cond.samples]
     mae_f = mae_xytheta(preds, cond.globals)
     return EvalReport(cond.name, float("nan"), *mae_f,
                       "predicted_node_post_kf", len(preds))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,19 @@ def test_conditions_follow_the_one_pass_rule(two_runs):
         assert cond.globals == tuple(cond.route[s.frame_id] for s in cond.samples)
     assert rain.samples == clean.samples and rain.route == clean.route
     assert lane.route != clean.route
+
+
+def test_post_kf_row_is_not_seeded_by_ground_truth(two_runs):
+    # the filter reads the route only for its odometry, which uses headings,
+    # so moving every true position leaves the post-KF row as it was
+    cfg, (_, art), _ = two_runs
+    bundle = art.trained["BASE"].bundle
+    cond = art.conditions[0]
+    moved = tuple(Pose2(p.x + 500.0, p.y - 300.0, p.theta) for p in cond.route)
+    want = evaluate_condition(bundle, cond, cfg, cfg.seed, run_filter=True)
+    got = evaluate_condition(bundle, dataclasses.replace(cond, route=moved),
+                             cfg, cfg.seed, run_filter=True)
+    assert repr(got) == repr(want)
 
 
 def _samples(counts):
