@@ -156,11 +156,9 @@ def evaluate_condition(bundle: LocalizerBundle, cond: ConditionData,
 
 
 def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
-    """Fuse the predicted-node global poses with noisy synthetic odometry.
-
-    The filter starts at the first scored frame from that frame's own fix,
-    as an online run would, so no ground-truth pose seeds it.
-    """
+    """Fuse the predicted-node global poses with noisy synthetic odometry,
+    starting at the first scored frame from its own fix, as relocalization
+    does; no ground-truth pose seeds the filter."""
     rng = np.random.default_rng([derive_seed(seed, SEED_KF), 0x0F])
     speed = cfg.synth.speed
     dt = cfg.synth.frame_spacing / speed

@@ -53,10 +53,8 @@ def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
     """
     grid = np.asarray(grid)
     h, w = grid.shape
-    if factor < 1:
-        raise InputError(f"pool factor must be >= 1, got {factor}")
-    if h % factor or w % factor:
-        raise InputError(f"grid {grid.shape} not divisible by pool factor {factor}")
+    if factor < 1 or h % factor or w % factor:
+        raise InputError(f"pool factor {factor} does not divide grid {grid.shape}")
     sums = (grid.reshape(h // factor, factor, w).sum(axis=1, dtype=np.float64)
             .reshape(h // factor, w // factor, factor).sum(axis=2))
     return sums / (factor * factor)
