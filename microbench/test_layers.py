@@ -2,6 +2,9 @@
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest microbench -q
 
+CI runs them with `--benchmark-disable`: each body then runs once, and only
+its output check counts.
+
 One BLAS thread, as in perfbench: on a 2-core machine the default two
 threads made the AE forward pass read ~110 ms in some runs and ~3 ms in
 others. Each benchmark also checks its output once, so a fast wrong result

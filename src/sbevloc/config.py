@@ -81,6 +81,12 @@ class TopoConfig:
     trans_threshold_m: float = 20.0
     ang_threshold_deg: float = 30.0
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{f.name} {value} must be finite and > 0")
+
 
 @dataclass(frozen=True)
 class SplitConfig:
@@ -120,6 +126,11 @@ class WeatherDoc:
     def __post_init__(self):
         self.weather_spec()  # WeatherSpec's checks, at load
 
+    def is_clean(self) -> bool:
+        """No knob perturbs a frame; the clean pass already scores it."""
+        return (self.label_confusion_prob == 0 and self.depth_dropout_prob == 0
+                and self.depth_noise_sigma == 0 and self.range_attenuation == 0)
+
     def weather_spec(self) -> WeatherSpec:
         return WeatherSpec(self.label_confusion_prob, self.confusion_radius,
                            self.depth_dropout_prob, self.depth_noise_sigma,
@@ -140,6 +151,14 @@ class EvalConfig:
         for offset in self.lane_offsets_m:
             if not math.isfinite(offset):
                 raise InputError(f"lane offset {offset} must be finite")
+        # each label names one condition of the report; 0.0 == -0.0 in a set
+        names = [w.name for w in self.weather]
+        for what, values in (("mode", self.modes), ("lane offset", self.lane_offsets_m),
+                             ("weather name", names)):
+            if len(set(values)) != len(values):
+                raise InputError(f"duplicate {what} in {list(values)}")
+        if any(w.name == "clean" and not w.is_clean() for w in self.weather):
+            raise InputError("weather 'clean' must set no perturbation")
 
 
 @dataclass(frozen=True)

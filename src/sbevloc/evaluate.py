@@ -18,7 +18,6 @@ synthetic odometry for post-filter rows.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +46,9 @@ from .pipeline import (
 from .synthworld import generate_world, lane_shift
 from .topomap import assign_to_nodes, balance_samples, build_topo_map
 
-REPORT_HEADER = "condition,node_acc,mae_x_m,mae_y_m,mae_theta_deg,variant,n"
+REPORT_FIELDS = ("condition", "node_acc", "mae_x_m", "mae_y_m", "mae_theta_deg",
+                 "variant", "n")
+REPORT_HEADER = ",".join(REPORT_FIELDS)
 
 # measurement noise of a localization fix: 2 m, 2 degrees, fixed rather than
 # fitted, so that no test ground truth reaches the filter
@@ -195,23 +196,11 @@ class ExperimentArtifacts:
     world: object
 
 
-def _is_clean(wdoc) -> bool:
-    return (wdoc.label_confusion_prob == 0 and wdoc.depth_dropout_prob == 0
-            and wdoc.depth_noise_sigma == 0 and wdoc.range_attenuation == 0)
-
-
-def run_experiment(cfg: RunConfig, verbose: bool = False):
+def run_experiment(cfg: RunConfig):
     """Full protocol; returns (report rows, artifacts)."""
-    t0 = time.time()
-
-    def log(msg):
-        if verbose:
-            print(f"[{time.time() - t0:7.1f}s] {msg}", flush=True)
-
     seed = cfg.seed
     world = generate_world(derive_seed(seed, SEED_WORLD), cfg.synth)
     route = world.route
-    log(f"world: {len(route)} frames, {len(world.primitives)} primitives")
 
     topo = build_topo_map(route, cfg.topo.trans_threshold_m,
                           math.radians(cfg.topo.ang_threshold_deg))
@@ -219,13 +208,11 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
                                    len(topo), cfg.split.ratio,
                                    derive_seed(seed, SEED_SPLIT))
     balanced = balance_samples(train, len(topo), derive_seed(seed, SEED_BALANCE))
-    log(f"map: {len(topo)} nodes; balanced train {len(balanced)}, "
-        f"test {len(test)}")
 
     test_ids = [s.frame_id for s in test]
     passes = ([("clean", route, None)]
               + [(w.name, route, w.weather_spec())
-                 for w in cfg.eval.weather if not _is_clean(w)]
+                 for w in cfg.eval.weather if not w.is_clean()]
               + [(f"lane{offset:+g}", lane_shift(route, offset), None)
                  for offset in cfg.eval.lane_offsets_m])
     conditions, arrays = [], None
@@ -241,15 +228,12 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
         conditions.append(ConditionData(name, inputs, samples,
                                         tuple(poses[i] for i in test_ids),
                                         poses))
-        log(f"{name} pass done")
 
     rows = []
     trained = {}
     for mode in cfg.eval.modes:
         tp = train_localizer(topo, arrays, mode, cfg, seed)
         trained[mode] = tp
-        log(f"{mode}: AE loss {tp.ae_losses[-1]:.6f}, "
-            f"reg loss {tp.reg_losses[-1]:.6f}")
         for cond in conditions:
             got = evaluate_condition(tp.bundle, cond, cfg, seed,
                                      run_filter=cfg.eval.run_filter)
@@ -257,9 +241,6 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
                 got = [replace(r, condition=f"{mode}/{r.condition}")
                        for r in got]
             rows.extend(got)
-            log(f"{mode}/{cond.name}: acc {got[0].node_accuracy:.3f}, perfect "
-                f"MAE ({got[0].mae_x:.3f} m, {got[0].mae_y:.3f} m, "
-                f"{got[0].mae_theta_deg:.3f} deg)")
 
     artifacts = ExperimentArtifacts(topo, arrays, trained, conditions, world)
     return rows, artifacts
@@ -268,24 +249,23 @@ def run_experiment(cfg: RunConfig, verbose: bool = False):
 # ---------------------------------------------------------------------------
 # report output
 
+def _report_cells(r: EvalReport, digits: int, no_acc: str) -> tuple:
+    """One row's cells in REPORT_FIELDS order; a NaN accuracy prints as `no_acc`."""
+    acc = no_acc if math.isnan(r.node_accuracy) else f"{r.node_accuracy:.{digits}f}"
+    maes = (f"{v:.{digits}f}" for v in (r.mae_x, r.mae_y, r.mae_theta_deg))
+    return (r.condition, acc, *maes, r.variant, str(r.n))
+
+
 def write_report_csv(path, rows) -> None:
     with open(path, "w") as f:
         f.write(REPORT_HEADER + "\n")
         for r in rows:
-            acc = "" if math.isnan(r.node_accuracy) else f"{r.node_accuracy:.6f}"
-            f.write(f"{r.condition},{acc},{r.mae_x:.6f},{r.mae_y:.6f},"
-                    f"{r.mae_theta_deg:.6f},{r.variant},{r.n}\n")
+            f.write(",".join(_report_cells(r, 6, "")) + "\n")
 
 
 def format_report_table(rows) -> str:
-    header = ("condition", "node_acc", "mae_x_m", "mae_y_m",
-              "mae_theta_deg", "variant", "n")
-    cells = [header]
-    for r in rows:
-        acc = "-" if math.isnan(r.node_accuracy) else f"{r.node_accuracy:.3f}"
-        cells.append((r.condition, acc, f"{r.mae_x:.3f}", f"{r.mae_y:.3f}",
-                      f"{r.mae_theta_deg:.3f}", r.variant, str(r.n)))
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    cells = [REPORT_FIELDS, *(_report_cells(r, 3, "-") for r in rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(REPORT_FIELDS))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
              for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))

@@ -7,8 +7,9 @@ localization is exact 1-NN over stored embeddings; fine localization feeds
 to the node, which is composed with the node pose for the global estimate.
 Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
 
-A trained bundle is saved as one uncompressed numpy archive, DIR/bundle.npz,
-format version 2, that `load_bundle` reads without unpickling:
+A trained bundle has in memory the form of its file, DIR/bundle.npz: one
+uncompressed numpy archive, format version 2, that `load_bundle` reads
+without unpickling:
 
 - `format_version` int64 (2), `pool` int64, `ae_mode` str;
 - `nodes` (n_nodes, 3) float64: x, y, theta of node i in row i;
@@ -18,7 +19,7 @@ format version 2, that `load_bundle` reads without unpickling:
   and `{net}.{i}.bias` (out,) float32 for layer i, `{net}.activation` (layers,)
   str and `{net}.dropout` (layers,) float64.
 
-`n_nodes`, `latent_dim` and `encoder_layers` follow from these arrays.
+`n_nodes` and `latent_dim` follow from these arrays.
 """
 
 from __future__ import annotations
@@ -94,14 +95,18 @@ class RegConfig:
 
 @dataclass
 class AEModel:
-    net: nnet.DenseNet
-    encoder_layers: int
+    net: nnet.DenseNet    # the encoder; its last layer is the bottleneck
     pool: int
     mode: str = "BASE"
 
     @property
+    def encoder_layers(self):
+        # read by perfbench/workloads.BundleOracle
+        return len(self.net.layers)
+
+    @property
     def latent_dim(self):
-        return self.net.layers[self.encoder_layers - 1].weights.shape[0]
+        return self.net.layers[-1].weights.shape[0]
 
 
 @dataclass
@@ -143,13 +148,13 @@ def ae_targets(inputs: np.ndarray, node_ids, is_original, mode: str) -> np.ndarr
     """Reconstruction targets per training mode.
 
     BASE/AUG reconstruct the mean of the node's original (un-augmented)
-    rows; AVG reconstructs each row's own input.
+    rows; AVG reconstructs each row's own input: `inputs` itself, read only.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
     inputs = np.asarray(inputs)
     if mode == "AVG":
-        return inputs.copy()
+        return inputs
     ids = np.asarray(node_ids)
     is_original = np.asarray(is_original, dtype=bool)
     targets = np.empty_like(inputs)
@@ -164,7 +169,8 @@ def ae_targets(inputs: np.ndarray, node_ids, is_original, mode: str) -> np.ndarr
 
 def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
                       mode: str = "BASE"):
-    """Train the symmetric float32 dense AE; returns (AEModel, per-epoch losses)."""
+    """Train the symmetric float32 dense AE; returns (AEModel of its trained
+    encoder, per-epoch losses). Nothing reads the decoder afterwards."""
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float32)
@@ -175,14 +181,13 @@ def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
     acts = [config.activation] * (len(dims) - 2) + ["linear"]
     net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)
     trained, losses = nnet.train(net, inputs, targets, config.train, seed)
-    return AEModel(trained, encoder_layers=len(hidden) + 1, pool=config.pool,
-                   mode=mode), losses
+    encoder = nnet.DenseNet(trained.layers[:len(hidden) + 1])
+    return AEModel(encoder, config.pool, mode), losses
 
 
 def embed_vec(model: AEModel, x: np.ndarray) -> np.ndarray:
     """Deterministic eval-mode encoder output for a prepared input vector."""
-    encoder = nnet.DenseNet(model.net.layers[:model.encoder_layers])
-    out, _ = nnet.forward(encoder, x, mode="eval")
+    out, _ = nnet.forward(model.net, x, mode="eval")
     return np.asarray(out, dtype=np.float32)
 
 
@@ -234,7 +239,7 @@ def fine_localize(model: RegModel, node_id: int, latent: np.ndarray) -> Pose2:
 
 def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
                     config: RegConfig, seed: int):
-    """Train the float32 3-DoF regressor on frozen-encoder latents.
+    """Train the float32 3-DoF regressor from latents to (n, 3) `rel_poses`.
 
     Latents are standardized per dimension for training (their useful
     variation is orders of magnitude below the one-hot entries) and the
@@ -252,7 +257,7 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
     std_lat = ((latents - mu) / sd).astype(np.float32)
     xs = regressor_inputs(node_ids, n_nodes, std_lat)
-    ys = np.array([[p.x, p.y, p.theta] for p in rel_poses], dtype=np.float32)
+    ys = np.asarray(rel_poses, dtype=np.float32)
     dims = [n_nodes + latents.shape[1], *config.hidden, 3]
     acts = ["relu"] * len(config.hidden) + ["linear"]
     drops = [config.dropout] * len(config.hidden) + [0.0]
@@ -312,9 +317,7 @@ def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
              thresholds=np.array([topo.trans_threshold, topo.ang_threshold]),
              index_latents=bundle.index.latents,
              index_node_ids=bundle.index.node_ids.astype("<u4"),
-             # localize reads only the encoder
-             **nnet.net_arrays(nnet.DenseNet(
-                 bundle.ae.net.layers[:bundle.ae.encoder_layers]), "ae"),
+             **nnet.net_arrays(bundle.ae.net, "ae"),
              **nnet.net_arrays(bundle.reg.net, "reg"))
 
 
@@ -328,9 +331,8 @@ def load_bundle(dirpath) -> LocalizerBundle:
                 raise ValueError(f"format_version {version}, expected {BUNDLE_VERSION}")
             trans, ang = z["thresholds"].tolist()
             topo = TopoMap.from_poses(z["nodes"], trans, ang)
-            encoder = nnet.net_from_arrays(z, "ae")
-            ae = AEModel(encoder, encoder_layers=len(encoder.layers),
-                         pool=int(z["pool"].item()), mode=str(z["ae_mode"].item()))
+            ae = AEModel(nnet.net_from_arrays(z, "ae"), int(z["pool"].item()),
+                         str(z["ae_mode"].item()))
             reg = RegModel(nnet.net_from_arrays(z, "reg"), n_nodes=len(topo))
             index = EmbeddingIndex(z["index_latents"], z["index_node_ids"])
         bundle = LocalizerBundle(topo, ae, reg, index)

@@ -75,7 +75,7 @@ class TrainingArrays:
 
     inputs: np.ndarray          # (n, in_dim) float32
     node_ids: np.ndarray        # (n,)
-    rel_poses: list             # Pose2 per row
+    rel_poses: np.ndarray       # (n, 3) float64 x, y, theta relative to the node
     is_original: np.ndarray     # (n,) bool; False for augmented variants
     frame_ids: np.ndarray       # (n,) source frame of each row
 
@@ -110,7 +110,7 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
             for j, (vsb, vrel) in enumerate(augment_sample(sb, s.rel_pose, aug)):
                 inputs.append(grid_to_input(vsb.grid, pool))
                 ids.append(s.node_id)
-                poses.append(vrel)
+                poses.append((vrel.x, vrel.y, vrel.theta))
                 orig.append(j == 0)
                 fids.append(s.frame_id)
         if sb.frame_id in want:
@@ -120,7 +120,7 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
         raise InputError(f"frames without S-BEVs: {missing[:10]}")
     test_inputs = (np.stack([test_rows[f] for f in test_ids])
                    if test_rows else None)
-    arrays = (TrainingArrays(np.stack(inputs), np.array(ids), poses,
+    arrays = (TrainingArrays(np.stack(inputs), np.array(ids), np.array(poses),
                              np.array(orig), np.array(fids))
               if inputs else None)
     return test_inputs, arrays
@@ -141,20 +141,16 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     BASE uses everything with node-average targets; AVG reconstructs each
     input instead; AUG drops the augmented variants.
     """
-    if mode == "AUG":
-        keep = arrays.is_original
-    else:
-        keep = np.ones(len(arrays.inputs), dtype=bool)
+    keep = arrays.is_original if mode == "AUG" else slice(None)
     inputs = arrays.inputs[keep]
     node_ids = arrays.node_ids[keep]
-    rel_poses = [p for p, k in zip(arrays.rel_poses, keep) if k]
     targets = ae_targets(inputs, node_ids, arrays.is_original[keep], mode)
     ae, ae_losses = train_autoencoder(inputs, targets, cfg.ae,
                                       derive_seed(seed, SEED_AE), mode)
     latents = embed_batched(ae, inputs)
     index = build_index(latents, node_ids)
-    reg, reg_losses = train_regressor(latents, node_ids, rel_poses, len(topo),
-                                      cfg.reg, derive_seed(seed, SEED_REG))
+    reg, reg_losses = train_regressor(latents, node_ids, arrays.rel_poses[keep],
+                                      len(topo), cfg.reg, derive_seed(seed, SEED_REG))
     bundle = LocalizerBundle(topo, ae, reg, index)
     bundle.validate()
     return TrainedPipeline(bundle, ae_losses, reg_losses, arrays)

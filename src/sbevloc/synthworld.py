@@ -63,11 +63,18 @@ class WorldSpec:
     max_range: float = 48.0
 
     def __post_init__(self):
-        # "not > 0" also rejects NaN, which JSON configs can carry
-        if not self.route_length > 0:
-            raise InputError("route length must be positive")
-        if not (self.frame_spacing > 0 and self.speed > 0):
-            raise InputError("frame spacing and speed must be positive")
+        # every value is finite, which also rejects the NaN JSON configs can carry
+        for name in ("route_length", "frame_spacing", "speed", "camera_height",
+                     "max_range"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be positive and finite, got {value}")
+        for name in ("primitive_density", "clearance", "max_lateral"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InputError(f"{name} must be non-negative and finite, got {value}")
+        if not math.isfinite(self.curviness):
+            raise InputError(f"curviness must be finite, got {self.curviness}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Topological node maps plus the training-set bookkeeping built on them.
 
 Nodes are dropped along a trajectory whenever the pose has moved or turned
-past fixed thresholds. Each camera frame is then assigned to its nearest
-node (planar Euclidean distance) and labeled with its pose relative to that
-node. Per-node sample balancing and pose-consistent grid augmentation live
-here too.
+past fixed thresholds; node i is row i of `TopoMap.poses()`, as in
+`bundle.npz`. Each camera frame is then assigned to its nearest node (planar
+Euclidean distance, ties to the smallest id) and labeled with its pose
+relative to that node. Per-node sample balancing and pose-consistent grid
+augmentation live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .sbev import GridSpec, SBev, cell_centers, cell_indices
 
 @dataclass(frozen=True)
 class NodePose:
-    id: int
     pose: Pose2
 
 
@@ -32,16 +32,8 @@ class TopoMap:
     trans_threshold: float   # meters
     ang_threshold: float     # radians
 
-    def __post_init__(self):
-        for i, n in enumerate(self.nodes):
-            if n.id != i:
-                raise InputError(f"node ids must be contiguous, got {n.id} at {i}")
-
     def __len__(self):
         return len(self.nodes)
-
-    def positions(self) -> np.ndarray:
-        return np.array([[n.pose.x, n.pose.y] for n in self.nodes])
 
     def poses(self) -> np.ndarray:
         """(n, 3) float64 rows of x, y, theta; row i is node i."""
@@ -54,8 +46,7 @@ class TopoMap:
         poses = np.asarray(poses, dtype=np.float64)
         if poses.ndim != 2 or poses.shape[1] != 3:
             raise InputError(f"node poses must be (n, 3), got shape {poses.shape}")
-        return cls(tuple(NodePose(i, Pose2(x, y, theta))
-                         for i, (x, y, theta) in enumerate(poses.tolist())),
+        return cls(tuple(NodePose(Pose2(*p)) for p in poses.tolist()),
                    trans_threshold, ang_threshold)
 
 
@@ -73,34 +64,29 @@ def build_topo_map(trajectory, trans_threshold: float, ang_threshold: float) -> 
     trajectory = list(trajectory)
     if not trajectory:
         raise InputError("empty trajectory")
-    if trans_threshold <= 0 or ang_threshold <= 0:
+    # "not > 0" also rejects NaN
+    if not (trans_threshold > 0 and ang_threshold > 0):
         raise InputError("thresholds must be positive")
-    nodes = [NodePose(0, trajectory[0])]
+    nodes = [NodePose(trajectory[0])]
     last = trajectory[0]
     for pose in trajectory[1:]:
         moved = math.hypot(pose.x - last.x, pose.y - last.y)
         turned = abs(wrap_angle(pose.theta - last.theta))
         if moved >= trans_threshold or turned >= ang_threshold:
-            nodes.append(NodePose(len(nodes), pose))
+            nodes.append(NodePose(pose))
             last = pose
     return TopoMap(tuple(nodes), trans_threshold, ang_threshold)
 
 
-def nearest_node(topo: TopoMap, pose: Pose2) -> int:
-    """Closest node by planar distance; ties go to the smallest id."""
-    if not len(topo):
-        raise InputError("empty map")
-    d = topo.positions() - np.array([pose.x, pose.y])
-    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
-
-
 def assign_to_nodes(topo: TopoMap, frames) -> tuple:
     """Label (frame_id, pose) records with node id and rel pose: one Sample each."""
-    samples = []
-    for frame_id, pose in frames:
-        nid = nearest_node(topo, pose)
-        samples.append(Sample(frame_id, nid, relative_pose(topo.nodes[nid].pose, pose)))
-    return tuple(samples)
+    if not len(topo):
+        raise InputError("empty map")
+    frames = list(frames)
+    d = topo.poses()[:, :2] - np.array([[p.x, p.y] for _, p in frames]).reshape(-1, 1, 2)
+    nearest = np.argmin(np.einsum("fnk,fnk->fn", d, d), axis=1).tolist()
+    return tuple(Sample(frame_id, nid, relative_pose(topo.nodes[nid].pose, pose))
+                 for (frame_id, pose), nid in zip(frames, nearest))
 
 
 def balance_samples(samples, n_nodes: int, seed: int) -> tuple:

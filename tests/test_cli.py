@@ -30,6 +30,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert not (out / "report.csv").exists()
 
 
+def test_bad_synth_value_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"synth": {"primitive_density": -1}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "synth: primitive_density" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")])

@@ -127,6 +127,26 @@ def test_bad_train_values_rejected_at_load():
     ({"kf": {"q_xy": math.inf}}, r"config kf: q_xy inf"),
     ({"eval": {"lane_offsets_m": [1.5, math.nan]}}, r"config eval: lane offset nan"),
     ({"eval": {"lane_offsets_m": [-math.inf]}}, r"config eval: lane offset -inf"),
+    ({"synth": {"primitive_density": -1}},
+     r"config synth: primitive_density must be non-negative and finite, got -1\.0"),
+    ({"synth": {"primitive_density": math.nan}},
+     r"config synth: primitive_density must be non-negative and finite, got nan"),
+    ({"synth": {"clearance": -0.5}}, r"config synth: clearance .* got -0\.5"),
+    ({"synth": {"max_lateral": math.inf}}, r"config synth: max_lateral .* got inf"),
+    ({"synth": {"curviness": math.nan}}, r"config synth: curviness must be finite"),
+    ({"topo": {"trans_threshold_m": math.nan}},
+     r"config topo: trans_threshold_m nan must be finite and > 0"),
+    ({"topo": {"trans_threshold_m": -20.0}}, r"config topo: trans_threshold_m -20\.0"),
+    ({"topo": {"ang_threshold_deg": 0}}, r"config topo: ang_threshold_deg 0\.0"),
+    ({"topo": {"ang_threshold_deg": math.inf}}, r"config topo: ang_threshold_deg inf"),
+    ({"eval": {"modes": ["BASE", "BASE"]}}, r"config eval: duplicate mode"),
+    ({"eval": {"lane_offsets_m": [1.5, 1.5]}}, r"config eval: duplicate lane offset"),
+    ({"eval": {"lane_offsets_m": [0.0, -0.0]}}, r"config eval: duplicate lane offset"),
+    ({"eval": {"weather": [{"name": "fog", "range_attenuation": 40.0},
+                           {"name": "fog", "depth_dropout_prob": 0.1}]}},
+     r"config eval: duplicate weather name"),
+    ({"eval": {"weather": [{"name": "clean", "depth_noise_sigma": 0.1}]}},
+     r"config eval: weather 'clean' must set no perturbation"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):
@@ -135,7 +155,8 @@ def test_bad_section_values_rejected_at_load(doc, message):
 
 @pytest.mark.parametrize("synth", [
     {"route_length": -1}, {"frame_spacing": 0}, {"speed": 0},
-    {"route_length": math.nan}])
+    {"route_length": math.nan}, {"camera_height": math.nan}, {"max_range": -5},
+    {"camera_height": 0}, {"speed": math.inf}])
 def test_bad_synth_values_rejected_at_load(synth):
     with pytest.raises(InputError, match=r"config synth: .* must be positive"):
         config_from_dict({"synth": synth})

@@ -151,8 +151,9 @@ def test_pool_traversal_training_rows_in_frame_order(tiny_cfg):
     assert arrays.node_ids.tolist() == [0, 0, 0, 1, 1, 1]
     assert arrays.is_original.tolist() == [True, False, False] * 2
     assert np.array_equal(arrays.inputs[3], grid_to_input(sbevs[8].grid, cfg.ae.pool))
-    assert arrays.rel_poses[0] == Pose2(1.0, 0.2, 0.1)
-    assert arrays.rel_poses[2].y == pytest.approx(0.2 + 4 * cfg.grid.resolution)
+    assert arrays.rel_poses.dtype == np.float64 and arrays.rel_poses.shape == (6, 3)
+    assert arrays.rel_poses[0].tolist() == [1.0, 0.2, 0.1]
+    assert arrays.rel_poses[2, 1] == pytest.approx(0.2 + 4 * cfg.grid.resolution)
 
 
 def test_pool_traversal_names_missing_frames(tiny_cfg):

@@ -34,10 +34,9 @@ from sbevloc.topomap import NodePose, TopoMap
 
 
 def tiny_ae(seed=0, in_dim=16, latent=4):
-    net = nnet.init_net([in_dim, 8, latent, 8, in_dim],
-                        ["relu", "relu", "relu", "linear"], seed=seed,
+    net = nnet.init_net([in_dim, 8, latent], ["relu", "relu"], seed=seed,
                         dtype=np.float32)
-    return AEModel(net, encoder_layers=2, pool=8, mode="BASE")
+    return AEModel(net, pool=8, mode="BASE")
 
 
 # --- pooling / inputs -----------------------------------------------------
@@ -132,6 +131,27 @@ def test_train_autoencoder_deterministic():
     assert l1 == l2
 
 
+def test_train_autoencoder_keeps_the_trained_encoder():
+    x = np.random.default_rng(7).uniform(0, 1, (12, 16)).astype(np.float32)
+    cfg = AeConfig(hidden=(8, 6), latent_dim=4, activation="relu",
+                   train=nnet.TrainConfig(epochs=3, batch_size=5))
+    model, losses = train_autoencoder(x, x, cfg, 9)
+    # the same init and seed as train_autoencoder: the symmetric AE
+    full = nnet.init_net([16, 8, 6, 4, 6, 8, 16], ["relu"] * 5 + ["linear"],
+                         seed=9, dtype=np.float32)
+    trained, want_losses = nnet.train(full, x, x, cfg.train, 9)
+    assert losses == want_losses
+    assert len(model.net.layers) == model.encoder_layers == len(cfg.hidden) + 1
+    assert model.latent_dim == model.net.layers[-1].weights.shape[0] == 4
+    for got, want in zip(model.net.layers, trained.layers):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert (got.activation, got.dropout) == (want.activation, want.dropout)
+    # the latent is the bottleneck output of the full forward pass
+    _, rec = nnet.forward(trained, x, mode="eval")
+    assert embed_vec(model, x).tobytes() == rec.post[len(cfg.hidden)].tobytes()
+
+
 def test_train_autoencoder_rejects_bad_mode():
     with pytest.raises(InputError):
         train_autoencoder(np.zeros((1, 4)), np.zeros((1, 4)),
@@ -149,14 +169,6 @@ def test_embed_deterministic_and_finite():
     assert np.array_equal(a, b)
     z = embed(model, SBev(np.zeros((32, 32), dtype=np.uint8), 0.25))
     assert np.all(np.isfinite(z))
-
-
-def test_embed_is_prefix_of_full_forward():
-    model = tiny_ae(seed=6)
-    x = np.random.default_rng(7).uniform(0, 1, 16).astype(np.float32)
-    latent = embed_vec(model, x)
-    _, rec = nnet.forward(model.net, x, mode="eval")
-    assert np.allclose(latent, rec.post[model.encoder_layers - 1][0], atol=1e-7)
 
 
 # --- coarse_localize ------------------------------------------------------------
@@ -229,11 +241,10 @@ def test_train_regressor_linear_task():
     lats = rng.normal(size=(64, 8)).astype(np.float32) * 0.5
     a = rng.normal(size=(3, 8)) * 0.3
     targets = lats @ a.T
-    poses = [Pose2(*t) for t in targets]
     ids = np.tile([0, 1], 32)
     cfg = RegConfig(hidden=(32,), dropout=0.0, train=nnet.TrainConfig(
         epochs=500, learning_rate=0.005, batch_size=16))
-    model, losses = train_regressor(lats, ids, poses, 2, cfg, 11)
+    model, losses = train_regressor(lats, ids, targets, 2, cfg, 11)
     assert losses[-1] < 1e-4
 
 
@@ -247,7 +258,7 @@ def test_train_regressor_zero_epochs_returns_init():
     with pytest.raises(InputError, match="epochs"):
         RegConfig(train=nnet.TrainConfig(epochs=0))
     lats = np.zeros((4, 8), dtype=np.float32)
-    poses = [Pose2(0, 0, 0)] * 4
+    poses = np.zeros((4, 3))
     model, losses = train_regressor(lats, [0, 0, 1, 1], poses, 2,
                                     one_epoch_reg(), 0)
     assert len(losses) == 1
@@ -256,7 +267,7 @@ def test_train_regressor_zero_epochs_returns_init():
 
 def test_train_regressor_balance_guard():
     lats = np.zeros((3, 8), dtype=np.float32)
-    poses = [Pose2(0, 0, 0)] * 3
+    poses = np.zeros((3, 3))
     with pytest.raises(InputError, match="unbalanced"):
         train_regressor(lats, [0, 0, 1], poses, 2, one_epoch_reg(), 0)
 
@@ -265,7 +276,7 @@ def test_regressor_training_freezes_encoder():
     model = tiny_ae(seed=12)
     before = [l.weights.tobytes() + l.bias.tobytes() for l in model.net.layers]
     lats = np.random.default_rng(13).normal(size=(8, 4)).astype(np.float32)
-    poses = [Pose2(0.1, 0.2, 0.05)] * 8
+    poses = np.tile([0.1, 0.2, 0.05], (8, 1))
     train_regressor(lats, np.tile([0, 1], 4), poses, 2,
                     RegConfig(train=nnet.TrainConfig(epochs=3)), 14)
     after = [l.weights.tobytes() + l.bias.tobytes() for l in model.net.layers]
@@ -276,7 +287,7 @@ def test_regressor_training_freezes_encoder():
 
 def make_bundle(seed=15):
     rng = np.random.default_rng(seed)
-    nodes = tuple(NodePose(i, Pose2(20.0 * i, 0.5 * i, 0.05 * i)) for i in range(3))
+    nodes = tuple(NodePose(Pose2(20.0 * i, 0.5 * i, 0.05 * i)) for i in range(3))
     topo = TopoMap(nodes, 20.0, math.radians(30))
     ae = tiny_ae(seed=seed, in_dim=16, latent=4)
     reg_net = nnet.init_net([3 + 4, 8, 3], ["relu", "linear"], seed=seed + 1,
@@ -315,10 +326,9 @@ def test_bundle_round_trip(tmp_path):
     assert back.topo == bundle.topo
     assert (back.ae.encoder_layers, back.ae.pool, back.ae.mode) == (2, 8, "BASE")
     assert back.reg.n_nodes == bundle.reg.n_nodes
-    for got, want in ((back.ae.net.layers, bundle.ae.net.layers[:2]),
-                      (back.reg.net.layers, bundle.reg.net.layers)):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
+    for got, want in ((back.ae.net, bundle.ae.net), (back.reg.net, bundle.reg.net)):
+        assert len(got.layers) == len(want.layers)
+        for g, w in zip(got.layers, want.layers):
             assert g.weights.dtype == g.bias.dtype == np.float32
             assert np.array_equal(g.weights, w.weights)
             assert np.array_equal(g.bias, w.bias)

@@ -9,13 +9,13 @@ from sbevloc.geometry import Pose2, global_from_relative, relative_pose, wrap_an
 from sbevloc.sbev import GridSpec, SBev, cell_centers, cell_indices
 from sbevloc.topomap import (
     AugmentConfig,
+    NodePose,
     Sample,
     TopoMap,
     assign_to_nodes,
     augment_sample,
     balance_samples,
     build_topo_map,
-    nearest_node,
     rotate_grid,
     shift_grid,
 )
@@ -73,6 +73,13 @@ def test_build_rejects_empty():
         build_topo_map([], 20, 0.5)
 
 
+@pytest.mark.parametrize("trans, ang", [(0.0, 0.5), (20.0, -0.5), (math.nan, 0.5),
+                                        (20.0, math.nan)])
+def test_build_rejects_bad_thresholds(trans, ang):
+    with pytest.raises(InputError, match="thresholds must be positive"):
+        build_topo_map([Pose2(0, 0, 0)], trans, ang)
+
+
 def test_resampling_density_stability():
     # sampling 4x finer moves node positions by at most the coarse step
     fine = [Pose2(i * 0.25, 0, 0) for i in range(401)]
@@ -84,33 +91,41 @@ def test_resampling_density_stability():
         assert abs(a.pose.x - b.pose.x) <= 1.0
 
 
-# --- nearest_node --------------------------------------------------------
+# --- assign_to_nodes -----------------------------------------------------
 
 def make_map(positions):
-    traj_nodes = tuple(
-        __import__("sbevloc.topomap", fromlist=["NodePose"]).NodePose(i, Pose2(*p))
-        for i, p in enumerate(positions))
-    return TopoMap(traj_nodes, 20.0, math.radians(30))
+    return TopoMap(tuple(NodePose(Pose2(*p)) for p in positions), 20.0, math.radians(30))
 
 
-def test_nearest_node_exact_hit():
-    topo = make_map([(0, 0), (10, 0), (20, 0), (30, 5)])
-    assert nearest_node(topo, Pose2(30, 5, 1.0)) == 3
-
-
-def test_nearest_node_tie_break():
-    topo = make_map([(-1, 0), (0, 0), (2, 0), (4, 0)])
-    assert nearest_node(topo, Pose2(3, 0, 0)) == 2  # ids 2 and 3 equidistant
-
-
-def test_nearest_node_brute_force():
+def test_assign_to_nodes_matches_brute_force():
     rng = np.random.default_rng(1)
-    pts = rng.uniform(-100, 100, (200, 2))
+    # nodes on a 1 m lattice and most queries on a 0.5 m one, so that many
+    # queries lie exactly as far from two or more nodes
+    cells = rng.choice(41 * 41, 200, replace=False)
+    pts = np.column_stack([cells // 41 - 20, cells % 41 - 20]).astype(float)
     topo = make_map(pts)
-    for _ in range(1000):
-        q = Pose2(*rng.uniform(-120, 120, 2))
-        d = np.hypot(pts[:, 0] - q.x, pts[:, 1] - q.y)
-        assert nearest_node(topo, q) == int(np.argmin(d))
+    queries = [Pose2(*rng.integers(-48, 49, 2) / 2, rng.uniform(-3, 3))
+               for _ in range(1000)]
+    queries += [Pose2(*rng.uniform(-30, 30, 3)) for _ in range(500)]
+    samples = assign_to_nodes(topo, enumerate(queries))
+    assert len(samples) == len(queries)
+    ties = 0
+    for i, (q, s) in enumerate(zip(queries, samples)):
+        d2 = [(x - q.x) ** 2 + (y - q.y) ** 2 for x, y in pts]
+        best = min(d2)
+        ties += d2.count(best) > 1
+        assert (s.frame_id, s.node_id) == (i, d2.index(best))
+        assert s.rel_pose == relative_pose(topo.nodes[s.node_id].pose, q)
+    assert ties >= 100
+    line = make_map([(-1, 0), (0, 0), (2, 0), (4, 0)])
+    (s,) = assign_to_nodes(line, [(0, Pose2(3, 0, 0))])
+    assert s.node_id == 2  # ids 2 and 3 equidistant
+
+
+def test_assign_to_nodes_empty():
+    assert assign_to_nodes(make_map([(0, 0)]), []) == ()
+    with pytest.raises(InputError, match="empty map"):
+        assign_to_nodes(make_map([]), [(0, Pose2(0, 0, 0))])
 
 
 def test_assign_to_nodes_rel_pose():
