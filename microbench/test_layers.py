@@ -19,6 +19,8 @@ import pytest
 
 from sbevloc import nnet
 from sbevloc.config import SEED_WORLD, RunConfig, derive_seed
+from sbevloc.evaluate import R_FIX
+from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_update
 from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import grid_to_input
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud
@@ -217,3 +219,28 @@ def test_nnet_optimizer_step(benchmark, net_batch):
     # training run's first
     state = nnet.optimizer_step(first, grads, config)
     benchmark(nnet.optimizer_step, first, grads, config, state)
+
+
+# one post-KF scoring call of the ablation benchmark: 140 odometry steps,
+# a fix at 31 of them, the first at step 0
+FUSE_STEPS, FUSE_FIXES = 140, 31
+
+
+def test_fuse_trajectory(benchmark):
+    rng = np.random.default_rng(7)
+    odom = [OdomSample(10.0 + rng.normal(0, 0.2), rng.normal(0, 0.05),
+                       rng.normal(0, 0.005), 0.05) for _ in range(FUSE_STEPS)]
+    steps = np.sort(rng.choice(np.arange(1, FUSE_STEPS + 1), FUSE_FIXES - 1, replace=False))
+    fixes = {int(i): [0.5 * i + rng.normal(0, 2.0), rng.normal(0, 2.0), rng.normal(0, 0.03)]
+             for i in [0, *steps]}
+    init = KfState(np.array(fixes[0]), CFG.kf.init_sigma())
+    q = CFG.kf.q()
+    states = benchmark(fuse_trajectory, odom, fixes, init, q, R_FIX)
+    # reference: one checked kf_predict/kf_update call per step
+    want = [kf_update(init, fixes[0], R_FIX)]
+    for i, o in enumerate(odom, start=1):
+        state = kf_predict(want[-1], o, q)
+        want.append(kf_update(state, fixes[i], R_FIX) if i in fixes else state)
+    assert len(states) == len(want) == FUSE_STEPS + 1
+    for got, ref in zip(states, want):
+        assert np.array_equal(got.mu, ref.mu) and np.array_equal(got.sigma, ref.sigma)

@@ -137,6 +137,11 @@ class WeatherDoc:
                            self.range_attenuation)
 
 
+def lane_label(offset: float) -> str:
+    """The report's condition label of the pass shifted `offset` m laterally."""
+    return f"lane{offset:+g}"
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     modes: tuple[str, ...] = ("BASE",)
@@ -151,10 +156,13 @@ class EvalConfig:
         for offset in self.lane_offsets_m:
             if not math.isfinite(offset):
                 raise InputError(f"lane offset {offset} must be finite")
-        # each label names one condition of the report; 0.0 == -0.0 in a set
+        # each label names one condition of the report; 0.0 == -0.0 in a set,
+        # and lane_label keeps 6 significant digits, so 1.5 and 1.5000001
+        # differ in value but not in label
         names = [w.name for w in self.weather]
+        labels = names + [lane_label(offset) for offset in self.lane_offsets_m]
         for what, values in (("mode", self.modes), ("lane offset", self.lane_offsets_m),
-                             ("weather name", names)):
+                             ("weather name", names), ("condition label", labels)):
             if len(set(values)) != len(values):
                 raise InputError(f"duplicate {what} in {list(values)}")
         if any(w.name == "clean" and not w.is_clean() for w in self.weather):

@@ -31,6 +31,7 @@ from .config import (
     SEED_WORLD,
     RunConfig,
     derive_seed,
+    lane_label,
 )
 from .errors import InputError
 from .fusion import KfState, OdomSample, fuse_trajectory
@@ -167,12 +168,13 @@ def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
     # step i runs from frame i - 1 to frame i; its dt is the difference of
     # the two frame times, which can differ from dt in the last bit
     step_dts = np.diff(np.arange(len(route)) * dt).tolist()
+    # row i holds step i's (vx, vy, omega) noise, drawn in that order: the
+    # stream of three scalar draws per step
+    noise = rng.normal(0, (0.2, 0.05, 0.005), (len(step_dts), 3)).tolist()
     odom = []
-    for i, step_dt in enumerate(step_dts):
+    for i, (step_dt, (n_vx, n_vy, n_om)) in enumerate(zip(step_dts, noise)):
         om = wrap_angle(route[i + 1].theta - route[i].theta) / dt
-        odom.append(OdomSample(speed + rng.normal(0, 0.2),
-                               rng.normal(0, 0.05),
-                               om + rng.normal(0, 0.005), step_dt))
+        odom.append(OdomSample(speed + n_vx, n_vy, om + n_om, step_dt))
     first = min(s.frame_id for s in cond.samples)
     fixes = {s.frame_id - first: [p.x, p.y, p.theta]
              for s, p in zip(cond.samples, glob_pred)}
@@ -213,7 +215,7 @@ def run_experiment(cfg: RunConfig):
     passes = ([("clean", route, None)]
               + [(w.name, route, w.weather_spec())
                  for w in cfg.eval.weather if not w.is_clean()]
-              + [(f"lane{offset:+g}", lane_shift(route, offset), None)
+              + [(lane_label(offset), lane_shift(route, offset), None)
                  for offset in cfg.eval.lane_offsets_m])
     conditions, arrays = [], None
     for name, poses, weather in passes:

@@ -147,6 +147,9 @@ def test_bad_train_values_rejected_at_load():
      r"config eval: duplicate weather name"),
     ({"eval": {"weather": [{"name": "clean", "depth_noise_sigma": 0.1}]}},
      r"config eval: weather 'clean' must set no perturbation"),
+    # distinct values, one report label: lane+1.5
+    ({"eval": {"lane_offsets_m": [1.5, 1.5000001]}},
+     r"config eval: duplicate condition label in \[.*'lane\+1\.5', 'lane\+1\.5'\]"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

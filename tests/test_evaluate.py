@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import RAIN, tiny_config
-from sbevloc.config import SEED_WORLD, WeatherDoc, derive_seed
+from sbevloc import evaluate
+from sbevloc.config import SEED_KF, SEED_WORLD, WeatherDoc, derive_seed
 from sbevloc.errors import InputError
 from sbevloc.evaluate import (
+    R_FIX,
     REPORT_HEADER,
     evaluate_condition,
     format_report_table,
@@ -18,7 +20,8 @@ from sbevloc.evaluate import (
     split_train_test,
     write_report_csv,
 )
-from sbevloc.geometry import Pose2
+from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
+from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import grid_to_input, load_bundle, localize, save_bundle
 from sbevloc.pipeline import pool_traversal, render_stream, sbev_stream, traversal_sbevs
 from sbevloc.synthworld import generate_world
@@ -87,6 +90,50 @@ def test_post_kf_row_is_not_seeded_by_ground_truth(two_runs):
     got = evaluate_condition(bundle, dataclasses.replace(cond, route=moved),
                              cfg, cfg.seed, run_filter=True)
     assert repr(got) == repr(want)
+
+
+def reference_post_kf_maes(cond, glob_pred, cfg, seed):
+    """The post-KF row's MAEs from three scalar noise draws per step and one
+    checked kf_predict/kf_update call per step."""
+    rng = np.random.default_rng([derive_seed(seed, SEED_KF), 0x0F])
+    speed = cfg.synth.speed
+    dt = cfg.synth.frame_spacing / speed
+    route = cond.route
+    step_dts = np.diff(np.arange(len(route)) * dt)
+    odom = [OdomSample(speed + rng.normal(0, 0.2), rng.normal(0, 0.05),
+                       wrap_angle(route[i + 1].theta - route[i].theta) / dt
+                       + rng.normal(0, 0.005), float(step_dts[i]))
+            for i in range(len(route) - 1)]
+    fixes = {s.frame_id: [p.x, p.y, p.theta] for s, p in zip(cond.samples, glob_pred)}
+    first = min(fixes)
+    state = KfState(np.array(fixes[first]), cfg.kf.init_sigma())
+    mus = {}
+    for i in range(first, max(fixes) + 1):
+        if i > first:
+            state = kf_predict(state, odom[i - 1], cfg.kf.q())
+        if i in fixes:
+            state = kf_update(state, fixes[i], R_FIX)
+        mus[i] = state.mu
+    return mae_xytheta([Pose2(*mus[s.frame_id]) for s in cond.samples], cond.globals)
+
+
+@pytest.mark.parametrize("name", ["clean", "lane+1.5"])
+def test_post_kf_row_equals_step_by_step_reference(two_runs, monkeypatch, name):
+    cfg, (_, art), _ = two_runs
+    cond = next(c for c in art.conditions if c.name == name)
+    seen = []
+    filtered_row = evaluate._filtered_row
+
+    def keep_glob_pred(cond, glob_pred, cfg, seed):
+        seen.append(glob_pred)
+        return filtered_row(cond, glob_pred, cfg, seed)
+
+    monkeypatch.setattr(evaluate, "_filtered_row", keep_glob_pred)
+    row = evaluate_condition(art.trained["BASE"].bundle, cond, cfg, cfg.seed,
+                             run_filter=True)[-1]
+    assert row.variant == "predicted_node_post_kf" and row.n == len(cond.samples)
+    want = reference_post_kf_maes(cond, seen[0], cfg, cfg.seed)
+    assert (row.mae_x, row.mae_y, row.mae_theta_deg) == want
 
 
 def _samples(counts):

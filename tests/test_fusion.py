@@ -237,3 +237,33 @@ def test_fuse_noisy_measurements_improve_mae():
     post_mae = np.mean(post_err, axis=0)
     assert post_mae[0] <= pre_mae[0]
     assert post_mae[1] <= pre_mae[1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("later_fix", [False, True])
+def test_fuse_rejects_infinite_odometry(later_fix):
+    # the states are checked in one batch after the loop; a non-finite one
+    # still raises InputError, also when a later fix updates it
+    odom = [OdomSample(8.0, 0.0, 0.0, 0.1)] * 6
+    odom[2] = OdomSample(math.inf, 0.0, 0.0, 0.1)
+    fixes = {0: [0.0, 0.0, 0.0]}
+    if later_fix:
+        fixes[5] = [4.0, 0.0, 0.0]
+    with pytest.raises(InputError, match="non-finite filter state"):
+        fuse_trajectory(odom, fixes, state(), Q_DEFAULT, R_EYE)
+
+
+ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("q, r, match", [
+    (np.diag([-1.0, 1.0, 1.0]), R_EYE, "Q not positive semi-definite"),
+    (np.eye(2), R_EYE, r"Q must be 3x3, got \(2, 2\)"),
+    (Q_DEFAULT, np.eye(2), r"R must be 3x3, got \(2, 2\)"),
+    (Q_DEFAULT, ASYMMETRIC, "R not symmetric"),
+])
+# a None sample fails with AttributeError once a step reads it
+@pytest.mark.parametrize("odometry", [[], [None, None]], ids=["empty", "unread"])
+def test_fuse_checks_q_and_r_before_any_step(q, r, match, odometry):
+    with pytest.raises(InputError, match=match):
+        fuse_trajectory(odometry, {}, state(), q, r)
