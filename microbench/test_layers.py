@@ -24,7 +24,13 @@ from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_
 from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import grid_to_input
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud
-from sbevloc.sbev import GridSpec, accumulate_sbev, rasterize_bev
+from sbevloc.sbev import (
+    GridSpec,
+    accumulate_sbev,
+    build_point_cloud,
+    filter_labels,
+    rasterize_bev,
+)
 from sbevloc.synthworld import generate_world, render_frame
 from sbevloc.topomap import rotate_grid
 
@@ -125,6 +131,17 @@ def test_render_frame(benchmark, world):
     depth, labels = benchmark(render_frame, world, world.route[100], k)
     assert depth.shape == labels.shape == (k.height, k.width)
     assert labels.any() and (depth > 0).any()
+
+
+def test_ego_cloud(benchmark, world):
+    k, policy, spec = CFG.camera.intrinsics(), CFG.classes.policy(), CFG.grid.grid_spec()
+    depth, labels = render_frame(world, world.route[100], k)
+    cloud = benchmark(ego_cloud, depth, labels, k, policy, spec)
+    # reference: the whole label map filtered, then the lattice unprojected
+    want = build_point_cloud(depth, filter_labels(labels, policy), k, spec.stride)
+    assert len(cloud) > 0
+    assert cloud.xyz.tobytes() == want.xyz.tobytes()
+    assert cloud.labels.tobytes() == want.labels.tobytes()
 
 
 def test_rotate_grid(benchmark, real_window):

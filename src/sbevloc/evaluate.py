@@ -4,9 +4,11 @@
 synthetic world: drop topological nodes along the route, split its frames
 80-20 per node and balance the training side. One loop then makes a
 (name, poses, weather) pass per condition: clean, each weather perturbation,
-each lane-shifted traversal. A pass pools the test frames of its poses, and
-the clean pass, which runs first, also the augmented training arrays. Each
-ablation mode is then trained and scored on every condition.
+each lane-shifted traversal. A pass renders every frame of its poses and
+builds S-BEVs only for the frames it pools: the test frames, and on the
+clean pass, which runs first, also the balanced training frames, pooled
+into the augmented training arrays. Each ablation mode is then trained and
+scored on every condition.
 
 Fine-localization errors are reported two ways: the perfect-node variant
 scores the regressor against the true node's relative pose (regressor
@@ -219,12 +221,15 @@ def run_experiment(cfg: RunConfig):
                  for offset in cfg.eval.lane_offsets_m])
     conditions, arrays = [], None
     for name, poses, weather in passes:
+        # the first (clean) pass also pools the balanced training rows; a
+        # pass builds the S-BEVs of the frames it pools and no others
+        train_samples = () if conditions else balanced
+        pooled_ids = [*test_ids, *(s.frame_id for s in train_samples)]
         sbevs = traversal_sbevs(world, poses, cfg, weather=weather,
-                                weather_seed=derive_seed(seed, SEED_WEATHER))
-        # the first (clean) pass also pools the balanced training rows
+                                weather_seed=derive_seed(seed, SEED_WEATHER),
+                                frame_ids=pooled_ids)
         inputs, pooled = pool_traversal(sbevs, test_ids, cfg.ae.pool,
-                                        () if conditions else balanced,
-                                        cfg.augment)
+                                        train_samples, cfg.augment)
         arrays = arrays or pooled
         samples = assign_to_nodes(topo, ((i, poses[i]) for i in test_ids))
         conditions.append(ConditionData(name, inputs, samples,

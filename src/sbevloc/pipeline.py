@@ -2,9 +2,10 @@
 
 The synthetic renderer yields frames as (frame_id, pose, depth, labels)
 tuples. S-BEV accumulation uses a sliding window of the current plus the
-previous four frames, each moved on the ground plane by its Pose2. One pass
-over a traversal's S-BEVs pools both the test inputs and the (augmented)
-training arrays.
+previous four frames, each moved on the ground plane by its Pose2. Every
+frame gets an ego cloud, since the window needs it, but only the frames a
+caller asks for get an S-BEV. One pass over a traversal's S-BEVs pools both
+the test inputs and the (augmented) training arrays.
 """
 
 from __future__ import annotations
@@ -32,16 +33,23 @@ from .sbev import (
     ClassPolicy,
     GridSpec,
     accumulate_sbev,
-    build_point_cloud,
     filter_labels,
+    lattice_cloud,
+    stride_lattice,
 )
 from .synthworld import WeatherSpec, World, perturb_weather, render_frame
 from .topomap import AugmentConfig, TopoMap, augment_sample
 
 
 def ego_cloud(depth, labels, k: Intrinsics, policy: ClassPolicy, grid: GridSpec):
-    """Filtered labels + depth -> labeled cloud in the ego frame (camera origin)."""
-    return build_point_cloud(depth, filter_labels(labels, policy), k, stride=grid.stride)
+    """Filtered labels + depth -> labeled cloud in the ego frame (camera origin).
+
+    Equals `build_point_cloud(depth, filter_labels(labels, policy), k,
+    grid.stride)`, but filters only the labels on the stride lattice, the
+    only ones the cloud reads.
+    """
+    d, l = stride_lattice(depth, labels, grid.stride)
+    return lattice_cloud(d, filter_labels(l, policy), k, grid.stride)
 
 
 def render_stream(world: World, poses, k: Intrinsics,
@@ -57,16 +65,23 @@ def render_stream(world: World, poses, k: Intrinsics,
 
 
 def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
-                camera_height: float | None = None):
-    """Yield one motion-compensated SBev per incoming frame.
+                camera_height: float | None = None, *, frame_ids=None):
+    """Yield one motion-compensated SBev per requested frame, in stream order.
+
+    Every frame's ego cloud is built, because the window of a later frame
+    needs it, but only the frames in `frame_ids` are accumulated into an
+    S-BEV and yielded; None yields every frame. A yielded grid does not
+    depend on `frame_ids`.
 
     `camera_height` is unused. It stays only because `perfbench/workloads.py`
     passes it positionally; dropping it is ROADMAP item 1.
     """
+    wanted = None if frame_ids is None else frozenset(frame_ids)
     recent = deque(maxlen=ACCUMULATION_WINDOW)
     for frame_id, pose, depth, labels in frames:
         recent.append((ego_cloud(depth, labels, k, policy, grid), pose))
-        yield accumulate_sbev(list(recent), pose, grid, frame_id=frame_id)
+        if wanted is None or frame_id in wanted:
+            yield accumulate_sbev(list(recent), pose, grid, frame_id=frame_id)
 
 
 @dataclass
@@ -81,13 +96,16 @@ class TrainingArrays:
 
 
 def traversal_sbevs(world: World, poses, cfg: RunConfig,
-                    weather: WeatherSpec | None = None, weather_seed: int = 0):
-    """Render `poses` in `world` and yield one S-BEV per frame, set up as
-    `cfg` describes the camera, classes and grid."""
+                    weather: WeatherSpec | None = None, weather_seed: int = 0,
+                    frame_ids=None):
+    """Render every frame of `poses` in `world` and yield the S-BEVs of
+    `frame_ids` (None: of every frame), set up as `cfg` describes the
+    camera, classes and grid."""
     k = cfg.camera.intrinsics()
     frames = render_stream(world, poses, k, weather=weather,
                            weather_seed=weather_seed)
-    return sbev_stream(frames, k, cfg.classes.policy(), cfg.grid.grid_spec())
+    return sbev_stream(frames, k, cfg.classes.policy(), cfg.grid.grid_spec(),
+                       frame_ids=frame_ids)
 
 
 def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),

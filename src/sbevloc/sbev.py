@@ -77,28 +77,50 @@ class SBev:
         object.__setattr__(self, "grid", g)
 
 
+def label_map(labels) -> np.ndarray:
+    """`labels` as a uint8 class-ID map.
+
+    A map of another integer dtype is converted when every value is in
+    0..255; a non-integer dtype or a value outside that range raises
+    InputError, where a cast would wrap it into some other class (300 into
+    44). A uint8 map is returned as it is, unchecked.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype == np.uint8:
+        return labels
+    if labels.dtype.kind not in "iu":
+        raise InputError(f"label map of dtype {labels.dtype}, need integer class IDs")
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
+        raise InputError(f"label values {labels.min()}..{labels.max()} outside 0..255")
+    return labels.astype(np.uint8)
+
+
 def filter_labels(labels: np.ndarray, policy: ClassPolicy) -> np.ndarray:
     """Zero out IDs outside keep_set."""
     lut = np.zeros(256, dtype=np.uint8)
     for c in policy.keep_set:
         lut[c] = c
-    return lut[np.asarray(labels, dtype=np.uint8)]
+    return lut[label_map(labels)]
 
 
-def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics,
-                      stride: int = 2) -> PointCloud:
-    """Unproject every valid-depth, labeled pixel on the stride lattice.
-
-    `depth` is the distance along the viewing axis, which is ego x. Returned
-    points are in the ego frame: a pixel right of the principal point has
-    y < 0, one below it z < 0.
-    """
+def stride_lattice(depth: np.ndarray, labels: np.ndarray, stride: int):
+    """The float64 depth and uint8 labels of one frame, checked to be of one
+    shape, at every `stride`-th row and column from (0, 0)."""
     depth = np.asarray(depth, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = label_map(labels)
     if depth.shape != labels.shape:
         raise InputError(f"depth {depth.shape} vs labels {labels.shape}")
-    d = depth[::stride, ::stride]
-    l = labels[::stride, ::stride]
+    return depth[::stride, ::stride], labels[::stride, ::stride]
+
+
+def lattice_cloud(d: np.ndarray, l: np.ndarray, k: Intrinsics, stride: int) -> PointCloud:
+    """Unproject every valid-depth, labeled pixel of a `stride_lattice`.
+
+    Lattice cell (i, j) is image pixel (i * stride, j * stride). `d` is the
+    distance along the viewing axis, which is ego x. Returned points are in
+    the ego frame: a pixel right of the principal point has y < 0, one
+    below it z < 0.
+    """
     vs, us = np.nonzero((d > 0) & (l != 0))
     dv = d[vs, us]
     u = us * stride
@@ -107,6 +129,13 @@ def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics,
                     -((u - k.cx) * dv / k.fx),
                     -((v - k.cy) * dv / k.fy)], axis=1)
     return PointCloud(xyz, l[vs, us])
+
+
+def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics,
+                      stride: int = 2) -> PointCloud:
+    """Unproject every valid-depth, labeled pixel on the stride lattice, as
+    `lattice_cloud` does."""
+    return lattice_cloud(*stride_lattice(depth, labels, stride), k, stride)
 
 
 def cell_indices(spec: GridSpec, x: np.ndarray, y: np.ndarray):

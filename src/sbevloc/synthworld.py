@@ -12,8 +12,15 @@ camera (intrinsics, camera height, max range) the pixel coordinates, their
 ray slopes and the ground plane's depth, labels and z-buffer are built once
 and cached read-only; each frame starts from copies of the three ground
 planes. Per world, the six faces of every box are built once, when the
-`World` is made. A frame culls all faces by range and facing in one pass and
-rasterizes the rest in box order.
+`World` is made. A frame culls all faces by range and facing in one pass,
+then projects the corners of the survivors in one batched op and drops
+each face wholly behind the near plane, or wholly in front of it and
+beyond one image edge. That pre-cull is exact: such a face clips to
+nothing, or its pixel box is empty, so the per-face path would draw none
+of its pixels, and a face that draws nothing changes no buffer. Both tests
+keep a margin far above the rounding by which the batched projection can
+differ from the per-face one, so a face near a boundary goes to the
+per-face path. The rest are rasterized in box order.
 
 Class IDs are organized in contiguous bands (vegetation, buildings, ...) so
 that small confusions stay "numerically close" to the true class.
@@ -165,6 +172,9 @@ def lane_shift(route, lateral_offset: float):
 # rendering
 
 _NEAR = 0.05
+# margins of the frustum pre-cull, in metres of depth and in pixels
+_CULL_MARGIN_M = 1e-6
+_CULL_MARGIN_PX = 1.0
 
 
 def _camera_basis(ego: Pose2):
@@ -190,6 +200,23 @@ def _clip_near(poly: np.ndarray) -> np.ndarray:
             t = (_NEAR - a[2]) / (b[2] - a[2])
             out.append(a + t * (b - a))
     return np.array(out) if out else np.zeros((0, 3))
+
+
+def _may_draw(poly_cam: np.ndarray, k: Intrinsics) -> np.ndarray:
+    """(n, 4, 3) camera-frame face corners -> (n,) bool, False for a face
+    that draws no pixel: every corner behind the near plane, or every corner
+    in front of it and beyond one image edge, each by a margin."""
+    z = poly_cam[..., 2]
+    behind = (z < _NEAR - _CULL_MARGIN_M).all(axis=1)
+    front = (z >= _NEAR + _CULL_MARGIN_M).all(axis=1)
+    # the projection is read only where every corner is in front
+    zs = np.maximum(z, _NEAR)
+    pu = k.fx * poly_cam[..., 0] / zs + k.cx
+    pv = k.fy * poly_cam[..., 1] / zs + k.cy
+    m = _CULL_MARGIN_PX
+    beyond = ((pu.max(axis=1) < -m) | (pu.min(axis=1) > k.width - 1 + m)
+              | (pv.max(axis=1) < -m) | (pv.min(axis=1) > k.height - 1 + m))
+    return ~(behind | (front & beyond))
 
 
 _FACE_CORNERS = {
@@ -296,8 +323,11 @@ def render_frame(world: World, ego: Pose2, k: Intrinsics):
     # per-box test always did
     for f in np.flatnonzero(np.abs(d2 - cull ** 2) <= 1e-9 * cull ** 2).tolist():
         in_range[f] = not rel[f, 0] ** 2 + rel[f, 1] ** 2 > cull ** 2
-    drawn = in_range & ~(faces.sign * (cam[faces.axis] - faces.value) <= 0)
-    for f in np.flatnonzero(drawn).tolist():
+    drawn = np.flatnonzero(in_range & ~(faces.sign * (cam[faces.axis] - faces.value) <= 0))
+    # frustum pre-cull; each survivor is projected again on its own below,
+    # so its pixels do not depend on the batched projection's rounding
+    drawn = drawn[_may_draw((faces.corners[drawn] - cam) @ r_wc, k)]
+    for f in drawn.tolist():
         axis, sign = int(faces.axis[f]), float(faces.sign[f])
         poly_cam = (faces.corners[f] - cam) @ r_wc
         # _clip_near returns a polygon wholly in front of the plane as it is

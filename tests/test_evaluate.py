@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import RAIN, tiny_config
-from sbevloc import evaluate
+from sbevloc import evaluate, pipeline
 from sbevloc.config import SEED_KF, SEED_WORLD, WeatherDoc, derive_seed
 from sbevloc.errors import InputError
 from sbevloc.evaluate import (
@@ -209,6 +209,41 @@ def test_pool_traversal_names_missing_frames(tiny_cfg):
     sbevs = traversal_sbevs(world, world.route[:3], cfg)
     with pytest.raises(InputError, match=r"\[7\]"):
         pool_traversal(sbevs, [1, 7], cfg.ae.pool)
+
+
+def test_run_experiment_builds_only_pooled_sbevs(monkeypatch):
+    cfg = tiny_config(**ALL_PASSES)
+    built = []
+    accumulate = pipeline.accumulate_sbev
+
+    def counting(frames, current, spec, frame_id=0):
+        built.append(frame_id)
+        return accumulate(frames, current, spec, frame_id=frame_id)
+
+    monkeypatch.setattr(pipeline, "accumulate_sbev", counting)
+    rows, art = run_experiment(cfg)
+    test_ids = [s.frame_id for s in art.conditions[0].samples]
+    train_ids = set(art.arrays.frame_ids.tolist())
+    # one S-BEV per pooled frame of each pass, in stream order: the clean
+    # pass pools the test and training frames, rain and lane+1.5 the test
+    assert built == sorted(set(test_ids) | train_ids) + test_ids + test_ids
+
+    # the same run with the filter disabled builds every frame's S-BEV
+    built.clear()
+    traversal = evaluate.traversal_sbevs
+    monkeypatch.setattr(evaluate, "traversal_sbevs",
+                        lambda *a, frame_ids, **kw: traversal(*a, **kw))
+    rows_all, art_all = run_experiment(cfg)
+    assert built == list(range(len(art.world.route))) * 3
+    assert repr(rows) == repr(rows_all)
+    for field in dataclasses.fields(art.arrays):
+        a, b = getattr(art.arrays, field.name), getattr(art_all.arrays, field.name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+    assert len(art.conditions) == len(art_all.conditions) == 3
+    for c, c_all in zip(art.conditions, art_all.conditions):
+        assert c.inputs.tobytes() == c_all.inputs.tobytes()
+        assert (c.name, c.samples, c.globals, c.route) == (
+            c_all.name, c_all.samples, c_all.globals, c_all.route)
 
 
 def test_report_csv_blanks_post_kf_accuracy(two_runs, tmp_path):

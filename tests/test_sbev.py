@@ -25,6 +25,19 @@ from sbevloc.synthworld import WeatherSpec, generate_world
 
 K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=101, height=101)
 SPEC = GridSpec()
+# the moderate rain of the benchmark
+RAIN = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2,
+                   depth_dropout_prob=0.05, depth_noise_sigma=0.05,
+                   range_attenuation=40.0)
+
+
+def rendered_frames(k, poses=slice(30, 42), weather=None):
+    """Frames of the seed-1 world's 40 m route, rendered by `k`."""
+    cfg = RunConfig()
+    world = generate_world(derive_seed(1, SEED_WORLD),
+                           dataclasses.replace(cfg.synth, route_length=40.0))
+    return list(render_stream(world, world.route[poses], k, weather=weather,
+                              weather_seed=1))
 
 
 def brute_rasterize(cloud, spec):
@@ -106,6 +119,27 @@ def test_filter_labels_histogram_oracle():
     h_out = np.bincount(out.ravel(), minlength=256)
     for c in range(1, 256):
         assert h_out[c] == (h_in[c] if c in keep else 0)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([[300, 4]]), np.array([[-248, 4]]), np.array([[8.0, 4.0]]),
+    np.array([[True, False]]), [[4, 256]]])
+def test_label_maps_outside_uint8_rejected(labels):
+    # a uint8 cast would wrap 300 into 44 and -248 into 8, both kept here
+    policy = ClassPolicy(keep_set={4, 8, 44})
+    with pytest.raises(InputError, match="label"):
+        filter_labels(labels, policy)
+    with pytest.raises(InputError, match="label"):
+        build_point_cloud(np.ones((1, 2)), labels, K, stride=1)
+
+
+def test_integer_label_maps_in_range_accepted():
+    want = np.array([[0, 4], [255, 8]], dtype=np.uint8)
+    policy = ClassPolicy(keep_set={4, 255})
+    for labels in (want.astype(np.int64), want.astype(np.uint16), want.tolist()):
+        assert np.array_equal(filter_labels(labels, policy), filter_labels(want, policy))
+        got = build_point_cloud(np.ones((2, 2)), labels, K, stride=1)
+        assert got.labels.tolist() == [4, 255, 8]
 
 
 # --- build_point_cloud ---------------------------------------------------
@@ -370,15 +404,8 @@ def test_real_frame_windows_match_brute_force():
     cfg = RunConfig()
     spec = GridSpec(stride=4)   # a quarter of the points keeps the oracle quick
     k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
-    # the moderate rain of the relocalize benchmark
-    rain = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2,
-                       depth_dropout_prob=0.05, depth_noise_sigma=0.05,
-                       range_attenuation=40.0)
-    world = generate_world(derive_seed(1, SEED_WORLD),
-                           dataclasses.replace(cfg.synth, route_length=40.0))
-    poses = world.route[30:42]
-    for weather in (None, rain):
-        frames = list(render_stream(world, poses, k, weather=weather, weather_seed=1))
+    for weather in (None, RAIN):
+        frames = rendered_frames(k, weather=weather)
         clouds = [(ego_cloud(d, l, k, policy, spec), p) for _, p, d, l in frames]
         for i, sb in enumerate(sbev_stream(frames, k, policy, spec)):
             window = clouds[max(0, i + 1 - ACCUMULATION_WINDOW):i + 1]
@@ -399,3 +426,47 @@ def test_real_frame_windows_match_brute_force():
                       / 255.0).ravel().astype(np.float32)
             got = grid_to_input(sb.grid, 8)
             assert got.dtype == pooled.dtype and np.array_equal(got, pooled)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_ego_cloud_equals_cloud_of_filtered_labels(stride):
+    # an odd-sized image, whose last row and column are on the stride-2
+    # lattice; the narrow policy drops classes the frames hold
+    k = Intrinsics(fx=80.0, fy=80.0, cx=40.0, cy=30.0, width=81, height=61)
+    spec = GridSpec(stride=stride)
+    wide = RunConfig().classes.policy()
+    narrow = ClassPolicy(keep_set=wide.keep_set - {8, 100, 140, 141})
+    for weather in (None, RAIN):
+        for _, _, depth, labels in rendered_frames(k, slice(30, 33), weather):
+            for policy in (narrow, wide):
+                got = ego_cloud(depth, labels, k, policy, spec)
+                want = build_point_cloud(depth, filter_labels(labels, policy), k, stride)
+                assert got.xyz.dtype == want.xyz.dtype and got.labels.dtype == want.labels.dtype
+                assert got.xyz.tobytes() == want.xyz.tobytes()
+                assert got.labels.tobytes() == want.labels.tobytes()
+            # the bottom-right pixel, ground in every frame, is a point of
+            # the wide policy's cloud when it is on the lattice
+            pixels = np.round(got.xyz[:, 1:] * -k.fx / got.xyz[:, :1] + (k.cx, k.cy))
+            assert ([80, 60] in pixels.tolist()) == (stride != 3)
+
+
+def test_sbev_stream_yields_requested_frames_only():
+    """Filtered streams, clean and in rain, yield the requested frames in
+    stream order, each grid byte-equal to the unfiltered stream's; frames
+    0-3, whose window is short, are among them."""
+    cfg = RunConfig()
+    spec = GridSpec(stride=4)
+    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    for weather in (None, RAIN):
+        frames = rendered_frames(k, weather=weather)
+        every = {sb.frame_id: sb.grid for sb in sbev_stream(frames, k, policy, spec)}
+        assert sorted(every) == list(range(len(frames)))
+        for ids in ([0, 2, 3], [11, 4, 7, 0, 7, 1], [5, 99], [], range(12)):
+            read = []
+            counted = (read.append(f[0]) or f for f in frames)
+            got = list(sbev_stream(counted, k, policy, spec, frame_ids=ids))
+            assert [sb.frame_id for sb in got] == sorted(set(ids) & every.keys())
+            for sb in got:
+                assert sb.grid.tobytes() == every[sb.frame_id].tobytes()
+            # every frame is still read, so every cloud of a window is built
+            assert read == list(range(len(frames)))

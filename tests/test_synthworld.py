@@ -13,7 +13,12 @@ from sbevloc.synthworld import (
     WorldSpec,
     generate_world,
     lane_shift,
+    _CULL_MARGIN_M,
+    _CULL_MARGIN_PX,
+    _NEAR,
+    _camera_basis,
     _camera_planes,
+    _may_draw,
     perturb_weather,
     render_frame,
 )
@@ -328,6 +333,76 @@ def test_render_matches_reference_at_cull_radius():
         _, labels = assert_same_frame(World(0, spec, (Pose2(0, 0, 0),), (box,)),
                                       Pose2(0, 0, 0))
         assert (labels == 180).any() == drawn
+
+
+def camera_corners(world, ego):
+    """(F, 4, 3) camera-frame corners of every face of `world`."""
+    cam = np.array([ego.x, ego.y, world.spec.camera_height])
+    return (world.faces.corners - cam) @ _camera_basis(ego)
+
+
+def facing_box(depth, xs, ys, cls, thickness=1e-3):
+    """A box whose near face, face 0, spans camera x in `xs` and y in `ys`
+    at `depth` ahead of a camera at the origin with heading 0; its sides
+    are `thickness` deep."""
+    h = small_spec().camera_height
+    # camera x is world -y, camera y is h - world z, camera z is world x
+    return Box(np.array([depth + thickness / 2, -sum(xs) / 2, h - sum(ys) / 2]),
+               np.array([thickness, xs[1] - xs[0], ys[1] - ys[0]]), cls)
+
+
+def test_precull_near_plane_boundaries():
+    m = _CULL_MARGIN_M
+    behind = Box(np.array([-4.0, 0.0, 1.0]), np.array([2.0, 2.0, 2.0]), 100)
+    # near face at _NEAR - 2m; then one whose corners sit within the margin
+    # behind the plane, beside a side face with corners at _NEAR -+ m/2
+    far_behind = Box(np.array([_NEAR - 1.5 * m, 0.0, 1.0]),
+                     np.array([m, 2.0, 2.0]), 140)
+    straddle = Box(np.array([_NEAR, 2.0, 1.0]), np.array([m, 2.0, 2.0]), 180)
+    w = World(0, small_spec(primitive_density=0.0), (Pose2(0, 0, 0),),
+              (behind, far_behind, straddle))
+    ego = Pose2(0, 0, 0)
+    corners = camera_corners(w, ego)
+    faces = {"behind": (0, 1), "far_behind": (1, 0), "near_within": (2, 0),
+             "side_straddle": (2, 2)}
+    got = {name: bool(_may_draw(corners[[6 * box + face]], K_SMALL)[0])
+           for name, (box, face) in faces.items()}
+    assert got == {"behind": False, "far_behind": False, "near_within": True,
+                   "side_straddle": True}
+    z = corners[6 * 2 + 2, :, 2]
+    assert z.min() < _NEAR < z.max() and np.all(np.abs(z - _NEAR) < m)
+    z = corners[6 * 2, :, 2]
+    assert np.all((z < _NEAR) & (z > _NEAR - m))
+    assert_same_frame(w, ego)
+    for theta in (0.5, -0.5, math.pi):
+        assert_same_frame(w, Pose2(0, 0, theta))
+
+
+@pytest.mark.parametrize("edge", ["left", "right", "top", "bottom"])
+@pytest.mark.parametrize("inside, culled, drawn", [
+    (-_CULL_MARGIN_PX - 0.5, True, False),   # beyond the edge by the margin
+    (-_CULL_MARGIN_PX / 2, False, False),    # beyond it within the margin
+    (0.5, False, True)])                     # just inside
+def test_precull_image_edge_boundaries(edge, inside, culled, drawn):
+    # a near face 1.5 m ahead, its extreme corner `inside` pixels inside the
+    # edge's last pixel centre; close enough to be in front of the ground
+    k, d = K_SMALL, 1.5
+    last = {"left": 0.0, "top": 0.0, "right": k.width - 1.0, "bottom": k.height - 1.0}
+    at = last[edge] + (inside if edge in ("left", "top") else -inside)
+    if edge in ("left", "right"):
+        x = (at - k.cx) * d / k.fx
+        xs, ys = ((x - 1.0, x) if edge == "left" else (x, x + 1.0)), (-0.5, 0.5)
+    else:
+        y = (at - k.cy) * d / k.fy
+        xs, ys = (-0.5, 0.5), ((y - 1.0, y) if edge == "top" else (y, y + 1.0))
+    w = World(0, small_spec(primitive_density=0.0), (Pose2(0, 0, 0),),
+              (facing_box(d, xs, ys, 220),))
+    ego = Pose2(0, 0, 0)
+    near = camera_corners(w, ego)[:1]
+    assert np.all(near[..., 2] > _NEAR + _CULL_MARGIN_M)
+    assert bool(_may_draw(near, k)[0]) == (not culled)
+    _, labels = assert_same_frame(w, ego)
+    assert (labels == 220).any() == drawn
 
 
 def test_render_frame_copies_cached_planes():
