@@ -22,7 +22,7 @@ from sbevloc.config import SEED_WORLD, RunConfig, derive_seed
 from sbevloc.evaluate import R_FIX
 from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_update
 from sbevloc.geometry import PointCloud, Pose2
-from sbevloc.localizer import grid_to_input
+from sbevloc.localizer import ae_targets, grid_to_input, train_autoencoder
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud
 from sbevloc.sbev import (
     GridSpec,
@@ -236,6 +236,37 @@ def test_nnet_optimizer_step(benchmark, net_batch):
     # training run's first
     state = nnet.optimizer_step(first, grads, config)
     benchmark(nnet.optimizer_step, first, grads, config, state)
+
+
+# a few steps of AE training at the default sizes on node-mean targets,
+# one table row per node as the pipeline trains on them
+AE_STEPS, AE_NODES = 3, 6
+
+
+def test_train_autoencoder_steps(benchmark):
+    cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=1))
+    in_dim = (SPEC.size // cfg.pool) ** 2
+    rng = np.random.default_rng(8)
+    x = rng.random((AE_STEPS * BATCH, in_dim), dtype=np.float32)
+    rows = np.arange(len(x))
+    targets = ae_targets(x, rows % AE_NODES, rows < BATCH, "BASE")
+    # seed 1: the init of default_net("ae")
+    model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
+    # reference: the forward/backward/optimizer_step chain on per-row targets
+    per_row = targets.table[targets.index]
+    net = default_net("ae")
+    order = np.random.default_rng([1, 0x21]).permutation(len(x))
+    state, want = None, []
+    for start in range(0, len(x), BATCH):
+        idx = order[start:start + BATCH]
+        out, rec = nnet.forward(net, x[idx], mode="train")
+        loss, grad = nnet.mse_loss(out, per_row[idx])
+        state = nnet.optimizer_step(net, nnet.backward(net, rec, grad), cfg.train, state)
+        want.append(loss)
+    assert losses == [sum(want) / len(want)]
+    for got, ref in zip(model.net.layers, net.layers):
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.bias.tobytes() == ref.bias.tobytes()
 
 
 # one post-KF scoring call of the ablation benchmark: 140 odometry steps,

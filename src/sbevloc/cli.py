@@ -4,7 +4,8 @@
 writes the resolved config to DIR/config.json before the run and the report
 to DIR/report.csv after it, then prints the report as a table. Without
 --config the run uses the defaults of `RunConfig`. Package errors become
-exit codes: InputError 2, FormatError 3, NumericalError 4.
+exit codes: InputError 2, FormatError 3, NumericalError 4. A DIR that
+cannot be made, or a file in it that cannot be written, is an InputError.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .config import RunConfig, load_config, save_resolved_config
 from .errors import FormatError, InputError, NumericalError, SbevError
@@ -20,12 +22,26 @@ from .evaluate import format_report_table, run_experiment, write_report_csv
 EXIT_CODES = ((InputError, 2), (FormatError, 3), (NumericalError, 4))
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError raised in the block into an InputError naming `path`."""
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"{path}: cannot write ({e.strerror or e})") from None
+
+
 def _run(config_path, out_dir) -> None:
     cfg = load_config(config_path) if config_path else RunConfig()
-    os.makedirs(out_dir, exist_ok=True)
-    save_resolved_config(os.path.join(out_dir, "config.json"), cfg)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "config.json")
+    with _writing(path):
+        save_resolved_config(path, cfg)
     rows, _ = run_experiment(cfg)
-    write_report_csv(os.path.join(out_dir, "report.csv"), rows)
+    path = os.path.join(out_dir, "report.csv")
+    with _writing(path):
+        write_report_csv(path, rows)
     print(format_report_table(rows))
 
 

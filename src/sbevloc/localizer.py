@@ -144,44 +144,52 @@ class LocalizationResult:
     nn_distance: float
 
 
-def ae_targets(inputs: np.ndarray, node_ids, is_original, mode: str) -> np.ndarray:
-    """Reconstruction targets per training mode.
+def ae_targets(inputs: np.ndarray, node_ids, is_original, mode: str):
+    """Reconstruction targets per training mode; row i's target is `t[i]`.
 
     BASE/AUG reconstruct the mean of the node's original (un-augmented)
-    rows; AVG reconstructs each row's own input: `inputs` itself, read only.
+    rows. They return an `nnet.IndexedRows`: one row per node, in ascending
+    node id order, equal to `originals.mean(axis=0, dtype=float64)` cast to
+    the inputs' dtype, and each row's index into that table. AVG
+    reconstructs each row's own input: `inputs` itself, read only.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
     inputs = np.asarray(inputs)
     if mode == "AVG":
         return inputs
-    ids = np.asarray(node_ids)
+    nodes, rows = np.unique(np.asarray(node_ids), return_inverse=True)
     is_original = np.asarray(is_original, dtype=bool)
-    targets = np.empty_like(inputs)
-    for nid in np.unique(ids):
-        members = ids == nid
-        originals = inputs[members & is_original]
+    table = np.empty((len(nodes), *inputs.shape[1:]), dtype=inputs.dtype)
+    for k, nid in enumerate(nodes):
+        originals = inputs[(rows == k) & is_original]
         if not len(originals):
             raise InputError(f"no original rows for node {nid}")
-        targets[members] = originals.mean(axis=0, dtype=np.float64)
-    return targets
+        table[k] = originals.mean(axis=0, dtype=np.float64)
+    return nnet.IndexedRows(table, rows)
 
 
 def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
                       mode: str = "BASE"):
-    """Train the symmetric float32 dense AE; returns (AEModel of its trained
-    encoder, per-epoch losses). Nothing reads the decoder afterwards."""
+    """Train the symmetric float32 dense AE on `targets` (an array with one
+    row per input, or `nnet.IndexedRows` as `ae_targets` gives); returns
+    (AEModel of its trained encoder, per-epoch losses). Nothing reads the
+    decoder afterwards."""
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float32)
-    targets = np.asarray(targets, dtype=np.float32)
+    if isinstance(targets, nnet.IndexedRows):
+        targets = nnet.IndexedRows(np.asarray(targets.table, dtype=np.float32),
+                                   targets.index)
+    else:
+        targets = np.asarray(targets, dtype=np.float32)
     in_dim = inputs.shape[1]
     hidden = config.hidden
     dims = [in_dim, *hidden, config.latent_dim, *reversed(hidden), in_dim]
     acts = [config.activation] * (len(dims) - 2) + ["linear"]
     net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)
-    trained, losses = nnet.train(net, inputs, targets, config.train, seed)
-    encoder = nnet.DenseNet(trained.layers[:len(hidden) + 1])
+    _, losses = nnet.train(net, inputs, targets, config.train, seed)
+    encoder = nnet.DenseNet(net.layers[:len(hidden) + 1])
     return AEModel(encoder, config.pool, mode), losses
 
 
@@ -262,13 +270,13 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     acts = ["relu"] * len(config.hidden) + ["linear"]
     drops = [config.dropout] * len(config.hidden) + [0.0]
     net = nnet.init_net(dims, acts, dropout=drops, seed=seed, dtype=np.float32)
-    trained, losses = nnet.train(net, xs, ys, config.train, seed)
+    _, losses = nnet.train(net, xs, ys, config.train, seed)
     # fold (z - mu)/sd into layer 0: W' = W/sd, b' = b - W @ (mu/sd)
-    first = trained.layers[0]
+    first = net.layers[0]
     w_lat = first.weights[:, n_nodes:]
     first.bias[:] = first.bias - (w_lat @ (mu / sd)).astype(np.float32)
     first.weights[:, n_nodes:] = (w_lat / sd).astype(np.float32)
-    return RegModel(trained, n_nodes=n_nodes), losses
+    return RegModel(net, n_nodes=n_nodes), losses
 
 
 @dataclass

@@ -252,15 +252,52 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
     return state
 
 
+@dataclass(frozen=True)
+class IndexedRows:
+    """Row i is `table[index[i]]`: a per-row set stored once per distinct row.
+
+    `r[idx]` gathers the rows `idx` of `r`, as indexing the materialized
+    `table[index]` would, without ever holding one row per index.
+    """
+
+    table: np.ndarray    # (distinct rows, dim)
+    index: np.ndarray    # (rows,) int, each in 0..len(table) - 1
+
+    def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.intp)
+        if index.ndim != 1:
+            raise InputError(f"row index must be 1-D, got shape {index.shape}")
+        # checked first: fancy indexing would wrap a negative row silently
+        bad = index[(index < 0) | (index >= len(self.table))]
+        if len(bad):
+            raise InputError(f"row index {bad[0]} outside 0..{len(self.table) - 1}")
+        object.__setattr__(self, "index", index)
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, idx):
+        return self.table[self.index[idx]]
+
+
 def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
-    """Seeded mini-batch training; returns (trained copy, per-epoch losses)."""
+    """Seeded mini-batch training of `net` in place; returns (net, per-epoch
+    losses).
+
+    `net` is updated step by step and is the net returned; a caller that
+    needs the untrained net passes `net.copy()`. `targets` is an array with
+    one row per input or an `IndexedRows`, from which each batch gathers its
+    rows. Each step's gradients are dropped before the next backward pass,
+    so the parameters, one set of gradients and Adam's two moments are the
+    only parameter-sized buffers held at once.
+    """
     inputs = np.asarray(inputs)
-    targets = np.asarray(targets)
+    if not isinstance(targets, IndexedRows):
+        targets = np.asarray(targets)
     if len(inputs) == 0:
         raise InputError("empty training set")
     if len(inputs) != len(targets):
         raise InputError("inputs/targets length mismatch")
-    net = net.copy()
     shuffle_rng = np.random.default_rng([seed, 0x21])
     dropout_rng = np.random.default_rng([seed, 0x22])
     state = None
@@ -272,14 +309,12 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            x, y = inputs[idx], targets[idx]
-            out, rec = forward(net, x, mode="train", rng=dropout_rng)
-            loss, grad = mse_loss(out, y)
+            out, rec = forward(net, inputs[idx], mode="train", rng=dropout_rng)
+            loss, grad = mse_loss(out, targets[idx])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}")
-            grads = backward(net, rec, grad)
-            state = optimizer_step(net, grads, config, state)
+            state = optimizer_step(net, backward(net, rec, grad), config, state)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)

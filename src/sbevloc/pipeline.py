@@ -6,6 +6,13 @@ previous four frames, each moved on the ground plane by its Pose2. Every
 frame gets an ego cloud, since the window needs it, but only the frames a
 caller asks for get an S-BEV. One pass over a traversal's S-BEVs pools both
 the test inputs and the (augmented) training arrays.
+
+Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
+`pool_traversal` fills row by row in place, with no per-row list to stack.
+Training adds no second one. BASE and AUG reconstruct one target row per
+node (`ae_targets`), AVG reconstructs the inputs themselves, AUG copies
+only its original rows, and each net trains in place, so the AE adds its
+parameters, one set of gradients and Adam's two moments.
 """
 
 from __future__ import annotations
@@ -115,18 +122,30 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
     Returns `(test_inputs, arrays)`. `test_inputs` stacks the pooled inputs
     of `test_ids` in the order given. `arrays` holds the `train_samples`
     rows, each followed by its `aug` variants, in the stream's frame order.
-    Either is None when it has no frames.
+    Either is None when it has no frames. Training rows are written into one
+    float32 array of `len(train_samples) * (1 + rotations + shifts)` rows,
+    allocated at the first row; a sample with another number of variants
+    raises InputError.
     """
     by_frame = {}
     for s in train_samples:
         by_frame.setdefault(s.frame_id, []).append(s)
+    variants = 1 + len(aug.rotations_deg) + len(aug.shifts_cells)
+    n_rows = len(train_samples) * variants
     want = set(test_ids)
     test_rows = {}
-    inputs, ids, poses, orig, fids = [], [], [], [], []
+    inputs, ids, poses, orig, fids = None, [], [], [], []
     for sb in sbevs:
         for s in by_frame.pop(sb.frame_id, ()):
-            for j, (vsb, vrel) in enumerate(augment_sample(sb, s.rel_pose, aug)):
-                inputs.append(grid_to_input(vsb.grid, pool))
+            expanded = augment_sample(sb, s.rel_pose, aug)
+            if len(expanded) != variants:
+                raise InputError(f"{len(expanded)} training rows for frame "
+                                 f"{s.frame_id}, expected {variants}")
+            for j, (vsb, vrel) in enumerate(expanded):
+                row = grid_to_input(vsb.grid, pool)
+                if inputs is None:
+                    inputs = np.empty((n_rows, row.size), dtype=np.float32)
+                inputs[len(ids)] = row
                 ids.append(s.node_id)
                 poses.append((vrel.x, vrel.y, vrel.theta))
                 orig.append(j == 0)
@@ -138,9 +157,9 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
         raise InputError(f"frames without S-BEVs: {missing[:10]}")
     test_inputs = (np.stack([test_rows[f] for f in test_ids])
                    if test_rows else None)
-    arrays = (TrainingArrays(np.stack(inputs), np.array(ids), np.array(poses),
+    arrays = (TrainingArrays(inputs, np.array(ids), np.array(poses),
                              np.array(orig), np.array(fids))
-              if inputs else None)
+              if n_rows else None)
     return test_inputs, arrays
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import tiny_config
 from sbevloc import cli
 from sbevloc.config import load_config, save_resolved_config
@@ -43,3 +45,25 @@ def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")])
     assert code == 2
+
+
+
+@pytest.mark.parametrize("case", ["out_is_file", "out_under_file",
+                                  "config_is_dir", "report_is_dir"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, case):
+    cfg_path = tmp_path / "in.json"
+    save_resolved_config(cfg_path, tiny_config())
+    out = tmp_path / "out"
+    if case == "out_is_file":
+        out.write_text("kept\n")
+        bad = kept = out
+    elif case == "out_under_file":
+        kept = tmp_path / "file"
+        kept.write_text("kept\n")
+        out = bad = kept / "out"
+    else:
+        bad = out / ("config.json" if case == "config_is_dir" else "report.csv")
+        bad.mkdir(parents=True)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"{bad}: cannot write" in capsys.readouterr().err
+    assert bad.is_dir() or kept.read_text() == "kept\n"

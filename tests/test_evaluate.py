@@ -7,7 +7,14 @@ import pytest
 
 from conftest import RAIN, tiny_config
 from sbevloc import evaluate, pipeline
-from sbevloc.config import SEED_KF, SEED_WORLD, WeatherDoc, derive_seed
+from sbevloc.config import (
+    SEED_BALANCE,
+    SEED_KF,
+    SEED_SPLIT,
+    SEED_WORLD,
+    WeatherDoc,
+    derive_seed,
+)
 from sbevloc.errors import InputError
 from sbevloc.evaluate import (
     R_FIX,
@@ -25,7 +32,14 @@ from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import grid_to_input, load_bundle, localize, save_bundle
 from sbevloc.pipeline import pool_traversal, render_stream, sbev_stream, traversal_sbevs
 from sbevloc.synthworld import generate_world
-from sbevloc.topomap import AugmentConfig, Sample, assign_to_nodes
+from sbevloc.topomap import (
+    AugmentConfig,
+    Sample,
+    assign_to_nodes,
+    augment_sample,
+    balance_samples,
+    build_topo_map,
+)
 
 ALL_PASSES = dict(weather=(WeatherDoc(), RAIN), lane_offsets_m=(1.5,),
                   run_filter=True)
@@ -201,6 +215,58 @@ def test_pool_traversal_training_rows_in_frame_order(tiny_cfg):
     assert arrays.rel_poses.dtype == np.float64 and arrays.rel_poses.shape == (6, 3)
     assert arrays.rel_poses[0].tolist() == [1.0, 0.2, 0.1]
     assert arrays.rel_poses[2, 1] == pytest.approx(0.2 + 4 * cfg.grid.resolution)
+
+
+def test_pool_traversal_training_arrays_equal_stacked_rows(tiny_cfg):
+    cfg = tiny_cfg
+    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
+    route = world.route
+    topo = build_topo_map(route, cfg.topo.trans_threshold_m,
+                          math.radians(cfg.topo.ang_threshold_deg))
+    train, _ = split_train_test(assign_to_nodes(topo, enumerate(route)), len(topo),
+                                cfg.split.ratio, derive_seed(cfg.seed, SEED_SPLIT))
+    samples = balance_samples(train, len(topo), derive_seed(cfg.seed, SEED_BALANCE))
+    sbevs = list(traversal_sbevs(world, route, cfg))
+    _, arrays = pool_traversal(iter(sbevs), [], cfg.ae.pool, samples, cfg.augment)
+    # reference: one array per row in a list, stacked at the end
+    by_frame = {}
+    for s in samples:
+        by_frame.setdefault(s.frame_id, []).append(s)
+    inputs, ids, poses, orig, fids = [], [], [], [], []
+    for sb in sbevs:
+        for s in by_frame.get(sb.frame_id, ()):
+            for j, (vsb, vrel) in enumerate(augment_sample(sb, s.rel_pose, cfg.augment)):
+                inputs.append(grid_to_input(vsb.grid, cfg.ae.pool))
+                ids.append(s.node_id)
+                poses.append((vrel.x, vrel.y, vrel.theta))
+                orig.append(j == 0)
+                fids.append(s.frame_id)
+    want = pipeline.TrainingArrays(np.stack(inputs), np.array(ids), np.array(poses),
+                                   np.array(orig), np.array(fids))
+    variants = 1 + len(cfg.augment.rotations_deg) + len(cfg.augment.shifts_cells)
+    assert len(arrays.inputs) == len(samples) * variants > 0
+    for f in dataclasses.fields(pipeline.TrainingArrays):
+        got, ref = getattr(arrays, f.name), getattr(want, f.name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, f.name
+        assert got.tobytes() == ref.tobytes(), f.name
+
+
+def test_pool_traversal_rejects_a_wrong_variant_count(tiny_cfg, monkeypatch):
+    cfg = tiny_cfg
+    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
+    sbevs = list(traversal_sbevs(world, world.route[:4], cfg))
+    samples = [Sample(1, 0, Pose2(0.0, 0.0, 0.0)), Sample(3, 0, Pose2(0.0, 0.0, 0.0))]
+    real = pipeline.augment_sample
+    for extra in (-1, 1):
+        # one variant too few, or one too many, for frame 3
+        def augment(sb, rel_pose, aug, extra=extra):
+            rows = real(sb, rel_pose, aug)
+            if sb.frame_id != 3:
+                return rows
+            return rows[:-1] if extra < 0 else rows + rows[:1]
+        monkeypatch.setattr(pipeline, "augment_sample", augment)
+        with pytest.raises(InputError, match="training rows for frame 3"):
+            pool_traversal(iter(sbevs), [], cfg.ae.pool, samples, cfg.augment)
 
 
 def test_pool_traversal_names_missing_frames(tiny_cfg):

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,46 @@ def test_ae_targets_separate_source_set():
         ae_targets(inputs, [0, 0, 0, 0, 0, 1], is_original[:5] + [False], "AUG")
 
 
+def materialized_node_means(inputs, node_ids, is_original):
+    """Reference targets stored per row: each row gets its node's mean over
+    the node's original rows, as float64 cast to the inputs' dtype."""
+    ids = np.asarray(node_ids)
+    out = np.empty_like(inputs)
+    for nid in np.unique(ids):
+        members = ids == nid
+        out[members] = inputs[members & np.asarray(is_original)].mean(
+            axis=0, dtype=np.float64)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["BASE", "AUG"])
+def test_ae_targets_table_rows_equal_per_row_node_means(mode):
+    rng = np.random.default_rng(21)
+    inputs = rng.random((60, 7), dtype=np.float32)
+    ids = rng.permutation(np.arange(60) % 5 + 3)    # node ids 3..7, unsorted
+    is_original = rng.random(60) < 0.3
+    is_original[np.unique(ids, return_index=True)[1]] = True
+    t = ae_targets(inputs, ids, is_original, mode)
+    assert isinstance(t, nnet.IndexedRows)
+    assert t.table.shape == (5, 7) and t.table.dtype == np.float32
+    assert len(t) == 60
+    want = materialized_node_means(inputs, ids, is_original)
+    assert t.table[t.index].tobytes() == want.tobytes()
+    assert t[np.arange(60)].tobytes() == want.tobytes()
+
+
+def test_ae_targets_avg_makes_no_copy():
+    inputs = np.random.default_rng(22).random((6, 3), dtype=np.float32)
+    assert ae_targets(inputs, [0, 0, 1, 1, 2, 2], [True] * 6, "AVG") is inputs
+
+
+def test_indexed_rows_reject_bad_index():
+    table = np.zeros((3, 2))
+    for index in ([0, 3], [-1, 0], [[0, 1]]):
+        with pytest.raises(InputError):
+            nnet.IndexedRows(table, index)
+
+
 # --- autoencoder -------------------------------------------------------------
 
 def small_ae(**train) -> AeConfig:
@@ -150,6 +191,49 @@ def test_train_autoencoder_keeps_the_trained_encoder():
     # the latent is the bottleneck output of the full forward pass
     _, rec = nnet.forward(trained, x, mode="eval")
     assert embed_vec(model, x).tobytes() == rec.post[len(cfg.hidden)].tobytes()
+
+
+def test_train_autoencoder_on_compact_targets_equals_materialized():
+    rng = np.random.default_rng(23)
+    x = rng.random((40, 16), dtype=np.float32)
+    ids = np.arange(40) % 4
+    is_original = np.arange(40) < 8
+    cfg = small_ae(epochs=3, batch_size=7)
+    compact = ae_targets(x, ids, is_original, "BASE")
+    m_compact, l_compact = train_autoencoder(x, compact, cfg, 5)
+    m_rows, l_rows = train_autoencoder(
+        x, materialized_node_means(x, ids, is_original), cfg, 5)
+    assert l_compact == l_rows
+    for got, want in zip(m_compact.net.layers, m_rows.net.layers, strict=True):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_train_autoencoder_memory_high_water():
+    # the default 1936-512-128-512-1936 AE for two Adam steps; numpy
+    # reports its buffers to tracemalloc
+    cfg = AeConfig(train=nnet.TrainConfig(epochs=1))
+    batch, in_dim = cfg.train.batch_size, 1936
+    x = np.random.default_rng(24).random((2 * batch, in_dim), dtype=np.float32)
+    targets = ae_targets(x, np.arange(2 * batch) % 8, np.ones(2 * batch, bool), "BASE")
+    dims = [in_dim, *cfg.hidden, cfg.latent_dim, *reversed(cfg.hidden), in_dim]
+    param_bytes = 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
+    # two forward records' worth (pre and post per layer: one record, and
+    # backward's gradient arrays), and the input, target and output-gradient
+    # batches
+    activation_bytes = 4 * batch * (4 * sum(dims[1:]) + 3 * in_dim)
+    adam_scratch_bytes = 4 * 2 * nnet._ADAM_BLOCK
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        train_autoencoder(x, targets, cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # parameters, one set of gradients and Adam's two moments; no copy of
+    # the net and no second set of gradients
+    assert peak < 4 * param_bytes + activation_bytes + adam_scratch_bytes, (
+        f"peak {peak / param_bytes:.2f}x the parameter bytes")
 
 
 def test_train_autoencoder_rejects_bad_mode():

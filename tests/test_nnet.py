@@ -333,17 +333,19 @@ def test_train_linear_regression_converges():
 
 
 def test_train_zero_epochs_unchanged():
-    # zero epochs are rejected at config time; training works on a copy, so
-    # the caller's net stays unchanged
+    # zero epochs are rejected at config time; training updates the net it
+    # is given in place, so a copy passed in leaves the caller's net unchanged
     with pytest.raises(InputError, match="epochs"):
         TrainConfig(epochs=0)
     net = init_net([4, 2], ["linear"], seed=14)
     before = flat_params(net).copy()
-    trained, losses = train(net, np.ones((3, 4)), np.ones((3, 2)),
+    given = net.copy()
+    trained, losses = train(given, np.ones((3, 4)), np.ones((3, 2)),
                             TrainConfig(epochs=1), 0)
     assert len(losses) == 1
+    assert trained is given  # trained in place
     assert not np.array_equal(flat_params(trained), before)
-    assert np.array_equal(flat_params(net), before)  # original untouched
+    assert np.array_equal(flat_params(net), before)  # the copied net unchanged
 
 
 def test_train_deterministic_per_seed():
@@ -352,11 +354,11 @@ def test_train_deterministic_per_seed():
     y = rng.normal(size=(100, 2))
     net = init_net([6, 8, 2], ["relu", "linear"], dropout=[0.2, 0.0], seed=16)
     cfg = TrainConfig(epochs=5)
-    a, la = train(net, x, y, cfg, 17)
-    b, lb = train(net, x, y, cfg, 17)
+    a, la = train(net.copy(), x, y, cfg, 17)
+    b, lb = train(net.copy(), x, y, cfg, 17)
     assert la == lb
     assert np.array_equal(flat_params(a), flat_params(b))
-    c, lc = train(net, x, y, cfg, 18)
+    c, lc = train(net.copy(), x, y, cfg, 18)
     assert not np.array_equal(flat_params(a), flat_params(c))
 
 
