@@ -23,7 +23,7 @@ from sbevloc.evaluate import R_FIX
 from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_update
 from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import ae_targets, grid_to_input, train_autoencoder
-from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud
+from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream
 from sbevloc.sbev import (
     GridSpec,
     accumulate_sbev,
@@ -31,10 +31,13 @@ from sbevloc.sbev import (
     filter_labels,
     rasterize_bev,
 )
-from sbevloc.synthworld import generate_world, render_frame
+from sbevloc.synthworld import WeatherSpec, generate_world, render_frame
 from sbevloc.topomap import rotate_grid
 
 SPEC = GridSpec()
+# the moderate rain of the benchmark
+RAIN = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2, depth_dropout_prob=0.05,
+                   depth_noise_sigma=0.05, range_attenuation=40.0)
 N_POINTS = 50_000
 CFG = RunConfig()       # default camera (320x240) and grid (352 cells at 0.25 m)
 
@@ -124,6 +127,26 @@ def test_accumulate_sbev_real_window(benchmark, real_window):
     labels = np.concatenate([c.labels for c, _ in real_window])
     assert sb.grid.any()
     assert np.array_equal(sb.grid, lexsort_rasterize(xyz, labels, spec))
+
+
+def test_accumulate_sbev_held_windows(benchmark, world):
+    """Every S-BEV of the 160 m route in the benchmark's rain, built while
+    every frame's ego cloud is held in a list, as a caller that keeps its
+    frames does; each checked against the sort reference. Rain confuses
+    labels, so that a cell's top point often lacks its largest label; in
+    clean frames the two rules give the same grids."""
+    k, policy, spec = CFG.camera.intrinsics(), CFG.classes.policy(), CFG.grid.grid_spec()
+    clouds = [(ego_cloud(d, l, k, policy, spec), p)
+              for _, p, d, l in render_stream(world, world.route, k, weather=RAIN, weather_seed=1)]
+    windows = [clouds[max(0, i + 1 - ACCUMULATION_WINDOW):i + 1] for i in range(len(clouds))]
+    grids = benchmark.pedantic(
+        lambda: [accumulate_sbev(w, w[-1][1], spec).grid for w in windows], rounds=3)
+    assert len(grids) == len(world.route)
+    for window, grid in zip(windows, grids):
+        current = window[-1][1]
+        xyz = np.concatenate([in_ego_of(current, pose, cloud.xyz) for cloud, pose in window])
+        labels = np.concatenate([c.labels for c, _ in window])
+        assert grid.tobytes() == lexsort_rasterize(xyz, labels, spec).tobytes()
 
 
 def test_render_frame(benchmark, world):

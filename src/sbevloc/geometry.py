@@ -62,6 +62,24 @@ class Intrinsics:
             raise InputError("principal point outside image")
 
 
+def label_map(labels) -> np.ndarray:
+    """`labels` as a uint8 class-ID array.
+
+    An array of another integer dtype is converted when every value is in
+    0..255; a non-integer dtype or a value outside that range raises
+    InputError, where a cast would wrap it into some other class (300 into
+    44). A uint8 array is returned as it is, unchecked.
+    """
+    labels = np.asarray(labels)
+    if labels.dtype == np.uint8:
+        return labels
+    if labels.dtype.kind not in "iu":
+        raise InputError(f"label map of dtype {labels.dtype}, need integer class IDs")
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
+        raise InputError(f"label values {labels.min()}..{labels.max()} outside 0..255")
+    return labels.astype(np.uint8)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Labeled 3D points: xyz is (N, 3) float64, labels is (N,) uint8.
@@ -77,7 +95,7 @@ class PointCloud:
         if self.labels is None:
             labels = np.zeros(len(xyz), dtype=np.uint8)
         else:
-            labels = np.asarray(self.labels, dtype=np.uint8).reshape(-1)
+            labels = label_map(self.labels).reshape(-1)
         if len(labels) != len(xyz):
             raise InputError("xyz/label length mismatch")
         object.__setattr__(self, "xyz", xyz)

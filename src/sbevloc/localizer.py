@@ -24,6 +24,7 @@ without unpickling:
 
 from __future__ import annotations
 
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -125,6 +126,8 @@ class EmbeddingIndex:
         ids = np.asarray(self.node_ids, dtype=np.int64)
         if lat.ndim != 2 or len(lat) != len(ids):
             raise InputError("index latents/node_ids mismatch")
+        if not np.isfinite(lat).all():
+            raise InputError("non-finite index latents")
         object.__setattr__(self, "latents", lat)
         object.__setattr__(self, "node_ids", ids)
 
@@ -207,7 +210,8 @@ def coarse_localize(index: EmbeddingIndex, latent: np.ndarray):
     """Exact 1-NN by Euclidean distance.
 
     Ties break toward the smallest node id, then insertion order.
-    Returns (node_id, distance).
+    Returns (node_id, distance). A query with no finite distance to the
+    index, such as a NaN or infinite latent, raises InputError.
     """
     if len(index) == 0:
         raise InputError("empty embedding index")
@@ -217,6 +221,10 @@ def coarse_localize(index: EmbeddingIndex, latent: np.ndarray):
     diff = index.latents - latent
     d2 = np.einsum("ij,ij->i", diff, diff)
     best = d2.min()
+    # the index rows are finite: a non-finite query, or a square past
+    # float32's range, gets here
+    if not math.isfinite(best):
+        raise InputError(f"no finite distance to the index (best {best})")
     candidates = np.nonzero(d2 == best)[0]
     winner = candidates[np.argmin(index.node_ids[candidates])]
     return int(index.node_ids[winner]), float(np.sqrt(d2[winner]))

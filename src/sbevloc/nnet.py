@@ -333,7 +333,8 @@ def net_arrays(net: DenseNet, name: str) -> dict:
 
 
 def net_from_arrays(arrays, name: str) -> DenseNet:
-    """Inverse of `net_arrays` over any mapping; parameters must be float32."""
+    """Inverse of `net_arrays` over any mapping; parameters must be finite
+    float32."""
     layers = []
     for i, (act, dropout) in enumerate(zip(arrays[f"{name}.activation"].tolist(),
                                            arrays[f"{name}.dropout"].tolist(),
@@ -342,5 +343,7 @@ def net_from_arrays(arrays, name: str) -> DenseNet:
         if w.dtype != np.float32 or b.dtype != np.float32:
             raise ValueError(f"{name}.{i} parameters are {w.dtype}/{b.dtype}, "
                              "not float32")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"{name}.{i} parameters are not all finite")
         layers.append(Layer(w, b, act, float(dropout)))
     return DenseNet(layers)

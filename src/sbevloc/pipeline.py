@@ -2,10 +2,10 @@
 
 The synthetic renderer yields frames as (frame_id, pose, depth, labels)
 tuples. S-BEV accumulation uses a sliding window of the current plus the
-previous four frames, each moved on the ground plane by its Pose2. Every
-frame gets an ego cloud, since the window needs it, but only the frames a
-caller asks for get an S-BEV. One pass over a traversal's S-BEVs pools both
-the test inputs and the (augmented) training arrays.
+previous four frames, each moved on the ground plane by its Pose2. Only
+the frames a caller asks for get an S-BEV, and only the frames in their
+windows an ego cloud. One pass over a traversal's S-BEVs pools both the test
+inputs and the (augmented) training arrays.
 
 Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
 `pool_traversal` fills row by row in place, with no per-row list to stack.
@@ -75,18 +75,31 @@ def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
                 camera_height: float | None = None, *, frame_ids=None):
     """Yield one motion-compensated SBev per requested frame, in stream order.
 
-    Every frame's ego cloud is built, because the window of a later frame
-    needs it, but only the frames in `frame_ids` are accumulated into an
-    S-BEV and yielded; None yields every frame. A yielded grid does not
-    depend on `frame_ids`.
+    Frame ids are stream positions, as `render_stream` yields them: each
+    must be one more than the last, or InputError is raised. Only the frames
+    in `frame_ids` are accumulated into an S-BEV and yielded; None yields
+    every frame. A frame's ego cloud is built only when a yielded frame's
+    window holds it, so when the frame or one of the next
+    ACCUMULATION_WINDOW - 1 is requested. A skipped frame still takes its
+    slot in the window, so a yielded grid does not depend on `frame_ids`.
 
     `camera_height` is unused. It stays only because `perfbench/workloads.py`
     passes it positionally; dropping it is ROADMAP item 1.
     """
-    wanted = None if frame_ids is None else frozenset(frame_ids)
+    wanted = needed = None
+    if frame_ids is not None:
+        wanted = frozenset(frame_ids)
+        needed = frozenset(f - lag for f in wanted for lag in range(ACCUMULATION_WINDOW))
     recent = deque(maxlen=ACCUMULATION_WINDOW)
+    last = None
     for frame_id, pose, depth, labels in frames:
-        recent.append((ego_cloud(depth, labels, k, policy, grid), pose))
+        if last is not None and frame_id != last + 1:
+            raise InputError(f"frame id {frame_id} after {last}; ids must count up by one")
+        last = frame_id
+        if needed is None or frame_id in needed:
+            recent.append((ego_cloud(depth, labels, k, policy, grid), pose))
+        else:
+            recent.append(None)   # no window of a yielded frame reaches it
         if wanted is None or frame_id in wanted:
             yield accumulate_sbev(list(recent), pose, grid, frame_id=frame_id)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Pose2, relative_pose, wrap_angle
-from .sbev import GridSpec, SBev, cell_centers, cell_indices
+from .sbev import GridSpec, SBev, cell_centers, flat_cells
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,7 @@ def _rotation_source(angle: float, size: int, resolution: float) -> np.ndarray:
     y = np.broadcast_to(yc[None, :], (size, size))
     c, s = math.cos(angle), math.sin(angle)
     # inverse map: source coords in the original grid
-    rows, cols, inside = cell_indices(spec, (c * x - s * y).ravel(), (s * x + c * y).ravel())
-    src = np.where(inside, rows * size + cols, size * size).astype(np.intp)
+    src = flat_cells(spec, (c * x - s * y).ravel(), (s * x + c * y).ravel())
     src.flags.writeable = False
     return src
 

@@ -30,7 +30,13 @@ from sbevloc.evaluate import (
 from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
 from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import grid_to_input, load_bundle, localize, save_bundle
-from sbevloc.pipeline import pool_traversal, render_stream, sbev_stream, traversal_sbevs
+from sbevloc.pipeline import (
+    ACCUMULATION_WINDOW,
+    pool_traversal,
+    render_stream,
+    sbev_stream,
+    traversal_sbevs,
+)
 from sbevloc.synthworld import generate_world
 from sbevloc.topomap import (
     AugmentConfig,
@@ -286,6 +292,9 @@ def test_run_experiment_builds_only_pooled_sbevs(monkeypatch):
         built.append(frame_id)
         return accumulate(frames, current, spec, frame_id=frame_id)
 
+    clouds = []
+    cloud = pipeline.ego_cloud
+    monkeypatch.setattr(pipeline, "ego_cloud", lambda *a: clouds.append(1) or cloud(*a))
     monkeypatch.setattr(pipeline, "accumulate_sbev", counting)
     rows, art = run_experiment(cfg)
     test_ids = [s.frame_id for s in art.conditions[0].samples]
@@ -293,14 +302,21 @@ def test_run_experiment_builds_only_pooled_sbevs(monkeypatch):
     # one S-BEV per pooled frame of each pass, in stream order: the clean
     # pass pools the test and training frames, rain and lane+1.5 the test
     assert built == sorted(set(test_ids) | train_ids) + test_ids + test_ids
+    # one ego cloud per frame in the window of a pooled frame
+    n = len(art.world.route)
+    windowed = [len({f for p in pooled for f in range(max(0, p - ACCUMULATION_WINDOW + 1), p + 1)})
+                for pooled in (set(test_ids) | train_ids, test_ids, test_ids)]
+    assert len(clouds) == sum(windowed) and sum(windowed) < 3 * n
 
     # the same run with the filter disabled builds every frame's S-BEV
     built.clear()
     traversal = evaluate.traversal_sbevs
     monkeypatch.setattr(evaluate, "traversal_sbevs",
                         lambda *a, frame_ids, **kw: traversal(*a, **kw))
+    clouds.clear()
     rows_all, art_all = run_experiment(cfg)
-    assert built == list(range(len(art.world.route))) * 3
+    assert built == list(range(n)) * 3
+    assert len(clouds) == 3 * n
     assert repr(rows) == repr(rows_all)
     for field in dataclasses.fields(art.arrays):
         a, b = getattr(art.arrays, field.name), getattr(art_all.arrays, field.name)

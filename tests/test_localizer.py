@@ -278,6 +278,17 @@ def test_coarse_tie_breaks_smallest_node():
     assert nid == 3
 
 
+def test_coarse_non_finite_query_or_index_rejected():
+    lats = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
+    index = EmbeddingIndex(lats, np.array([0, 1]))
+    for q in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf], [3e30, 0.0]):
+        with pytest.raises(InputError, match="no finite distance"):
+            coarse_localize(index, np.array(q))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="non-finite index latents"):
+            EmbeddingIndex(np.where(lats == 3.0, bad, lats), np.array([0, 1]))
+
+
 def test_coarse_matches_brute_force():
     rng = np.random.default_rng(8)
     lats = rng.normal(size=(2000, 16)).astype(np.float32)
@@ -509,11 +520,18 @@ def _raw(edit):
     (_edit_members(lambda m: m.update({"ae.activation": np.array(["relu", "tanh"])})),
      "'tanh'"),
     (_edit_members(lambda m: m.update(pool=0)), "pool factor must be >= 1, got 0"),
+    (_edit_members(lambda m: m["index_latents"].__setitem__((4, 1), math.nan)),
+     "non-finite index latents"),
+    (_edit_members(lambda m: m["ae.0.weights"].__setitem__((0, 0), math.inf)),
+     "ae.0 parameters are not all finite"),
+    (_edit_members(lambda m: m["reg.1.bias"].__setitem__(2, -math.inf)),
+     "reg.1 parameters are not all finite"),
 ], ids=["truncated", "flipped-weight-byte", "no-reg.0.bias", "object-member",
         "format-version-1", "topomap-nan-pose", "manifest-truncated",
         "manifest-array-root", "topomap-truncated", "topomap-array-root",
         "topomap-node-without-x", "index-id-past-map", "weights-do-not-chain",
-        "activation-tanh", "pool-zero"])
+        "activation-tanh", "pool-zero", "index-nan-latent", "ae-inf-weight",
+        "reg-inf-bias"])
 def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
     save_bundle(tmp_path, make_bundle())
     corrupt(tmp_path / "bundle.npz")

@@ -11,14 +11,16 @@ from sbevloc.config import RunConfig, derive_seed, SEED_WORLD
 from sbevloc.errors import InputError
 from sbevloc.geometry import Intrinsics, PointCloud, Pose2
 from sbevloc.localizer import grid_to_input
+from sbevloc import pipeline
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, sbev_stream
 from sbevloc.sbev import (
     ClassPolicy,
     GridSpec,
+    SBev,
     accumulate_sbev,
     build_point_cloud,
-    cell_indices,
     filter_labels,
+    flat_cells,
     rasterize_bev,
 )
 from sbevloc.synthworld import WeatherSpec, generate_world
@@ -49,6 +51,8 @@ def brute_rasterize(cloud, spec):
     best = np.full((size, size), -np.inf)
     for (x, y, z), label in zip(cloud.xyz.tolist(), cloud.labels.tolist()):
         if label == 0 or not (zmin <= z <= zmax):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):   # on no cell
             continue
         xi = math.floor(x / res)
         yi = math.floor((y + half) / res)
@@ -123,14 +127,20 @@ def test_filter_labels_histogram_oracle():
 
 @pytest.mark.parametrize("labels", [
     np.array([[300, 4]]), np.array([[-248, 4]]), np.array([[8.0, 4.0]]),
-    np.array([[True, False]]), [[4, 256]]])
+    np.array([[True, False]]), [[4, 256]],
+    [[300]], np.array([[-1.0]]), np.array([[1.7]])])
 def test_label_maps_outside_uint8_rejected(labels):
-    # a uint8 cast would wrap 300 into 44 and -248 into 8, both kept here
+    # a uint8 cast would wrap 300 into 44, -248 into 8, -1.0 into 255 and
+    # 1.7 into 1, each a class ID of its own
     policy = ClassPolicy(keep_set={4, 8, 44})
     with pytest.raises(InputError, match="label"):
         filter_labels(labels, policy)
     with pytest.raises(InputError, match="label"):
-        build_point_cloud(np.ones((1, 2)), labels, K, stride=1)
+        build_point_cloud(np.ones(np.shape(labels)), labels, K, stride=1)
+    with pytest.raises(InputError, match="label"):
+        SBev(labels, 0.25)
+    with pytest.raises(InputError, match="label"):
+        PointCloud(np.zeros((np.size(labels), 3)), np.ravel(labels))
 
 
 def test_integer_label_maps_in_range_accepted():
@@ -140,6 +150,10 @@ def test_integer_label_maps_in_range_accepted():
         assert np.array_equal(filter_labels(labels, policy), filter_labels(want, policy))
         got = build_point_cloud(np.ones((2, 2)), labels, K, stride=1)
         assert got.labels.tolist() == [4, 255, 8]
+        grid = SBev(labels, 0.25).grid
+        assert grid.dtype == np.uint8 and np.array_equal(grid, want)
+        cloud = PointCloud(np.zeros((4, 3)), np.ravel(labels))
+        assert cloud.labels.dtype == np.uint8 and cloud.labels.tolist() == [0, 4, 255, 8]
 
 
 # --- build_point_cloud ---------------------------------------------------
@@ -288,13 +302,63 @@ def test_rasterize_height_window():
     assert out.grid.sum() == 0
 
 
-def test_cell_indices_boundaries():
+def test_flat_cells_boundaries():
     spec = GridSpec(size=4, resolution=1.0)
-    rows, cols, inside = cell_indices(spec,
-                                      np.array([0.0, 3.99, 4.0, -0.01]),
-                                      np.array([0.0, 0.0, 0.0, 0.0]))
-    assert inside.tolist() == [True, True, False, False]
-    assert rows[0] == 3 and rows[1] == 0
+    cells = flat_cells(spec, np.array([0.0, 3.99, 4.0, -0.01]), np.zeros(4))
+    # y = 0 is column 1 (yi = 2); x = 0 is row 3 and x = 3.99 row 0
+    assert cells.dtype == np.intp
+    assert cells.tolist() == [3 * 4 + 1, 0 * 4 + 1, 16, 16]
+
+
+def test_flat_cells_equal_row_major_cells():
+    rng = np.random.default_rng(12)
+    spec = GridSpec(size=16, resolution=0.5)
+    x, y = rng.uniform(-1, 9, 2000), rng.uniform(-5, 5, 2000)
+    xi, yi = np.floor(x / 0.5).astype(int), np.floor((y + 4.0) / 0.5).astype(int)
+    inside = (xi >= 0) & (xi < 16) & (yi >= 0) & (yi < 16)
+    want = np.where(inside, (15 - xi) * 16 + (15 - yi), 256)
+    assert inside.any() and not inside.all()
+    assert flat_cells(spec, x, y).tolist() == want.tolist()
+
+
+def test_rasterize_non_finite_coordinates_dropped():
+    spec = GridSpec(size=8, resolution=0.5)
+    bad = (math.nan, math.inf, -math.inf)
+    xyz = [(1.1, 0.1, 1.0)]
+    xyz += [(b, 0.1, 1.0) for b in bad] + [(1.1, b, 1.0) for b in bad]
+    xyz += [(1.1, 0.1, b) for b in bad] + [(b, b, b) for b in bad]
+    # the points with a non-finite height lie in the finite point's cell, and
+    # every non-finite point has the larger label: one counted would show
+    cloud = PointCloud(np.array(xyz), np.r_[3, np.full(len(xyz) - 1, 200)])
+    want = brute_rasterize(cloud, spec)
+    assert np.count_nonzero(want) == 1 and want.max() == 3
+    with np.errstate(all="raise"):   # no warning from a non-finite point
+        got = rasterize_bev(cloud, spec).grid
+    assert np.array_equal(got, want)
+    cells = flat_cells(spec, np.array([math.nan, 1.1]), np.array([0.1, math.nan]))
+    assert cells.tolist() == [64, 64]
+
+
+def test_rasterize_grid_edges_and_height_bounds():
+    spec = GridSpec(size=8, resolution=0.5)
+    half, far = spec.lateral_extent / 2.0, spec.size * spec.resolution
+    zmin, zmax = spec.height_window
+    xyz = np.array([
+        (0.0, 0.1, 1.0),            # nearest row: kept
+        (far, 0.1, 1.0),            # one past the farthest row: dropped
+        (np.nextafter(far, 0), 0.1, 1.0),   # farthest row: kept
+        (-0.0, 0.6, 1.0),           # nearest row: kept
+        (1.1, -half, 1.0),          # rightmost column: kept
+        (1.1, half, 1.0),           # one past the leftmost column: dropped
+        (2.1, 0.1, zmin),           # on the height window's floor: kept
+        (2.6, 0.1, zmax),           # on its ceiling: kept
+        (3.1, 0.1, np.nextafter(zmax, np.inf)),   # just above it: dropped
+    ])
+    labels = np.arange(1, len(xyz) + 1)
+    cloud = PointCloud(xyz, labels)
+    want = brute_rasterize(cloud, spec)
+    assert sorted(want[want != 0].tolist()) == [1, 3, 4, 5, 7, 8]
+    assert np.array_equal(rasterize_bev(cloud, spec).grid, want)
 
 
 # --- accumulate_sbev -----------------------------------------------------
@@ -468,5 +532,48 @@ def test_sbev_stream_yields_requested_frames_only():
             assert [sb.frame_id for sb in got] == sorted(set(ids) & every.keys())
             for sb in got:
                 assert sb.grid.tobytes() == every[sb.frame_id].tobytes()
-            # every frame is still read, so every cloud of a window is built
+            # every frame is still read from the stream
             assert read == list(range(len(frames)))
+
+
+def test_sbev_stream_clouds_only_windowed_frames(monkeypatch):
+    """A filtered stream builds the ego clouds of the frames in the windows
+    of the requested frames and no others; its grids are byte-equal to the
+    unfiltered stream's."""
+    cfg = RunConfig()
+    spec = GridSpec(stride=4)
+    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    frames = rendered_frames(k, weather=RAIN)
+    every = {sb.frame_id: sb.grid.tobytes() for sb in sbev_stream(frames, k, policy, spec)}
+    frame_of = {id(depth): frame_id for frame_id, _, depth, _ in frames}
+    clouded = []
+    cloud = pipeline.ego_cloud
+    monkeypatch.setattr(pipeline, "ego_cloud",
+                        lambda depth, *a: clouded.append(frame_of[id(depth)]) or cloud(depth, *a))
+    for ids, want in (([11], [7, 8, 9, 10, 11]),
+                      ([9, 3], [0, 1, 2, 3, 5, 6, 7, 8, 9]),   # frame 4 skipped
+                      ([0, 2], [0, 1, 2]),
+                      ([5, 99], [1, 2, 3, 4, 5]),
+                      ([], []),
+                      (None, list(range(12)))):
+        clouded.clear()
+        got = list(sbev_stream(frames, k, policy, spec, frame_ids=ids))
+        assert clouded == want
+        requested = every.keys() if ids is None else set(ids)
+        assert [sb.frame_id for sb in got] == sorted(every.keys() & requested)
+        for sb in got:
+            assert sb.grid.tobytes() == every[sb.frame_id]
+
+
+def test_sbev_stream_rejects_ids_that_skip():
+    cfg = RunConfig()
+    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    frames = rendered_frames(k, slice(30, 34))
+    for ids in ([0, 2, 3, 4], [0, 1, 1, 2], [3, 2, 1, 0]):
+        stream = [(i, *f[1:]) for i, f in zip(ids, frames)]
+        with pytest.raises(InputError, match="count up by one"):
+            list(sbev_stream(stream, k, policy, GridSpec(stride=4)))
+    # a stream may start at any id
+    got = list(sbev_stream([(5 + i, *f[1:]) for i, f in enumerate(frames)], k, policy,
+                           GridSpec(stride=4), frame_ids=[8]))
+    assert [sb.frame_id for sb in got] == [8]

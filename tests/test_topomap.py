@@ -6,7 +6,7 @@ import pytest
 
 from sbevloc.errors import InputError
 from sbevloc.geometry import Pose2, global_from_relative, relative_pose, wrap_angle
-from sbevloc.sbev import GridSpec, SBev, cell_centers, cell_indices
+from sbevloc.sbev import GridSpec, SBev, cell_centers
 from sbevloc.topomap import (
     AugmentConfig,
     NodePose,
@@ -242,12 +242,17 @@ def test_rotation_moves_content_against_yaw():
 
 
 def rotate_grid_uncached(grid, angle, spec):
-    """The inverse-map formula, evaluated afresh on every call."""
+    """The inverse-map formula, evaluated afresh on every call, with each
+    source cell found here from its metric coordinates."""
     xc, yc = cell_centers(spec)
     x = np.broadcast_to(xc[:, None], grid.shape)
     y = np.broadcast_to(yc[None, :], grid.shape)
     c, s = math.cos(angle), math.sin(angle)
-    rows, cols, inside = cell_indices(spec, (c * x - s * y).ravel(), (s * x + c * y).ravel())
+    xs, ys = (c * x - s * y).ravel(), (s * x + c * y).ravel()
+    xi = np.floor(xs / spec.resolution).astype(np.int64)
+    yi = np.floor((ys + spec.lateral_extent / 2.0) / spec.resolution).astype(np.int64)
+    inside = (xi >= 0) & (xi < spec.size) & (yi >= 0) & (yi < spec.size)
+    rows, cols = spec.size - 1 - xi, spec.size - 1 - yi
     flat = np.zeros(grid.size, dtype=grid.dtype)
     flat[inside] = grid[rows[inside], cols[inside]]
     return flat.reshape(grid.shape)
