@@ -23,7 +23,7 @@ from sbevloc.evaluate import R_FIX
 from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_update
 from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import ae_targets, grid_to_input, train_autoencoder
-from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream
+from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, traversal_sbevs
 from sbevloc.sbev import (
     GridSpec,
     accumulate_sbev,
@@ -266,6 +266,30 @@ def test_nnet_optimizer_step(benchmark, net_batch):
 AE_STEPS, AE_NODES = 3, 6
 
 
+def ae_reference(x, targets, cfg):
+    """The forward/backward/optimizer_step chain on per-row targets, with
+    layer 0's gradient over every input column, from the init of
+    default_net("ae") and `train`'s shuffle at seed 1; returns the net and
+    its epoch loss."""
+    per_row = targets.table[targets.index]
+    net = default_net("ae")
+    order = np.random.default_rng([1, 0x21]).permutation(len(x))
+    state, losses = None, []
+    for start in range(0, len(x), BATCH):
+        idx = order[start:start + BATCH]
+        out, rec = nnet.forward(net, x[idx], mode="train")
+        loss, grad = nnet.mse_loss(out, per_row[idx])
+        state = nnet.optimizer_step(net, nnet.backward(net, rec, grad), cfg.train, state)
+        losses.append(loss)
+    return net, sum(losses) / len(losses)
+
+
+def assert_same_net(got, want):
+    for g, w in zip(got.layers, want.layers):
+        assert g.weights.tobytes() == w.weights.tobytes()
+        assert g.bias.tobytes() == w.bias.tobytes()
+
+
 def test_train_autoencoder_steps(benchmark):
     cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=1))
     in_dim = (SPEC.size // cfg.pool) ** 2
@@ -275,21 +299,29 @@ def test_train_autoencoder_steps(benchmark):
     targets = ae_targets(x, rows % AE_NODES, rows < BATCH, "BASE")
     # seed 1: the init of default_net("ae")
     model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
-    # reference: the forward/backward/optimizer_step chain on per-row targets
-    per_row = targets.table[targets.index]
-    net = default_net("ae")
-    order = np.random.default_rng([1, 0x21]).permutation(len(x))
-    state, want = None, []
-    for start in range(0, len(x), BATCH):
-        idx = order[start:start + BATCH]
-        out, rec = nnet.forward(net, x[idx], mode="train")
-        loss, grad = nnet.mse_loss(out, per_row[idx])
-        state = nnet.optimizer_step(net, nnet.backward(net, rec, grad), cfg.train, state)
-        want.append(loss)
-    assert losses == [sum(want) / len(want)]
-    for got, ref in zip(model.net.layers, net.layers):
-        assert got.weights.tobytes() == ref.weights.tobytes()
-        assert got.bias.tobytes() == ref.bias.tobytes()
+    net, loss = ae_reference(x, targets, cfg)
+    assert losses == [loss]
+    assert_same_net(model.net, net)
+
+
+def test_train_autoencoder_dead_columns(benchmark, world):
+    """AE steps on pooled real S-BEVs, most of whose input columns lie
+    outside the camera's view and are 0 in every row: layer 0 trains on the
+    live columns only, and every weight and loss equals full gradients'."""
+    cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=1))
+    sbevs = traversal_sbevs(world, world.route, CFG, frame_ids=range(AE_STEPS * BATCH))
+    x = np.stack([grid_to_input(sb.grid, cfg.pool) for sb in sbevs])
+    dead = ~x.any(axis=0)
+    assert x.shape == (AE_STEPS * BATCH, (SPEC.size // cfg.pool) ** 2)
+    assert 0.5 < dead.mean() < 0.9
+    rows = np.arange(len(x))
+    targets = ae_targets(x, rows * AE_NODES // len(x), rows % 4 == 0, "BASE")
+    model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
+    net, loss = ae_reference(x, targets, cfg)
+    assert losses == [loss]
+    assert_same_net(model.net, net)
+    init = default_net("ae").layers[0].weights
+    assert model.net.layers[0].weights[:, dead].tobytes() == init[:, dead].tobytes()
 
 
 # one post-KF scoring call of the ablation benchmark: 140 odometry steps,

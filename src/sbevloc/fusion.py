@@ -59,6 +59,14 @@ def _check_states(mu: np.ndarray, sigma: np.ndarray) -> None:
     _check_psd(sigma, "sigma")
 
 
+def _as_vec3(v, name: str) -> np.ndarray:
+    """v as a float64 3-vector; any shape of 3 entries is accepted."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.size != 3:
+        raise InputError(f"{name} must have 3 entries, got shape {v.shape}")
+    return v.reshape(3)
+
+
 def _as_3x3(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
@@ -84,8 +92,11 @@ class KfState:
     sigma: np.ndarray   # 3x3 covariance
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).reshape(3).copy()
-        sigma = np.asarray(self.sigma, dtype=np.float64).reshape(3, 3)
+        mu = _as_vec3(self.mu, "mu").copy()
+        sigma = np.asarray(self.sigma, dtype=np.float64)
+        if sigma.size != 9:
+            raise InputError(f"sigma must have 3x3 entries, got shape {sigma.shape}")
+        sigma = sigma.reshape(3, 3)
         _check_states(mu, sigma)
         mu[2] = wrap_angle(mu[2])
         object.__setattr__(self, "mu", mu)
@@ -102,6 +113,11 @@ class OdomSample:
     dt: float
 
     def __post_init__(self):
+        # made once per filter step, so four plain calls
+        if not (math.isfinite(self.vx) and math.isfinite(self.vy)
+                and math.isfinite(self.omega) and math.isfinite(self.dt)):
+            raise InputError(f"non-finite odometry ({self.vx}, {self.vy}, "
+                             f"{self.omega}, dt {self.dt})")
         if self.dt <= 0:
             raise InputError(f"dt must be positive, got {self.dt}")
 
@@ -142,8 +158,7 @@ def kf_predict(state: KfState, odom: OdomSample, q: np.ndarray) -> KfState:
 
 def kf_update(state: KfState, z, r: np.ndarray) -> KfState:
     """Full-state measurement update (H = I), Joseph-form covariance."""
-    z = np.asarray(z, dtype=np.float64).reshape(3)
-    return KfState(*_update(state.mu, state.sigma, z, _checked_r(r)))
+    return KfState(*_update(state.mu, state.sigma, _as_vec3(z, "z"), _checked_r(r)))
 
 
 def _step_state(mu: np.ndarray, sigma: np.ndarray) -> KfState:
@@ -170,8 +185,7 @@ def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
     for i in fixes:
         if not 0 <= i <= len(odometry):
             raise InputError(f"fix step {i} outside 0..{len(odometry)}")
-    fixes = {i: np.asarray(z, dtype=np.float64).reshape(3)
-             for i, z in fixes.items()}
+    fixes = {i: _as_vec3(z, "a fix") for i, z in fixes.items()}
     mu, sigma = init.mu, init.sigma
     # (mu, sigma) after each step, then each predicted state a fix updated
     after, predicted = [], []

@@ -56,8 +56,9 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError("focal lengths must be positive")
+        if not (math.isfinite(self.fx) and self.fx > 0
+                and math.isfinite(self.fy) and self.fy > 0):
+            raise InputError("focal lengths must be finite and positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise InputError("principal point outside image")
 
@@ -83,6 +84,9 @@ def label_map(labels) -> np.ndarray:
 @dataclass(frozen=True)
 class PointCloud:
     """Labeled 3D points: xyz is (N, 3) float64, labels is (N,) uint8.
+
+    xyz keeps the memory order it is given; the clouds `sbev` builds are
+    column-major, so that each coordinate is contiguous.
 
     Treated as immutable; operations return new instances.
     """

@@ -4,12 +4,15 @@ Supports exactly what the localization models need: affine layers with
 relu/linear/sigmoid activations, inverted dropout, MSE loss, Adam, and
 fully seeded (hence bit-reproducible) mini-batch training. Gradients
 are hand-derived reverse mode and are validated against central differences
-in the test suite.
+in the test suite. Training skips layer 0's gradient and Adam state for
+input columns that are 0 in every row; Adam would leave those weights
+unchanged to the bit (`optimizer_step`).
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +65,9 @@ class TrainConfig:
     epochs: int = 30
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InputError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InputError(f"learning rate must be finite and positive, got "
+                             f"{self.learning_rate}")
         if self.batch_size < 1:
             raise InputError("batch size must be >= 1")
         if self.epochs < 1:
@@ -151,8 +155,15 @@ def forward(net: DenseNet, x, mode: str = "eval", rng=None, masks=None):
     return (out[0] if single else out), rec
 
 
-def backward(net: DenseNet, rec: ForwardRecord, grad_out):
-    """Exact reverse-mode gradients [(dW, db) per layer] for dL/d(output)."""
+def backward(net: DenseNet, rec: ForwardRecord, grad_out, live=slice(None)):
+    """Exact reverse-mode gradients [(dW, db) per layer] for dL/d(output).
+
+    Layer 0's dW holds only the input columns `live`: slice(None) for all
+    of them, or sorted column indices. A column left out is one whose input
+    is 0 in every row the net trains on, so its gradient, g.T @ 0, is ±0
+    whenever layer 0's output gradient g is finite; a non-finite g raises
+    NumericalError.
+    """
     if rec.n_layers != len(net.layers) or len(rec.post) != len(net.layers):
         raise InputError("stale or mismatched forward record")
     g = np.asarray(grad_out)
@@ -170,7 +181,9 @@ def backward(net: DenseNet, rec: ForwardRecord, grad_out):
             act_out = _activate(rec.pre[i], layer.activation)
         if layer.activation != "linear":
             g = g * _activate_grad(rec.pre[i], act_out, layer.activation)
-        inp = rec.x if i == 0 else rec.post[i - 1]
+        if i == 0 and not np.isfinite(g).all():
+            raise NumericalError("non-finite gradient at layer 0")
+        inp = rec.x[:, live] if i == 0 else rec.post[i - 1]
         grads[i] = (g.T @ inp, g.sum(axis=0))
         if i > 0:
             g = g @ layer.weights
@@ -199,16 +212,25 @@ class OptState:
 
 
 def optimizer_step(net: DenseNet, grads, config: TrainConfig,
-                   state: OptState | None = None) -> OptState:
+                   state: OptState | None = None, live=slice(None)) -> OptState:
     """Apply one Adam update in place; returns the optimizer state.
 
     Each parameter is updated in blocks of `_ADAM_BLOCK` elements through
     two scratch blocks, with the same float operations, in the same order,
     as `m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
     p -= lr (m / c1) / (sqrt(v / c2) + eps)`.
+
+    Layer 0's gradient and moments hold only the weight columns `live`, as
+    `backward` gives them; those columns are gathered into one C-contiguous
+    block, updated and written back (with slice(None), the block is the
+    weights themselves, and nothing is copied). A column left out keeps its
+    bits: its gradient is ±0, so its moments stay +0 (0.9 * +0 + 0.1 * ±0 =
+    +0), its step is (+0 / c1) * lr / (sqrt(+0 / c2) + eps) = +0 for a
+    finite lr, and p - (+0) = p, also for p = -0.0.
     """
-    for layer, (dw, db) in zip(net.layers, grads):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
+    for i, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
+        width = layer.weights.shape[1] if i or isinstance(live, slice) else len(live)
+        if dw.shape != (layer.weights.shape[0], width) or db.shape != layer.bias.shape:
             raise InputError("gradient shapes do not match parameters")
         if dw.dtype != layer.weights.dtype or db.dtype != layer.bias.dtype:
             raise InputError("gradient dtypes do not match parameters")
@@ -218,17 +240,26 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     if state is None or not state.m:
         state = OptState(
-            m=[(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers],
-            v=[(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers])
+            m=[(np.zeros(dw.shape, dw.dtype), np.zeros(db.shape, db.dtype))
+               for dw, db in grads],
+            v=[(np.zeros(dw.shape, dw.dtype), np.zeros(db.shape, db.dtype))
+               for dw, db in grads])
         state.scratch = {p.dtype: np.empty((2, _ADAM_BLOCK), dtype=p.dtype)
                          for l in net.layers for p in (l.weights, l.bias)}
+    elif state.m[0][0].shape != grads[0][0].shape:
+        raise InputError("Adam moments were made for other layer-0 columns")
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     for i, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
-        for param, grad, m, v in ((layer.weights, dw, state.m[i][0], state.v[i][0]),
+        cols = live if i == 0 else slice(None)
+        # C-contiguous: `weights[:, cols]` of an index array is not, and its
+        # flat view would be a copy that takes the update
+        weights = (layer.weights if isinstance(cols, slice)
+                   else layer.weights.take(cols, axis=1))
+        for param, grad, m, v in ((weights, dw, state.m[i][0], state.v[i][0]),
                                   (layer.bias, db, state.m[i][1], state.v[i][1])):
-            # flat views: the moments were made like their C-contiguous parameter
+            # flat views: the moments are C-contiguous, as is each parameter
             p, g, m, v = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
             a_all, b_all = state.scratch[p.dtype]
             for lo in range(0, p.size, _ADAM_BLOCK):
@@ -249,6 +280,7 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
                 b += eps
                 a /= b
                 pb -= a
+        layer.weights[:, cols] = weights   # a no-op when they are the weights
     return state
 
 
@@ -285,19 +317,32 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
     losses).
 
     `net` is updated step by step and is the net returned; a caller that
-    needs the untrained net passes `net.copy()`. `targets` is an array with
-    one row per input or an `IndexedRows`, from which each batch gathers its
-    rows. Each step's gradients are dropped before the next backward pass,
-    so the parameters, one set of gradients and Adam's two moments are the
-    only parameter-sized buffers held at once.
+    needs the untrained net passes `net.copy()`. `inputs` has one row per
+    example; `targets` is an array with one row per input or an
+    `IndexedRows`, from which each batch gathers its rows. Each step's
+    gradients are dropped before the next backward pass, so the parameters,
+    one set of gradients and Adam's two moments are the only parameter-sized
+    buffers held at once.
+
+    An input column that is 0 in every row is dead: Adam leaves its layer-0
+    weights unchanged to the bit (see `optimizer_step`). So the columns
+    that are live are found once, and layer 0's gradient and moments hold
+    only those; every weight, bias and loss equals that of training with
+    full gradients.
     """
     inputs = np.asarray(inputs)
     if not isinstance(targets, IndexedRows):
         targets = np.asarray(targets)
+    if inputs.ndim != 2:
+        raise InputError(f"inputs must be 2-D, one row per example, got shape "
+                         f"{inputs.shape}")
     if len(inputs) == 0:
         raise InputError("empty training set")
     if len(inputs) != len(targets):
         raise InputError("inputs/targets length mismatch")
+    live = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
+    if len(live) == inputs.shape[1]:
+        live = slice(None)
     shuffle_rng = np.random.default_rng([seed, 0x21])
     dropout_rng = np.random.default_rng([seed, 0x22])
     state = None
@@ -314,7 +359,8 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}")
-            state = optimizer_step(net, backward(net, rec, grad), config, state)
+            state = optimizer_step(net, backward(net, rec, grad, live), config,
+                                   state, live)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)

@@ -39,10 +39,11 @@ class GridSpec:
     stride: int = 2                    # pixel lattice step for cloud building
 
     def __post_init__(self):
-        if self.size <= 0 or self.resolution <= 0:
-            raise InputError("grid size and resolution must be positive")
-        if self.height_window[0] >= self.height_window[1]:
-            raise InputError("height window must satisfy z_min < z_max")
+        if self.size <= 0 or not (math.isfinite(self.resolution) and self.resolution > 0):
+            raise InputError("grid size and resolution must be finite and positive")
+        zmin, zmax = self.height_window
+        if not (math.isfinite(zmin) and math.isfinite(zmax) and zmin < zmax):
+            raise InputError("height window must be finite with z_min < z_max")
         if self.stride < 1:
             raise InputError("stride must be >= 1")
 
@@ -109,7 +110,7 @@ def lattice_cloud(d: np.ndarray, l: np.ndarray, k: Intrinsics, stride: int) -> P
     """
     valid = (d > 0) & (l != 0)
     vs, us = np.nonzero(valid)
-    xyz = np.empty((len(vs), 3))
+    xyz = np.empty((3, len(vs))).T   # column-major: each coordinate contiguous
     xyz[:, 0] = dv = d[valid]        # in the row-major order of nonzero
     xyz[:, 1] = -((us * stride - k.cx) * dv / k.fx)
     xyz[:, 2] = -((vs * stride - k.cy) * dv / k.fy)
@@ -208,20 +209,21 @@ def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
     if not 1 <= len(frames) <= ACCUMULATION_WINDOW:
         raise InputError(f"need 1..{ACCUMULATION_WINDOW} frames, got {len(frames)}")
     cc, sc = math.cos(current.theta), math.sin(current.theta)
-    xyz = np.empty((sum(len(cloud) for cloud, _ in frames), 3))
-    labels = np.empty(len(xyz), dtype=np.uint8)
+    # column-major, as `lattice_cloud` makes clouds: coordinate rows
+    cols = np.empty((3, sum(len(cloud) for cloud, _ in frames)))
+    labels = np.empty(cols.shape[1], dtype=np.uint8)
     start = 0
     for cloud, pose in frames:
-        # p' = R(theta_i - theta_c) p + R(-theta_c) (t_i - t_c); the row
-        # vectors are multiplied by R^T
+        # p' = R(theta_i - theta_c) p + R(-theta_c) (t_i - t_c), on the
+        # coordinate rows of the cloud
         dx, dy = pose.x - current.x, pose.y - current.y
         dtheta = pose.theta - current.theta
         c, s = math.cos(dtheta), math.sin(dtheta)
-        part = xyz[start:start + len(cloud)]
-        np.matmul(cloud.xyz, np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]),
+        part = cols[:, start:start + len(cloud)]
+        np.matmul(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), cloud.xyz.T,
                   out=part)
-        part[:, 0] += cc * dx + sc * dy
-        part[:, 1] += -sc * dx + cc * dy
+        part[0] += cc * dx + sc * dy
+        part[1] += -sc * dx + cc * dy
         labels[start:start + len(cloud)] = cloud.labels
         start += len(cloud)
-    return rasterize_bev(PointCloud(xyz, labels), spec, frame_id=frame_id)
+    return rasterize_bev(PointCloud(cols.T, labels), spec, frame_id=frame_id)

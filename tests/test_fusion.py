@@ -45,6 +45,32 @@ def test_predict_theta_advances_and_wraps():
     assert out.mu[2] == pytest.approx(wrap_angle(3.5))
 
 
+@pytest.mark.parametrize("vx, vy, omega, dt", [
+    (1.0, 0.0, 0.0, math.nan), (1.0, 0.0, 0.0, math.inf), (math.nan, 0.0, 0.0, 0.1),
+    (math.inf, 0.0, 0.0, 0.1), (0.0, math.nan, 0.0, 0.1), (0.0, 0.0, math.nan, 0.1),
+])
+def test_odom_sample_rejects_non_finite(vx, vy, omega, dt):
+    with pytest.raises(InputError):
+        OdomSample(vx, vy, omega, dt)
+
+
+@pytest.mark.parametrize("mu, sigma", [
+    (np.zeros(4), np.eye(3)), (np.zeros(2), np.eye(3)), (np.zeros(3), np.eye(2)),
+    (np.zeros(3), np.eye(4)),
+])
+def test_kf_state_rejects_wrong_shapes(mu, sigma):
+    with pytest.raises(InputError, match="mu|sigma"):
+        KfState(mu, sigma)
+
+
+@pytest.mark.parametrize("z", [np.zeros(2), np.zeros(4), np.zeros((2, 2))])
+def test_update_rejects_measurement_of_wrong_size(z):
+    with pytest.raises(InputError, match="3 entries"):
+        kf_update(state(), z, R_EYE)
+    with pytest.raises(InputError, match="3 entries"):
+        fuse_trajectory([], {0: z}, state(), Q_DEFAULT, R_EYE)
+
+
 def test_predict_rejects_bad_q():
     with pytest.raises(InputError):
         kf_predict(state(), OdomSample(1, 0, 0, 0.1), np.diag([-1.0, 1, 1]))
@@ -240,12 +266,14 @@ def test_fuse_noisy_measurements_improve_mae():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("later_fix", [False, True])
 def test_fuse_rejects_infinite_odometry(later_fix):
     # the states are checked in one batch after the loop; a non-finite one
-    # still raises InputError, also when a later fix updates it
+    # still raises InputError, also when a later fix updates it. OdomSample
+    # rejects an infinite velocity, so a finite one overflows the covariance
     odom = [OdomSample(8.0, 0.0, 0.0, 0.1)] * 6
-    odom[2] = OdomSample(math.inf, 0.0, 0.0, 0.1)
+    odom[2] = OdomSample(1e308, 0.0, 0.0, 0.1)
     fixes = {0: [0.0, 0.0, 0.0]}
     if later_fix:
         fixes[5] = [4.0, 0.0, 0.0]

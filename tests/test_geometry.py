@@ -135,6 +135,13 @@ def test_intrinsics_validation():
         Intrinsics(fx=1, fy=1, cx=20, cy=0, width=10, height=10)
 
 
+@pytest.mark.parametrize("fx, fy", [(math.nan, 1.0), (1.0, math.nan),
+                                    (math.inf, 1.0), (1.0, math.inf)])
+def test_intrinsics_reject_non_finite_focal_lengths(fx, fy):
+    with pytest.raises(InputError, match="focal"):
+        Intrinsics(fx=fx, fy=fy, cx=0, cy=0, width=10, height=10)
+
+
 def test_pose2_rejects_nonfinite():
     with pytest.raises(InputError):
         Pose2(float("nan"), 0, 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,13 @@ def test_adam_blocks_match_whole_array_update(dtype):
     assert [a.tobytes() for pair in state.v for a in pair] == [a.tobytes() for a in v]
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_train_config_rejects_non_finite_or_non_positive_rate(lr):
+    # a finite rate is what keeps a dead column's Adam step +0
+    with pytest.raises(InputError, match="learning rate"):
+        TrainConfig(learning_rate=lr)
+
+
 def test_adam_rejects_gradient_dtype_mismatch():
     net = one_param_net(1.0)
     with pytest.raises(InputError):
@@ -362,6 +371,15 @@ def test_train_deterministic_per_seed():
     assert not np.array_equal(flat_params(a), flat_params(c))
 
 
+def test_train_rejects_inputs_that_are_not_rows():
+    # one example as a 1-D vector would be taken for in_dim rows
+    net = init_net([2, 1], ["linear"], seed=19)
+    with pytest.raises(InputError, match="2-D"):
+        train(net, np.ones(2), np.ones((2, 1)), TrainConfig(epochs=1), 0)
+    with pytest.raises(InputError, match="2-D"):
+        train(net, np.ones((2, 1, 2)), np.ones((2, 1)), TrainConfig(epochs=1), 0)
+
+
 def test_train_aborts_on_nonfinite():
     x = np.array([[1e300, 1e300]])
     y = np.array([[0.0]])
@@ -369,6 +387,148 @@ def test_train_aborts_on_nonfinite():
     net.layers[0].weights[:] = 1e300
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="epoch 0"):
         train(net, x, y, TrainConfig(epochs=1), 0)
+
+
+# --- dead input columns --------------------------------------------------------
+
+def full_gradient_train(net, x, y, config, seed):
+    """Reference: `train`'s batches, dropout draws and Adam steps, with layer
+    0's gradient and moments over every input column."""
+    shuffle_rng = np.random.default_rng([seed, 0x21])
+    dropout_rng = np.random.default_rng([seed, 0x22])
+    state, losses = None, []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(x))
+        batch_losses = []
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            out, rec = forward(net, x[idx], mode="train", rng=dropout_rng)
+            loss, grad = mse_loss(out, y[idx])
+            state = optimizer_step(net, backward(net, rec, grad), config, state)
+            batch_losses.append(loss)
+        losses.append(sum(batch_losses) / len(batch_losses))
+    return net, losses
+
+
+def dead_column_inputs(rng, rows, dim, dead_share, dtype=np.float64):
+    x = rng.random((rows, dim)).astype(dtype)
+    dead = rng.permutation(dim)[:int(dead_share * dim)]
+    x[:, dead] = 0.0
+    x[:, dead[:1]] = -0.0     # counts as 0
+    x[-1, dead[-1:]] = 0.5    # 0 in every row but the last: live
+    return x, np.sort(dead[:-1])
+
+
+@pytest.mark.parametrize("kind", ["sigmoid-ae", "relu-dropout"])
+@pytest.mark.parametrize("dead_share", [0.7, 0.0])
+def test_train_on_dead_columns_equals_full_gradients(kind, dead_share):
+    rng = np.random.default_rng(40)
+    if kind == "sigmoid-ae":
+        x, dead = dead_column_inputs(rng, 150, 48, dead_share, np.float32)
+        y = x
+        net = init_net([48, 16, 48], ["sigmoid", "linear"], seed=41, dtype=np.float32)
+    else:
+        x, dead = dead_column_inputs(rng, 150, 30, dead_share)
+        y = rng.normal(size=(150, 3))
+        net = init_net([30, 20, 10, 3], ["relu", "relu", "linear"],
+                       dropout=[0.3, 0.2, 0.0], seed=42)
+    cfg = TrainConfig(learning_rate=3e-3, batch_size=32, epochs=3)   # a short last batch
+    got, got_losses = train(net.copy(), x, y, cfg, 43)
+    want, want_losses = full_gradient_train(net.copy(), x, y, cfg, 43)
+    assert got_losses == want_losses
+    for g, w in zip(got.layers, want.layers):
+        assert g.weights.tobytes() == w.weights.tobytes()
+        assert g.bias.tobytes() == w.bias.tobytes()
+    w0, before = got.layers[0].weights, net.layers[0].weights
+    assert w0[:, dead].tobytes() == before[:, dead].tobytes()
+    live = np.setdiff1d(np.arange(x.shape[1]), dead)
+    assert (w0[:, live] != before[:, live]).any(axis=0).all()
+
+
+def test_dead_column_weights_keep_their_bits():
+    # -0.0 weights stay -0.0 and every other dead weight its value; a dead
+    # column of NaN inputs would be live
+    rng = np.random.default_rng(44)
+    x, dead = dead_column_inputs(rng, 40, 12, 0.5)
+    net = init_net([12, 6, 2], ["relu", "linear"], seed=45)
+    net.layers[0].weights[:, dead[:2]] = -0.0
+    before = net.layers[0].weights.copy()
+    train(net, x, rng.normal(size=(40, 2)), TrainConfig(epochs=2, batch_size=8), 46)
+    w0 = net.layers[0].weights
+    assert w0[:, dead].tobytes() == before[:, dead].tobytes()
+    assert np.signbit(w0[:, dead[:2]]).all()
+
+
+def test_backward_and_adam_on_live_columns():
+    rng = np.random.default_rng(47)
+    net = init_net([6, 4, 2], ["relu", "linear"], seed=48)
+    x = rng.random((5, 6))
+    x[:, [1, 4]] = 0.0
+    live = np.array([0, 2, 3, 5])
+    out, rec = forward(net, x)
+    _, g = mse_loss(out, np.zeros_like(out))
+    full, compact = backward(net, rec, g), backward(net, rec, g, live)
+    assert compact[0][0].shape == (4, 4)
+    assert compact[0][0].tobytes() == full[0][0][:, live].tobytes()
+    assert not full[0][0][:, [1, 4]].any()
+    for (fw, fb), (cw, cb) in zip(full[1:], compact[1:]):
+        assert fw.tobytes() == cw.tobytes() and fb.tobytes() == cb.tobytes()
+    # a compact gradient of another width, or moments of another width
+    cfg = TrainConfig()
+    with pytest.raises(InputError, match="gradient shapes"):
+        optimizer_step(net.copy(), compact, cfg, live=live[:3])
+    with pytest.raises(InputError, match="gradient shapes"):
+        optimizer_step(net.copy(), full, cfg, live=live)
+    state = optimizer_step(net.copy(), full, cfg)
+    with pytest.raises(InputError, match="other layer-0 columns"):
+        optimizer_step(net.copy(), compact, cfg, state, live)
+    # moments are C-contiguous whatever the gradients' memory order
+    c_net, f_net = net.copy(), net.copy()
+    c_state = optimizer_step(c_net, compact, cfg, None, live)
+    f_state = optimizer_step(f_net, [(np.asfortranarray(w), b) for w, b in compact],
+                             cfg, None, live)
+    for _ in range(2):
+        optimizer_step(c_net, compact, cfg, c_state, live)
+        optimizer_step(f_net, compact, cfg, f_state, live)
+    assert flat_params(c_net).tobytes() == flat_params(f_net).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_layer0_gradient_raises(bad):
+    net = init_net([4, 3, 2], ["linear", "linear"], seed=49)
+    out, rec = forward(net, np.ones((2, 4)))
+    g = np.zeros_like(out)
+    g[1, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="layer 0"):
+        backward(net, rec, g, np.array([0, 2]))
+
+
+def test_train_on_dead_columns_memory_high_water():
+    # the default 1936-512-128-512-1936 AE for two steps on inputs 70% of
+    # whose columns are 0 in every row: layer 0's gradient and two moments
+    # hold the live columns only, at the cost of one gathered block of them
+    dims = [1936, 512, 128, 512, 1936]
+    batch, in_dim = 64, dims[0]
+    x = np.random.default_rng(50).random((2 * batch, in_dim), dtype=np.float32)
+    x[:, :int(0.7 * in_dim)] = 0.0
+    n_live = in_dim - int(0.7 * in_dim)
+    net = init_net(dims, ["relu", "relu", "relu", "linear"], seed=51, dtype=np.float32)
+    param_bytes = 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
+    dead_bytes = 4 * dims[1] * (in_dim - n_live)
+    activation_bytes = 4 * batch * (4 * sum(dims[1:]) + 3 * in_dim)
+    adam_scratch_bytes = 4 * 2 * nnet._ADAM_BLOCK
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        train(net, x, x, TrainConfig(epochs=1), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the net is made before tracing starts: one set of gradients and Adam's
+    # two moments, less their dead columns, and the gathered live block
+    bound = (3 * param_bytes - 3 * dead_bytes + 4 * dims[1] * n_live
+             + activation_bytes + adam_scratch_bytes)
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 # --- weights as named arrays -----------------------------------------------------

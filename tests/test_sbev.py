@@ -199,6 +199,35 @@ def test_cloud_counting_oracle():
         assert len(cloud) == want
 
 
+@pytest.mark.parametrize("fields", [
+    {"resolution": math.nan}, {"resolution": math.inf},
+    {"height_window": (math.nan, 1.0)}, {"height_window": (-1.0, math.nan)},
+    {"height_window": (-math.inf, 1.0)}, {"height_window": (2.0, 1.0)},
+])
+def test_grid_spec_rejects_non_finite_or_empty_geometry(fields):
+    with pytest.raises(InputError):
+        GridSpec(**fields)
+
+
+def test_clouds_column_major_and_grids_unchanged():
+    # each coordinate is contiguous in the clouds the pipeline builds and in
+    # the accumulated union; a row-major copy of the same points rasterizes
+    # to the same grid
+    rng = np.random.default_rng(30)
+    depth = rng.uniform(1.0, 30.0, (24, 32))
+    labels = rng.integers(0, 4, (24, 32)).astype(np.uint8)
+    k = Intrinsics(fx=20.0, fy=20.0, cx=16.0, cy=12.0, width=32, height=24)
+    cloud = build_point_cloud(depth, labels, k, stride=1)
+    assert cloud.xyz.shape == (len(cloud), 3) and cloud.xyz.flags.f_contiguous
+    spec = GridSpec(size=64, resolution=0.5)
+    frames = [(cloud, Pose2(0.0, 0.0, 0.0)), (cloud, Pose2(1.5, 0.3, 0.1))]
+    current = Pose2(1.0, 0.2, 0.05)
+    row_major = [(PointCloud(np.ascontiguousarray(c.xyz), c.labels), p) for c, p in frames]
+    got = accumulate_sbev(frames, current, spec)
+    assert got.grid.any()
+    assert got.grid.tobytes() == accumulate_sbev(row_major, current, spec).grid.tobytes()
+
+
 def test_cloud_dimension_mismatch():
     with pytest.raises(InputError):
         build_point_cloud(np.zeros((4, 4)), np.zeros((4, 5), dtype=np.uint8), K)
