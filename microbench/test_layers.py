@@ -22,8 +22,22 @@ from sbevloc.config import SEED_WORLD, RunConfig, derive_seed
 from sbevloc.evaluate import R_FIX
 from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_update
 from sbevloc.geometry import PointCloud, Pose2
-from sbevloc.localizer import ae_targets, grid_to_input, train_autoencoder
-from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, traversal_sbevs
+from sbevloc.localizer import (
+    ae_targets,
+    grid_to_input,
+    load_bundle,
+    localize,
+    save_bundle,
+    train_autoencoder,
+)
+from sbevloc.pipeline import (
+    ACCUMULATION_WINDOW,
+    ego_cloud,
+    pool_traversal,
+    render_stream,
+    train_localizer,
+    traversal_sbevs,
+)
 from sbevloc.sbev import (
     GridSpec,
     accumulate_sbev,
@@ -31,8 +45,8 @@ from sbevloc.sbev import (
     filter_labels,
     rasterize_bev,
 )
-from sbevloc.synthworld import WeatherSpec, generate_world, render_frame
-from sbevloc.topomap import rotate_grid
+from sbevloc.synthworld import WeatherSpec, generate_world, lane_shift, render_frame
+from sbevloc.topomap import assign_to_nodes, balance_samples, build_topo_map, rotate_grid
 
 SPEC = GridSpec()
 # the moderate rain of the benchmark
@@ -307,7 +321,8 @@ def test_train_autoencoder_steps(benchmark):
 def test_train_autoencoder_dead_columns(benchmark, world):
     """AE steps on pooled real S-BEVs, most of whose input columns lie
     outside the camera's view and are 0 in every row: layer 0 trains on the
-    live columns only, and every weight and loss equals full gradients'."""
+    live columns only, every live weight and loss equals full gradients',
+    and the dead columns, which never trained, come back as +0.0."""
     cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=1))
     sbevs = traversal_sbevs(world, world.route, CFG, frame_ids=range(AE_STEPS * BATCH))
     x = np.stack([grid_to_input(sb.grid, cfg.pool) for sb in sbevs])
@@ -319,9 +334,44 @@ def test_train_autoencoder_dead_columns(benchmark, world):
     model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
     net, loss = ae_reference(x, targets, cfg)
     assert losses == [loss]
+    w0 = model.net.layers[0].weights
+    assert not w0[:, dead].view(np.uint32).any()
+    assert w0[:, ~dead].tobytes() == net.layers[0].weights[:, ~dead].tobytes()
+    net.layers[0].weights[:, dead] = 0.0
     assert_same_net(model.net, net)
-    init = default_net("ae").layers[0].weights
-    assert model.net.layers[0].weights[:, dead].tobytes() == init[:, dead].tobytes()
+
+
+def test_save_load_bundle(benchmark, world, tmp_path):
+    """Save and load a default-size bundle whose AE trained on the pooled
+    real S-BEVs of the 160 m route: the file keeps only the live layer-0
+    columns, and the loaded bundle localizes byte-equal."""
+    cfg = dataclasses.replace(
+        CFG, ae=dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=1)),
+        reg=dataclasses.replace(CFG.reg, train=dataclasses.replace(CFG.reg.train, epochs=1)))
+    route = world.route
+    topo = build_topo_map(route, cfg.topo.trans_threshold_m,
+                          math.radians(cfg.topo.ang_threshold_deg))
+    samples = balance_samples(assign_to_nodes(topo, enumerate(route)), len(topo), 1)
+    frame_ids = sorted({s.frame_id for s in samples})
+    _, arrays = pool_traversal(traversal_sbevs(world, route, cfg, frame_ids=frame_ids),
+                               [], cfg.ae.pool, samples)
+    bundle = train_localizer(topo, arrays, "BASE", cfg, 1).bundle
+    live = np.count_nonzero(arrays.inputs.any(axis=0))
+    assert live < arrays.inputs.shape[1]
+    path = tmp_path / "bundle"
+
+    def save_load():
+        save_bundle(path, bundle)
+        return load_bundle(path)
+
+    loaded = benchmark(save_load)
+    with np.load(path / "bundle.npz", allow_pickle=False) as z:
+        assert z["ae.0.weights"].shape == (cfg.ae.hidden[0], live)
+    for got, want in ((loaded.ae.net, bundle.ae.net), (loaded.reg.net, bundle.reg.net)):
+        assert_same_net(got, want)
+    # query frames off the map's lane, some lighting columns no map row lit
+    sbevs = traversal_sbevs(world, lane_shift(route, 1.5), cfg, frame_ids=frame_ids[::8])
+    assert all(localize(loaded, sb) == localize(bundle, sb) for sb in sbevs)
 
 
 # one post-KF scoring call of the ablation benchmark: 140 odometry steps,

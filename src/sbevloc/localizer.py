@@ -8,16 +8,20 @@ to the node, which is composed with the node pose for the global estimate.
 Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
 
 A trained bundle has in memory the form of its file, DIR/bundle.npz: one
-uncompressed numpy archive, format version 2, that `load_bundle` reads
+uncompressed numpy archive, format version 3, that `load_bundle` reads
 without unpickling:
 
-- `format_version` int64 (2), `pool` int64, `ae_mode` str;
+- `format_version` int64 (3), `pool` int64, `ae_mode` str, one of `AE_MODES`;
 - `nodes` (n_nodes, 3) float64: x, y, theta of node i in row i;
 - `thresholds` (2,) float64: the map's metres and radians;
 - `index_latents` (rows, latent_dim) float32, `index_node_ids` (rows,) <u4;
-- per net, `ae` (the encoder only) and `reg`: `{net}.{i}.weights` (out, in)
-  and `{net}.{i}.bias` (out,) float32 for layer i, `{net}.activation` (layers,)
-  str and `{net}.dropout` (layers,) float64.
+- per net, `ae` (the encoder only) and `reg`, for layer i:
+  `{net}.{i}.columns` (in,) bool, marking the input columns that hold any
+  weight whose bits are not +0.0; `{net}.{i}.weights` (out, marked) float32,
+  those columns only, the others being +0.0; and `{net}.{i}.bias` (out,)
+  float32. Then `{net}.activation` (layers,) str and `{net}.dropout`
+  (layers,) float64. The encoder's layer 0 keeps only the columns of inputs
+  that are nonzero in some training row (`train_autoencoder`).
 
 `n_nodes` and `latent_dim` follow from these arrays.
 """
@@ -43,7 +47,7 @@ INPUT_SCALE = 255.0
 AE_MODES = ("BASE", "AVG", "AUG")
 
 BUNDLE_FILE = "bundle.npz"
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 
 def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
@@ -177,7 +181,15 @@ def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
     """Train the symmetric float32 dense AE on `targets` (an array with one
     row per input, or `nnet.IndexedRows` as `ae_targets` gives); returns
     (AEModel of its trained encoder, per-epoch losses). Nothing reads the
-    decoder afterwards."""
+    decoder afterwards.
+
+    An input that is 0 in every training row leaves its layer-0 column
+    untrained (`nnet.train`), at its random init. That column is set to
+    +0.0, and the bundle file then leaves it out (`nnet.net_arrays`). For
+    an input that is 0 there, as every training row is, each product the
+    column adds is ±0 either way, so its latent keeps its value. An input
+    nonzero in such a column gets a latent without that column's part.
+    """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
     inputs = np.asarray(inputs, dtype=np.float32)
@@ -192,6 +204,7 @@ def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
     acts = [config.activation] * (len(dims) - 2) + ["linear"]
     net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)
     _, losses = nnet.train(net, inputs, targets, config.train, seed)
+    net.layers[0].weights[:, ~np.any(inputs, axis=0)] = 0.0
     encoder = nnet.DenseNet(net.layers[:len(hidden) + 1])
     return AEModel(encoder, config.pool, mode), losses
 
@@ -295,6 +308,8 @@ class LocalizerBundle:
     index: EmbeddingIndex
 
     def validate(self):
+        if self.ae.mode not in AE_MODES:
+            raise FormatError(f"AE mode {self.ae.mode!r} not one of {AE_MODES}")
         if self.ae.pool < 1:
             raise FormatError(f"pool factor must be >= 1, got {self.ae.pool}")
         if self.reg.n_nodes != len(self.topo):

@@ -16,7 +16,10 @@ parameters, one set of gradients and Adam's two moments. Layer 0's
 gradient and moments cover only the input columns that are nonzero in some
 training row (`nnet.train`). The grid reaches farther than the camera sees,
 so about two thirds of the default AE's 1936 inputs are 0 in every row,
-and its gradient and moments are each ~2.8 MB smaller.
+and its gradient and moments are each ~2.8 MB smaller. Those columns never
+train; `train_autoencoder` sets them to +0.0, which leaves every training
+row's latent as it was, and the bundle file stores only the live columns:
+layer 0 is ~1.2 MB of the map file, not 3.9 MB.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import RAIN, tiny_config
-from sbevloc import evaluate, pipeline
+from sbevloc import evaluate, nnet, pipeline
 from sbevloc.config import (
+    SEED_AE,
     SEED_BALANCE,
     SEED_KF,
     SEED_SPLIT,
@@ -29,7 +30,15 @@ from sbevloc.evaluate import (
 )
 from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
 from sbevloc.geometry import Pose2, wrap_angle
-from sbevloc.localizer import grid_to_input, load_bundle, localize, save_bundle
+from sbevloc.localizer import (
+    AEModel,
+    ae_targets,
+    grid_to_input,
+    load_bundle,
+    localize,
+    save_bundle,
+    train_autoencoder,
+)
 from sbevloc.pipeline import (
     ACCUMULATION_WINDOW,
     pool_traversal,
@@ -361,3 +370,35 @@ def test_trained_bundle_round_trip(two_runs, tmp_path):
              if sb.frame_id in test_ids]
     assert len(sbevs) == len(test_ids)
     assert [localize(back, sb) for sb in sbevs] == [localize(bundle, sb) for sb in sbevs]
+
+
+def test_train_autoencoder_zeroes_only_dead_columns(two_runs):
+    cfg, (_, art), _ = two_runs
+    arrays = art.arrays
+    inputs = arrays.inputs
+    targets = ae_targets(inputs, arrays.node_ids, arrays.is_original, "BASE")
+    seed = derive_seed(cfg.seed, SEED_AE)
+    model, losses = train_autoencoder(inputs, targets, cfg.ae, seed)
+    # the run trained the same encoder
+    for got, want in zip(model.net.layers, art.trained["BASE"].bundle.ae.net.layers,
+                         strict=True):
+        assert got.weights.tobytes() == want.weights.tobytes()
+    # the same init and training, without the zeroing
+    hidden, in_dim = cfg.ae.hidden, inputs.shape[1]
+    dims = [in_dim, *hidden, cfg.ae.latent_dim, *reversed(hidden), in_dim]
+    net = nnet.init_net(dims, [cfg.ae.activation] * (len(dims) - 2) + ["linear"],
+                        seed=seed, dtype=np.float32)
+    trained, want_losses = nnet.train(net, inputs, targets, cfg.ae.train, seed)
+    assert losses == want_losses
+    dead = ~inputs.any(axis=0)
+    assert 0 < dead.sum() < in_dim
+    w0, want0 = model.net.layers[0].weights, trained.layers[0].weights
+    # exactly the dead columns hold +0.0 bits only
+    assert np.array_equal(~w0.view(np.uint32).any(axis=0), dead)
+    assert w0[:, ~dead].tobytes() == want0[:, ~dead].tobytes()
+    for i, (got, want) in enumerate(zip(model.net.layers, trained.layers)):
+        assert got.bias.tobytes() == want.bias.tobytes()
+        assert i == 0 or got.weights.tobytes() == want.weights.tobytes()
+    unzeroed = AEModel(nnet.DenseNet(trained.layers[:len(hidden) + 1]), cfg.ae.pool)
+    assert (pipeline.embed_batched(model, inputs).tobytes()
+            == pipeline.embed_batched(unzeroed, inputs).tobytes())

@@ -413,7 +413,7 @@ def test_bundle_round_trip(tmp_path):
     save_bundle(tmp_path / "bundle", bundle)
     assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["bundle.npz"]
     stored = _npz_members(tmp_path / "bundle" / "bundle.npz")
-    assert stored["format_version"] == 2
+    assert stored["format_version"] == 3
     assert stored["index_node_ids"].dtype == np.dtype("<u4")
     # only the encoder half of the autoencoder is stored
     assert stored["ae.activation"].tolist() == ["relu", "relu"]
@@ -515,7 +515,8 @@ def _raw(edit):
     (_edit_members(lambda m: m.update(nodes=m["nodes"][:, 1:])),
      "node poses must be (n, 3), got shape (3, 2)"),
     (_edit_members(lambda m: m["index_node_ids"].__setitem__(0, 3)), "index node ids"),
-    (_edit_members(lambda m: m.update({"reg.1.weights": np.zeros((3, 7), np.float32)})),
+    (_edit_members(lambda m: m.update({"reg.1.weights": np.zeros((3, 7), np.float32),
+                                       "reg.1.columns": np.ones(7, bool)})),
      "do not chain"),
     (_edit_members(lambda m: m.update({"ae.activation": np.array(["relu", "tanh"])})),
      "'tanh'"),
@@ -526,16 +527,39 @@ def _raw(edit):
      "ae.0 parameters are not all finite"),
     (_edit_members(lambda m: m["reg.1.bias"].__setitem__(2, -math.inf)),
      "reg.1 parameters are not all finite"),
+    (_edit_members(lambda m: m.update(ae_mode="FOO")), "AE mode 'FOO' not one of"),
+    (_edit_members(lambda m: m.pop("ae.0.columns")), "ae.0.columns"),
+    (_edit_members(lambda m: m.update({"ae.0.columns": m["ae.0.columns"].astype(np.uint8)})),
+     "ae.0.columns is uint8 of shape (16,), not a 1-D bool mask"),
+    (_edit_members(lambda m: m.update({"ae.0.columns": m["ae.0.columns"].reshape(4, 4)})),
+     "ae.0.columns is bool of shape (4, 4), not a 1-D bool mask"),
+    (_edit_members(lambda m: m["ae.0.columns"].__setitem__(3, False)),
+     "ae.0.weights has shape (8, 16), but ae.0.columns marks 15 columns"),
 ], ids=["truncated", "flipped-weight-byte", "no-reg.0.bias", "object-member",
         "format-version-1", "topomap-nan-pose", "manifest-truncated",
         "manifest-array-root", "topomap-truncated", "topomap-array-root",
         "topomap-node-without-x", "index-id-past-map", "weights-do-not-chain",
         "activation-tanh", "pool-zero", "index-nan-latent", "ae-inf-weight",
-        "reg-inf-bias"])
+        "reg-inf-bias", "ae-mode-unknown", "no-ae.0.columns", "columns-not-bool",
+        "columns-2d", "columns-count-not-width"])
 def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
     save_bundle(tmp_path, make_bundle())
     corrupt(tmp_path / "bundle.npz")
     with pytest.raises(FormatError, match=r"bundle\.npz: .*" + re.escape(reason)):
+        load_bundle(tmp_path)
+
+
+def test_version_2_bundle_file_is_rejected(tmp_path):
+    # format 2 stored every layer's full weights and no column masks
+    bundle = make_bundle()
+    save_bundle(tmp_path, bundle)
+    members = {k: v for k, v in _npz_members(tmp_path / "bundle.npz").items()
+               if not k.endswith(".columns")}
+    for name, net in (("ae", bundle.ae.net), ("reg", bundle.reg.net)):
+        for i, layer in enumerate(net.layers):
+            members[f"{name}.{i}.weights"] = layer.weights
+    np.savez(tmp_path / "bundle.npz", **{**members, "format_version": 2})
+    with pytest.raises(FormatError, match=r"bundle\.npz: .*format_version 2, expected 3"):
         load_bundle(tmp_path)
 
 
