@@ -281,21 +281,34 @@ AE_STEPS, AE_NODES = 3, 6
 
 
 def ae_reference(x, targets, cfg):
-    """The forward/backward/optimizer_step chain on per-row targets, with
-    layer 0's gradient over every input column, from the init of
-    default_net("ae") and `train`'s shuffle at seed 1; returns the net and
-    its epoch loss."""
-    per_row = targets.table[targets.index]
+    """The forward/backward/optimizer_step chain of the live-cell AE on
+    per-row targets: the init of default_net("ae") with layer 0 cut to the
+    live input columns and the last layer to the live outputs, and `train`'s
+    shuffle at seed 1. Returns the net, its layer 0 scattered back to full
+    width with +0.0 dead columns, and its epoch losses."""
+    live = np.flatnonzero(x.any(axis=0))
+    rows, per_row = x[:, live].copy(), targets.table[targets.index][:, live].copy()
     net = default_net("ae")
-    order = np.random.default_rng([1, 0x21]).permutation(len(x))
+    first, last = net.layers[0], net.layers[-1]
+    net.layers[0] = nnet.Layer(first.weights[:, live].copy(), first.bias, first.activation)
+    net.layers[-1] = nnet.Layer(last.weights[live], last.bias[live], last.activation)
+    shuffle_rng = np.random.default_rng([1, 0x21])
     state, losses = None, []
-    for start in range(0, len(x), BATCH):
-        idx = order[start:start + BATCH]
-        out, rec = nnet.forward(net, x[idx], mode="train")
-        loss, grad = nnet.mse_loss(out, per_row[idx])
-        state = nnet.optimizer_step(net, nnet.backward(net, rec, grad), cfg.train, state)
-        losses.append(loss)
-    return net, sum(losses) / len(losses)
+    for _ in range(cfg.train.epochs):
+        order = shuffle_rng.permutation(len(x))
+        batch_losses = []
+        for start in range(0, len(x), BATCH):
+            idx = order[start:start + BATCH]
+            out, rec = nnet.forward(net, rows[idx], mode="train")
+            loss, grad = nnet.mse_loss(out, per_row[idx])
+            state = nnet.optimizer_step(net, nnet.backward(net, rec, grad), cfg.train,
+                                        state)
+            batch_losses.append(loss)
+        losses.append(sum(batch_losses) / len(batch_losses))
+    w0 = np.zeros_like(first.weights)
+    w0[:, live] = net.layers[0].weights
+    net.layers[0] = nnet.Layer(w0, net.layers[0].bias, first.activation)
+    return net, losses
 
 
 def assert_same_net(got, want):
@@ -311,33 +324,46 @@ def test_train_autoencoder_steps(benchmark):
     x = rng.random((AE_STEPS * BATCH, in_dim), dtype=np.float32)
     rows = np.arange(len(x))
     targets = ae_targets(x, rows % AE_NODES, rows < BATCH, "BASE")
-    # seed 1: the init of default_net("ae")
+    # seed 1: the init of default_net("ae"); every column is live
     model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
-    net, loss = ae_reference(x, targets, cfg)
-    assert losses == [loss]
+    net, want_losses = ae_reference(x, targets, cfg)
+    assert losses == want_losses
     assert_same_net(model.net, net)
 
 
-def test_train_autoencoder_dead_columns(benchmark, world):
-    """AE steps on pooled real S-BEVs, most of whose input columns lie
-    outside the camera's view and are 0 in every row: layer 0 trains on the
-    live columns only, every live weight and loss equals full gradients',
-    and the dead columns, which never trained, come back as +0.0."""
-    cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=1))
+def test_train_autoencoder_dead_columns(benchmark, world, monkeypatch):
+    """AE epochs on pooled real S-BEVs, most of whose input columns lie
+    outside the camera's view and are 0 in every row: the AE reads and
+    reconstructs the live cells only, its losses fall and equal the
+    live-cell chain's, and its full-width encoder holds +0.0 in the dead
+    columns."""
+    cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=2))
     sbevs = traversal_sbevs(world, world.route, CFG, frame_ids=range(AE_STEPS * BATCH))
     x = np.stack([grid_to_input(sb.grid, cfg.pool) for sb in sbevs])
     dead = ~x.any(axis=0)
-    assert x.shape == (AE_STEPS * BATCH, (SPEC.size // cfg.pool) ** 2)
+    in_dim, n_live = (SPEC.size // cfg.pool) ** 2, int((~dead).sum())
+    assert x.shape == (AE_STEPS * BATCH, in_dim)
     assert 0.5 < dead.mean() < 0.9
     rows = np.arange(len(x))
     targets = ae_targets(x, rows * AE_NODES // len(x), rows % 4 == 0, "BASE")
+    shapes = []
+    plain_train = nnet.train
+
+    def spy(net, *args):
+        shapes.append([layer.weights.shape for layer in net.layers])
+        return plain_train(net, *args)
+
+    monkeypatch.setattr(nnet, "train", spy)
     model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
-    net, loss = ae_reference(x, targets, cfg)
-    assert losses == [loss]
+    hidden, latent = cfg.hidden[0], cfg.latent_dim
+    assert set(map(tuple, shapes)) == {((hidden, n_live), (latent, hidden),
+                                        (hidden, latent), (n_live, hidden))}
+    assert len(losses) == 2 and losses[1] < losses[0]
     w0 = model.net.layers[0].weights
+    assert w0.shape == (hidden, in_dim)
     assert not w0[:, dead].view(np.uint32).any()
-    assert w0[:, ~dead].tobytes() == net.layers[0].weights[:, ~dead].tobytes()
-    net.layers[0].weights[:, dead] = 0.0
+    net, want_losses = ae_reference(x, targets, cfg)
+    assert losses == want_losses
     assert_same_net(model.net, net)
 
 

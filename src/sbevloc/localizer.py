@@ -180,31 +180,48 @@ def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
                       mode: str = "BASE"):
     """Train the symmetric float32 dense AE on `targets` (an array with one
     row per input, or `nnet.IndexedRows` as `ae_targets` gives); returns
-    (AEModel of its trained encoder, per-epoch losses). Nothing reads the
-    decoder afterwards.
+    (AEModel of its trained encoder, per-epoch losses).
 
-    An input that is 0 in every training row leaves its layer-0 column
-    untrained (`nnet.train`), at its random init. That column is set to
-    +0.0, and the bundle file then leaves it out (`nnet.net_arrays`). For
-    an input that is 0 there, as every training row is, each product the
-    column adds is ±0 either way, so its latent keeps its value. An input
-    nonzero in such a column gets a latent without that column's part.
+    The AE sees only the live cells, the inputs nonzero in some training
+    row: from the full-width init, layer 0 keeps their columns and the
+    decoder's last layer their outputs. Batches gather live columns as they
+    are drawn; when `targets` is `inputs` (AVG), the target batch is the
+    input batch. So the loss drops only terms that are 0 in every row, and
+    averages over the live outputs. The encoder returned is full width, its
+    dead columns +0.0, which the bundle file leaves out; an input nonzero
+    there gets the latent it has at 0. Inputs with no live cell raise
+    InputError.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
+    same = targets is inputs
     inputs = np.asarray(inputs, dtype=np.float32)
-    if isinstance(targets, nnet.IndexedRows):
-        targets = nnet.IndexedRows(np.asarray(targets.table, dtype=np.float32),
-                                   targets.index)
+    if inputs.ndim != 2:
+        raise InputError(f"inputs must be 2-D, one row per example, got shape "
+                         f"{inputs.shape}")
+    live = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
+    if not len(live):
+        raise InputError(f"the live set is empty: no input column is nonzero "
+                         f"in any of the {len(inputs)} training rows")
+    rows = nnet.IndexedRows(inputs, columns=live)
+    if same:
+        targets = rows
+    elif isinstance(targets, nnet.IndexedRows):
+        targets = nnet.IndexedRows(np.asarray(targets.table, dtype=np.float32)
+                                   .take(live, axis=1), targets.index)
     else:
-        targets = np.asarray(targets, dtype=np.float32)
-    in_dim = inputs.shape[1]
-    hidden = config.hidden
+        targets = nnet.IndexedRows(np.asarray(targets, dtype=np.float32), columns=live)
+    in_dim, hidden = inputs.shape[1], config.hidden
     dims = [in_dim, *hidden, config.latent_dim, *reversed(hidden), in_dim]
     acts = [config.activation] * (len(dims) - 2) + ["linear"]
     net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)
-    _, losses = nnet.train(net, inputs, targets, config.train, seed)
-    net.layers[0].weights[:, ~np.any(inputs, axis=0)] = 0.0
+    first, last = net.layers[0], net.layers[-1]
+    first.weights = first.weights.take(live, axis=1)
+    last.weights, last.bias = last.weights.take(live, axis=0), last.bias.take(live)
+    _, losses = nnet.train(net, rows, targets, config.train, seed)
+    weights = np.zeros((len(first.weights), in_dim), np.float32)
+    weights[:, live] = first.weights
+    first.weights = weights
     encoder = nnet.DenseNet(net.layers[:len(hidden) + 1])
     return AEModel(encoder, config.pool, mode), losses
 

@@ -4,9 +4,7 @@ Supports exactly what the localization models need: affine layers with
 relu/linear/sigmoid activations, inverted dropout, MSE loss, Adam, and
 fully seeded (hence bit-reproducible) mini-batch training. Gradients
 are hand-derived reverse mode and are validated against central differences
-in the test suite. Training skips layer 0's gradient and Adam state for
-input columns that are 0 in every row; Adam would leave those weights
-unchanged to the bit (`optimizer_step`).
+in the test suite.
 """
 
 from __future__ import annotations
@@ -78,7 +76,8 @@ def init_net(dims, activations, dropout=None, seed=0, dtype=np.float64) -> Dense
     """Fan-in scaled uniform init: W ~ U(-sqrt(6/n_in), sqrt(6/n_in)).
 
     The sqrt(6) gain keeps activation variance roughly constant through
-    relu stacks, so deep nets neither vanish nor blow up at init.
+    relu stacks, so deep nets neither vanish nor blow up at init. Drawn in
+    row blocks: one (out, in) draw's values, without its float64 copy.
     """
     if len(activations) != len(dims) - 1:
         raise InputError("need one activation per layer")
@@ -88,7 +87,10 @@ def init_net(dims, activations, dropout=None, seed=0, dtype=np.float64) -> Dense
     for i, act in enumerate(activations):
         n_in, n_out = dims[i], dims[i + 1]
         bound = np.sqrt(6.0 / n_in)
-        w = rng.uniform(-bound, bound, (n_out, n_in)).astype(dtype)
+        w = np.empty((n_out, n_in), dtype=dtype)
+        step = max(1, (1 << 16) // n_in)
+        for lo in range(0, n_out, step):
+            w[lo:lo + step] = rng.uniform(-bound, bound, (min(step, n_out - lo), n_in))
         layers.append(Layer(w, np.zeros(n_out, dtype=dtype), act, dropout[i]))
     return DenseNet(layers)
 
@@ -155,14 +157,10 @@ def forward(net: DenseNet, x, mode: str = "eval", rng=None, masks=None):
     return (out[0] if single else out), rec
 
 
-def backward(net: DenseNet, rec: ForwardRecord, grad_out, live=slice(None)):
+def backward(net: DenseNet, rec: ForwardRecord, grad_out):
     """Exact reverse-mode gradients [(dW, db) per layer] for dL/d(output).
 
-    Layer 0's dW holds only the input columns `live`: slice(None) for all
-    of them, or sorted column indices. A column left out is one whose input
-    is 0 in every row the net trains on, so its gradient, g.T @ 0, is ±0
-    whenever layer 0's output gradient g is finite; a non-finite g raises
-    NumericalError.
+    A non-finite gradient at layer 0's output raises NumericalError.
     """
     if rec.n_layers != len(net.layers) or len(rec.post) != len(net.layers):
         raise InputError("stale or mismatched forward record")
@@ -183,7 +181,7 @@ def backward(net: DenseNet, rec: ForwardRecord, grad_out, live=slice(None)):
             g = g * _activate_grad(rec.pre[i], act_out, layer.activation)
         if i == 0 and not np.isfinite(g).all():
             raise NumericalError("non-finite gradient at layer 0")
-        inp = rec.x[:, live] if i == 0 else rec.post[i - 1]
+        inp = rec.x if i == 0 else rec.post[i - 1]
         grads[i] = (g.T @ inp, g.sum(axis=0))
         if i > 0:
             g = g @ layer.weights
@@ -212,25 +210,16 @@ class OptState:
 
 
 def optimizer_step(net: DenseNet, grads, config: TrainConfig,
-                   state: OptState | None = None, live=slice(None)) -> OptState:
+                   state: OptState | None = None) -> OptState:
     """Apply one Adam update in place; returns the optimizer state.
 
     Each parameter is updated in blocks of `_ADAM_BLOCK` elements through
     two scratch blocks, with the same float operations, in the same order,
     as `m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
     p -= lr (m / c1) / (sqrt(v / c2) + eps)`.
-
-    Layer 0's gradient and moments hold only the weight columns `live`, as
-    `backward` gives them; those columns are gathered into one C-contiguous
-    block, updated and written back (with slice(None), the block is the
-    weights themselves, and nothing is copied). A column left out keeps its
-    bits: its gradient is ±0, so its moments stay +0 (0.9 * +0 + 0.1 * ±0 =
-    +0), its step is (+0 / c1) * lr / (sqrt(+0 / c2) + eps) = +0 for a
-    finite lr, and p - (+0) = p, also for p = -0.0.
     """
-    for i, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
-        width = layer.weights.shape[1] if i or isinstance(live, slice) else len(live)
-        if dw.shape != (layer.weights.shape[0], width) or db.shape != layer.bias.shape:
+    for layer, (dw, db) in zip(net.layers, grads):
+        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise InputError("gradient shapes do not match parameters")
         if dw.dtype != layer.weights.dtype or db.dtype != layer.bias.dtype:
             raise InputError("gradient dtypes do not match parameters")
@@ -246,18 +235,11 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
                for dw, db in grads])
         state.scratch = {p.dtype: np.empty((2, _ADAM_BLOCK), dtype=p.dtype)
                          for l in net.layers for p in (l.weights, l.bias)}
-    elif state.m[0][0].shape != grads[0][0].shape:
-        raise InputError("Adam moments were made for other layer-0 columns")
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     for i, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
-        cols = live if i == 0 else slice(None)
-        # C-contiguous: `weights[:, cols]` of an index array is not, and its
-        # flat view would be a copy that takes the update
-        weights = (layer.weights if isinstance(cols, slice)
-                   else layer.weights.take(cols, axis=1))
-        for param, grad, m, v in ((weights, dw, state.m[i][0], state.v[i][0]),
+        for param, grad, m, v in ((layer.weights, dw, state.m[i][0], state.v[i][0]),
                                   (layer.bias, db, state.m[i][1], state.v[i][1])):
             # flat views: the moments are C-contiguous, as is each parameter
             p, g, m, v = param.reshape(-1), grad.reshape(-1), m.reshape(-1), v.reshape(-1)
@@ -280,36 +262,46 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
                 b += eps
                 a /= b
                 pb -= a
-        layer.weights[:, cols] = weights   # a no-op when they are the weights
     return state
 
 
 @dataclass(frozen=True)
 class IndexedRows:
-    """Row i is `table[index[i]]`: a per-row set stored once per distinct row.
+    """Row i is `table[index[i], columns]`, or `table[i, columns]` without
+    an index: a per-row set stored once per distinct row, a column subset
+    of the table, or both (all columns without `columns`).
 
-    `r[idx]` gathers the rows `idx` of `r`, as indexing the materialized
-    `table[index]` would, without ever holding one row per index.
+    `r[idx]` gathers the rows `idx` of `r` as one C-contiguous block, as
+    indexing the materialized rows would, without ever holding them all.
     """
 
-    table: np.ndarray    # (distinct rows, dim)
-    index: np.ndarray    # (rows,) int, each in 0..len(table) - 1
+    table: np.ndarray                  # (distinct rows, dim)
+    index: np.ndarray | None = None    # (rows,) int, each in 0..len(table) - 1
+    columns: np.ndarray | None = None  # (k,) int, each in 0..dim - 1
 
     def __post_init__(self):
-        index = np.asarray(self.index, dtype=np.intp)
-        if index.ndim != 1:
-            raise InputError(f"row index must be 1-D, got shape {index.shape}")
-        # checked first: fancy indexing would wrap a negative row silently
-        bad = index[(index < 0) | (index >= len(self.table))]
-        if len(bad):
-            raise InputError(f"row index {bad[0]} outside 0..{len(self.table) - 1}")
-        object.__setattr__(self, "index", index)
+        table = np.asarray(self.table)
+        if table.ndim != 2:
+            raise InputError(f"row table must be 2-D, got shape {table.shape}")
+        object.__setattr__(self, "table", table)
+        for name, n in (("index", len(table)), ("columns", table.shape[1])):
+            if getattr(self, name) is None:
+                continue
+            ids = np.asarray(getattr(self, name), dtype=np.intp)
+            if ids.ndim != 1:
+                raise InputError(f"row {name} must be 1-D, got shape {ids.shape}")
+            # checked first: `take` would wrap a negative id silently
+            bad = ids[(ids < 0) | (ids >= n)]
+            if len(bad):
+                raise InputError(f"row {name} {bad[0]} outside 0..{n - 1}")
+            object.__setattr__(self, name, ids)
 
     def __len__(self):
-        return len(self.index)
+        return len(self.table if self.index is None else self.index)
 
     def __getitem__(self, idx):
-        return self.table[self.index[idx]]
+        rows = self.table.take(idx if self.index is None else self.index[idx], axis=0)
+        return rows if self.columns is None else rows.take(self.columns, axis=1)
 
 
 def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
@@ -317,32 +309,25 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
     losses).
 
     `net` is updated step by step and is the net returned; a caller that
-    needs the untrained net passes `net.copy()`. `inputs` has one row per
-    example; `targets` is an array with one row per input or an
-    `IndexedRows`, from which each batch gathers its rows. Each step's
-    gradients are dropped before the next backward pass, so the parameters,
-    one set of gradients and Adam's two moments are the only parameter-sized
-    buffers held at once.
-
-    An input column that is 0 in every row is dead: Adam leaves its layer-0
-    weights unchanged to the bit (see `optimizer_step`). So the columns
-    that are live are found once, and layer 0's gradient and moments hold
-    only those; every weight, bias and loss equals that of training with
-    full gradients.
+    needs the untrained net passes `net.copy()`. `inputs` and `targets` are
+    each an array with one row per example or an `IndexedRows`, from which
+    each batch gathers its rows; when `targets` is `inputs`, the target
+    batch is the input batch. Each step's gradients are dropped before the
+    next backward pass, so the parameters, one set of gradients and Adam's
+    two moments are the only parameter-sized buffers held at once.
     """
-    inputs = np.asarray(inputs)
+    same = targets is inputs
+    if not isinstance(inputs, IndexedRows):
+        inputs = np.asarray(inputs)
+        if inputs.ndim != 2:
+            raise InputError(f"inputs must be 2-D, one row per example, got "
+                             f"shape {inputs.shape}")
     if not isinstance(targets, IndexedRows):
         targets = np.asarray(targets)
-    if inputs.ndim != 2:
-        raise InputError(f"inputs must be 2-D, one row per example, got shape "
-                         f"{inputs.shape}")
     if len(inputs) == 0:
         raise InputError("empty training set")
     if len(inputs) != len(targets):
         raise InputError("inputs/targets length mismatch")
-    live = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
-    if len(live) == inputs.shape[1]:
-        live = slice(None)
     shuffle_rng = np.random.default_rng([seed, 0x21])
     dropout_rng = np.random.default_rng([seed, 0x22])
     state = None
@@ -354,13 +339,13 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
         n_batches = 0
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            out, rec = forward(net, inputs[idx], mode="train", rng=dropout_rng)
-            loss, grad = mse_loss(out, targets[idx])
+            x = inputs[idx]
+            out, rec = forward(net, x, mode="train", rng=dropout_rng)
+            loss, grad = mse_loss(out, x if same else targets[idx])
             if not np.isfinite(loss):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}, batch {n_batches}")
-            state = optimizer_step(net, backward(net, rec, grad, live), config,
-                                   state, live)
+            state = optimizer_step(net, backward(net, rec, grad), config, state)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / n_batches)

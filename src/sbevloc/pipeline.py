@@ -9,17 +9,14 @@ inputs and the (augmented) training arrays.
 
 Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
 `pool_traversal` fills row by row in place, with no per-row list to stack.
-Training adds no second one. BASE and AUG reconstruct one target row per
-node (`ae_targets`), AVG reconstructs the inputs themselves, AUG copies
-only its original rows, and each net trains in place, so the AE adds its
-parameters, one set of gradients and Adam's two moments. Layer 0's
-gradient and moments cover only the input columns that are nonzero in some
-training row (`nnet.train`). The grid reaches farther than the camera sees,
-so about two thirds of the default AE's 1936 inputs are 0 in every row,
-and its gradient and moments are each ~2.8 MB smaller. Those columns never
-train; `train_autoencoder` sets them to +0.0, which leaves every training
-row's latent as it was, and the bundle file stores only the live columns:
-layer 0 is ~1.2 MB of the map file, not 3.9 MB.
+Training adds no second one. The grid reaches farther than the camera sees,
+so about two thirds of the default AE's 1936 inputs are 0 in every training
+row. The AE reads and reconstructs only the live ones (`train_autoencoder`),
+gathering each batch's live columns as it is drawn. BASE and AUG reconstruct
+one target row per node (`ae_targets`), AVG its input batch; AUG copies only
+its original rows, and each net trains in place. The encoder comes back full
+width with +0.0 dead columns, which the bundle file leaves out: layer 0 is
+~1.2 MB of the map file, not 3.9 MB.
 """
 
 from __future__ import annotations

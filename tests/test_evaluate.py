@@ -31,7 +31,6 @@ from sbevloc.evaluate import (
 from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
 from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import (
-    AEModel,
     ae_targets,
     grid_to_input,
     load_bundle,
@@ -372,6 +371,24 @@ def test_trained_bundle_round_trip(two_runs, tmp_path):
     assert [localize(back, sb) for sb in sbevs] == [localize(bundle, sb) for sb in sbevs]
 
 
+def live_cell_reference(inputs, targets, cfg, seed):
+    """The live-cell AE built by hand: the full-width init's live layer-0
+    columns and last-layer rows, trained by `nnet.train` on materialized
+    live columns; returns (net, losses, live)."""
+    live = np.flatnonzero(inputs.any(axis=0))
+    hidden, in_dim = cfg.hidden, inputs.shape[1]
+    dims = [in_dim, *hidden, cfg.latent_dim, *reversed(hidden), in_dim]
+    net = nnet.init_net(dims, [cfg.activation] * (len(dims) - 2) + ["linear"],
+                        seed=seed, dtype=np.float32)
+    first, last = net.layers[0], net.layers[-1]
+    net.layers[0] = nnet.Layer(first.weights[:, live].copy(), first.bias, first.activation)
+    net.layers[-1] = nnet.Layer(last.weights[live], last.bias[live], last.activation)
+    x = inputs[:, live].copy()
+    y = targets.table[targets.index][:, live].copy()
+    trained, losses = nnet.train(net, x, y, cfg.train, seed)
+    return trained, losses, live
+
+
 def test_train_autoencoder_zeroes_only_dead_columns(two_runs):
     cfg, (_, art), _ = two_runs
     arrays = art.arrays
@@ -383,22 +400,60 @@ def test_train_autoencoder_zeroes_only_dead_columns(two_runs):
     for got, want in zip(model.net.layers, art.trained["BASE"].bundle.ae.net.layers,
                          strict=True):
         assert got.weights.tobytes() == want.weights.tobytes()
-    # the same init and training, without the zeroing
-    hidden, in_dim = cfg.ae.hidden, inputs.shape[1]
-    dims = [in_dim, *hidden, cfg.ae.latent_dim, *reversed(hidden), in_dim]
-    net = nnet.init_net(dims, [cfg.ae.activation] * (len(dims) - 2) + ["linear"],
-                        seed=seed, dtype=np.float32)
-    trained, want_losses = nnet.train(net, inputs, targets, cfg.ae.train, seed)
+    trained, want_losses, live = live_cell_reference(inputs, targets, cfg.ae, seed)
     assert losses == want_losses
     dead = ~inputs.any(axis=0)
-    assert 0 < dead.sum() < in_dim
-    w0, want0 = model.net.layers[0].weights, trained.layers[0].weights
+    assert 0 < dead.sum() < inputs.shape[1]
+    w0 = model.net.layers[0].weights
     # exactly the dead columns hold +0.0 bits only
     assert np.array_equal(~w0.view(np.uint32).any(axis=0), dead)
-    assert w0[:, ~dead].tobytes() == want0[:, ~dead].tobytes()
+    assert w0[:, live].tobytes() == trained.layers[0].weights.tobytes()
     for i, (got, want) in enumerate(zip(model.net.layers, trained.layers)):
         assert got.bias.tobytes() == want.bias.tobytes()
         assert i == 0 or got.weights.tobytes() == want.weights.tobytes()
-    unzeroed = AEModel(nnet.DenseNet(trained.layers[:len(hidden) + 1]), cfg.ae.pool)
-    assert (pipeline.embed_batched(model, inputs).tobytes()
-            == pipeline.embed_batched(unzeroed, inputs).tobytes())
+
+
+def test_train_autoencoder_on_live_cells(two_runs, monkeypatch):
+    cfg, (_, art), _ = two_runs
+    arrays = art.arrays
+    ae = dataclasses.replace(cfg.ae, train=dataclasses.replace(cfg.ae.train, epochs=3))
+    seed = derive_seed(cfg.seed, SEED_AE)
+    init = nnet.init_net([arrays.inputs.shape[1], ae.hidden[0]], [ae.activation],
+                         seed=seed, dtype=np.float32).layers[0].weights
+    shapes = []
+    plain_train = nnet.train
+
+    def spy(net, x, y, config, seed):
+        shapes.append([layer.weights.shape for layer in net.layers])
+        return plain_train(net, x, y, config, seed)
+
+    monkeypatch.setattr(nnet, "train", spy)
+    for mode in ("BASE", "AVG", "AUG"):
+        keep = arrays.is_original if mode == "AUG" else slice(None)
+        x = arrays.inputs[keep]
+        targets = ae_targets(x, arrays.node_ids[keep], arrays.is_original[keep], mode)
+        model, losses = train_autoencoder(x, targets, ae, seed, mode)
+        live = x.any(axis=0)
+        n_live = int(live.sum())
+        assert 0 < n_live < x.shape[1]
+        # layer 0 read, and the decoder reconstructed, the live cells only
+        assert shapes.pop() == [(ae.hidden[0], n_live), (ae.latent_dim, ae.hidden[0]),
+                                (ae.hidden[0], ae.latent_dim), (n_live, ae.hidden[0])]
+        assert len(losses) == 3 and losses[-1] < losses[0]
+        # a full-width encoder: dead columns +0.0, every live column trained
+        w0 = model.net.layers[0].weights
+        assert w0.shape == (ae.hidden[0], x.shape[1])
+        assert not w0[:, ~live].view(np.uint32).any()
+        assert (w0[:, live] != init[:, live]).any(axis=0).all()
+        # a dead input set to a nonzero value leaves every latent as it was
+        lit = x.copy()
+        lit[:, ~live] = 0.75
+        assert (pipeline.embed_batched(model, lit).tobytes()
+                == pipeline.embed_batched(model, x).tobytes())
+
+
+def test_train_autoencoder_rejects_an_empty_live_set(tiny_cfg):
+    x = np.zeros((5, 16), np.float32)
+    x[:, 3] = -0.0
+    with pytest.raises(InputError, match="live set is empty"):
+        train_autoencoder(x, x, tiny_cfg.ae, 0, "AVG")

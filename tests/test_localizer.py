@@ -177,7 +177,8 @@ def test_train_autoencoder_keeps_the_trained_encoder():
     cfg = AeConfig(hidden=(8, 6), latent_dim=4, activation="relu",
                    train=nnet.TrainConfig(epochs=3, batch_size=5))
     model, losses = train_autoencoder(x, x, cfg, 9)
-    # the same init and seed as train_autoencoder: the symmetric AE
+    # every input column is live, so the live-cell AE is the full symmetric
+    # AE, from the same init and seed
     full = nnet.init_net([16, 8, 6, 4, 6, 8, 16], ["relu"] * 5 + ["linear"],
                          seed=9, dtype=np.float32)
     trained, want_losses = nnet.train(full, x, x, cfg.train, 9)
@@ -365,6 +366,39 @@ def test_train_regressor_balance_guard():
     poses = np.zeros((3, 3))
     with pytest.raises(InputError, match="unbalanced"):
         train_regressor(lats, [0, 0, 1], poses, 2, one_epoch_reg(), 0)
+
+
+def test_train_regressor_is_plain_full_width_training():
+    # latent column 1 is constant, so after standardizing it is 0 in every
+    # training row: the regressor still trains every input column, and that
+    # column's layer-0 weights keep their init, as plain `nnet.train` leaves them
+    lats = np.array([[0.5, 3.0, -1.0], [0.75, 3.0, -0.5], [-0.25, 3.0, 0.25],
+                     [1.5, 3.0, 0.5], [0.0, 3.0, -2.0], [-1.0, 3.0, 1.0]], np.float32)
+    ids = np.array([0, 1, 2, 0, 1, 2])
+    poses = np.array([[0.5, 0.1, 0.02], [1.0, -0.2, 0.0], [-0.5, 0.3, -0.01],
+                      [2.0, 0.0, 0.03], [0.0, -0.4, 0.01], [-1.5, 0.2, 0.0]])
+    cfg = RegConfig(hidden=(5, 4), dropout=0.25, train=nnet.TrainConfig(
+        epochs=4, batch_size=4, learning_rate=0.01))
+    model, losses = train_regressor(lats, ids, poses, 3, cfg, 17)
+    # by hand: standardize, train the same init, fold the scaling back
+    mu = lats.mean(axis=0, dtype=np.float64)
+    sd = lats.std(axis=0, dtype=np.float64)
+    sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
+    xs = regressor_inputs(ids, 3, ((lats - mu) / sd).astype(np.float32))
+    assert not xs[:, 4].any()
+    init = nnet.init_net([6, 5, 4, 3], ["relu", "relu", "linear"],
+                         dropout=[0.25, 0.25, 0.0], seed=17, dtype=np.float32)
+    net, want_losses = nnet.train(init.copy(), xs, poses.astype(np.float32),
+                                  cfg.train, 17)
+    w_lat = net.layers[0].weights[:, 3:]
+    net.layers[0].bias[:] -= (w_lat @ (mu / sd)).astype(np.float32)
+    net.layers[0].weights[:, 3:] = (w_lat / sd).astype(np.float32)
+    assert losses == want_losses
+    for got, want in zip(model.net.layers, net.layers, strict=True):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+    assert (model.net.layers[0].weights[:, 4].tobytes()
+            == (init.layers[0].weights[:, 4] / sd[1]).astype(np.float32).tobytes())
 
 
 def test_regressor_training_freezes_encoder():

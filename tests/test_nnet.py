@@ -5,6 +5,7 @@ import pytest
 
 from sbevloc.errors import InputError, NumericalError
 from sbevloc import nnet
+from sbevloc.localizer import AeConfig, ae_targets, train_autoencoder
 from sbevloc.nnet import (
     DenseNet,
     Layer,
@@ -392,8 +393,8 @@ def test_train_aborts_on_nonfinite():
 # --- dead input columns --------------------------------------------------------
 
 def full_gradient_train(net, x, y, config, seed):
-    """Reference: `train`'s batches, dropout draws and Adam steps, with layer
-    0's gradient and moments over every input column."""
+    """Reference: `train`'s batches, dropout draws and Adam steps, with every
+    gradient and moment over every input column."""
     shuffle_rng = np.random.default_rng([seed, 0x21])
     dropout_rng = np.random.default_rng([seed, 0x22])
     state, losses = None, []
@@ -459,38 +460,23 @@ def test_dead_column_weights_keep_their_bits():
     assert np.signbit(w0[:, dead[:2]]).all()
 
 
-def test_backward_and_adam_on_live_columns():
+def test_adam_moments_c_contiguous_whatever_the_gradient_order():
     rng = np.random.default_rng(47)
     net = init_net([6, 4, 2], ["relu", "linear"], seed=48)
-    x = rng.random((5, 6))
-    x[:, [1, 4]] = 0.0
-    live = np.array([0, 2, 3, 5])
-    out, rec = forward(net, x)
+    out, rec = forward(net, rng.random((5, 6)))
     _, g = mse_loss(out, np.zeros_like(out))
-    full, compact = backward(net, rec, g), backward(net, rec, g, live)
-    assert compact[0][0].shape == (4, 4)
-    assert compact[0][0].tobytes() == full[0][0][:, live].tobytes()
-    assert not full[0][0][:, [1, 4]].any()
-    for (fw, fb), (cw, cb) in zip(full[1:], compact[1:]):
-        assert fw.tobytes() == cw.tobytes() and fb.tobytes() == cb.tobytes()
-    # a compact gradient of another width, or moments of another width
+    grads = backward(net, rec, g)
     cfg = TrainConfig()
-    with pytest.raises(InputError, match="gradient shapes"):
-        optimizer_step(net.copy(), compact, cfg, live=live[:3])
-    with pytest.raises(InputError, match="gradient shapes"):
-        optimizer_step(net.copy(), full, cfg, live=live)
-    state = optimizer_step(net.copy(), full, cfg)
-    with pytest.raises(InputError, match="other layer-0 columns"):
-        optimizer_step(net.copy(), compact, cfg, state, live)
-    # moments are C-contiguous whatever the gradients' memory order
     c_net, f_net = net.copy(), net.copy()
-    c_state = optimizer_step(c_net, compact, cfg, None, live)
-    f_state = optimizer_step(f_net, [(np.asfortranarray(w), b) for w, b in compact],
-                             cfg, None, live)
+    c_state = optimizer_step(c_net, grads, cfg)
+    f_state = optimizer_step(f_net, [(np.asfortranarray(w), b) for w, b in grads], cfg)
+    assert all(m.flags.c_contiguous for pair in f_state.m + f_state.v for m in pair)
     for _ in range(2):
-        optimizer_step(c_net, compact, cfg, c_state, live)
-        optimizer_step(f_net, compact, cfg, f_state, live)
+        optimizer_step(c_net, grads, cfg, c_state)
+        optimizer_step(f_net, grads, cfg, f_state)
     assert flat_params(c_net).tobytes() == flat_params(f_net).tobytes()
+    with pytest.raises(InputError, match="gradient shapes"):
+        optimizer_step(net.copy(), [(w[:, :-1], b) for w, b in grads], cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -500,35 +486,83 @@ def test_non_finite_layer0_gradient_raises(bad):
     g = np.zeros_like(out)
     g[1, 0] = bad
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="layer 0"):
-        backward(net, rec, g, np.array([0, 2]))
+        backward(net, rec, g)
 
 
 def test_train_on_dead_columns_memory_high_water():
-    # the default 1936-512-128-512-1936 AE for two steps on inputs 70% of
-    # whose columns are 0 in every row: layer 0's gradient and two moments
-    # hold the live columns only, at the cost of one gathered block of them
-    dims = [1936, 512, 128, 512, 1936]
-    batch, in_dim = 64, dims[0]
-    x = np.random.default_rng(50).random((2 * batch, in_dim), dtype=np.float32)
+    # the default AE on 1024 inputs 70% of whose columns are 0 in every row:
+    # it trains on the live columns only, gathered batch by batch, so no
+    # copy of the training set's live columns (2.4 MB) fits under the bound
+    cfg = AeConfig(train=TrainConfig(epochs=1))
+    rows, in_dim = 1024, 1936
+    x = np.random.default_rng(50).random((rows, in_dim), dtype=np.float32)
     x[:, :int(0.7 * in_dim)] = 0.0
     n_live = in_dim - int(0.7 * in_dim)
-    net = init_net(dims, ["relu", "relu", "relu", "linear"], seed=51, dtype=np.float32)
+    batch = cfg.train.batch_size
+    dims = [n_live, *cfg.hidden, cfg.latent_dim, *reversed(cfg.hidden), n_live]
     param_bytes = 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
-    dead_bytes = 4 * dims[1] * (in_dim - n_live)
-    activation_bytes = 4 * batch * (4 * sum(dims[1:]) + 3 * in_dim)
+    # two forward records' worth (pre and post per layer: one record, and
+    # backward's gradient arrays), and the input, target and output-gradient
+    # batches
+    activation_bytes = 4 * batch * (4 * sum(dims[1:]) + 3 * n_live)
+    gathered_batch_bytes = 4 * batch * in_dim
     adam_scratch_bytes = 4 * 2 * nnet._ADAM_BLOCK
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        train(net, x, x, TrainConfig(epochs=1), 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the net is made before tracing starts: one set of gradients and Adam's
-    # two moments, less their dead columns, and the gathered live block
-    bound = (3 * param_bytes - 3 * dead_bytes + 4 * dims[1] * n_live
-             + activation_bytes + adam_scratch_bytes)
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    for mode in ("BASE", "AVG"):
+        targets = ae_targets(x, np.arange(rows) % 8, np.ones(rows, bool), mode)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train_autoencoder(x, targets, cfg, 1, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the compact net's parameters, one set of gradients and Adam's two
+        # moments; its full-width init is dropped before training
+        bound = (4 * param_bytes + activation_bytes + gathered_batch_bytes
+                 + adam_scratch_bytes)
+        assert peak < bound, f"{mode}: peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        assert bound - peak < 4 * rows * n_live
+
+
+def test_indexed_rows_gather_a_column_subset():
+    x = np.arange(24.0).reshape(4, 6)
+    rows = nnet.IndexedRows(x, columns=[5, 0, 2])
+    got = rows[np.array([3, 1, 3])]
+    assert len(rows) == 4 and got.flags.c_contiguous
+    assert got.tobytes() == x[[3, 1, 3]][:, [5, 0, 2]].copy().tobytes()
+    both = nnet.IndexedRows(x, [2, 2, 0], [1])
+    assert len(both) == 3 and both[np.array([1, 2])].tolist() == [[13.0], [1.0]]
+    for columns in ([6], [-1], [[0, 1]]):
+        with pytest.raises(InputError, match="row columns"):
+            nnet.IndexedRows(x, columns=columns)
+    with pytest.raises(InputError, match="2-D"):
+        nnet.IndexedRows(x[0], columns=[0])
+
+
+def test_train_on_column_subset_equals_materialized_columns():
+    # targets that are the inputs reuse the input batch
+    rng = np.random.default_rng(52)
+    x = rng.random((30, 9), dtype=np.float32)
+    columns = np.array([1, 2, 4, 7, 8])
+    net = init_net([5, 3, 5], ["sigmoid", "linear"], seed=53, dtype=np.float32)
+    cfg = TrainConfig(batch_size=8, epochs=2)
+    compact = x.take(columns, axis=1)
+    want, want_losses = train(net.copy(), compact, compact.copy(), cfg, 54)
+    rows = nnet.IndexedRows(x, columns=columns)
+    for targets in (rows, nnet.IndexedRows(x.copy(), columns=columns)):
+        got, losses = train(net.copy(), rows, targets, cfg, 54)
+        assert losses == want_losses
+        assert flat_params(got).tobytes() == flat_params(want).tobytes()
+
+
+def test_init_net_draws_each_layer_as_one_draw():
+    net = init_net([1936, 40, 3], ["relu", "linear"], seed=55, dtype=np.float32)
+    rng = np.random.default_rng([55, 0x11])
+    for layer in net.layers:
+        n_out, n_in = layer.weights.shape
+        bound = np.sqrt(6.0 / n_in)
+        want = rng.uniform(-bound, bound, (n_out, n_in)).astype(np.float32)
+        assert layer.weights.tobytes() == want.tobytes()
 
 
 # --- weights as named arrays -----------------------------------------------------
