@@ -45,7 +45,13 @@ from sbevloc.sbev import (
     filter_labels,
     rasterize_bev,
 )
-from sbevloc.synthworld import WeatherSpec, generate_world, lane_shift, render_frame
+from sbevloc.synthworld import (
+    WeatherSpec,
+    generate_world,
+    lane_shift,
+    perturb_weather,
+    render_frame,
+)
 from sbevloc.topomap import assign_to_nodes, balance_samples, build_topo_map, rotate_grid
 
 SPEC = GridSpec()
@@ -53,7 +59,7 @@ SPEC = GridSpec()
 RAIN = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2, depth_dropout_prob=0.05,
                    depth_noise_sigma=0.05, range_attenuation=40.0)
 N_POINTS = 50_000
-CFG = RunConfig()       # default camera (320x240) and grid (352 cells at 0.25 m)
+CFG = RunConfig()       # default camera (160x120) and grid (352 cells at 0.25 m)
 
 
 def cloud_in_view(rng, n, heights):
@@ -103,8 +109,8 @@ def world():
 @pytest.fixture(scope="module")
 def real_window(world):
     """The ego clouds and poses of 5 consecutive rendered frames, newest last."""
-    k, policy, spec = CFG.camera.intrinsics(), CFG.classes.policy(), CFG.grid.grid_spec()
-    return [(ego_cloud(*render_frame(world, p, k), k, policy, spec), p)
+    k, policy = CFG.camera.intrinsics(), CFG.classes.policy()
+    return [(ego_cloud(*render_frame(world, p, k), k, policy), p)
             for p in world.route[100:100 + ACCUMULATION_WINDOW]]
 
 
@@ -150,7 +156,7 @@ def test_accumulate_sbev_held_windows(benchmark, world):
     labels, so that a cell's top point often lacks its largest label; in
     clean frames the two rules give the same grids."""
     k, policy, spec = CFG.camera.intrinsics(), CFG.classes.policy(), CFG.grid.grid_spec()
-    clouds = [(ego_cloud(d, l, k, policy, spec), p)
+    clouds = [(ego_cloud(d, l, k, policy), p)
               for _, p, d, l in render_stream(world, world.route, k, weather=RAIN, weather_seed=1)]
     windows = [clouds[max(0, i + 1 - ACCUMULATION_WINDOW):i + 1] for i in range(len(clouds))]
     grids = benchmark.pedantic(
@@ -171,14 +177,28 @@ def test_render_frame(benchmark, world):
 
 
 def test_ego_cloud(benchmark, world):
-    k, policy, spec = CFG.camera.intrinsics(), CFG.classes.policy(), CFG.grid.grid_spec()
+    k, policy = CFG.camera.intrinsics(), CFG.classes.policy()
     depth, labels = render_frame(world, world.route[100], k)
-    cloud = benchmark(ego_cloud, depth, labels, k, policy, spec)
-    # reference: the whole label map filtered, then the lattice unprojected
-    want = build_point_cloud(depth, filter_labels(labels, policy), k, spec.stride)
+    cloud = benchmark(ego_cloud, depth, labels, k, policy)
+    # reference: the label map filtered, then every pixel unprojected
+    want = build_point_cloud(depth, filter_labels(labels, policy), k)
     assert len(cloud) > 0
     assert cloud.xyz.tobytes() == want.xyz.tobytes()
     assert cloud.labels.tobytes() == want.labels.tobytes()
+
+
+def test_perturb_weather(benchmark, world):
+    """The benchmark's rain on one default-camera frame; the same seed gives
+    the same bytes."""
+    k = CFG.camera.intrinsics()
+    frame = render_frame(world, world.route[100], k)
+    depth, labels = benchmark(perturb_weather, frame, RAIN, 7)
+    again = perturb_weather(frame, RAIN, 7)
+    assert depth.shape == labels.shape == (k.height, k.width)
+    assert depth.tobytes() == again[0].tobytes() and labels.tobytes() == again[1].tobytes()
+    # rain moved some labels and depths, and cut every depth beyond its range
+    assert (labels != frame[1]).any() and (depth != frame[0]).any()
+    assert depth.max() <= RAIN.range_attenuation
 
 
 def test_rotate_grid(benchmark, real_window):

@@ -42,12 +42,15 @@ SEED_KF = 7
 
 @dataclass(frozen=True)
 class CameraConfig:
-    fx: float = 160.0
-    fy: float = 160.0
-    cx: float = 159.5
-    cy: float = 119.5
-    width: int = 320
-    height: int = 240
+    # the even pixels of a 320x240 camera (fx 160, cx 159.5): each intrinsic
+    # halved, so pixel (i, j) renders bit for bit as its (2i, 2j) and clean
+    # runs match reports made with it byte for byte; hence cx 79.75, not 79.5
+    fx: float = 80.0
+    fy: float = 80.0
+    cx: float = 79.75
+    cy: float = 59.75
+    width: int = 160
+    height: int = 120
 
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy, self.width,
@@ -60,12 +63,10 @@ class GridConfig:
     resolution: float = 0.25
     height_min: float = -2.5
     height_max: float = 6.0
-    stride: int = 2
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(size=self.size, resolution=self.resolution,
-                        height_window=(self.height_min, self.height_max),
-                        stride=self.stride)
+                        height_window=(self.height_min, self.height_max))
 
 
 @dataclass(frozen=True)

@@ -272,8 +272,11 @@ def regressor_inputs(node_ids, n_nodes: int, latents) -> np.ndarray:
     bad = ids[(ids < 0) | (ids >= n_nodes)]
     if len(bad):
         raise InputError(f"node id {bad[0]} outside 0..{n_nodes - 1}")
-    return np.concatenate([np.eye(n_nodes, dtype=np.float32)[ids],
-                           np.asarray(latents, dtype=np.float32)], axis=1)
+    latents = np.asarray(latents)
+    xs = np.zeros((len(ids), n_nodes + latents.shape[1]), dtype=np.float32)
+    xs[np.arange(len(ids)), ids] = 1.0
+    xs[:, n_nodes:] = latents
+    return xs
 
 
 def fine_localize(model: RegModel, node_id: int, latent: np.ndarray) -> Pose2:
@@ -301,8 +304,12 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     mu = latents.mean(axis=0, dtype=np.float64)
     sd = latents.std(axis=0, dtype=np.float64)
     sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
-    std_lat = ((latents - mu) / sd).astype(np.float32)
-    xs = regressor_inputs(node_ids, n_nodes, std_lat)
+    # standardized in place by blocks: one block's float64 (z - mu) / sd is
+    # the only temporary
+    xs = regressor_inputs(node_ids, n_nodes, latents)
+    for i in range(0, len(xs), 1024):
+        block = xs[i:i + 1024, n_nodes:]
+        block[...] = (block - mu) / sd
     ys = np.asarray(rel_poses, dtype=np.float32)
     dims = [n_nodes + latents.shape[1], *config.hidden, 3]
     acts = ["relu"] * len(config.hidden) + ["linear"]

@@ -1,11 +1,13 @@
 """Glue between the stages: frames -> S-BEVs -> pooled inputs -> bundle.
 
 The synthetic renderer yields frames as (frame_id, pose, depth, labels)
-tuples. S-BEV accumulation uses a sliding window of the current plus the
-previous four frames, each moved on the ground plane by its Pose2. Only
-the frames a caller asks for get an S-BEV, and only the frames in their
-windows an ego cloud. One pass over a traversal's S-BEVs pools both the test
-inputs and the (augmented) training arrays.
+tuples. A frame's ego cloud unprojects every pixel it has, so the camera
+renders and the weather perturbs only pixels that reach an S-BEV. S-BEV
+accumulation uses a sliding window of the current plus the previous four
+frames, each moved on the ground plane by its Pose2. Only the frames a
+caller asks for get an S-BEV, and only the frames in their windows an ego
+cloud. One pass over a traversal's S-BEVs pools both the test inputs and
+the (augmented) training arrays.
 
 Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
 `pool_traversal` fills row by row in place, with no per-row list to stack.
@@ -44,23 +46,16 @@ from .sbev import (
     ClassPolicy,
     GridSpec,
     accumulate_sbev,
+    build_point_cloud,
     filter_labels,
-    lattice_cloud,
-    stride_lattice,
 )
 from .synthworld import WeatherSpec, World, perturb_weather, render_frame
 from .topomap import AugmentConfig, TopoMap, augment_sample
 
 
-def ego_cloud(depth, labels, k: Intrinsics, policy: ClassPolicy, grid: GridSpec):
-    """Filtered labels + depth -> labeled cloud in the ego frame (camera origin).
-
-    Equals `build_point_cloud(depth, filter_labels(labels, policy), k,
-    grid.stride)`, but filters only the labels on the stride lattice, the
-    only ones the cloud reads.
-    """
-    d, l = stride_lattice(depth, labels, grid.stride)
-    return lattice_cloud(d, filter_labels(l, policy), k, grid.stride)
+def ego_cloud(depth, labels, k: Intrinsics, policy: ClassPolicy):
+    """Filtered labels + depth -> labeled cloud in the ego frame (camera origin)."""
+    return build_point_cloud(depth, filter_labels(labels, policy), k)
 
 
 def render_stream(world: World, poses, k: Intrinsics,
@@ -101,7 +96,7 @@ def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
             raise InputError(f"frame id {frame_id} after {last}; ids must count up by one")
         last = frame_id
         if needed is None or frame_id in needed:
-            recent.append((ego_cloud(depth, labels, k, policy, grid), pose))
+            recent.append((ego_cloud(depth, labels, k, policy), pose))
         else:
             recent.append(None)   # no window of a yielded frame reaches it
         if wanted is None or frame_id in wanted:

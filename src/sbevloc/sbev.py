@@ -1,8 +1,9 @@
 """Semantic bird's-eye-view construction.
 
-A frame's depth map and class-ID label map are unprojected into a labeled
-3D point cloud in the ego frame (x forward, y left, z up, origin at the
-camera) and rasterized top-down into a square class-ID grid. Up to
+Every pixel of a frame's depth map and class-ID label map is unprojected
+into a labeled 3D point cloud in the ego frame (x forward, y left, z up,
+origin at the camera) and rasterized top-down into a square class-ID grid.
+The camera's resolution alone sets how densely a frame is sampled. Up to
 ACCUMULATION_WINDOW consecutive frames are motion-compensated on the ground
 plane into one accumulated grid.
 
@@ -36,7 +37,6 @@ class GridSpec:
     size: int = DEFAULT_SIZE
     resolution: float = 0.25           # meters per cell
     height_window: tuple = (-2.5, 6.0)  # z band kept, relative to the camera
-    stride: int = 2                    # pixel lattice step for cloud building
 
     def __post_init__(self):
         if self.size <= 0 or not (math.isfinite(self.resolution) and self.resolution > 0):
@@ -44,8 +44,6 @@ class GridSpec:
         zmin, zmax = self.height_window
         if not (math.isfinite(zmin) and math.isfinite(zmax) and zmin < zmax):
             raise InputError("height window must be finite with z_min < z_max")
-        if self.stride < 1:
-            raise InputError("stride must be >= 1")
 
     @property
     def lateral_extent(self) -> float:
@@ -90,38 +88,24 @@ def filter_labels(labels: np.ndarray, policy: ClassPolicy) -> np.ndarray:
     return lut.take(label_map(labels))   # as lut[labels], in half the time
 
 
-def stride_lattice(depth: np.ndarray, labels: np.ndarray, stride: int):
-    """The float64 depth and uint8 labels of one frame, checked to be of one
-    shape, at every `stride`-th row and column from (0, 0)."""
+def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics) -> PointCloud:
+    """Unproject every valid-depth, labeled pixel of one frame.
+
+    `depth` is the distance along the viewing axis, which is ego x, and
+    must have the shape of `labels`. Returned points are in the ego frame: a
+    pixel right of the principal point has y < 0, one below it z < 0.
+    """
     depth = np.asarray(depth, dtype=np.float64)
     labels = label_map(labels)
     if depth.shape != labels.shape:
         raise InputError(f"depth {depth.shape} vs labels {labels.shape}")
-    return depth[::stride, ::stride], labels[::stride, ::stride]
-
-
-def lattice_cloud(d: np.ndarray, l: np.ndarray, k: Intrinsics, stride: int) -> PointCloud:
-    """Unproject every valid-depth, labeled pixel of a `stride_lattice`.
-
-    Lattice cell (i, j) is image pixel (i * stride, j * stride). `d` is the
-    distance along the viewing axis, which is ego x. Returned points are in
-    the ego frame: a pixel right of the principal point has y < 0, one
-    below it z < 0.
-    """
-    valid = (d > 0) & (l != 0)
+    valid = (depth > 0) & (labels != 0)
     vs, us = np.nonzero(valid)
     xyz = np.empty((3, len(vs))).T   # column-major: each coordinate contiguous
-    xyz[:, 0] = dv = d[valid]        # in the row-major order of nonzero
-    xyz[:, 1] = -((us * stride - k.cx) * dv / k.fx)
-    xyz[:, 2] = -((vs * stride - k.cy) * dv / k.fy)
-    return PointCloud(xyz, l[valid])
-
-
-def build_point_cloud(depth: np.ndarray, labels: np.ndarray, k: Intrinsics,
-                      stride: int = 2) -> PointCloud:
-    """Unproject every valid-depth, labeled pixel on the stride lattice, as
-    `lattice_cloud` does."""
-    return lattice_cloud(*stride_lattice(depth, labels, stride), k, stride)
+    xyz[:, 0] = d = depth[valid]     # in the row-major order of nonzero
+    xyz[:, 1] = -((us - k.cx) * d / k.fx)
+    xyz[:, 2] = -((vs - k.cy) * d / k.fy)
+    return PointCloud(xyz, labels[valid])
 
 
 def flat_cells(spec: GridSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -209,7 +193,7 @@ def accumulate_sbev(frames, current: Pose2, spec: GridSpec,
     if not 1 <= len(frames) <= ACCUMULATION_WINDOW:
         raise InputError(f"need 1..{ACCUMULATION_WINDOW} frames, got {len(frames)}")
     cc, sc = math.cos(current.theta), math.sin(current.theta)
-    # column-major, as `lattice_cloud` makes clouds: coordinate rows
+    # column-major, as `build_point_cloud` makes clouds: coordinate rows
     cols = np.empty((3, sum(len(cloud) for cloud, _ in frames)))
     labels = np.empty(cols.shape[1], dtype=np.uint8)
     start = 0

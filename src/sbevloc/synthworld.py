@@ -9,18 +9,19 @@ segmentation/depth and cross-lane traversals.
 
 Rendering does per frame only the work that depends on the pose. Per
 camera (intrinsics, camera height, max range) the pixel coordinates, their
-ray slopes and the ground plane's depth, labels and z-buffer are built once
-and cached read-only; each frame starts from copies of the three ground
-planes. Per world, the six faces of every box are built once, when the
-`World` is made. A frame culls all faces by range and facing in one pass,
-then projects the corners of the survivors in one batched op and drops
-each face wholly behind the near plane, or wholly in front of it and
-beyond one image edge. That pre-cull is exact: such a face clips to
+ray slopes and the ground plane's labels and z-buffer are built once and
+cached read-only; each frame starts from copies of the two, and its z-buffer
+becomes its depth map. Per world, the six faces of every box are built
+once, when the `World` is made. A frame culls all faces by range and facing
+in one pass, then projects the corners of the survivors in one batched op
+and drops each face wholly behind the near plane, or wholly in front of it
+and beyond one image edge. That pre-cull is exact: such a face clips to
 nothing, or its pixel box is empty, so the per-face path would draw none
 of its pixels, and a face that draws nothing changes no buffer. Both tests
 keep a margin far above the rounding by which the batched projection can
 differ from the per-face one, so a face near a boundary goes to the
-per-face path. The rest are rasterized in box order.
+per-face path. The rest are rasterized in box order. The S-BEV unprojects
+every pixel, so no rendered pixel goes unread.
 
 Class IDs are organized in contiguous bands (vegetation, buildings, ...) so
 that small confusions stay "numerically close" to the true class.
@@ -274,7 +275,7 @@ class FaceTable:
 def _camera_planes(k: Intrinsics, camera_height: float, max_range: float):
     """Pose-independent planes of one camera, read-only: pixel columns `us`
     (w,) and rows `vs` (h, 1), their ray slopes `dx` and `dy`, and the
-    ground plane's depth, labels and z-buffer (h, w)."""
+    ground plane's labels and z-buffer (h, w), inf where no ground is hit."""
     h, w = k.height, k.width
     us = np.arange(w, dtype=np.float64)
     vs = np.arange(h, dtype=np.float64)[:, None]
@@ -287,15 +288,15 @@ def _camera_planes(k: Intrinsics, camera_height: float, max_range: float):
                         np.inf)
     ground_ok = np.broadcast_to(hit & (t_ground <= max_range), (h, w))
     t_ground = np.broadcast_to(t_ground, (h, w))
-    depth = np.where(ground_ok, t_ground, 0.0)
     labels = np.where(ground_ok, GROUND_CLASS, 0).astype(np.uint8)
     zbuf = np.where(ground_ok, t_ground, np.inf)
-    planes = (us, vs, dx, dy, depth, labels, zbuf)
+    planes = (us, vs, dx, dy, labels, zbuf)
     for plane in planes:
         plane.flags.writeable = False
     return planes
 
 
+@np.errstate(divide="ignore", invalid="ignore")   # a face's t = num / denom
 def render_frame(world: World, ego: Pose2, k: Intrinsics):
     """Render (depth_m, labels) for the camera at `ego` facing its heading.
 
@@ -306,9 +307,8 @@ def render_frame(world: World, ego: Pose2, k: Intrinsics):
     h, w = k.height, k.width
     r_wc = _camera_basis(ego)
     cam = np.array([ego.x, ego.y, spec.camera_height])
-    us, vs, dx, dy, depth, labels, zbuf = _camera_planes(
-        k, spec.camera_height, spec.max_range)
-    depth, labels, zbuf = depth.copy(), labels.copy(), zbuf.copy()
+    us, vs, dx, dy, labels, zbuf = _camera_planes(k, spec.camera_height, spec.max_range)
+    labels, zbuf = labels.copy(), zbuf.copy()
 
     # range cull by box centre, then backface cull: the camera must sit on
     # a face's outward side; the survivors keep box and face order, which
@@ -326,67 +326,72 @@ def render_frame(world: World, ego: Pose2, k: Intrinsics):
     drawn = np.flatnonzero(in_range & ~(faces.sign * (cam[faces.axis] - faces.value) <= 0))
     # frustum pre-cull; each survivor is projected again on its own below,
     # so its pixels do not depend on the batched projection's rounding
-    drawn = drawn[_may_draw((faces.corners[drawn] - cam) @ r_wc, k)]
-    for f in drawn.tolist():
-        axis, sign = int(faces.axis[f]), float(faces.sign[f])
-        poly_cam = (faces.corners[f] - cam) @ r_wc
+    offsets = faces.corners[drawn] - cam
+    keep = _may_draw(offsets @ r_wc, k)
+    fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
+    for f, offset in zip(drawn[keep].tolist(), offsets[keep]):
+        poly_cam = offset @ r_wc
+        # Python floats: the float64 array ops' IEEE results, less overhead
+        corners = poly_cam.tolist()
         # _clip_near returns a polygon wholly in front of the plane as it is
-        if not (poly_cam[:, 2] >= _NEAR).all():
+        if min(z for _, _, z in corners) < _NEAR:
             poly_cam = _clip_near(poly_cam)
             if len(poly_cam) < 3:
                 continue
-        pu = k.fx * poly_cam[:, 0] / poly_cam[:, 2] + k.cx
-        pv = k.fy * poly_cam[:, 1] / poly_cam[:, 2] + k.cy
-        u0 = max(int(math.ceil(pu.min())), 0)
-        u1 = min(int(math.floor(pu.max())), w - 1)
-        v0 = max(int(math.ceil(pv.min())), 0)
-        v1 = min(int(math.floor(pv.max())), h - 1)
+            corners = poly_cam.tolist()
+        pu = [fx * x / z + cx for x, _, z in corners]
+        pv = [fy * y / z + cy for _, y, z in corners]
+        u0 = max(math.ceil(min(pu)), 0)
+        u1 = min(math.floor(max(pu)), w - 1)
+        v0 = max(math.ceil(min(pv)), 0)
+        v1 = min(math.floor(max(pv)), h - 1)
         if u0 > u1 or v0 > v1:
             continue
-        gu = us[u0:u1 + 1]
-        gv = vs[v0:v1 + 1]
-        inside = np.ones((v1 - v0 + 1, u1 - u0 + 1), dtype=bool)
         m = len(pu)
-        # convex polygon: consistent orientation of all edge cross products
-        area = 0.0
-        for i in range(m):
-            j = (i + 1) % m
-            area += pu[i] * pv[j] - pu[j] * pv[i]
-        orient = 1.0 if area > 0 else -1.0
-        for i in range(m):
-            j = (i + 1) % m
-            cross = ((pu[j] - pu[i]) * (gv - pv[i])
-                     - (pv[j] - pv[i]) * (gu - pu[i]))
-            inside &= orient * cross >= 0
-        if not inside.any():
-            continue
-        # plane in camera frame: n_cam . p = n_cam . p0
-        n_world = np.zeros(3)
-        n_world[axis] = sign
-        n_cam = r_wc.T @ n_world
-        p0 = poly_cam[0]
-        denom = n_cam[0] * dx[u0:u1 + 1] + n_cam[1] * dy[v0:v1 + 1] + n_cam[2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (n_cam @ p0) / denom
-        ok = inside & np.isfinite(t) & (t >= _NEAR) & (t <= spec.max_range)
-        ok &= t < zbuf[v0:v1 + 1, u0:u1 + 1]
-        if not ok.any():
-            continue
+        ij = [(i, (i + 1) % m) for i in range(m)]
+        # convex polygon: each edge's cross product a - b has the area's sign
+        # or is 0; for finite a and b, a - b >= 0 exactly when a >= b. All
+        # edges at once, as (edge, pixel row, pixel column)
+        area = sum(pu[i] * pv[j] - pu[j] * pv[i] for i, j in ij)
+        e = np.array([(pu[j] - pu[i], pv[i], pv[j] - pv[i], pu[i])
+                      for i, j in ij])[:, :, None, None]
+        a = e[:, 0] * (vs[v0:v1 + 1] - e[:, 1])
+        b = e[:, 2] * (us[u0:u1 + 1] - e[:, 3])
+        inside = np.logical_and.reduce(a >= b if area > 0 else a <= b, axis=0)
+        # plane in camera frame: n_cam . p = n_cam . p0; the outward normal
+        # is +-1 along the face's axis, so n_cam is that row of r_wc. The
+        # denominator n_cam . (dx, dy, 1) leaves out the terms of r_wc's
+        # exact zeros: they change no nonzero sum, and a zero one gives
+        # t = +-inf or NaN, which the range tests reject either way. So a
+        # vertical face's t varies by column only, a horizontal one's by row
+        axis = int(faces.axis[f])
+        n_cam = faces.sign[f] * r_wc[axis]
+        if axis == 2:
+            denom = n_cam[1] * dy[v0:v1 + 1]
+        else:
+            denom = n_cam[0] * dx[u0:u1 + 1] + n_cam[2]
+        t = (n_cam @ poly_cam[0]) / denom
         sub = (slice(v0, v1 + 1), slice(u0, u1 + 1))
-        zb = zbuf[sub]
-        zb[ok] = t[ok]
-        lb = labels[sub]
-        lb[ok] = world.primitives[faces.box[f]].class_id
-        db = depth[sub]
-        db[ok] = t[ok]
-    return depth, labels
+        # the range tests are False for NaN and +-inf
+        ok = inside & (t >= _NEAR) & (t <= spec.max_range) & (t < zbuf[sub])
+        np.copyto(zbuf[sub], t, where=ok)
+        np.copyto(labels[sub], world.primitives[faces.box[f]].class_id, where=ok)
+    zbuf[zbuf == np.inf] = 0.0
+    return zbuf, labels
 
 
 # ---------------------------------------------------------------------------
 # weather
 
 def perturb_weather(frame, w: WeatherSpec, seed: int):
-    """Seeded degradation of one (depth, labels) frame."""
+    """Seeded degradation of one (depth, labels) frame.
+
+    Every perturbation is per pixel and independent across pixels, so each
+    pixel of a camera that renders the even pixels of a larger one is
+    perturbed with the same distribution as that pixel of the larger frame.
+    A spatially correlated model (streaks, blur) would break that, and with
+    it the default camera's claim to stand for the larger one in weather.
+    """
     depth, labels = frame
     depth = np.array(depth, dtype=np.float64, copy=True)
     labels = np.array(labels, dtype=np.uint8, copy=True)

@@ -9,14 +9,15 @@ RAIN = WeatherDoc("rain", label_confusion_prob=0.02, confusion_radius=2,
 
 
 def tiny_config(**eval_fields) -> RunConfig:
-    """A 40 m route seen by a 160x120 camera on a 176-cell grid, with 1 AE
-    and 2 regressor epochs: about a second a run."""
+    """A 40 m route seen by an 80x60 camera, every other pixel of a 160x120
+    one, on a 176-cell grid, with 1 AE and 2 regressor epochs: about a
+    second a run."""
     base = RunConfig(seed=5)
     return dataclasses.replace(
         base,
         synth=dataclasses.replace(base.synth, route_length=40.0),
-        camera=dataclasses.replace(base.camera, fx=80.0, fy=80.0, cx=79.5,
-                                   cy=59.5, width=160, height=120),
+        camera=dataclasses.replace(base.camera, fx=40.0, fy=40.0, cx=39.75,
+                                   cy=29.75, width=80, height=60),
         grid=dataclasses.replace(base.grid, size=176, resolution=0.5),
         ae=dataclasses.replace(base.ae, train=dataclasses.replace(
             base.ae.train, epochs=1)),

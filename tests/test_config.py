@@ -48,8 +48,10 @@ def test_unknown_key_names_path():
         config_from_dict({"camera": {"baseline": 0.3}})
     with pytest.raises(InputError, match=r"'augment\.enabled'"):
         config_from_dict({"augment": {"enabled": True}})
-    # nor are the optimizer, loss weights, index cap and class remap
+    # nor are the optimizer, loss weights, index cap, class remap and the
+    # pixel stride, which the camera's own resolution replaced
     for doc, path in (({"ae": {"train": {"optimizer": "sgd"}}}, "ae.train.optimizer"),
+                      ({"grid": {"stride": 2}}, "grid.stride"),
                       ({"reg": {"loss_weights": [1, 1, 2]}}, "reg.loss_weights"),
                       ({"eval": {"index_max_per_node": 5}}, "eval.index_max_per_node"),
                       ({"classes": {"remap": {"101": 100}}}, "classes.remap")):
@@ -64,8 +66,7 @@ KEY_PATHS = {
                              "primitive_density", "clearance", "max_lateral",
                              "camera_height", "max_range")),
     *(f"camera.{k}" for k in ("fx", "fy", "cx", "cy", "width", "height")),
-    *(f"grid.{k}" for k in ("size", "resolution", "height_min", "height_max",
-                            "stride")),
+    *(f"grid.{k}" for k in ("size", "resolution", "height_min", "height_max")),
     "classes.keep_set",
     "topo.trans_threshold_m", "topo.ang_threshold_deg",
     "split.ratio",
@@ -89,7 +90,7 @@ def _key_paths(doc, prefix=""):
 
 def test_config_key_paths():
     paths = list(_key_paths(config_to_dict(RunConfig())))
-    assert len(paths) == len(KEY_PATHS) == 47
+    assert len(paths) == len(KEY_PATHS) == 46
     assert set(paths) == KEY_PATHS
 
 

@@ -11,7 +11,7 @@ from sbevloc.config import RunConfig, derive_seed, SEED_WORLD
 from sbevloc.errors import InputError
 from sbevloc.geometry import Intrinsics, PointCloud, Pose2
 from sbevloc.localizer import grid_to_input
-from sbevloc import pipeline
+from sbevloc import pipeline, synthworld
 from sbevloc.pipeline import ACCUMULATION_WINDOW, ego_cloud, render_stream, sbev_stream
 from sbevloc.sbev import (
     ClassPolicy,
@@ -23,9 +23,12 @@ from sbevloc.sbev import (
     flat_cells,
     rasterize_bev,
 )
-from sbevloc.synthworld import WeatherSpec, generate_world
+from sbevloc.synthworld import WeatherSpec, generate_world, lane_shift
 
 K = Intrinsics(fx=100, fy=100, cx=50, cy=50, width=101, height=101)
+# the default camera's every other pixel: a quarter of its points keeps
+# the brute-force oracles quick
+K_QUARTER = Intrinsics(fx=40.0, fy=40.0, cx=39.875, cy=29.875, width=80, height=60)
 SPEC = GridSpec()
 # the moderate rain of the benchmark
 RAIN = WeatherSpec(label_confusion_prob=0.02, confusion_radius=2,
@@ -136,7 +139,7 @@ def test_label_maps_outside_uint8_rejected(labels):
     with pytest.raises(InputError, match="label"):
         filter_labels(labels, policy)
     with pytest.raises(InputError, match="label"):
-        build_point_cloud(np.ones(np.shape(labels)), labels, K, stride=1)
+        build_point_cloud(np.ones(np.shape(labels)), labels, K)
     with pytest.raises(InputError, match="label"):
         SBev(labels, 0.25)
     with pytest.raises(InputError, match="label"):
@@ -148,7 +151,7 @@ def test_integer_label_maps_in_range_accepted():
     policy = ClassPolicy(keep_set={4, 255})
     for labels in (want.astype(np.int64), want.astype(np.uint16), want.tolist()):
         assert np.array_equal(filter_labels(labels, policy), filter_labels(want, policy))
-        got = build_point_cloud(np.ones((2, 2)), labels, K, stride=1)
+        got = build_point_cloud(np.ones((2, 2)), labels, K)
         assert got.labels.tolist() == [4, 255, 8]
         grid = SBev(labels, 0.25).grid
         assert grid.dtype == np.uint8 and np.array_equal(grid, want)
@@ -161,7 +164,7 @@ def test_integer_label_maps_in_range_accepted():
 def test_cloud_empty_on_invalid_depth():
     depth = np.zeros((20, 20))
     labels = np.full((20, 20), 5, dtype=np.uint8)
-    assert len(build_point_cloud(depth, labels, K, stride=1)) == 0
+    assert len(build_point_cloud(depth, labels, K)) == 0
 
 
 def test_cloud_single_pixel():
@@ -169,7 +172,7 @@ def test_cloud_single_pixel():
     labels = np.zeros((101, 101), dtype=np.uint8)
     depth[50, 50] = 5.0
     labels[50, 50] = 9
-    cloud = build_point_cloud(depth, labels, K, stride=1)
+    cloud = build_point_cloud(depth, labels, K)
     assert len(cloud) == 1
     assert np.allclose(cloud.xyz[0], [5, 0, 0])
     assert cloud.labels[0] == 9
@@ -182,7 +185,7 @@ def test_cloud_axes_are_ego():
     labels = np.zeros((101, 101), dtype=np.uint8)
     depth[70, 60] = 4.0
     labels[70, 60] = 3
-    x, y, z = build_point_cloud(depth, labels, K, stride=1).xyz[0]
+    x, y, z = build_point_cloud(depth, labels, K).xyz[0]
     assert x == 4.0 and y < 0 and z < 0
     assert (y, z) == pytest.approx((-(60 - 50) * 4.0 / 100, -(70 - 50) * 4.0 / 100))
 
@@ -192,11 +195,11 @@ def test_cloud_counting_oracle():
     depth = rng.uniform(0, 10, (60, 80))
     depth[depth < 2] = 0.0
     labels = rng.integers(0, 4, (60, 80)).astype(np.uint8)
-    for stride in (1, 2, 3):
-        cloud = build_point_cloud(depth, labels, K, stride=stride)
-        want = int(((depth[::stride, ::stride] > 0)
-                    & (labels[::stride, ::stride] != 0)).sum())
-        assert len(cloud) == want
+    # frames of three sizes: one point per valid, labeled pixel
+    for scale in (1, 2, 3):
+        d, l = depth[::scale, ::scale], labels[::scale, ::scale]
+        cloud = build_point_cloud(d, l, K)
+        assert len(cloud) == int(((d > 0) & (l != 0)).sum())
 
 
 @pytest.mark.parametrize("fields", [
@@ -217,7 +220,7 @@ def test_clouds_column_major_and_grids_unchanged():
     depth = rng.uniform(1.0, 30.0, (24, 32))
     labels = rng.integers(0, 4, (24, 32)).astype(np.uint8)
     k = Intrinsics(fx=20.0, fy=20.0, cx=16.0, cy=12.0, width=32, height=24)
-    cloud = build_point_cloud(depth, labels, k, stride=1)
+    cloud = build_point_cloud(depth, labels, k)
     assert cloud.xyz.shape == (len(cloud), 3) and cloud.xyz.flags.f_contiguous
     spec = GridSpec(size=64, resolution=0.5)
     frames = [(cloud, Pose2(0.0, 0.0, 0.0)), (cloud, Pose2(1.5, 0.3, 0.1))]
@@ -494,12 +497,10 @@ def test_real_frame_windows_match_brute_force():
     """sbev_stream on rendered frames, clean and in rain, against the brute
     rasterization of each window's union cloud; pooled inputs against the
     float64 block mean."""
-    cfg = RunConfig()
-    spec = GridSpec(stride=4)   # a quarter of the points keeps the oracle quick
-    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    spec, k, policy = SPEC, K_QUARTER, RunConfig().classes.policy()
     for weather in (None, RAIN):
         frames = rendered_frames(k, weather=weather)
-        clouds = [(ego_cloud(d, l, k, policy, spec), p) for _, p, d, l in frames]
+        clouds = [(ego_cloud(d, l, k, policy), p) for _, p, d, l in frames]
         for i, sb in enumerate(sbev_stream(frames, k, policy, spec)):
             window = clouds[max(0, i + 1 - ACCUMULATION_WINDOW):i + 1]
             cur = window[-1][1]
@@ -521,35 +522,35 @@ def test_real_frame_windows_match_brute_force():
             assert got.dtype == pooled.dtype and np.array_equal(got, pooled)
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-def test_ego_cloud_equals_cloud_of_filtered_labels(stride):
-    # an odd-sized image, whose last row and column are on the stride-2
-    # lattice; the narrow policy drops classes the frames hold
-    k = Intrinsics(fx=80.0, fy=80.0, cx=40.0, cy=30.0, width=81, height=61)
-    spec = GridSpec(stride=stride)
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_ego_cloud_equals_cloud_of_filtered_labels(scale):
+    # odd-sized cameras, each with every `scale`-th pixel of an 81 x 61 one;
+    # the narrow policy drops classes the frames hold
+    k = Intrinsics(fx=80.0 / scale, fy=80.0 / scale, cx=40.0 / scale, cy=30.0 / scale,
+                   width=80 // scale + 1, height=60 // scale + 1)
     wide = RunConfig().classes.policy()
     narrow = ClassPolicy(keep_set=wide.keep_set - {8, 100, 140, 141})
     for weather in (None, RAIN):
         for _, _, depth, labels in rendered_frames(k, slice(30, 33), weather):
             for policy in (narrow, wide):
-                got = ego_cloud(depth, labels, k, policy, spec)
-                want = build_point_cloud(depth, filter_labels(labels, policy), k, stride)
+                got = ego_cloud(depth, labels, k, policy)
+                want = build_point_cloud(depth, filter_labels(labels, policy), k)
                 assert got.xyz.dtype == want.xyz.dtype and got.labels.dtype == want.labels.dtype
                 assert got.xyz.tobytes() == want.xyz.tobytes()
                 assert got.labels.tobytes() == want.labels.tobytes()
-            # the bottom-right pixel, ground in every frame, is a point of
-            # the wide policy's cloud when it is on the lattice
+                kept = np.isin(labels, sorted(policy.keep_set)) & (depth > 0)
+                assert len(got) == int(kept.sum())
+            # every pixel is read: the bottom-right one, ground in every
+            # frame, is a point of the wide policy's cloud
             pixels = np.round(got.xyz[:, 1:] * -k.fx / got.xyz[:, :1] + (k.cx, k.cy))
-            assert ([80, 60] in pixels.tolist()) == (stride != 3)
+            assert [k.width - 1, k.height - 1] in pixels.tolist()
 
 
 def test_sbev_stream_yields_requested_frames_only():
     """Filtered streams, clean and in rain, yield the requested frames in
     stream order, each grid byte-equal to the unfiltered stream's; frames
     0-3, whose window is short, are among them."""
-    cfg = RunConfig()
-    spec = GridSpec(stride=4)
-    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    spec, k, policy = SPEC, K_QUARTER, RunConfig().classes.policy()
     for weather in (None, RAIN):
         frames = rendered_frames(k, weather=weather)
         every = {sb.frame_id: sb.grid for sb in sbev_stream(frames, k, policy, spec)}
@@ -569,9 +570,7 @@ def test_sbev_stream_clouds_only_windowed_frames(monkeypatch):
     """A filtered stream builds the ego clouds of the frames in the windows
     of the requested frames and no others; its grids are byte-equal to the
     unfiltered stream's."""
-    cfg = RunConfig()
-    spec = GridSpec(stride=4)
-    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    spec, k, policy = SPEC, K_QUARTER, RunConfig().classes.policy()
     frames = rendered_frames(k, weather=RAIN)
     every = {sb.frame_id: sb.grid.tobytes() for sb in sbev_stream(frames, k, policy, spec)}
     frame_of = {id(depth): frame_id for frame_id, _, depth, _ in frames}
@@ -595,14 +594,43 @@ def test_sbev_stream_clouds_only_windowed_frames(monkeypatch):
 
 
 def test_sbev_stream_rejects_ids_that_skip():
-    cfg = RunConfig()
-    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    k, policy = K_QUARTER, RunConfig().classes.policy()
     frames = rendered_frames(k, slice(30, 34))
     for ids in ([0, 2, 3, 4], [0, 1, 1, 2], [3, 2, 1, 0]):
         stream = [(i, *f[1:]) for i, f in zip(ids, frames)]
         with pytest.raises(InputError, match="count up by one"):
-            list(sbev_stream(stream, k, policy, GridSpec(stride=4)))
+            list(sbev_stream(stream, k, policy, SPEC))
     # a stream may start at any id
     got = list(sbev_stream([(5 + i, *f[1:]) for i, f in enumerate(frames)], k, policy,
-                           GridSpec(stride=4), frame_ids=[8]))
+                           SPEC, frame_ids=[8]))
     assert [sb.frame_id for sb in got] == [8]
+
+
+def test_default_camera_renders_the_even_pixels_of_its_double(monkeypatch):
+    """The default camera renders, bit for bit, the even pixels of the camera
+    with twice its intrinsics, the lattice the S-BEV was once sampled on, so
+    clean outputs made with that camera stand. Seeds 0-2, lane offsets 0,
+    +1.5 and -1.0, near-plane clipping included; S-BEV streams over the
+    two frame sets are byte-equal."""
+    cfg = RunConfig()
+    k, policy = cfg.camera.intrinsics(), cfg.classes.policy()
+    double = Intrinsics(2 * k.fx, 2 * k.fy, 2 * k.cx, 2 * k.cy, 2 * k.width, 2 * k.height)
+    assert (double.fx, double.fy, double.cx, double.cy) == (160.0, 160.0, 159.5, 119.5)
+    assert (double.width, double.height) == (320, 240)
+    clipped = []
+    clip = synthworld._clip_near
+    monkeypatch.setattr(synthworld, "_clip_near", lambda poly: clipped.append(1) or clip(poly))
+    synth = dataclasses.replace(cfg.synth, route_length=40.0, frame_spacing=1.0)
+    for seed in (0, 1, 2):
+        world = generate_world(derive_seed(seed, SEED_WORLD), synth)
+        for lane in (0.0, 1.5, -1.0):
+            poses = lane_shift(world.route, lane)
+            frames = list(render_stream(world, poses, k))
+            even = [(i, p, d[::2, ::2], l[::2, ::2])
+                    for i, p, d, l in render_stream(world, poses, double)]
+            for (_, _, d, l), (_, _, want_d, want_l) in zip(frames, even):
+                assert d.dtype == want_d.dtype and l.dtype == want_l.dtype
+                assert d.tobytes() == want_d.tobytes() and l.tobytes() == want_l.tobytes()
+            grids = [sb.grid.tobytes() for sb in sbev_stream(frames, k, policy, SPEC)]
+            assert grids == [sb.grid.tobytes() for sb in sbev_stream(even, k, policy, SPEC)]
+    assert clipped

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sbevloc.config import RunConfig
 from sbevloc.errors import InputError
 from sbevloc.geometry import Intrinsics, Pose2
 from sbevloc.synthworld import (
@@ -289,6 +290,23 @@ def test_render_matches_reference_near_plane_clip():
         assert (labels == 101).any()
 
 
+def test_render_matches_reference_on_a_top_face():
+    # a box lower than the camera shows its top face, the one face whose
+    # depth varies by pixel row; generated boxes are all taller
+    spec = small_spec(primitive_density=0.0)
+    box = Box(np.array([8.0, 0.5, 0.5]), np.array([3.0, 2.0, 1.0]), 102)
+    w = World(0, spec, (Pose2(0, 0, 0),), (box,))
+    top = (w.faces.axis == 2) & (w.faces.sign == 1.0)
+    assert w.faces.value[top][0] < spec.camera_height
+    for theta in (0.0, 0.2, -0.3):
+        depth, labels = assert_same_frame(w, Pose2(0, 0, theta))
+        # the top face's pixels see the box's top plane: camera y = 1.5 - 1.0
+        rows = np.flatnonzero((labels == 102).any(axis=1))
+        v = rows[0]
+        ys = depth[v][labels[v] == 102] * (v - K_SMALL.cy) / K_SMALL.fy
+        assert np.allclose(ys, spec.camera_height - 1.0)
+
+
 def test_render_coplanar_faces_keep_box_order():
     # both boxes' near faces lie in the plane x = 9, so the depths tie and
     # the z-buffer's strict < lets the earlier box keep the shared pixels
@@ -405,6 +423,33 @@ def test_precull_image_edge_boundaries(edge, inside, culled, drawn):
     assert (labels == 220).any() == drawn
 
 
+def test_edges_on_a_pixel_column_and_row_are_drawn():
+    # the near face's right edge projects exactly onto column 80 of the
+    # default camera, and its top edge onto row 50: along them an edge's
+    # cross product a - b is exactly 0, and both the sign test of the
+    # reference, orient * (a - b) >= 0, and the render's a >= b draw the pixel
+    k = RunConfig().camera.intrinsics()
+    box = facing_box(10.0, (-1.0, 0.03125), (-1.21875, 0.5), 140, thickness=0.25)
+    w = World(0, small_spec(primitive_density=0.0), (Pose2(0, 0, 0),), (box,))
+    ego = Pose2(0, 0, 0)
+    _, labels = assert_same_frame(w, ego, k)
+    poly = camera_corners(w, ego)[0]
+    pu = k.fx * poly[:, 0] / poly[:, 2] + k.cx
+    pv = k.fy * poly[:, 1] / poly[:, 2] + k.cy
+    assert (pu.min(), pu.max(), pv.min(), pv.max()) == (71.75, 80.0, 50.0, 63.75)
+    assert (labels[50:64, 72:81] == 140).all()
+    assert not (labels[49, 72:81] == 140).any() and not (labels[50:64, 81] == 140).any()
+    edges = [(i, (i + 1) % 4) for i in range(4)]
+    area = sum(pu[i] * pv[j] - pu[j] * pv[i] for i, j in edges)
+    orient = 1.0 if area > 0 else -1.0
+    for u, v in ((80, 55), (75, 50), (80, 50)):
+        a = [(pu[j] - pu[i]) * (v - pv[i]) for i, j in edges]
+        b = [(pv[j] - pv[i]) * (u - pu[i]) for i, j in edges]
+        assert 0.0 in [x - y for x, y in zip(a, b)]
+        assert all(orient * (x - y) >= 0 for x, y in zip(a, b))
+        assert all(x >= y if area > 0 else x <= y for x, y in zip(a, b))
+
+
 def test_render_frame_copies_cached_planes():
     w = generate_world(9, small_spec())
     depth, labels = render_frame(w, w.route[10], K_SMALL)
@@ -421,10 +466,10 @@ def test_camera_planes_read_only_and_per_camera():
     spec = small_spec()
     planes = _camera_planes(K_SMALL, spec.camera_height, spec.max_range)
     assert _camera_planes(K_SMALL, spec.camera_height, spec.max_range) is planes
-    us, vs, dx, dy, depth, labels, zbuf = planes
+    us, vs, dx, dy, labels, zbuf = planes
     assert us.shape == dx.shape == (K_SMALL.width,)
     assert vs.shape == dy.shape == (K_SMALL.height, 1)
-    assert depth.shape == labels.shape == zbuf.shape == (K_SMALL.height, K_SMALL.width)
+    assert labels.shape == zbuf.shape == (K_SMALL.height, K_SMALL.width)
     for plane in planes:
         assert not plane.flags.writeable
         with pytest.raises(ValueError):
