@@ -23,10 +23,12 @@ from sbevloc.evaluate import R_FIX
 from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_update
 from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import (
+    EmbeddingIndex,
     ae_targets,
     grid_to_input,
     load_bundle,
     localize,
+    nearest_nodes,
     save_bundle,
     train_autoencoder,
 )
@@ -418,6 +420,24 @@ def test_save_load_bundle(benchmark, world, tmp_path):
     # query frames off the map's lane, some lighting columns no map row lit
     sbevs = traversal_sbevs(world, lane_shift(route, 1.5), cfg, frame_ids=frame_ids[::8])
     assert all(localize(loaded, sb) == localize(bundle, sb) for sb in sbevs)
+
+
+@pytest.mark.parametrize("n", [31, 1], ids=["batch", "one_row"])
+def test_nearest_nodes(benchmark, n):
+    """A default-size index, 8496 sigmoid-range latents of 128 over 59 nodes:
+    a 31-row batch, as one ablation scoring call, and one row, as
+    relocalize's, each checked against the subtract-first loop."""
+    rng = np.random.default_rng(9)
+    lats = rng.random((8496, 128), dtype=np.float32)
+    index = EmbeddingIndex(lats, np.arange(8496) % 59)
+    queries = lats[rng.integers(0, 8496, n)] + rng.normal(0, 0.02, (n, 128)).astype(np.float32)
+    ids, dists = benchmark(nearest_nodes, index, queries)
+    for q, nid, dist in zip(queries, ids.tolist(), dists.tolist()):
+        diff = lats - q
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        tied = np.nonzero(d2 == d2.min())[0]
+        best = tied[np.argmin(index.node_ids[tied])]
+        assert (nid, dist) == (int(index.node_ids[best]), float(np.sqrt(d2[best])))
 
 
 # one post-KF scoring call of the ablation benchmark: 140 odometry steps,

@@ -8,7 +8,8 @@ each lane-shifted traversal. A pass renders every frame of its poses and
 builds S-BEVs only for the frames it pools: the test frames, and on the
 clean pass, which runs first, also the balanced training frames, pooled
 into the augmented training arrays. Each ablation mode is then trained and
-scored on every condition.
+scored on every condition: one `nearest_nodes` call finds the nodes of all
+of a condition's rows, and one `fuse_trajectory` call filters them.
 
 Fine-localization errors are reported two ways: the perfect-node variant
 scores the regressor against the true node's relative pose (regressor
@@ -38,7 +39,7 @@ from .config import (
 from .errors import InputError
 from .fusion import KfState, OdomSample, fuse_trajectory
 from .geometry import Pose2, global_from_relative, wrap_angle
-from .localizer import LocalizerBundle, coarse_localize, regressor_inputs
+from .localizer import LocalizerBundle, nearest_nodes, regressor_inputs
 from .pipeline import (
     TrainingArrays,
     embed_batched,
@@ -136,7 +137,7 @@ def evaluate_condition(bundle: LocalizerBundle, cond: ConditionData,
                        cfg: RunConfig, seed: int, run_filter: bool = False):
     """Score one condition; returns EvalReport rows."""
     latents = embed_batched(bundle.ae, cond.inputs)
-    pred_nodes = [coarse_localize(bundle.index, lat)[0] for lat in latents]
+    pred_nodes = nearest_nodes(bundle.index, latents)[0].tolist()
     truth_nodes = [s.node_id for s in cond.samples]
     acc = node_accuracy(pred_nodes, truth_nodes)
     n = len(cond.samples)

@@ -7,11 +7,17 @@ global frame) with its Jacobian; the update step measures the full state
 All angle differences are wrapped before use.
 
 One copy of the step maths, `_predict` and `_update` on (mu, sigma), serves
-two kinds of caller:
+two kinds of caller. The steps work on Python floats (mu a 3-tuple, 3x3
+matrices row-major 9-tuples), as numpy's per-call overhead was most of a
+3x3 step's time. Products are written out and K = sigma adj(S) / det(S);
+a det of 0 or not finite raises NumericalError. The last bits differ from
+numpy array expressions: BLAS fuses multiply-adds and orders its sums its
+own way, and an LU solve gave K. The callers convert to arrays only at
+their boundaries:
 
 - `kf_predict` and `kf_update` make one step. Each call checks its Q or R
-  (3x3; Q symmetric PSD, R symmetric) and returns a `KfState`, which checks
-  itself: finite, sigma symmetric and PSD at `PSD_TOL`.
+  (3x3 and finite; Q symmetric PSD, R symmetric) and returns a `KfState`,
+  which checks itself: finite, sigma symmetric and PSD at `PSD_TOL`.
 - `fuse_trajectory` runs a whole trajectory. It checks Q, R and the fix
   steps once, before any step, and converts the fixes once. After the loop
   it applies KfState's checks in one batch to every state the steps made:
@@ -71,6 +77,8 @@ def _as_3x3(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.shape != (3, 3):
         raise InputError(f"{name} must be 3x3, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError(f"{name} not finite")
     return m
 
 
@@ -122,43 +130,87 @@ class OdomSample:
             raise InputError(f"dt must be positive, got {self.dt}")
 
 
+def _mm(a, b):
+    """a @ b for 3x3 matrices as row-major 9-tuples of floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+            a0 * b2 + a1 * b5 + a2 * b8, a3 * b0 + a4 * b3 + a5 * b6,
+            a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+            a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+            a6 * b2 + a7 * b5 + a8 * b8)
+
+
+def _mm_t(a, b):
+    """a @ b.T for 3x3 matrices as row-major 9-tuples of floats."""
+    return _mm(a, (b[0], b[3], b[6], b[1], b[4], b[7], b[2], b[5], b[8]))
+
+
+def _symmetrized(p):
+    """(p + p.T) / 2 of a row-major 9-tuple; the diagonal is kept as is."""
+    o01, o02, o12 = (p[1] + p[3]) / 2.0, (p[2] + p[6]) / 2.0, (p[5] + p[7]) / 2.0
+    return (p[0], o01, o02, o01, p[4], o12, o02, o12, p[8])
+
+
 def _predict(mu, sigma, odom: OdomSample, q):
+    """One predict step on floats: mu (x, y, theta), sigma and q row-major
+    9-tuples. F = [[1, 0, -gy], [0, 1, gx], [0, 0, 1]], so F sigma F^T is
+    written out without its zero terms."""
     x, y, th = mu
     c, s = math.cos(th), math.sin(th)
     dt = odom.dt
     gx = (odom.vx * c - odom.vy * s) * dt
     gy = (odom.vx * s + odom.vy * c) * dt
-    mu = np.array([x + gx, y + gy, wrap_angle(th + odom.omega * dt)])
-    f = np.array([[1.0, 0.0, -gy],
-                  [0.0, 1.0, gx],
-                  [0.0, 0.0, 1.0]])
-    return mu, _symmetrize(f @ sigma @ f.T + q * dt)
+    mu = (x + gx, y + gy, wrap_angle(th + odom.omega * dt))
+    a, b = -gy, gx
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = sigma
+    f0, f1, f2 = s0 + a * s6, s1 + a * s7, s2 + a * s8     # rows of F sigma
+    f3, f4, f5 = s3 + b * s6, s4 + b * s7, s5 + b * s8
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = q
+    return mu, _symmetrized((
+        f0 + a * f2 + q0 * dt, f1 + b * f2 + q1 * dt, f2 + q2 * dt,
+        f3 + a * f5 + q3 * dt, f4 + b * f5 + q4 * dt, f5 + q5 * dt,
+        s6 + a * s8 + q6 * dt, s7 + b * s8 + q7 * dt, s8 + q8 * dt))
 
 
 def _update(mu, sigma, z, r):
-    innovation = z - mu
-    innovation[2] = wrap_angle(innovation[2])
-    s = sigma + r
-    try:
-        # K = sigma @ inv(S); solve on the transposed system
-        k = np.linalg.solve(s.T, sigma.T).T
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(
-            f"singular innovation covariance (diag {np.diag(s)})") from e
-    mu = mu + k @ innovation
-    mu[2] = wrap_angle(mu[2])
-    ikh = np.eye(3) - k
-    return mu, _symmetrize(ikh @ sigma @ ikh.T + k @ r @ k.T)
+    """One update step on floats, shapes as in `_predict`; z is (x, y,
+    theta). K = sigma adj(S) / det(S) with S = sigma + R."""
+    x, y, th = mu
+    v = (z[0] - x, z[1] - y, wrap_angle(z[2] - th))
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = (s + e for s, e in zip(sigma, r))
+    adj = (a4 * a8 - a5 * a7, a2 * a7 - a1 * a8, a1 * a5 - a2 * a4,
+           a5 * a6 - a3 * a8, a0 * a8 - a2 * a6, a2 * a3 - a0 * a5,
+           a3 * a7 - a4 * a6, a1 * a6 - a0 * a7, a0 * a4 - a1 * a3)
+    det = a0 * adj[0] + a1 * adj[3] + a2 * adj[6]
+    if det == 0.0 or not math.isfinite(det):
+        raise NumericalError(f"singular innovation covariance (det {det}, "
+                             f"diag {(a0, a4, a8)})")
+    k = tuple(e / det for e in _mm(sigma, adj))
+    mu = (x + (k[0] * v[0] + k[1] * v[1] + k[2] * v[2]),
+          y + (k[3] * v[0] + k[4] * v[1] + k[5] * v[2]),
+          wrap_angle(th + (k[6] * v[0] + k[7] * v[1] + k[8] * v[2])))
+    ikh = (1.0 - k[0], -k[1], -k[2], -k[3], 1.0 - k[4], -k[5], -k[6], -k[7], 1.0 - k[8])
+    joseph = _mm_t(_mm(ikh, sigma), ikh)
+    gain = _mm_t(_mm(k, r), k)
+    return mu, _symmetrized(tuple(p + g for p, g in zip(joseph, gain)))
+
+
+def _floats(m: np.ndarray):
+    """An array's entries, row-major, as a list of Python floats."""
+    return m.ravel().tolist()
 
 
 def kf_predict(state: KfState, odom: OdomSample, q: np.ndarray) -> KfState:
     """Advance the state by dead reckoning; q is process noise per second."""
-    return KfState(*_predict(state.mu, state.sigma, odom, _checked_q(q)))
+    return KfState(*_predict(_floats(state.mu), _floats(state.sigma), odom,
+                             _floats(_checked_q(q))))
 
 
 def kf_update(state: KfState, z, r: np.ndarray) -> KfState:
     """Full-state measurement update (H = I), Joseph-form covariance."""
-    return KfState(*_update(state.mu, state.sigma, _as_vec3(z, "z"), _checked_r(r)))
+    return KfState(*_update(_floats(state.mu), _floats(state.sigma),
+                            _floats(_as_vec3(z, "z")), _floats(_checked_r(r))))
 
 
 def _step_state(mu: np.ndarray, sigma: np.ndarray) -> KfState:
@@ -181,12 +233,12 @@ def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
     Returns the state after every step: len(odometry) + 1 states, the first
     of them init itself when there is no step-0 fix.
     """
-    q, r = _checked_q(q), _checked_r(r)
+    q, r = _floats(_checked_q(q)), _floats(_checked_r(r))
     for i in fixes:
         if not 0 <= i <= len(odometry):
             raise InputError(f"fix step {i} outside 0..{len(odometry)}")
-    fixes = {i: _as_vec3(z, "a fix") for i, z in fixes.items()}
-    mu, sigma = init.mu, init.sigma
+    fixes = {i: _floats(_as_vec3(z, "a fix")) for i, z in fixes.items()}
+    mu, sigma = _floats(init.mu), _floats(init.sigma)
     # (mu, sigma) after each step, then each predicted state a fix updated
     after, predicted = [], []
     try:
@@ -201,8 +253,9 @@ def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
         # also when a step raised: a step fed a state these checks reject
         # can fail in another way, and their InputError is the one raised
         mus, sigmas = zip(*(after + predicted))
-        _check_states(np.array(mus), np.array(sigmas))
-    states = [_step_state(m, s) for m, s in after]
+        mus, sigmas = np.array(mus), np.array(sigmas).reshape(-1, 3, 3)
+        _check_states(mus, sigmas)
+    states = [_step_state(mus[i], sigmas[i]) for i in range(len(after))]
     if 0 not in fixes:
         states[0] = init
     return states

@@ -2,7 +2,10 @@
 
 A dense autoencoder is trained to reconstruct a reduced S-BEV (8x average
 pooled, scaled to [0, 1]); its bottleneck embeds each grid. Coarse
-localization is exact 1-NN over stored embeddings; fine localization feeds
+localization is exact 1-NN over stored embeddings, a batch at a time
+(`nearest_nodes`): a float64 GEMM screens the index rows, and the few that
+survive are confirmed with the float32 subtract-first distance, so every
+pick equals a full scan's. Fine localization feeds
 [one_hot(node) ++ latent] to a small regressor producing the pose relative
 to the node, which is composed with the node pose for the global estimate.
 Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
@@ -28,7 +31,6 @@ without unpickling:
 
 from __future__ import annotations
 
-import math
 import os
 import zipfile
 from dataclasses import dataclass, field
@@ -236,28 +238,106 @@ def embed(model: AEModel, sb: SBev) -> np.ndarray:
     return embed_vec(model, grid_to_input(sb.grid, model.pool))
 
 
-def coarse_localize(index: EmbeddingIndex, latent: np.ndarray):
-    """Exact 1-NN by Euclidean distance.
+SCREEN_GAMMA = 1e-4
+SCREEN_RATIO = (1 + SCREEN_GAMMA) / (1 - SCREEN_GAMMA)
+SCREEN_SLACK = 1e-12
+SCREEN_TINY = float(np.finfo(np.float32).tiny)
+SCREEN_MAX_DIM = 1600
+SCREEN_BLOCK = 1 << 18   # (query, index row) estimates held at a time
 
-    Ties break toward the smallest node id, then insertion order.
-    Returns (node_id, distance). A query with no finite distance to the
-    index, such as a NaN or infinite latent, raises InputError.
+
+def _screen(index_latents: np.ndarray, latents: np.ndarray):
+    """(rows, cols), row-major: the (query row, index row) pairs that can
+    hold a query's nearest index row.
+
+    A float64 GEMM estimates each d2 as |q|^2 - 2<q, m> + |m|^2, as in the
+    exact search of Johnson, Douze & Jegou, "Billion-scale similarity search
+    with GPUs" (2019). The estimate is within ~2 dim float64 roundings of
+    |q|^2 + |m|^2 (2.9e-14 at 128 dims), which the slack, SCREEN_SLACK times
+    that plus SCREEN_TINY for float32 squares that underflow, covers. The
+    float32 d2 that confirms is within ~(dim + 2) float32 roundings of the
+    exact d2 (7.7e-6 at 128), which SCREEN_GAMMA covers up to SCREEN_MAX_DIM.
+    So a pair survives when its estimate minus slack is within SCREEN_RATIO
+    of the query's smallest estimate plus slack, as every row the float32
+    d2 can rank first is. A NaN estimate keeps its pair. The index is read
+    in blocks, each converted to float64 once and pruned against the bound
+    so far, which only falls.
+    """
+    q = latents.astype(np.float64)
+    q_sq = np.einsum("ij,ij->i", q, q)[:, None]
+    best = np.full(len(q), np.inf)
+    found = []
+    step = max(64, SCREEN_BLOCK // max(1, len(q)))
+    for j in range(0, len(index_latents), step):
+        m = index_latents[j:j + step].astype(np.float64)
+        # in place, as each (queries, rows) temporary costs a fresh allocation
+        est = q @ m.T
+        est *= -2.0
+        slack = q_sq + np.einsum("ij,ij->i", m, m)
+        est += slack                                # the estimate
+        slack *= SCREEN_SLACK
+        slack += SCREEN_TINY
+        est += slack                                # its upper bound
+        best = np.minimum(best, est.min(axis=1))    # NaN sticks
+        est -= slack
+        est -= slack                                # its lower bound
+        r, c = np.nonzero(~(est > SCREEN_RATIO * np.maximum(best, 0.0)[:, None]))
+        found.append((r, c + j, est[r, c]))
+    rows, cols, lower = (np.concatenate(a) for a in zip(*found))
+    keep = np.flatnonzero(~(lower > SCREEN_RATIO * np.maximum(best, 0.0)[rows]))
+    keep = keep[np.lexsort((cols[keep], rows[keep]))]
+    return rows[keep], cols[keep]
+
+
+def nearest_nodes(index: EmbeddingIndex, latents: np.ndarray):
+    """Exact 1-NN by Euclidean distance: (node_ids (n,) int64, distances
+    (n,) float32) for the n rows of `latents`.
+
+    Only the pairs `_screen` keeps get the float32 subtract-first d2 (the
+    float32 expansion cancels on latents of large norm and small
+    differences); one row skips the screen. The smallest d2 wins, ties
+    toward the smallest node id, then insertion order, so the result equals
+    a full scan's. A row with no finite distance to the index, such as a
+    NaN or infinite latent, raises InputError.
     """
     if len(index) == 0:
         raise InputError("empty embedding index")
-    latent = np.asarray(latent, dtype=np.float32).reshape(-1)
-    if latent.shape[0] != index.latent_dim:
-        raise InputError(f"latent dim {latent.shape[0]} != index {index.latent_dim}")
-    diff = index.latents - latent
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    best = d2.min()
+    latents = np.asarray(latents, dtype=np.float32)
+    if latents.ndim != 2 or latents.shape[1] != index.latent_dim:
+        raise InputError(f"latents of shape {latents.shape} do not match the "
+                         f"index's latent dim {index.latent_dim}")
+    if len(latents) > 1 and index.latent_dim > SCREEN_MAX_DIM:
+        # past the margins' reach: a full scan per row
+        picks = [nearest_nodes(index, row[None]) for row in latents]
+        return tuple(np.concatenate(p) for p in zip(*picks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(latents) == 1:
+            rows, cols = np.zeros(len(index), np.intp), np.arange(len(index))
+            diff = index.latents - latents[0]
+        else:
+            rows, cols = _screen(index.latents, latents)
+            diff = index.latents[cols] - latents[rows]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        best = np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(len(latents))))
     # the index rows are finite: a non-finite query, or a square past
     # float32's range, gets here
-    if not math.isfinite(best):
-        raise InputError(f"no finite distance to the index (best {best})")
-    candidates = np.nonzero(d2 == best)[0]
-    winner = candidates[np.argmin(index.node_ids[candidates])]
-    return int(index.node_ids[winner]), float(np.sqrt(d2[winner]))
+    if not np.isfinite(best).all():
+        bad = np.flatnonzero(~np.isfinite(best))[0]
+        raise InputError(f"no finite distance to the index from latent row "
+                         f"{bad} (best {best[bad]})")
+    # pairs are row-major, so a stable sort keeps insertion order in a node
+    winners = np.flatnonzero(d2 == best[rows])
+    if len(winners) > len(latents):
+        winners = winners[np.lexsort((index.node_ids[cols[winners]], rows[winners]))]
+        winners = winners[np.unique(rows[winners], return_index=True)[1]]
+    return index.node_ids[cols[winners]], np.sqrt(d2[winners])
+
+
+def coarse_localize(index: EmbeddingIndex, latent: np.ndarray):
+    """Exact 1-NN of one latent, the one-row call of `nearest_nodes`:
+    (node_id, distance)."""
+    node_ids, distances = nearest_nodes(index, np.reshape(latent, (1, -1)))
+    return int(node_ids[0]), float(distances[0])
 
 
 def build_index(latents, node_ids) -> EmbeddingIndex:
@@ -286,6 +366,22 @@ def fine_localize(model: RegModel, node_id: int, latent: np.ndarray) -> Pose2:
     return Pose2(float(out[0]), float(out[1]), wrap_angle(float(out[2])))
 
 
+def _column_mean_std(x: np.ndarray, block: int = 1024):
+    """`x.mean` and `x.std(axis=0, dtype=np.float64)`, bit for bit, from
+    float64 copies of `block` rows at a time. numpy adds rows in order
+    along axis 0, so each block after the first is reduced with the running
+    sum as its first row."""
+    def total(rows_of):
+        acc = None
+        for i in range(0, len(x), block):
+            rows = rows_of(x[i:i + block])
+            acc = np.add.reduce(rows if acc is None else np.vstack([acc, rows]))
+        return acc
+
+    mu = total(lambda rows: rows.astype(np.float64)) / len(x)
+    return mu, np.sqrt(total(lambda rows: np.square(rows - mu)) / len(x))
+
+
 def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
                     config: RegConfig, seed: int):
     """Train the float32 3-DoF regressor from latents to (n, 3) `rel_poses`.
@@ -301,8 +397,7 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     if counts.max() != counts.min():
         raise InputError(f"unbalanced node counts (min {counts.min()}, "
                          f"max {counts.max()}); balance the dataset")
-    mu = latents.mean(axis=0, dtype=np.float64)
-    sd = latents.std(axis=0, dtype=np.float64)
+    mu, sd = _column_mean_std(latents)
     sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
     # standardized in place by blocks: one block's float64 (z - mu) / sd is
     # the only temporary

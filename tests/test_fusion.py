@@ -173,6 +173,91 @@ def test_update_singular_innovation_raises():
         kf_update(s, np.zeros(3), np.zeros((3, 3)))
 
 
+def numpy_predict(mu, sigma, odom, q):
+    """The reference: the predict step as numpy array expressions."""
+    x, y, th = mu
+    c, s = math.cos(th), math.sin(th)
+    gx = (odom.vx * c - odom.vy * s) * odom.dt
+    gy = (odom.vx * s + odom.vy * c) * odom.dt
+    f = np.array([[1.0, 0.0, -gy], [0.0, 1.0, gx], [0.0, 0.0, 1.0]])
+    p = f @ sigma @ f.T + q * odom.dt
+    return (np.array([x + gx, y + gy, wrap_angle(th + odom.omega * odom.dt)]),
+            (p + p.T) / 2.0)
+
+
+def numpy_update(mu, sigma, z, r):
+    """The reference: the update step as numpy array expressions."""
+    innovation = z - mu
+    innovation[2] = wrap_angle(innovation[2])
+    k = np.linalg.solve((sigma + r).T, sigma.T).T
+    mu = mu + k @ innovation
+    mu[2] = wrap_angle(mu[2])
+    ikh = np.eye(3) - k
+    p = ikh @ sigma @ ikh.T + k @ r @ k.T
+    return mu, (p + p.T) / 2.0
+
+
+def random_spd(rng, scale):
+    """A random rotation of eigenvalues in [scale, 100 scale]."""
+    rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return (rot * scale * 10.0 ** rng.uniform(0, 2, 3)) @ rot.T
+
+
+def assert_close(got, want, rel=1e-12):
+    assert np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+
+
+def test_float_steps_match_numpy_reference_monte_carlo():
+    # the gain from adj(S) / det(S) and from an LU solve agree to about
+    # cond(S) roundings; here cond(S) <= 100
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-3, 2)
+        s = KfState(rng.normal(size=3) * [100, 100, 2], random_spd(rng, scale))
+        odom = OdomSample(rng.normal(10, 3), rng.normal(0, 0.5), rng.normal(0, 0.2),
+                          rng.uniform(0.01, 0.5))
+        q = random_spd(rng, 10.0 ** rng.uniform(-3, 0))
+        r = random_spd(rng, 10.0 ** rng.uniform(-3, 1))
+        z = s.mu + rng.normal(size=3) * [5, 5, 0.5]
+        for got, want in ((kf_predict(s, odom, q), numpy_predict(s.mu, s.sigma, odom, q)),
+                          (kf_update(s, z, r), numpy_update(s.mu, s.sigma, z, r))):
+            assert_close(got.mu[:2], want[0][:2])
+            assert abs(wrap_angle(got.mu[2] - want[0][2])) <= 1e-12
+            assert_close(got.sigma, want[1])
+
+
+def test_steps_return_float64_arrays_of_their_shapes():
+    s = state(1.0, 2.0, 0.3, sigma=np.diag([4.0, 9.0, 0.1]))
+    for out in (kf_predict(s, OdomSample(8.0, 0.3, 0.05, 0.1), Q_DEFAULT),
+                kf_update(s, [2.0, 1.0, 0.2], np.diag([2.0, 3.0, 0.01]))):
+        assert out.mu.dtype == out.sigma.dtype == np.float64
+        assert out.mu.shape == (3,) and out.sigma.shape == (3, 3)
+        assert np.array_equal(out.sigma, out.sigma.T)
+
+
+@pytest.mark.parametrize("sigma, r", [
+    # S = sigma + R of rank 2 and rank 1, with det exactly 0
+    (np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))),
+    ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], np.zeros((3, 3))),
+    # a finite S whose det overflows
+    (np.eye(3) * 1e110, np.eye(3)),
+])
+def test_update_singular_or_non_finite_det_raises(sigma, r):
+    with pytest.raises(NumericalError, match="singular innovation covariance"):
+        kf_update(state(sigma=sigma), np.zeros(3), r)
+    with pytest.raises(NumericalError, match="singular innovation covariance"):
+        fuse_trajectory([], {0: [0.0, 0.0, 0.0]}, state(sigma=sigma), Q_DEFAULT, r)
+
+
+def test_fuse_rejects_a_state_that_is_not_psd():
+    # R is only checked for symmetry; a negative entry makes the Joseph
+    # update's covariance indefinite, which the batched check catches
+    r = np.diag([-0.9, 1.0, 1.0])
+    with pytest.raises(InputError, match="sigma not positive semi-definite"):
+        fuse_trajectory([OdomSample(1.0, 0.0, 0.0, 0.1)], {1: [0.1, 0.0, 0.0]},
+                        state(), Q_DEFAULT, r)
+
+
 # --- fuse_trajectory ---------------------------------------------------------
 
 def dead_reckon(odometry):
@@ -289,6 +374,8 @@ ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     (np.eye(2), R_EYE, r"Q must be 3x3, got \(2, 2\)"),
     (Q_DEFAULT, np.eye(2), r"R must be 3x3, got \(2, 2\)"),
     (Q_DEFAULT, ASYMMETRIC, "R not symmetric"),
+    (np.diag([math.nan, 1.0, 1.0]), R_EYE, "Q not finite"),
+    (Q_DEFAULT, np.diag([1.0, math.inf, 1.0]), "R not finite"),
 ])
 # a None sample fails with AttributeError once a step reads it
 @pytest.mark.parametrize("odometry", [[], [None, None]], ids=["empty", "unread"])

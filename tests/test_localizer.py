@@ -2,11 +2,14 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbevloc import nnet
+from sbevloc import localizer, nnet
 from sbevloc.errors import FormatError, InputError
 from sbevloc.geometry import Pose2, global_from_relative
 from sbevloc.localizer import (
@@ -24,11 +27,14 @@ from sbevloc.localizer import (
     grid_to_input,
     load_bundle,
     localize,
+    nearest_nodes,
     pool_grid,
     regressor_inputs,
     save_bundle,
     train_autoencoder,
     train_regressor,
+    _column_mean_std,
+    _screen,
 )
 from sbevloc.sbev import SBev
 from sbevloc.topomap import NodePose, TopoMap
@@ -304,6 +310,170 @@ def test_coarse_matches_brute_force():
         assert dist == pytest.approx(d[j], rel=1e-5)
 
 
+def loop_nearest(index, latents):
+    """The oracle: each row against every index row, float32 subtract-first
+    d2, ties toward the smallest node id, then insertion order."""
+    ids, dists = [], []
+    for latent in np.asarray(latents, dtype=np.float32):
+        diff = index.latents - latent
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        candidates = np.nonzero(d2 == d2.min())[0]
+        winner = candidates[np.argmin(index.node_ids[candidates])]
+        ids.append(int(index.node_ids[winner]))
+        dists.append(float(np.sqrt(d2[winner])))
+    return ids, dists
+
+
+def assert_matches_loop(index, latents):
+    ids, dists = nearest_nodes(index, latents)
+    assert ids.dtype == np.int64 and dists.dtype == np.float32
+    assert (ids.tolist(), dists.tolist()) == loop_nearest(index, latents)
+
+
+def near_duplicates(rng, n_rows, dim, scale, rel_gap):
+    """Rows around one offset, half of them copies of others moved by
+    about rel_gap of the spread."""
+    base = rng.normal(size=dim) * scale * rng.uniform(0, 100)
+    rows = base + rng.normal(size=(n_rows, dim)) * scale
+    src = rng.integers(0, n_rows, n_rows // 2)
+    rows[:len(src)] = rows[src] + rng.normal(size=(len(src), dim)) * scale * rel_gap
+    return rows.astype(np.float32)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 80), st.integers(1, 12),
+       st.integers(2, 24), st.floats(-3, 4), st.floats(-9, -1))
+@settings(max_examples=150, deadline=None)
+def test_nearest_nodes_matches_loop_on_near_duplicates(seed, n_rows, dim, n, log_scale,
+                                                       log_gap):
+    rng = np.random.default_rng(seed)
+    scale, gap = 10.0 ** log_scale, 10.0 ** log_gap
+    lats = near_duplicates(rng, n_rows, dim, scale, gap)
+    index = EmbeddingIndex(lats, rng.integers(0, 5, n_rows))
+    queries = lats[rng.integers(0, n_rows, n)] + rng.normal(size=(n, dim)) * scale * gap
+    assert_matches_loop(index, queries)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nearest_nodes_over_index_blocks(monkeypatch, seed):
+    # 64 index rows per block, so each query's bound is built over 11 blocks
+    monkeypatch.setattr(localizer, "SCREEN_BLOCK", 1)
+    rng = np.random.default_rng(seed)
+    lats = near_duplicates(rng, 700, 8, 1.0, 1e-6)
+    index = EmbeddingIndex(lats, rng.integers(0, 20, 700))
+    queries = lats[rng.integers(0, 700, 30)] + rng.normal(size=(30, 8)) * 1e-6
+    assert_matches_loop(index, queries)
+    queries[7, 3] = math.nan
+    with pytest.raises(InputError, match="latent row 7 "):
+        nearest_nodes(index, queries)
+
+
+def test_nearest_nodes_exact_ties():
+    # rows 0 and 2 tie across nodes 7 and 3; rows 1 and 3 tie within node 4;
+    # the query at 0 ties rows 0, 2, 4 and 5 across nodes 7, 3, 9 and 3
+    lats = np.array([[1.0, 0], [5, 5], [1, 0], [5, 5], [-1, 0], [0, 1]], np.float32)
+    index = EmbeddingIndex(lats, np.array([7, 4, 3, 4, 9, 3]))
+    queries = np.array([[2.0, 0], [5, 6], [0, 0], [1, 0], [-1, 0]], np.float32)
+    ids, dists = nearest_nodes(index, queries)
+    assert ids.tolist() == [3, 4, 3, 3, 9]
+    assert dists.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0]
+    assert_matches_loop(index, queries)
+
+
+def test_nearest_nodes_large_norms_tiny_gaps():
+    # latents far from the origin that differ in their last bits: the float32
+    # expansion |q|^2 - 2<q, m> + |m|^2 cancels and picks wrong here
+    rng = np.random.default_rng(11)
+    lats = (1e3 + rng.normal(size=(400, 32)) * 2e-4).astype(np.float32)
+    index = EmbeddingIndex(lats, rng.integers(0, 40, 400))
+    queries = (lats[rng.integers(0, 400, 60)]
+               + rng.normal(size=(60, 32)) * 1e-4).astype(np.float32)
+    expansion = ((queries ** 2).sum(1)[:, None] - 2 * queries @ lats.T
+                 + (lats ** 2).sum(1)).argmin(axis=1)
+    ids, _ = loop_nearest(index, queries)
+    assert (index.node_ids[expansion] != ids).sum() > 10
+    assert_matches_loop(index, queries)
+
+
+def test_nearest_nodes_near_ties_ranked_by_float32_rounding():
+    # 25 copies of each of 4 rows, each 1 ulp off in 3 coordinates: their
+    # exact distances differ by less than the float32 d2's rounding, so the
+    # loop's pick is often not the exact nearest, and the screen must keep it
+    rng = np.random.default_rng(15)
+    base = rng.normal(size=(4, 16)).astype(np.float32)
+    lats = np.repeat(base, 25, axis=0)
+    for row in lats:
+        j = rng.integers(0, 16, 3)
+        row[j] = np.nextafter(row[j], (np.inf * rng.choice([-1, 1], 3)).astype(np.float32))
+    index = EmbeddingIndex(lats, np.arange(100))
+    queries = (base[rng.integers(0, 4, 40)]
+               + rng.normal(size=(40, 16)) * 0.3).astype(np.float32)
+    exact = ((queries.astype(np.float64)[:, None] - lats) ** 2).sum(-1).argmin(axis=1)
+    ids, _ = loop_nearest(index, queries)
+    assert (exact != ids).sum() > 10
+    assert_matches_loop(index, queries)
+
+
+def test_nearest_nodes_squares_that_underflow():
+    # every float32 square underflows to 0, so all rows tie at d2 = 0 and the
+    # smallest node id wins, though its exact distance is the larger
+    lats = np.array([[0.0], [3e-25]], np.float32)
+    index = EmbeddingIndex(lats, np.array([5, 2]))
+    queries = np.array([[1e-25], [1e-25]], np.float32)
+    ids, dists = nearest_nodes(index, queries)
+    assert ids.tolist() == [2, 2] and dists.tolist() == [0.0, 0.0]
+    assert_matches_loop(index, queries)
+
+
+def test_nearest_nodes_wide_latents_skip_the_screen():
+    rng = np.random.default_rng(12)
+    lats = near_duplicates(rng, 30, 1601, 1.0, 1e-7)
+    index = EmbeddingIndex(lats, rng.integers(0, 4, 30))
+    assert_matches_loop(index, lats[[3, 1, 4, 1]] + np.float32(1e-6))
+
+
+def test_nearest_nodes_screen_keeps_few_rows():
+    rng = np.random.default_rng(13)
+    lats = rng.random((2000, 128), dtype=np.float32)
+    queries = lats[:50] + rng.normal(size=(50, 128)).astype(np.float32) * 0.05
+    rows, cols = _screen(lats, queries)
+    assert rows.tolist() == sorted(rows.tolist())
+    assert len(rows) < 2 * len(queries)
+    assert_matches_loop(EmbeddingIndex(lats, np.arange(2000) % 59), queries)
+
+
+def test_nearest_nodes_equals_coarse_localize_per_row():
+    rng = np.random.default_rng(14)
+    lats = near_duplicates(rng, 300, 16, 1.0, 1e-6)
+    index = EmbeddingIndex(lats, rng.integers(0, 30, 300))
+    queries = lats[:40] + rng.normal(size=(40, 16)).astype(np.float32) * 1e-3
+    ids, dists = nearest_nodes(index, queries)
+    assert [coarse_localize(index, q) for q in queries] == list(zip(ids.tolist(),
+                                                                    dists.tolist()))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 3e30])
+@pytest.mark.parametrize("n", [1, 3])
+def test_nearest_nodes_rejects_rows_with_no_finite_distance(bad, n):
+    index = EmbeddingIndex(np.array([[0.0, 0.0], [3.0, 4.0]], np.float32), np.array([0, 1]))
+    queries = np.zeros((n, 2), np.float32)
+    queries[n - 1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"no finite distance .* latent row {n - 1} "):
+            nearest_nodes(index, queries)
+
+
+def test_nearest_nodes_rejects_empty_index_and_wrong_dim():
+    index = EmbeddingIndex(np.zeros((3, 4), np.float32), np.arange(3))
+    with pytest.raises(InputError, match="empty embedding index"):
+        nearest_nodes(EmbeddingIndex(np.zeros((0, 4), np.float32), []), np.zeros((2, 4)))
+    for shape in ((2, 5), (2, 3), (4,), (1, 2, 4)):
+        with pytest.raises(InputError, match="latent dim 4"):
+            nearest_nodes(index, np.zeros(shape))
+    ids, dists = nearest_nodes(index, np.zeros((0, 4)))
+    assert ids.shape == dists.shape == (0,)
+
+
 # --- fine_localize ---------------------------------------------------------------
 
 def zero_reg(n_nodes=4, latent_dim=8):
@@ -399,6 +569,20 @@ def test_train_regressor_is_plain_full_width_training():
         assert got.bias.tobytes() == want.bias.tobytes()
     assert (model.net.layers[0].weights[:, 4].tobytes()
             == (init.layers[0].weights[:, 4] / sd[1]).astype(np.float32).tobytes())
+
+
+@pytest.mark.parametrize("block", [1024, 7, 1])
+def test_column_mean_std_equals_numpy(block):
+    # offsets, spreads apart, a column of -0.0, and one whose float64 sums
+    # round (magnitudes over 2^-40..2^40), so that an order change shows
+    rng = np.random.default_rng(21)
+    x = (rng.normal(size=(2500, 6)) * [1e-3, 1.0, 50.0, 1.0, 1.0, 1.0]
+         + [0.0, 300.0, -7.0, 0.0, 0.0, 0.0]).astype(np.float32)
+    x[:, 3] = -0.0
+    x[:, 4] = rng.lognormal(0.0, 8.0, 2500) * rng.choice([-1.0, 1.0], 2500)
+    mu, sd = _column_mean_std(x, block)
+    assert mu.tobytes() == x.mean(axis=0, dtype=np.float64).tobytes()
+    assert sd.tobytes() == x.std(axis=0, dtype=np.float64).tobytes()
 
 
 def test_regressor_training_freezes_encoder():
