@@ -454,12 +454,13 @@ def test_fuse_trajectory(benchmark):
              for i in [0, *steps]}
     init = KfState(np.array(fixes[0]), CFG.kf.init_sigma())
     q = CFG.kf.q()
-    states = benchmark(fuse_trajectory, odom, fixes, init, q, R_FIX)
+    rows = np.array([(o.vx, o.vy, o.omega, o.dt) for o in odom])
+    mu, sigma = benchmark(fuse_trajectory, rows, fixes, init, q, R_FIX)
     # reference: one checked kf_predict/kf_update call per step
     want = [kf_update(init, fixes[0], R_FIX)]
     for i, o in enumerate(odom, start=1):
         state = kf_predict(want[-1], o, q)
         want.append(kf_update(state, fixes[i], R_FIX) if i in fixes else state)
-    assert len(states) == len(want) == FUSE_STEPS + 1
-    for got, ref in zip(states, want):
-        assert np.array_equal(got.mu, ref.mu) and np.array_equal(got.sigma, ref.sigma)
+    assert len(mu) == len(sigma) == len(want) == FUSE_STEPS + 1
+    for got_mu, got_sigma, ref in zip(mu, sigma, want):
+        assert np.array_equal(got_mu, ref.mu) and np.array_equal(got_sigma, ref.sigma)

@@ -4,7 +4,13 @@ Configs load strictly from JSON (unknown keys are rejected, naming the bad
 key path) and serialize with every default materialized, so the resolved
 config written next to an output is a complete record of the run. The
 synth, augment, ae and reg sections (and ae/reg's `train`) are the dataclasses
-their stages read; every section's own checks run at load.
+their stages read, and check their own values. The camera, grid and classes
+sections and each eval.weather entry build their stage's object (Intrinsics,
+GridSpec, ClassPolicy, WeatherSpec) when made, so that object's checks, the
+one copy of its rules, run at load. `SplitConfig` checks the ratio that
+`split_train_test` takes, and `RunConfig` that ae.pool divides grid.size.
+Only what the data decides fails later, as an InputError: a keep_set that
+keeps no rendered class leaves the autoencoder no live input.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ class CameraConfig:
     width: int = 160
     height: int = 120
 
+    def __post_init__(self):
+        self.intrinsics()  # Intrinsics' checks, at load
+
     def intrinsics(self) -> Intrinsics:
         return Intrinsics(self.fx, self.fy, self.cx, self.cy, self.width,
                           self.height)
@@ -64,6 +73,9 @@ class GridConfig:
     height_min: float = -2.5
     height_max: float = 6.0
 
+    def __post_init__(self):
+        self.grid_spec()  # GridSpec's checks, at load
+
     def grid_spec(self) -> GridSpec:
         return GridSpec(size=self.size, resolution=self.resolution,
                         height_window=(self.height_min, self.height_max))
@@ -72,6 +84,9 @@ class GridConfig:
 @dataclass(frozen=True)
 class ClassConfig:
     keep_set: tuple[int, ...] = tuple(sorted(DEFAULT_KEEP_SET))
+
+    def __post_init__(self):
+        self.policy()  # ClassPolicy's checks, at load
 
     def policy(self) -> ClassPolicy:
         return ClassPolicy(keep_set=frozenset(self.keep_set))
@@ -92,6 +107,10 @@ class TopoConfig:
 @dataclass(frozen=True)
 class SplitConfig:
     ratio: float = 0.8
+
+    def __post_init__(self):
+        if not 0.0 < self.ratio < 1.0:  # also rejects NaN
+            raise InputError(f"split ratio {self.ratio} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -185,6 +204,11 @@ class RunConfig:
     kf: KfConfig = field(default_factory=KfConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self):
+        if self.grid.size % self.ae.pool:
+            raise InputError(f"ae.pool {self.ae.pool} does not divide "
+                             f"grid.size {self.grid.size}")
+
 
 # ---------------------------------------------------------------------------
 # strict load / full dump
@@ -225,7 +249,8 @@ def _from_dict(cls, doc: dict, prefix: str = ""):
     try:
         return cls(**kwargs)
     except InputError as e:  # a section's own checks, e.g. WorldSpec's
-        raise InputError(f"config {prefix[:-1]}: {e}") from None
+        section = f" {prefix[:-1]}" if prefix else ""
+        raise InputError(f"config{section}: {e}") from None
 
 
 def config_from_dict(doc: dict) -> RunConfig:

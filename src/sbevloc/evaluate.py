@@ -33,11 +33,12 @@ from .config import (
     SEED_WEATHER,
     SEED_WORLD,
     RunConfig,
+    SplitConfig,
     derive_seed,
     lane_label,
 )
 from .errors import InputError
-from .fusion import KfState, OdomSample, fuse_trajectory
+from .fusion import KfState, fuse_trajectory
 from .geometry import Pose2, global_from_relative, wrap_angle
 from .localizer import LocalizerBundle, nearest_nodes, regressor_inputs
 from .pipeline import (
@@ -73,8 +74,7 @@ class EvalReport:
 def split_train_test(samples, n_nodes: int, ratio: float = 0.8, seed: int = 0):
     """Per-node seeded split of Samples into (train, test) tuples; train
     gets floor(ratio * n) of a node's n samples, clamped to [1, n - 1]."""
-    if not 0.0 < ratio < 1.0:
-        raise InputError(f"split ratio {ratio} outside (0, 1)")
+    SplitConfig(ratio)  # SplitConfig checks the ratio
     by_node = [[] for _ in range(n_nodes)]
     for i, s in enumerate(samples):
         by_node[s.node_id].append(i)
@@ -163,27 +163,26 @@ def evaluate_condition(bundle: LocalizerBundle, cond: ConditionData,
 def _filtered_row(cond: ConditionData, glob_pred, cfg: RunConfig, seed):
     """Fuse the predicted-node global poses with noisy synthetic odometry,
     starting at the first scored frame from its own fix, as relocalization
-    does; no ground-truth pose seeds the filter."""
+    does; no ground-truth pose seeds the filter. Odometry row i - 1 is
+    step i, (vx, vy, omega, dt) from frame i - 1 to frame i."""
     rng = np.random.default_rng([derive_seed(seed, SEED_KF), 0x0F])
     speed = cfg.synth.speed
     dt = cfg.synth.frame_spacing / speed
     route = cond.route
-    # step i runs from frame i - 1 to frame i; its dt is the difference of
-    # the two frame times, which can differ from dt in the last bit
-    step_dts = np.diff(np.arange(len(route)) * dt).tolist()
-    # row i holds step i's (vx, vy, omega) noise, drawn in that order: the
-    # stream of three scalar draws per step
-    noise = rng.normal(0, (0.2, 0.05, 0.005), (len(step_dts), 3)).tolist()
-    odom = []
-    for i, (step_dt, (n_vx, n_vy, n_om)) in enumerate(zip(step_dts, noise)):
-        om = wrap_angle(route[i + 1].theta - route[i].theta) / dt
-        odom.append(OdomSample(speed + n_vx, n_vy, om + n_om, step_dt))
+    turns = [wrap_angle(b.theta - a.theta) / dt for a, b in zip(route, route[1:])]
+    # each row holds one step's (vx, vy, omega) noise, drawn in that order:
+    # the stream of three scalar draws per step
+    noise = rng.normal(0, (0.2, 0.05, 0.005), (len(turns), 3))
+    # a step's dt is the difference of its two frame times, which can
+    # differ from dt in the last bit
+    odom = np.column_stack((speed + noise[:, 0], noise[:, 1], turns + noise[:, 2],
+                            np.diff(np.arange(len(route)) * dt)))
     first = min(s.frame_id for s in cond.samples)
     fixes = {s.frame_id - first: [p.x, p.y, p.theta]
              for s, p in zip(cond.samples, glob_pred)}
     init = KfState(np.array(fixes[0]), cfg.kf.init_sigma())
-    states = fuse_trajectory(odom[first:], fixes, init, cfg.kf.q(), R_FIX)
-    preds = [Pose2(*states[s.frame_id - first].mu) for s in cond.samples]
+    mu, _ = fuse_trajectory(odom[first:], fixes, init, cfg.kf.q(), R_FIX)
+    preds = [Pose2(*mu[s.frame_id - first]) for s in cond.samples]
     mae_f = mae_xytheta(preds, cond.globals)
     return EvalReport(cond.name, float("nan"), *mae_f,
                       "predicted_node_post_kf", len(preds))

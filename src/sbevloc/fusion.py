@@ -15,16 +15,17 @@ numpy array expressions: BLAS fuses multiply-adds and orders its sums its
 own way, and an LU solve gave K. The callers convert to arrays only at
 their boundaries:
 
-- `kf_predict` and `kf_update` make one step. Each call checks its Q or R
-  (3x3 and finite; Q symmetric PSD, R symmetric) and returns a `KfState`,
-  which checks itself: finite, sigma symmetric and PSD at `PSD_TOL`.
-- `fuse_trajectory` runs a whole trajectory. It checks Q, R and the fix
-  steps once, before any step, and converts the fixes once. After the loop
-  it applies KfState's checks in one batch to every state the steps made:
-  each returned state and each predicted state a fix then updated. When a
-  step raises, the states made before it are checked first, so a state
-  that fails raises InputError, as it did when each state was checked as it
-  was made.
+- `kf_predict` and `kf_update` make one step: an `OdomSample` in, a
+  `KfState` out. Each checks its Q or R (3x3 and finite; Q symmetric PSD,
+  R symmetric), and the KfState checks itself: finite, sigma symmetric and
+  PSD at `PSD_TOL`.
+- `fuse_trajectory` runs a trajectory on arrays: (steps, 4) odometry rows
+  in, stacked mu and sigma out. It checks Q, R, the rows (OdomSample's
+  rule) and the fix steps before any step. After the loop it applies
+  KfState's checks in one batch to each returned state and each predicted
+  state a fix then updated. When a step raises, the states made before it
+  are checked first, so a state that fails raises InputError, as a check
+  per step would.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ PSD_TOL = -1e-9
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    """(m + m.T) / 2, halved first so that a finite m cannot overflow.
+    Halving is exact above the subnormal range, so there the bits are those
+    of the halved sum wherever the sum is finite."""
+    return m * 0.5 + m.T * 0.5
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> None:
@@ -122,8 +126,13 @@ class OdomSample:
 
     def __post_init__(self):
         # made once per filter step, so four plain calls
-        if not (math.isfinite(self.vx) and math.isfinite(self.vy)
-                and math.isfinite(self.omega) and math.isfinite(self.dt)):
+        try:
+            finite = (math.isfinite(self.vx) and math.isfinite(self.vy)
+                      and math.isfinite(self.omega) and math.isfinite(self.dt))
+        except TypeError:
+            raise InputError(f"non-numeric odometry ({self.vx!r}, {self.vy!r}, "
+                             f"{self.omega!r}, dt {self.dt!r})") from None
+        if not finite:
             raise InputError(f"non-finite odometry ({self.vx}, {self.vy}, "
                              f"{self.omega}, dt {self.dt})")
         if self.dt <= 0:
@@ -152,16 +161,16 @@ def _symmetrized(p):
     return (p[0], o01, o02, o01, p[4], o12, o02, o12, p[8])
 
 
-def _predict(mu, sigma, odom: OdomSample, q):
-    """One predict step on floats: mu (x, y, theta), sigma and q row-major
-    9-tuples. F = [[1, 0, -gy], [0, 1, gx], [0, 0, 1]], so F sigma F^T is
-    written out without its zero terms."""
+def _predict(mu, sigma, odom, q):
+    """One predict step on floats: mu (x, y, theta), odom (vx, vy, omega,
+    dt), sigma and q row-major 9-tuples. F = [[1, 0, -gy], [0, 1, gx],
+    [0, 0, 1]], so F sigma F^T is written out without its zero terms."""
     x, y, th = mu
+    vx, vy, omega, dt = odom
     c, s = math.cos(th), math.sin(th)
-    dt = odom.dt
-    gx = (odom.vx * c - odom.vy * s) * dt
-    gy = (odom.vx * s + odom.vy * c) * dt
-    mu = (x + gx, y + gy, wrap_angle(th + odom.omega * dt))
+    gx = (vx * c - vy * s) * dt
+    gy = (vx * s + vy * c) * dt
+    mu = (x + gx, y + gy, wrap_angle(th + omega * dt))
     a, b = -gy, gx
     s0, s1, s2, s3, s4, s5, s6, s7, s8 = sigma
     f0, f1, f2 = s0 + a * s6, s1 + a * s7, s2 + a * s8     # rows of F sigma
@@ -203,7 +212,8 @@ def _floats(m: np.ndarray):
 
 def kf_predict(state: KfState, odom: OdomSample, q: np.ndarray) -> KfState:
     """Advance the state by dead reckoning; q is process noise per second."""
-    return KfState(*_predict(_floats(state.mu), _floats(state.sigma), odom,
+    return KfState(*_predict(_floats(state.mu), _floats(state.sigma),
+                             (odom.vx, odom.vy, odom.omega, odom.dt),
                              _floats(_checked_q(q))))
 
 
@@ -213,38 +223,38 @@ def kf_update(state: KfState, z, r: np.ndarray) -> KfState:
                             _floats(_as_vec3(z, "z")), _floats(_checked_r(r))))
 
 
-def _step_state(mu: np.ndarray, sigma: np.ndarray) -> KfState:
-    """A KfState of step output, without KfState's checks: the caller runs
-    them in a batch. KfState's normalization would change no bit of it, as
-    the steps already wrap theta and make sigma exactly symmetric."""
-    state = object.__new__(KfState)
-    object.__setattr__(state, "mu", mu)
-    object.__setattr__(state, "sigma", sigma)
-    return state
-
-
 def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
-                    r: np.ndarray) -> list[KfState]:
-    """Run the filter one step per odometry sample.
+                    r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the filter one step per odometry row.
 
+    odometry is (steps, 4): row i - 1 is step i's (vx, vy, omega, dt).
     fixes[i] is an [x, y, theta] measurement of step i. Step 0 applies
-    fixes[0], when there is one, to init. Step i, for i in 1..len(odometry),
-    predicts with the OdomSample odometry[i - 1] and then applies fixes[i].
-    Returns the state after every step: len(odometry) + 1 states, the first
-    of them init itself when there is no step-0 fix.
+    fixes[0], when there is one, to init; step i >= 1 predicts with row
+    i - 1, then applies fixes[i]. Returns the state after every step as
+    mu (steps + 1, 3) and sigma (steps + 1, 3, 3).
     """
     q, r = _floats(_checked_q(q)), _floats(_checked_r(r))
+    try:
+        steps = np.asarray(odometry, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError("odometry must be numeric (steps, 4) rows") from None
+    if steps.ndim != 2 or steps.shape[1] != 4:
+        raise InputError(f"odometry must be (steps, 4) rows, got shape {steps.shape}")
+    # OdomSample's rule, on every row
+    if not (np.isfinite(steps).all() and (steps[:, 3] > 0).all()):
+        raise InputError("odometry must be finite with every dt > 0")
+    steps = steps.tolist()
     for i in fixes:
-        if not 0 <= i <= len(odometry):
-            raise InputError(f"fix step {i} outside 0..{len(odometry)}")
+        if not 0 <= i <= len(steps):
+            raise InputError(f"fix step {i} outside 0..{len(steps)}")
     fixes = {i: _floats(_as_vec3(z, "a fix")) for i, z in fixes.items()}
     mu, sigma = _floats(init.mu), _floats(init.sigma)
     # (mu, sigma) after each step, then each predicted state a fix updated
     after, predicted = [], []
     try:
-        for i in range(len(odometry) + 1):
+        for i in range(len(steps) + 1):
             if i:
-                mu, sigma = _predict(mu, sigma, odometry[i - 1], q)
+                mu, sigma = _predict(mu, sigma, steps[i - 1], q)
             if i in fixes:
                 predicted.append((mu, sigma))
                 mu, sigma = _update(mu, sigma, fixes[i], r)
@@ -255,7 +265,4 @@ def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
         mus, sigmas = zip(*(after + predicted))
         mus, sigmas = np.array(mus), np.array(sigmas).reshape(-1, 3, 3)
         _check_states(mus, sigmas)
-    states = [_step_state(mus[i], sigmas[i]) for i in range(len(after))]
-    if 0 not in fixes:
-        states[0] = init
-    return states
+    return mus[:len(after)], sigmas[:len(after)]

@@ -73,6 +73,11 @@ def grid_to_input(grid: np.ndarray, pool: int = DEFAULT_POOL) -> np.ndarray:
     return (pool_grid(grid, pool) / INPUT_SCALE).ravel().astype(np.float32)
 
 
+def _check_hidden(hidden) -> None:
+    if any(width < 1 for width in hidden):
+        raise InputError(f"hidden layer widths {list(hidden)} must be >= 1")
+
+
 @dataclass(frozen=True)
 class AeConfig:
     hidden: tuple[int, ...] = (512,)
@@ -87,6 +92,9 @@ class AeConfig:
                              f"{nnet.ACTIVATIONS}")
         if self.latent_dim < 1:
             raise InputError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        if self.pool < 1:
+            raise InputError(f"pool must be >= 1, got {self.pool}")
+        _check_hidden(self.hidden)
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,7 @@ class RegConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise InputError(f"dropout {self.dropout} outside [0, 1)")
+        _check_hidden(self.hidden)
 
 
 @dataclass

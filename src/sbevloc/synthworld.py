@@ -12,16 +12,17 @@ camera (intrinsics, camera height, max range) the pixel coordinates, their
 ray slopes and the ground plane's labels and z-buffer are built once and
 cached read-only; each frame starts from copies of the two, and its z-buffer
 becomes its depth map. Per world, the six faces of every box are built
-once, when the `World` is made. A frame culls all faces by range and facing
-in one pass, then projects the corners of the survivors in one batched op
-and drops each face wholly behind the near plane, or wholly in front of it
-and beyond one image edge. That pre-cull is exact: such a face clips to
-nothing, or its pixel box is empty, so the per-face path would draw none
-of its pixels, and a face that draws nothing changes no buffer. Both tests
-keep a margin far above the rounding by which the batched projection can
-differ from the per-face one, so a face near a boundary goes to the
-per-face path. The rest are rasterized in box order. The S-BEV unprojects
-every pixel, so no rendered pixel goes unread.
+once, when the `World` is made, by one broadcast of the box centers and
+half extents against a table of corner signs. A frame culls all faces by
+range and facing in one pass, then projects the corners of the survivors in
+one batched op and drops each face wholly behind the near plane, or wholly
+in front of it and beyond one image edge. That pre-cull is exact: such a
+face clips to nothing, or its pixel box is empty, so the per-face path
+would draw none of its pixels, and a face that draws nothing changes no
+buffer. Both tests keep a margin far above the rounding by which the
+batched projection can differ from the per-face one, so a face near a
+boundary goes to the per-face path. The rest are rasterized in box order.
+The S-BEV unprojects every pixel, so no rendered pixel goes unread.
 
 Class IDs are organized in contiguous bands (vegetation, buildings, ...) so
 that small confusions stay "numerically close" to the true class.
@@ -220,32 +221,19 @@ def _may_draw(poly_cam: np.ndarray, k: Intrinsics) -> np.ndarray:
     return ~(behind | (front & beyond))
 
 
-_FACE_CORNERS = {
-    # axis -> the two in-plane axes used to span the face
-    0: (1, 2),
-    1: (0, 2),
-    2: (0, 1),
-}
-
-
-def _box_faces(box: Box):
-    """Yield (plane_axis, plane_value, sign, corners 4x3 world)."""
-    half = box.extent / 2.0
-    for axis in range(3):
-        u, v = _FACE_CORNERS[axis]
-        for sign in (-1.0, 1.0):
-            corners = np.tile(box.center, (4, 1))
-            corners[:, axis] += sign * half[axis]
-            du = np.array([-1.0, 1.0, 1.0, -1.0]) * half[u]
-            dv = np.array([-1.0, -1.0, 1.0, 1.0]) * half[v]
-            corners[:, u] += du
-            corners[:, v] += dv
-            yield axis, box.center[axis] + sign * half[axis], sign, corners
+# corner offsets of a box's six faces, in half extents. Faces 2 * axis and
+# 2 * axis + 1 bound the box at -1 and +1 along axis; the two other axes
+# u < v span their corners (-1, -1), (1, -1), (1, 1), (-1, 1). Each row is
+# written as (side, u, v), then put in (x, y, z) order for its axis.
+_SQUARE = ((-1, -1), (1, -1), (1, 1), (-1, 1))
+_FACE_SIGNS = np.array([[[(side, u, v)[i] for i in order] for u, v in _SQUARE]
+                        for order in ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+                        for side in (-1.0, 1.0)])
 
 
 @dataclass(frozen=True)
 class FaceTable:
-    """The six faces of every box of a world, in `_box_faces` order box by
+    """The six faces of every box of a world, in `_FACE_SIGNS` order box by
     box; row f is face f, and all arrays are read-only."""
 
     box: np.ndarray       # (F,) index into World.primitives
@@ -257,18 +245,19 @@ class FaceTable:
 
     @classmethod
     def of(cls, boxes) -> FaceTable:
-        rows = [(i, *face, box.center[:2])
-                for i, box in enumerate(boxes) for face in _box_faces(box)]
-
-        def column(j, dtype, shape=()):
-            col = np.array([row[j] for row in rows], dtype=dtype).reshape(-1, *shape)
+        """Each corner coordinate is one IEEE add: its box's center plus a
+        signed half extent."""
+        centers = np.array([b.center for b in boxes]).reshape(-1, 1, 1, 3)
+        halves = np.array([b.extent for b in boxes]).reshape(-1, 1, 1, 3) / 2.0
+        corners = (centers + _FACE_SIGNS * halves).reshape(-1, 4, 3)
+        axis = np.tile(np.arange(3).repeat(2), len(boxes))
+        table = cls(box=np.arange(len(boxes)).repeat(6), axis=axis,
+                    value=corners[np.arange(len(axis)), 0, axis],
+                    sign=np.tile([-1.0, 1.0], 3 * len(boxes)), corners=corners,
+                    center_xy=centers[:, 0, 0, :2].repeat(6, axis=0))
+        for col in vars(table).values():
             col.flags.writeable = False
-            return col
-
-        return cls(box=column(0, np.intp), axis=column(1, np.intp),
-                   value=column(2, np.float64), sign=column(3, np.float64),
-                   corners=column(4, np.float64, (4, 3)),
-                   center_xy=column(5, np.float64, (2,)))
+        return table
 
 
 @functools.lru_cache(maxsize=8)

@@ -120,6 +120,10 @@ class AugmentConfig:
     shifts_cells: tuple[tuple[int, int], ...] = (
         (-4, 0), (4, 0), (0, -4), (0, 4), (0, -12), (0, 12))
 
+    def __post_init__(self):
+        if not all(math.isfinite(r) for r in self.rotations_deg):
+            raise InputError(f"rotations_deg {list(self.rotations_deg)} must be finite")
+
 
 def shift_grid(grid: np.ndarray, di: int, dj: int) -> np.ndarray:
     """Simulate a viewpoint moved (di, dj) cells forward/left.

@@ -41,6 +41,17 @@ def test_bad_synth_value_exits_2(tmp_path, capsys):
     assert not (out / "report.csv").exists()
 
 
+def test_bad_hidden_width_exits_2_at_load(tmp_path, capsys):
+    # a negative width once escaped the run as an untyped traceback
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"reg": {"hidden": [-3]}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config reg: hidden layer widths [-3]" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    assert not (out / "config.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")])

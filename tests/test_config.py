@@ -151,6 +151,22 @@ def test_bad_train_values_rejected_at_load():
     # distinct values, one report label: lane+1.5
     ({"eval": {"lane_offsets_m": [1.5, 1.5000001]}},
      r"config eval: duplicate condition label in \[.*'lane\+1\.5', 'lane\+1\.5'\]"),
+    # each of these used to load and then fail only in the run
+    ({"reg": {"hidden": [-3]}}, r"config reg: hidden layer widths \[-3\] must be >= 1"),
+    ({"ae": {"hidden": [0]}}, r"config ae: hidden layer widths \[0\] must be >= 1"),
+    ({"ae": {"pool": 0}}, r"config ae: pool must be >= 1, got 0"),
+    ({"ae": {"pool": 3}}, r"config: ae\.pool 3 does not divide grid\.size 352"),
+    ({"grid": {"size": 100}}, r"config: ae\.pool 8 does not divide grid\.size 100"),
+    ({"grid": {"size": -1}}, r"config grid: grid size and resolution"),
+    ({"grid": {"height_min": 7.0}}, r"config grid: height window"),
+    ({"camera": {"cx": 500}}, r"config camera: principal point outside image"),
+    ({"camera": {"fx": 0}}, r"config camera: focal lengths"),
+    ({"classes": {"keep_set": [0, 300]}}, r"config classes: class ID 0 outside 1\.\.255"),
+    ({"split": {"ratio": 1.5}}, r"config split: split ratio 1\.5 outside \(0, 1\)"),
+    ({"split": {"ratio": math.nan}}, r"config split: split ratio nan"),
+    ({"augment": {"rotations_deg": [5.0, math.nan]}},
+     r"config augment: rotations_deg \[5\.0, nan\] must be finite"),
+    ({"augment": {"rotations_deg": [-math.inf]}}, r"config augment: rotations_deg"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

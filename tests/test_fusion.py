@@ -16,6 +16,12 @@ from sbevloc.geometry import wrap_angle
 Q0 = np.zeros((3, 3))
 Q_DEFAULT = np.diag([0.1 ** 2, 0.1 ** 2, math.radians(0.5) ** 2])
 R_EYE = np.eye(3)
+NO_STEPS = np.empty((0, 4))
+
+
+def rows(odometry):
+    """OdomSamples as fuse_trajectory's (steps, 4) rows."""
+    return np.array([(o.vx, o.vy, o.omega, o.dt) for o in odometry])
 
 
 def state(x=0.0, y=0.0, th=0.0, sigma=None):
@@ -63,12 +69,33 @@ def test_kf_state_rejects_wrong_shapes(mu, sigma):
         KfState(mu, sigma)
 
 
+def test_kf_state_keeps_a_finite_sigma_finite():
+    # (m + m.T) / 2 overflows at 1e308; the halves do not
+    s = KfState(np.zeros(3), np.diag([1e308, 1.0, 1.0]))
+    assert s.sigma[0, 0] == 1e308
+    assert np.array_equal(s.sigma, np.diag([1e308, 1.0, 1.0]))
+
+
+def test_kf_state_symmetrizes_as_the_halved_sum():
+    # halving is exact above the subnormal range, so where the sum is
+    # finite the bits are those of (m + m.T) / 2
+    rng = np.random.default_rng(11)
+    asymmetric = 0
+    for scale in (1e-300, 1e-3, 1.0, 10.0, 1e3):
+        for _ in range(200):
+            # the rounding of random_spd's product leaves m a little asymmetric
+            m = random_spd(rng, scale)
+            asymmetric += not np.array_equal(m, m.T)
+            assert np.array_equal(KfState(np.zeros(3), m).sigma, (m + m.T) / 2.0)
+    assert asymmetric > 500
+
+
 @pytest.mark.parametrize("z", [np.zeros(2), np.zeros(4), np.zeros((2, 2))])
 def test_update_rejects_measurement_of_wrong_size(z):
     with pytest.raises(InputError, match="3 entries"):
         kf_update(state(), z, R_EYE)
     with pytest.raises(InputError, match="3 entries"):
-        fuse_trajectory([], {0: z}, state(), Q_DEFAULT, R_EYE)
+        fuse_trajectory(NO_STEPS, {0: z}, state(), Q_DEFAULT, R_EYE)
 
 
 def test_predict_rejects_bad_q():
@@ -246,7 +273,7 @@ def test_update_singular_or_non_finite_det_raises(sigma, r):
     with pytest.raises(NumericalError, match="singular innovation covariance"):
         kf_update(state(sigma=sigma), np.zeros(3), r)
     with pytest.raises(NumericalError, match="singular innovation covariance"):
-        fuse_trajectory([], {0: [0.0, 0.0, 0.0]}, state(sigma=sigma), Q_DEFAULT, r)
+        fuse_trajectory(NO_STEPS, {0: [0.0, 0.0, 0.0]}, state(sigma=sigma), Q_DEFAULT, r)
 
 
 def test_fuse_rejects_a_state_that_is_not_psd():
@@ -254,7 +281,7 @@ def test_fuse_rejects_a_state_that_is_not_psd():
     # update's covariance indefinite, which the batched check catches
     r = np.diag([-0.9, 1.0, 1.0])
     with pytest.raises(InputError, match="sigma not positive semi-definite"):
-        fuse_trajectory([OdomSample(1.0, 0.0, 0.0, 0.1)], {1: [0.1, 0.0, 0.0]},
+        fuse_trajectory([[1.0, 0.0, 0.0, 0.1]], {1: [0.1, 0.0, 0.0]},
                         state(), Q_DEFAULT, r)
 
 
@@ -263,35 +290,35 @@ def test_fuse_rejects_a_state_that_is_not_psd():
 def dead_reckon(odometry):
     """Poses at steps 0..len(odometry), starting from the origin."""
     xs = [np.array([0.0, 0.0, 0.0])]
-    for o in odometry:
+    for vx, vy, omega, dt in odometry:
         x, y, th = xs[-1]
         xs.append(np.array([
-            x + (o.vx * math.cos(th) - o.vy * math.sin(th)) * o.dt,
-            y + (o.vx * math.sin(th) + o.vy * math.cos(th)) * o.dt,
-            wrap_angle(th + o.omega * o.dt)]))
+            x + (vx * math.cos(th) - vy * math.sin(th)) * dt,
+            y + (vx * math.sin(th) + vy * math.cos(th)) * dt,
+            wrap_angle(th + omega * dt)]))
     return xs
 
 
 def test_fuse_pure_odometry_dead_reckons():
     rng = np.random.default_rng(3)
-    odom = [OdomSample(rng.uniform(5, 12), rng.uniform(-0.5, 0.5),
-                       rng.uniform(-0.2, 0.2), 0.1) for _ in range(49)]
+    odom = [[rng.uniform(5, 12), rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2), 0.1]
+            for _ in range(49)]
     init = state(sigma=np.eye(3) * 100.0)
-    states = fuse_trajectory(odom, {}, init, Q_DEFAULT, R_EYE)
+    mu, sigma = fuse_trajectory(odom, {}, init, Q_DEFAULT, R_EYE)
     want = dead_reckon(odom)
-    assert len(states) == 50
-    assert states[0] is init
-    for s, w in zip(states, want):
-        assert np.allclose(s.mu, w, atol=1e-12)
+    assert mu.shape == (50, 3) and sigma.shape == (50, 3, 3)
+    assert np.array_equal(mu[0], init.mu) and np.array_equal(sigma[0], init.sigma)
+    for got, w in zip(mu, want):
+        assert np.allclose(got, w, atol=1e-12)
 
 
 def test_fuse_converges_to_noiseless_measurements():
-    odom = [OdomSample(10.0, 0.0, 0.0, 0.1)] * 29
+    odom = [[10.0, 0.0, 0.0, 0.1]] * 29
     truth = dead_reckon(odom)
     fixes = {i: truth[i] for i in range(1, 30)}
     init = KfState(np.array([5.0, 5.0, 0.5]), np.eye(3) * 100.0)
-    states = fuse_trajectory(odom, fixes, init, Q_DEFAULT, np.eye(3) * 1e-10)
-    assert np.abs(states[11].mu - truth[11]).max() < 1e-6
+    mu, _ = fuse_trajectory(odom, fixes, init, Q_DEFAULT, np.eye(3) * 1e-10)
+    assert np.abs(mu[11] - truth[11]).max() < 1e-6
 
 
 def test_fuse_step_is_predict_then_update():
@@ -299,31 +326,31 @@ def test_fuse_step_is_predict_then_update():
     odom = [OdomSample(8.0, 0.3, 0.05, 0.1), OdomSample(9.0, -0.2, -0.1, 0.2)]
     z = [2.5, -1.0, 0.3]
     r = np.diag([2.0, 3.0, 0.01])
-    states = fuse_trajectory(odom, {2: z}, init, Q_DEFAULT, r)
+    mu, sigma = fuse_trajectory(rows(odom), {2: z}, init, Q_DEFAULT, r)
     first = kf_predict(init, odom[0], Q_DEFAULT)
     second = kf_update(kf_predict(first, odom[1], Q_DEFAULT), z, r)
-    assert len(states) == 3
-    for got, want in zip(states[1:], (first, second)):
-        assert np.array_equal(got.mu, want.mu)
-        assert np.array_equal(got.sigma, want.sigma)
+    assert len(mu) == len(sigma) == 3
+    for got_mu, got_sigma, want in zip(mu[1:], sigma[1:], (first, second)):
+        assert np.array_equal(got_mu, want.mu)
+        assert np.array_equal(got_sigma, want.sigma)
 
 
 def test_fuse_applies_step_zero_fix_to_init():
     init = state(1.0, -2.0, 0.4, sigma=np.diag([4.0, 9.0, 0.1]))
     odom = [OdomSample(8.0, 0.3, 0.05, 0.1)]
     z0, r = [2.5, -1.0, 0.3], np.diag([2.0, 3.0, 0.01])
-    states = fuse_trajectory(odom, {0: z0}, init, Q_DEFAULT, r)
+    mu, sigma = fuse_trajectory(rows(odom), {0: z0}, init, Q_DEFAULT, r)
     first = kf_update(init, z0, r)
     second = kf_predict(first, odom[0], Q_DEFAULT)
-    assert len(states) == 2
-    for got, want in zip(states, (first, second)):
-        assert np.array_equal(got.mu, want.mu)
-        assert np.array_equal(got.sigma, want.sigma)
+    assert len(mu) == len(sigma) == 2
+    for got_mu, got_sigma, want in zip(mu, sigma, (first, second)):
+        assert np.array_equal(got_mu, want.mu)
+        assert np.array_equal(got_sigma, want.sigma)
 
 
 @pytest.mark.parametrize("step", [3, -1])
 def test_fuse_rejects_fix_outside_steps(step):
-    odom = [OdomSample(1.0, 0.0, 0.0, 0.1)] * 2
+    odom = [[1.0, 0.0, 0.0, 0.1]] * 2
     with pytest.raises(InputError, match="outside 0..2"):
         fuse_trajectory(odom, {1: [0.0, 0.0, 0.0], step: [0.0, 0.0, 0.0]},
                         state(), Q_DEFAULT, R_EYE)
@@ -331,19 +358,19 @@ def test_fuse_rejects_fix_outside_steps(step):
 
 def test_fuse_noisy_measurements_improve_mae():
     rng = np.random.default_rng(4)
-    odom_true = [OdomSample(10.0, 0.0, 0.05, 0.1)] * 399
+    odom_true = [[10.0, 0.0, 0.05, 0.1]] * 399
     truth = dead_reckon(odom_true)
-    odom_noisy = [OdomSample(o.vx + rng.normal(0, 0.3), o.vy + rng.normal(0, 0.05),
-                             o.omega + rng.normal(0, 0.01), o.dt)
-                  for o in odom_true]
+    odom_noisy = [[vx + rng.normal(0, 0.3), vy + rng.normal(0, 0.05),
+                   omega + rng.normal(0, 0.01), dt]
+                  for vx, vy, omega, dt in odom_true]
     fixes = {i: truth[i] + np.array([rng.normal(0, 3.0), rng.normal(0, 3.0),
                                      rng.normal(0, math.radians(1.0))])
              for i in range(5, len(truth), 5)}
     init = KfState(truth[0], np.eye(3) * 25.0)
     r = np.diag([9.0, 9.0, math.radians(1.0) ** 2])
-    states = fuse_trajectory(odom_noisy, fixes, init, Q_DEFAULT, r)
+    mu, _ = fuse_trajectory(odom_noisy, fixes, init, Q_DEFAULT, r)
     pre_err = [np.abs(z[:2] - truth[i][:2]) for i, z in fixes.items()]
-    post_err = [np.abs(states[i].mu[:2] - truth[i][:2]) for i in fixes]
+    post_err = [np.abs(mu[i][:2] - truth[i][:2]) for i in fixes]
     pre_mae = np.mean(pre_err, axis=0)
     post_mae = np.mean(post_err, axis=0)
     assert post_mae[0] <= pre_mae[0]
@@ -355,10 +382,10 @@ def test_fuse_noisy_measurements_improve_mae():
 @pytest.mark.parametrize("later_fix", [False, True])
 def test_fuse_rejects_infinite_odometry(later_fix):
     # the states are checked in one batch after the loop; a non-finite one
-    # still raises InputError, also when a later fix updates it. OdomSample
-    # rejects an infinite velocity, so a finite one overflows the covariance
-    odom = [OdomSample(8.0, 0.0, 0.0, 0.1)] * 6
-    odom[2] = OdomSample(1e308, 0.0, 0.0, 0.1)
+    # still raises InputError, also when a later fix updates it. The rows
+    # must be finite, so a finite velocity overflows the covariance
+    odom = [[8.0, 0.0, 0.0, 0.1]] * 6
+    odom[2] = [1e308, 0.0, 0.0, 0.1]
     fixes = {0: [0.0, 0.0, 0.0]}
     if later_fix:
         fixes[5] = [4.0, 0.0, 0.0]
@@ -377,8 +404,36 @@ ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     (np.diag([math.nan, 1.0, 1.0]), R_EYE, "Q not finite"),
     (Q_DEFAULT, np.diag([1.0, math.inf, 1.0]), "R not finite"),
 ])
-# a None sample fails with AttributeError once a step reads it
-@pytest.mark.parametrize("odometry", [[], [None, None]], ids=["empty", "unread"])
+# rows of None fail their own check, so no step reads them: the check runs
+# after Q's and R's
+@pytest.mark.parametrize("odometry", [NO_STEPS, [[None] * 4] * 2],
+                         ids=["empty", "unread"])
 def test_fuse_checks_q_and_r_before_any_step(q, r, match, odometry):
     with pytest.raises(InputError, match=match):
         fuse_trajectory(odometry, {}, state(), q, r)
+
+
+# each value breaks OdomSample's rule in one field of an otherwise good row
+BAD_ODOMETRY = {
+    "vx_nan": (math.nan, 0.0, 0.0, 0.1), "vx_inf": (math.inf, 0.0, 0.0, 0.1),
+    "vy_-inf": (0.0, -math.inf, 0.0, 0.1), "omega_nan": (0.0, 0.0, math.nan, 0.1),
+    "dt_nan": (1.0, 0.0, 0.0, math.nan), "dt_inf": (1.0, 0.0, 0.0, math.inf),
+    "dt_0": (1.0, 0.0, 0.0, 0.0), "dt_-0.1": (1.0, 0.0, 0.0, -0.1),
+    "width_3": (1.0, 0.0, 0.1), "width_5": (1.0, 0.0, 0.0, 0.1, 0.0),
+    "str": (1.0, 0.0, "x", 0.1), "none": (1.0, None, 0.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("row", BAD_ODOMETRY.values(), ids=BAD_ODOMETRY)
+def test_bad_odometry_rejected_by_sample_and_rows(row):
+    good = [8.0, 0.0, 0.0, 0.1]
+    for odometry in ([row], [good, row, good]):
+        with pytest.raises(InputError, match="odometry must be"):
+            fuse_trajectory(odometry, {0: [0.0, 0.0, 0.0]}, state(), Q_DEFAULT, R_EYE)
+    if len(row) != 4:
+        # a call with the wrong number of fields is Python's TypeError
+        with pytest.raises(TypeError):
+            OdomSample(*row)
+        return
+    with pytest.raises(InputError):
+        OdomSample(*row)

@@ -164,6 +164,49 @@ def test_render_deterministic():
 # was (faces built and culled box by box, planes built per frame). The fast
 # path must reproduce it byte for byte.
 
+def box_faces(box):
+    """Yield (plane_axis, plane_value, sign, corners 4x3 world) per face."""
+    half = box.extent / 2.0
+    for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
+        for sign in (-1.0, 1.0):
+            corners = np.tile(box.center, (4, 1))
+            corners[:, axis] += sign * half[axis]
+            corners[:, u] += np.array([-1.0, 1.0, 1.0, -1.0]) * half[u]
+            corners[:, v] += np.array([-1.0, -1.0, 1.0, 1.0]) * half[v]
+            yield axis, box.center[axis] + sign * half[axis], sign, corners
+
+
+def reference_face_columns(boxes):
+    """FaceTable's columns built face by face from box_faces, in its order."""
+    rows = [(i, *face, box.center[:2])
+            for i, box in enumerate(boxes) for face in box_faces(box)]
+
+    def column(j, dtype, shape=()):
+        return np.array([row[j] for row in rows], dtype=dtype).reshape(-1, *shape)
+
+    return {"box": column(0, np.intp), "axis": column(1, np.intp),
+            "value": column(2, np.float64), "sign": column(3, np.float64),
+            "corners": column(4, np.float64, (4, 3)),
+            "center_xy": column(5, np.float64, (2,))}
+
+
+# signed zeros, a zero and a tiny extent, and a far centre
+ODD_BOXES = (Box(np.array([-0.0, 0.1, 1.0]), np.array([0.0, 0.3, 7.0]), 100),
+             Box(np.array([1e6, -2.5, -0.0]), np.array([1e-9, 4.0, 3.3]), 140))
+
+
+@pytest.mark.parametrize("boxes", [0, 3, (), ODD_BOXES], ids=["seed0", "seed3", "empty", "odd"])
+def test_face_table_equals_per_face_reference(boxes):
+    world = (generate_world(boxes, WorldSpec()) if isinstance(boxes, int)
+             else World(0, small_spec(), (Pose2(0, 0, 0),), boxes))
+    assert len(world.faces.box) == 6 * len(world.primitives)
+    for name, want in reference_face_columns(world.primitives).items():
+        got = getattr(world.faces, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable, name
+
+
 def reference_render(world, ego, k):
     spec = world.spec
     h, w = k.height, k.width
@@ -182,16 +225,6 @@ def reference_render(world, ego, k):
     depth[ground_ok] = t_ground[ground_ok]
     labels[ground_ok] = GROUND_CLASS
     zbuf = np.where(ground_ok, t_ground, np.inf)
-
-    def box_faces(box):
-        half = box.extent / 2.0
-        for axis, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
-            for sign in (-1.0, 1.0):
-                corners = np.tile(box.center, (4, 1))
-                corners[:, axis] += sign * half[axis]
-                corners[:, u] += np.array([-1.0, 1.0, 1.0, -1.0]) * half[u]
-                corners[:, v] += np.array([-1.0, -1.0, 1.0, 1.0]) * half[v]
-                yield axis, box.center[axis] + sign * half[axis], sign, corners
 
     def clip_near(poly):
         out = []

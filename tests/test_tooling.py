@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from sbevloc import nnet
+from sbevloc.config import WeatherDoc
+from sbevloc.fusion import KfState, OdomSample, kf_predict
+from sbevloc.geometry import Intrinsics
 from sbevloc.localizer import localize, save_bundle
-from sbevloc.sbev import SBev
+from sbevloc.sbev import ClassPolicy, GridSpec, SBev
+from sbevloc.synthworld import WeatherSpec
 from test_localizer import make_bundle
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -50,6 +54,24 @@ def test_benchmark_modules_import(monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "sbevloc_microbench_layers", ROOT / "microbench" / "test_layers.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_benchmark_config_methods_return_stage_types(monkeypatch):
+    # perfbench/workloads.py builds its stage objects through these config
+    # methods; otherwise only the benchmark's traced run calls them
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cfg = workloads.bench_config(1, workloads.MAP_ROUTE_M)
+    assert isinstance(cfg.camera.intrinsics(), Intrinsics)
+    assert isinstance(cfg.grid.grid_spec(), GridSpec)
+    assert isinstance(cfg.classes.policy(), ClassPolicy)
+    assert isinstance(workloads.WEATHER, WeatherDoc)
+    assert isinstance(workloads.WEATHER.weather_spec(), WeatherSpec)
+    assert isinstance(WeatherDoc().weather_spec(), WeatherSpec)
+    # the filter takes them as its Q and initial sigma
+    state = KfState(np.zeros(3), cfg.kf.init_sigma())
+    assert isinstance(kf_predict(state, OdomSample(10.0, 0.0, 0.0, 0.05), cfg.kf.q()),
+                      KfState)
 
 
 def test_benchmark_map_kb_is_the_bundle_file(monkeypatch, tmp_path):
