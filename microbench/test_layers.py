@@ -422,15 +422,21 @@ def test_save_load_bundle(benchmark, world, tmp_path):
     assert all(localize(loaded, sb) == localize(bundle, sb) for sb in sbevs)
 
 
-@pytest.mark.parametrize("n", [31, 1], ids=["batch", "one_row"])
-def test_nearest_nodes(benchmark, n):
+@pytest.mark.parametrize("n, rows, dim", [(31, 8496, 128), (1, 8496, 128), (31, 2000, 1936)],
+                         ids=["batch", "one_row", "full_grid_batch"])
+def test_nearest_nodes(benchmark, n, rows, dim):
     """A default-size index, 8496 sigmoid-range latents of 128 over 59 nodes:
     a 31-row batch, as one ablation scoring call, and one row, as
-    relocalize's, each checked against the subtract-first loop."""
+    relocalize's. Then a 31-row batch of pooled full grids, 1936 wide with
+    about a third of the cells lit, against 2000 of them: the screen's
+    margins follow the width, so wide rows stay batched. Each is checked
+    against the subtract-first loop."""
     rng = np.random.default_rng(9)
-    lats = rng.random((8496, 128), dtype=np.float32)
-    index = EmbeddingIndex(lats, np.arange(8496) % 59)
-    queries = lats[rng.integers(0, 8496, n)] + rng.normal(0, 0.02, (n, 128)).astype(np.float32)
+    lats = rng.random((rows, dim), dtype=np.float32)
+    if dim > 128:
+        lats *= rng.random((rows, dim)) < 0.35
+    index = EmbeddingIndex(lats, np.arange(rows) % 59)
+    queries = lats[rng.integers(0, rows, n)] + rng.normal(0, 0.02, (n, dim)).astype(np.float32)
     ids, dists = benchmark(nearest_nodes, index, queries)
     for q, nid, dist in zip(queries, ids.tolist(), dists.tolist()):
         diff = lats - q

@@ -185,8 +185,13 @@ class EvalConfig:
                              ("weather name", names), ("condition label", labels)):
             if len(set(values)) != len(values):
                 raise InputError(f"duplicate {what} in {list(values)}")
-        if any(w.name == "clean" and not w.is_clean() for w in self.weather):
-            raise InputError("weather 'clean' must set no perturbation")
+        for w in self.weather:
+            if w.name == "clean" and not w.is_clean():
+                raise InputError("weather 'clean' must set no perturbation")
+            if w.name != "clean" and w.is_clean():
+                # the clean pass already scores it, so the run would drop it
+                raise InputError(f"weather {w.name!r} sets no perturbation; "
+                                 f"only 'clean' may")
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,16 @@ own way, and an LU solve gave K. The callers convert to arrays only at
 their boundaries:
 
 - `kf_predict` and `kf_update` make one step: an `OdomSample` in, a
-  `KfState` out. Each checks its Q or R (3x3 and finite; Q symmetric PSD,
-  R symmetric), and the KfState checks itself: finite, sigma symmetric and
-  PSD at `PSD_TOL`.
+  `KfState` out. Each checks its Q or R, and the KfState checks itself.
 - `fuse_trajectory` runs a trajectory on arrays: (steps, 4) odometry rows
-  in, stacked mu and sigma out. It checks Q, R, the rows (OdomSample's
-  rule) and the fix steps before any step. After the loop it applies
-  KfState's checks in one batch to each returned state and each predicted
-  state a fix then updated. When a step raises, the states made before it
-  are checked first, so a state that fails raises InputError, as a check
-  per step would.
+  in, stacked mu and sigma out. It checks Q, R, the rows and the fix steps
+  before any step. After the loop it applies KfState's checks in one batch
+  to each returned state and each predicted state a fix then updated. When
+  a step raises, the states made before it are checked first, so a state
+  that fails raises InputError, as a check per step would.
+
+One rule checks odometry, an OdomSample or a trajectory's rows
+(`_odometry_rows`), and one checks Q, R and sigma (`_checked_matrix`).
 """
 
 from __future__ import annotations
@@ -48,25 +48,27 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return m * 0.5 + m.T * 0.5
 
 
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    """m is one 3x3 matrix or a stack of them."""
+def _checked_matrix(m, name: str, psd: bool = True, stack: bool = False) -> np.ndarray:
+    """m as float64, checked 3x3 (with `stack`, a stack of them), finite,
+    symmetric and, when `psd`, positive semi-definite at PSD_TOL."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[1 if stack else 0:] != (3, 3):
+        raise InputError(f"{name} must be 3x3, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError(f"{name} not finite")
     if np.abs(m - np.swapaxes(m, -1, -2)).max() > 1e-9:
         raise InputError(f"{name} not symmetric")
-
-
-def _check_psd(m: np.ndarray, name: str) -> None:
-    """m is one 3x3 matrix or a stack of them."""
-    _check_symmetric(m, name)
-    if np.linalg.eigvalsh(m).min() < PSD_TOL:
+    if psd and np.linalg.eigvalsh(m).min() < PSD_TOL:
         raise InputError(f"{name} not positive semi-definite")
+    return m
 
 
-def _check_states(mu: np.ndarray, sigma: np.ndarray) -> None:
-    """KfState's checks on one state, or on states stacked as mu (n, 3)
-    and sigma (n, 3, 3)."""
-    if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(sigma)):
+def _check_states(mu: np.ndarray, sigma: np.ndarray, stack: bool = False) -> None:
+    """KfState's checks on one state, or with `stack` on states stacked as
+    mu (n, 3) and sigma (n, 3, 3)."""
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise InputError("non-finite filter state")
-    _check_psd(sigma, "sigma")
+    _checked_matrix(sigma, "sigma", stack=stack)
 
 
 def _as_vec3(v, name: str) -> np.ndarray:
@@ -77,25 +79,22 @@ def _as_vec3(v, name: str) -> np.ndarray:
     return v.reshape(3)
 
 
-def _as_3x3(m, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise InputError(f"{name} must be 3x3, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise InputError(f"{name} not finite")
-    return m
-
-
-def _checked_q(q) -> np.ndarray:
-    q = _as_3x3(q, "Q")
-    _check_psd(q, "Q")
-    return q
-
-
-def _checked_r(r) -> np.ndarray:
-    r = _as_3x3(r, "R")
-    _check_symmetric(r, "R")
-    return r
+def _odometry_rows(odometry) -> list:
+    """(steps, 4) odometry rows as lists of floats, after the one odometry
+    rule: real numbers, four to a row, finite, with every dt > 0."""
+    try:
+        steps = np.asarray(odometry)
+        real = steps.dtype.kind in "biuf"
+    except ValueError:   # ragged rows
+        real = False
+    if not real:
+        raise InputError("odometry must be numeric (steps, 4) rows")
+    if steps.ndim != 2 or steps.shape[1] != 4:
+        raise InputError(f"odometry must be (steps, 4) rows, got shape {steps.shape}")
+    steps = steps.astype(np.float64, copy=False)
+    if not (np.isfinite(steps).all() and (steps[:, 3] > 0).all()):
+        raise InputError("odometry must be finite with every dt > 0")
+    return steps.tolist()
 
 
 @dataclass(frozen=True)
@@ -125,18 +124,7 @@ class OdomSample:
     dt: float
 
     def __post_init__(self):
-        # made once per filter step, so four plain calls
-        try:
-            finite = (math.isfinite(self.vx) and math.isfinite(self.vy)
-                      and math.isfinite(self.omega) and math.isfinite(self.dt))
-        except TypeError:
-            raise InputError(f"non-numeric odometry ({self.vx!r}, {self.vy!r}, "
-                             f"{self.omega!r}, dt {self.dt!r})") from None
-        if not finite:
-            raise InputError(f"non-finite odometry ({self.vx}, {self.vy}, "
-                             f"{self.omega}, dt {self.dt})")
-        if self.dt <= 0:
-            raise InputError(f"dt must be positive, got {self.dt}")
+        _odometry_rows([(self.vx, self.vy, self.omega, self.dt)])
 
 
 def _mm(a, b):
@@ -214,13 +202,14 @@ def kf_predict(state: KfState, odom: OdomSample, q: np.ndarray) -> KfState:
     """Advance the state by dead reckoning; q is process noise per second."""
     return KfState(*_predict(_floats(state.mu), _floats(state.sigma),
                              (odom.vx, odom.vy, odom.omega, odom.dt),
-                             _floats(_checked_q(q))))
+                             _floats(_checked_matrix(q, "Q"))))
 
 
 def kf_update(state: KfState, z, r: np.ndarray) -> KfState:
     """Full-state measurement update (H = I), Joseph-form covariance."""
     return KfState(*_update(_floats(state.mu), _floats(state.sigma),
-                            _floats(_as_vec3(z, "z")), _floats(_checked_r(r))))
+                            _floats(_as_vec3(z, "z")),
+                            _floats(_checked_matrix(r, "R", psd=False))))
 
 
 def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
@@ -233,17 +222,9 @@ def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
     i - 1, then applies fixes[i]. Returns the state after every step as
     mu (steps + 1, 3) and sigma (steps + 1, 3, 3).
     """
-    q, r = _floats(_checked_q(q)), _floats(_checked_r(r))
-    try:
-        steps = np.asarray(odometry, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError("odometry must be numeric (steps, 4) rows") from None
-    if steps.ndim != 2 or steps.shape[1] != 4:
-        raise InputError(f"odometry must be (steps, 4) rows, got shape {steps.shape}")
-    # OdomSample's rule, on every row
-    if not (np.isfinite(steps).all() and (steps[:, 3] > 0).all()):
-        raise InputError("odometry must be finite with every dt > 0")
-    steps = steps.tolist()
+    q = _floats(_checked_matrix(q, "Q"))
+    r = _floats(_checked_matrix(r, "R", psd=False))
+    steps = _odometry_rows(odometry)
     for i in fixes:
         if not 0 <= i <= len(steps):
             raise InputError(f"fix step {i} outside 0..{len(steps)}")
@@ -264,5 +245,5 @@ def fuse_trajectory(odometry, fixes, init: KfState, q: np.ndarray,
         # can fail in another way, and their InputError is the one raised
         mus, sigmas = zip(*(after + predicted))
         mus, sigmas = np.array(mus), np.array(sigmas).reshape(-1, 3, 3)
-        _check_states(mus, sigmas)
+        _check_states(mus, sigmas, stack=True)
     return mus[:len(after)], sigmas[:len(after)]

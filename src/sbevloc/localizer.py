@@ -3,11 +3,11 @@
 A dense autoencoder is trained to reconstruct a reduced S-BEV (8x average
 pooled, scaled to [0, 1]); its bottleneck embeds each grid. Coarse
 localization is exact 1-NN over stored embeddings, a batch at a time
-(`nearest_nodes`): a float64 GEMM screens the index rows, and the few that
-survive are confirmed with the float32 subtract-first distance, so every
-pick equals a full scan's. Fine localization feeds
-[one_hot(node) ++ latent] to a small regressor producing the pose relative
-to the node, which is composed with the node pose for the global estimate.
+(`nearest_nodes`): a float64 GEMM, with margins set by the latent width,
+screens the index rows, and the float32 subtract-first distance confirms the
+few that survive, so every pick equals a full scan's. Fine localization
+feeds [one_hot(node) ++ latent] to a small regressor producing the pose
+relative to the node, composed with the node pose for the global estimate.
 Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
 
 A trained bundle has in memory the form of its file, DIR/bundle.npz: one
@@ -247,11 +247,7 @@ def embed(model: AEModel, sb: SBev) -> np.ndarray:
     return embed_vec(model, grid_to_input(sb.grid, model.pool))
 
 
-SCREEN_GAMMA = 1e-4
-SCREEN_RATIO = (1 + SCREEN_GAMMA) / (1 - SCREEN_GAMMA)
-SCREEN_SLACK = 1e-12
 SCREEN_TINY = float(np.finfo(np.float32).tiny)
-SCREEN_MAX_DIM = 1600
 SCREEN_BLOCK = 1 << 18   # (query, index row) estimates held at a time
 
 
@@ -261,22 +257,27 @@ def _screen(index_latents: np.ndarray, latents: np.ndarray):
 
     A float64 GEMM estimates each d2 as |q|^2 - 2<q, m> + |m|^2, as in the
     exact search of Johnson, Douze & Jegou, "Billion-scale similarity search
-    with GPUs" (2019). The estimate is within ~2 dim float64 roundings of
-    |q|^2 + |m|^2 (2.9e-14 at 128 dims), which the slack, SCREEN_SLACK times
-    that plus SCREEN_TINY for float32 squares that underflow, covers. The
-    float32 d2 that confirms is within ~(dim + 2) float32 roundings of the
-    exact d2 (7.7e-6 at 128), which SCREEN_GAMMA covers up to SCREEN_MAX_DIM.
-    So a pair survives when its estimate minus slack is within SCREEN_RATIO
-    of the query's smallest estimate plus slack, as every row the float32
-    d2 can rank first is. A NaN estimate keeps its pair. The index is read
-    in blocks, each converted to float64 once and pruned against the bound
-    so far, which only falls.
+    with GPUs" (2019). The margins follow from the width by the bounds of
+    Higham, "Accuracy and Stability of Numerical Algorithms" (2002), 3.1:
+    the estimate is within ~2 dim float64 roundings of |q|^2 + |m|^2, the
+    float32 d2 that confirms within ~(dim + 2) float32 roundings of the
+    exact d2. The slack is 4 times the first, plus SCREEN_TINY for float32
+    squares that underflow; gamma is twice the second. A pair survives when
+    its estimate minus slack is within (1 + gamma) / (1 - gamma) of the
+    query's smallest estimate plus slack, as every row the float32 d2 can
+    rank first is. A NaN estimate keeps its pair. The index is read in
+    blocks of at most 8 SCREEN_BLOCK float64 values, each pruned against
+    the bound so far, which only falls.
     """
+    dim = latents.shape[1]
+    gamma = 2.0 * (dim + 2) * 2.0 ** -24
+    ratio = (1 + gamma) / (1 - gamma)
+    rel_slack = 4.0 * 2 * dim * 2.0 ** -53
     q = latents.astype(np.float64)
     q_sq = np.einsum("ij,ij->i", q, q)[:, None]
     best = np.full(len(q), np.inf)
     found = []
-    step = max(64, SCREEN_BLOCK // max(1, len(q)))
+    step = max(64, min(SCREEN_BLOCK // max(1, len(q)), 8 * SCREEN_BLOCK // max(1, dim)))
     for j in range(0, len(index_latents), step):
         m = index_latents[j:j + step].astype(np.float64)
         # in place, as each (queries, rows) temporary costs a fresh allocation
@@ -284,16 +285,16 @@ def _screen(index_latents: np.ndarray, latents: np.ndarray):
         est *= -2.0
         slack = q_sq + np.einsum("ij,ij->i", m, m)
         est += slack                                # the estimate
-        slack *= SCREEN_SLACK
+        slack *= rel_slack
         slack += SCREEN_TINY
         est += slack                                # its upper bound
         best = np.minimum(best, est.min(axis=1))    # NaN sticks
         est -= slack
         est -= slack                                # its lower bound
-        r, c = np.nonzero(~(est > SCREEN_RATIO * np.maximum(best, 0.0)[:, None]))
+        r, c = np.nonzero(~(est > ratio * np.maximum(best, 0.0)[:, None]))
         found.append((r, c + j, est[r, c]))
     rows, cols, lower = (np.concatenate(a) for a in zip(*found))
-    keep = np.flatnonzero(~(lower > SCREEN_RATIO * np.maximum(best, 0.0)[rows]))
+    keep = np.flatnonzero(~(lower > ratio * np.maximum(best, 0.0)[rows]))
     keep = keep[np.lexsort((cols[keep], rows[keep]))]
     return rows[keep], cols[keep]
 
@@ -304,10 +305,11 @@ def nearest_nodes(index: EmbeddingIndex, latents: np.ndarray):
 
     Only the pairs `_screen` keeps get the float32 subtract-first d2 (the
     float32 expansion cancels on latents of large norm and small
-    differences); one row skips the screen. The smallest d2 wins, ties
-    toward the smallest node id, then insertion order, so the result equals
-    a full scan's. A row with no finite distance to the index, such as a
-    NaN or infinite latent, raises InputError.
+    differences); a batch of any width takes the screen, one row skips it.
+    The smallest d2 wins, ties toward the smallest node id, then insertion
+    order, so the result equals a full scan's. A row with no finite
+    distance to the index, such as a NaN or infinite latent, raises
+    InputError.
     """
     if len(index) == 0:
         raise InputError("empty embedding index")
@@ -315,10 +317,6 @@ def nearest_nodes(index: EmbeddingIndex, latents: np.ndarray):
     if latents.ndim != 2 or latents.shape[1] != index.latent_dim:
         raise InputError(f"latents of shape {latents.shape} do not match the "
                          f"index's latent dim {index.latent_dim}")
-    if len(latents) > 1 and index.latent_dim > SCREEN_MAX_DIM:
-        # past the margins' reach: a full scan per row
-        picks = [nearest_nodes(index, row[None]) for row in latents]
-        return tuple(np.concatenate(p) for p in zip(*picks))
     with np.errstate(over="ignore", invalid="ignore"):
         if len(latents) == 1:
             rows, cols = np.zeros(len(index), np.intp), np.arange(len(index))

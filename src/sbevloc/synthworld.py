@@ -103,7 +103,7 @@ class WeatherSpec:
     """Per-frame perturbation knobs. The all-zero spec is a no-op.
 
     range_attenuation == 0 disables the fog cutoff. Every knob is
-    non-negative and the two probabilities are at most 1.
+    non-negative and finite, and the two probabilities are at most 1.
     """
 
     label_confusion_prob: float = 0.0
@@ -118,8 +118,8 @@ class WeatherSpec:
                 raise InputError(f"probability {p} outside [0, 1]")
         for name in ("confusion_radius", "depth_noise_sigma", "range_attenuation"):
             value = getattr(self, name)
-            if not value >= 0:  # "not >= 0" also rejects NaN
-                raise InputError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:  # also rejects NaN
+                raise InputError(f"{name} must be non-negative and finite, got {value}")
 
 
 def generate_world(seed: int, spec: WorldSpec = WorldSpec()) -> World:
@@ -375,11 +375,8 @@ def render_frame(world: World, ego: Pose2, k: Intrinsics):
 def perturb_weather(frame, w: WeatherSpec, seed: int):
     """Seeded degradation of one (depth, labels) frame.
 
-    Every perturbation is per pixel and independent across pixels, so each
-    pixel of a camera that renders the even pixels of a larger one is
-    perturbed with the same distribution as that pixel of the larger frame.
-    A spatially correlated model (streaks, blur) would break that, and with
-    it the default camera's claim to stand for the larger one in weather.
+    Every perturbation is per pixel and independent across pixels, so a
+    pixel is perturbed with the same distribution at any camera resolution.
     """
     depth, labels = frame
     depth = np.array(depth, dtype=np.float64, copy=True)

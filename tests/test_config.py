@@ -105,6 +105,17 @@ def test_bad_weather_rejected_at_load(weather, field):
         config_from_dict({"eval": {"weather": [{"name": "x", **weather}]}})
 
 
+@pytest.mark.parametrize("field", ["depth_noise_sigma", "range_attenuation"])
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_non_finite_weather_rejected_by_load_config(tmp_path, field, value):
+    # Python's JSON loader reads Infinity and NaN as floats
+    p = tmp_path / "c.json"
+    p.write_text('{"eval": {"weather": [{"name": "storm", "%s": %s}]}}' % (field, value))
+    with pytest.raises(InputError, match=rf"config eval\.weather: {field} must be "
+                                         rf"non-negative and finite, got {value[:3].lower()}"):
+        load_config(p)
+
+
 def test_bad_train_values_rejected_at_load():
     with pytest.raises(InputError, match=r"config reg\.train: learning rate"):
         config_from_dict({"reg": {"train": {"learning_rate": 0}}})
@@ -167,6 +178,11 @@ def test_bad_train_values_rejected_at_load():
     ({"augment": {"rotations_deg": [5.0, math.nan]}},
      r"config augment: rotations_deg \[5\.0, nan\] must be finite"),
     ({"augment": {"rotations_deg": [-math.inf]}}, r"config augment: rotations_deg"),
+    # the clean pass already scores such an entry, so the run dropped it
+    ({"eval": {"weather": [{}, {"name": "fog"}]}},
+     r"config eval: weather 'fog' sets no perturbation; only 'clean' may"),
+    ({"eval": {"weather": [{"name": "fog", "confusion_radius": 3}]}},
+     r"config eval: weather 'fog' sets no perturbation"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

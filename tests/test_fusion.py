@@ -403,6 +403,9 @@ ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     (Q_DEFAULT, ASYMMETRIC, "R not symmetric"),
     (np.diag([math.nan, 1.0, 1.0]), R_EYE, "Q not finite"),
     (Q_DEFAULT, np.diag([1.0, math.inf, 1.0]), "R not finite"),
+    (ASYMMETRIC, R_EYE, "Q not symmetric"),
+    (np.stack([Q_DEFAULT] * 2), R_EYE, r"Q must be 3x3, got \(2, 3, 3\)"),
+    (Q_DEFAULT, np.eye(3)[None], r"R must be 3x3, got \(1, 3, 3\)"),
 ])
 # rows of None fail their own check, so no step reads them: the check runs
 # after Q's and R's
@@ -420,7 +423,8 @@ BAD_ODOMETRY = {
     "dt_nan": (1.0, 0.0, 0.0, math.nan), "dt_inf": (1.0, 0.0, 0.0, math.inf),
     "dt_0": (1.0, 0.0, 0.0, 0.0), "dt_-0.1": (1.0, 0.0, 0.0, -0.1),
     "width_3": (1.0, 0.0, 0.1), "width_5": (1.0, 0.0, 0.0, 0.1, 0.0),
-    "str": (1.0, 0.0, "x", 0.1), "none": (1.0, None, 0.0, 0.1),
+    "str": (1.0, 0.0, "x", 0.1), "numeric_str": (1.0, 0.0, "0.5", 0.1),
+    "none": (1.0, None, 0.0, 0.1),
 }
 
 

@@ -424,11 +424,36 @@ def test_nearest_nodes_squares_that_underflow():
     assert_matches_loop(index, queries)
 
 
-def test_nearest_nodes_wide_latents_skip_the_screen():
+@pytest.mark.parametrize("dim", [128, 1601, 1936, 4096])
+def test_nearest_nodes_screens_latents_of_any_width(dim):
+    # the margins grow with the width, so a wide batch takes the screen
+    # too: near-duplicates, copies 1 ulp apart in a few coordinates, which
+    # float32 rounding ranks, pooled-grid-like rows, of which the screen
+    # keeps few, and one d2 that float32 rounds far down
     rng = np.random.default_rng(12)
-    lats = near_duplicates(rng, 30, 1601, 1.0, 1e-7)
+    lats = near_duplicates(rng, 30, dim, 1.0, 1e-7)
     index = EmbeddingIndex(lats, rng.integers(0, 4, 30))
     assert_matches_loop(index, lats[[3, 1, 4, 1]] + np.float32(1e-6))
+    lats = np.repeat(rng.normal(size=(2, dim)).astype(np.float32), 20, axis=0)
+    for row in lats:
+        j = rng.integers(0, dim, 3)
+        row[j] = np.nextafter(row[j], (np.inf * rng.choice([-1, 1], 3)).astype(np.float32))
+    queries = (lats[rng.integers(0, 40, 12)]
+               + rng.normal(size=(12, dim)) * 0.3).astype(np.float32)
+    assert_matches_loop(EmbeddingIndex(lats, np.arange(40)), queries)
+    lats = rng.random((300, dim), dtype=np.float32) * (rng.random((300, dim)) < 0.35)
+    queries = lats[:20] + rng.normal(size=(20, dim)).astype(np.float32) * 0.02
+    rows, _ = _screen(lats, queries)
+    assert len(rows) < 2 * len(queries)
+    assert_matches_loop(EmbeddingIndex(lats, np.arange(300) % 59), queries)
+    # float32 drops squares added to a large one, 6.0e-5 of this d2 at 4096
+    # dims, so the loop ranks `lossy` before the exactly nearer `single`
+    lossy = np.full(dim, 0.99, np.float32)
+    lossy[0] = 2.0 ** 12
+    single = np.zeros(dim, np.float32)
+    single[0] = np.nextafter(np.sqrt(np.einsum("i,i->", lossy, lossy)), np.float32(np.inf))
+    index = EmbeddingIndex(np.stack([lossy, single]), np.array([1, 0]))
+    assert_matches_loop(index, np.zeros((2, dim), np.float32))
 
 
 def test_nearest_nodes_screen_keeps_few_rows():
