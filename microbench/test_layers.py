@@ -11,6 +11,7 @@ others. Each benchmark also checks its output once, so a fast wrong result
 fails.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -24,13 +25,13 @@ from sbevloc.fusion import KfState, OdomSample, fuse_trajectory, kf_predict, kf_
 from sbevloc.geometry import PointCloud, Pose2
 from sbevloc.localizer import (
     EmbeddingIndex,
-    ae_targets,
     grid_to_input,
     load_bundle,
     localize,
     nearest_nodes,
     save_bundle,
     train_autoencoder,
+    _node_means,
 )
 from sbevloc.pipeline import (
     ACCUMULATION_WINDOW,
@@ -285,7 +286,7 @@ def test_nnet_optimizer_step(benchmark, net_batch):
     net, _, _, grads = net_batch
     config = CFG.ae.train
     # the first Adam step moves each parameter by ~lr against its gradient's sign
-    first = net.copy()
+    first = copy.deepcopy(net)
     nnet.optimizer_step(first, grads, config)
     for layer, new, (dw, _) in zip(net.layers, first.layers, grads):
         big = np.abs(dw) > 1e-4
@@ -302,14 +303,15 @@ def test_nnet_optimizer_step(benchmark, net_batch):
 AE_STEPS, AE_NODES = 3, 6
 
 
-def ae_reference(x, targets, cfg):
+def ae_reference(x, node_ids, is_original, cfg):
     """The forward/backward/optimizer_step chain of the live-cell AE on
-    per-row targets: the init of default_net("ae") with layer 0 cut to the
-    live input columns and the last layer to the live outputs, and `train`'s
-    shuffle at seed 1. Returns the net, its layer 0 scattered back to full
-    width with +0.0 dead columns, and its epoch losses."""
+    per-row node-mean targets: the init of default_net("ae") with layer 0
+    cut to the live input columns and the last layer to the live outputs,
+    and `train`'s shuffle at seed 1. Returns the net, its layer 0 scattered
+    back to full width with +0.0 dead columns, and its epoch losses."""
     live = np.flatnonzero(x.any(axis=0))
-    rows, per_row = x[:, live].copy(), targets.table[targets.index][:, live].copy()
+    table, index = _node_means(x, node_ids, is_original)
+    rows, per_row = x[:, live].copy(), table[index][:, live].copy()
     net = default_net("ae")
     first, last = net.layers[0], net.layers[-1]
     net.layers[0] = nnet.Layer(first.weights[:, live].copy(), first.bias, first.activation)
@@ -345,10 +347,10 @@ def test_train_autoencoder_steps(benchmark):
     rng = np.random.default_rng(8)
     x = rng.random((AE_STEPS * BATCH, in_dim), dtype=np.float32)
     rows = np.arange(len(x))
-    targets = ae_targets(x, rows % AE_NODES, rows < BATCH, "BASE")
+    node_ids, is_original = rows % AE_NODES, rows < BATCH
     # seed 1: the init of default_net("ae"); every column is live
-    model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
-    net, want_losses = ae_reference(x, targets, cfg)
+    model, losses = benchmark(train_autoencoder, x, node_ids, is_original, cfg, 1)
+    net, want_losses = ae_reference(x, node_ids, is_original, cfg)
     assert losses == want_losses
     assert_same_net(model.net, net)
 
@@ -367,7 +369,7 @@ def test_train_autoencoder_dead_columns(benchmark, world, monkeypatch):
     assert x.shape == (AE_STEPS * BATCH, in_dim)
     assert 0.5 < dead.mean() < 0.9
     rows = np.arange(len(x))
-    targets = ae_targets(x, rows * AE_NODES // len(x), rows % 4 == 0, "BASE")
+    node_ids, is_original = rows * AE_NODES // len(x), rows % 4 == 0
     shapes = []
     plain_train = nnet.train
 
@@ -376,7 +378,7 @@ def test_train_autoencoder_dead_columns(benchmark, world, monkeypatch):
         return plain_train(net, *args)
 
     monkeypatch.setattr(nnet, "train", spy)
-    model, losses = benchmark(train_autoencoder, x, targets, cfg, 1)
+    model, losses = benchmark(train_autoencoder, x, node_ids, is_original, cfg, 1)
     hidden, latent = cfg.hidden[0], cfg.latent_dim
     assert set(map(tuple, shapes)) == {((hidden, n_live), (latent, hidden),
                                         (hidden, latent), (n_live, hidden))}
@@ -384,7 +386,7 @@ def test_train_autoencoder_dead_columns(benchmark, world, monkeypatch):
     w0 = model.net.layers[0].weights
     assert w0.shape == (hidden, in_dim)
     assert not w0[:, dead].view(np.uint32).any()
-    net, want_losses = ae_reference(x, targets, cfg)
+    net, want_losses = ae_reference(x, node_ids, is_original, cfg)
     assert losses == want_losses
     assert_same_net(model.net, net)
 

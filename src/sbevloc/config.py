@@ -8,7 +8,8 @@ their stages read, and check their own values. The camera, grid and classes
 sections and each eval.weather entry build their stage's object (Intrinsics,
 GridSpec, ClassPolicy, WeatherSpec) when made, so that object's checks, the
 one copy of its rules, run at load. `SplitConfig` checks the ratio that
-`split_train_test` takes, and `RunConfig` that ae.pool divides grid.size.
+`split_train_test` takes, and `RunConfig` that the seed is non-negative
+and that ae.pool divides grid.size.
 Only what the data decides fails later, as an InputError: a keep_set that
 keeps no rendered class leaves the autoencoder no live input.
 """
@@ -210,6 +211,8 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        if self.seed < 0:  # np.random.SeedSequence takes no negative seed
+            raise InputError(f"seed {self.seed} must be >= 0")
         if self.grid.size % self.ae.pool:
             raise InputError(f"ae.pool {self.ae.pool} does not divide "
                              f"grid.size {self.grid.size}")

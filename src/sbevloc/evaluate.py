@@ -77,6 +77,9 @@ def split_train_test(samples, n_nodes: int, ratio: float = 0.8, seed: int = 0):
     SplitConfig(ratio)  # SplitConfig checks the ratio
     by_node = [[] for _ in range(n_nodes)]
     for i, s in enumerate(samples):
+        if not 0 <= s.node_id < n_nodes:  # -1 would join the last node
+            raise InputError(f"sample {i} has node id {s.node_id}, outside "
+                             f"0..{n_nodes - 1}")
         by_node[s.node_id].append(i)
     rng = np.random.default_rng([seed, 0x57])
     train_idx, test_idx = [], []

@@ -12,7 +12,7 @@ Conventions used package-wide:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,14 +92,11 @@ class PointCloud:
     """
 
     xyz: np.ndarray
-    labels: np.ndarray = field(default=None)
+    labels: np.ndarray
 
     def __post_init__(self):
         xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
-        if self.labels is None:
-            labels = np.zeros(len(xyz), dtype=np.uint8)
-        else:
-            labels = label_map(self.labels).reshape(-1)
+        labels = label_map(self.labels).reshape(-1)
         if len(labels) != len(xyz):
             raise InputError("xyz/label length mismatch")
         object.__setattr__(self, "xyz", xyz)

@@ -1,7 +1,8 @@
 """Coarse-to-fine localization on S-BEV grids.
 
-A dense autoencoder is trained to reconstruct a reduced S-BEV (8x average
-pooled, scaled to [0, 1]); its bottleneck embeds each grid. Coarse
+A dense autoencoder is trained on reduced S-BEVs (8x average pooled, scaled
+to [0, 1]) to reconstruct, as its mode picks, each input (AVG) or its
+node's mean (BASE, AUG); its bottleneck embeds each grid. Coarse
 localization is exact 1-NN over stored embeddings, a batch at a time
 (`nearest_nodes`): a float64 GEMM, with margins set by the latent width,
 screens the index rows, and the float32 subtract-first distance confirms the
@@ -162,50 +163,39 @@ class LocalizationResult:
     nn_distance: float
 
 
-def ae_targets(inputs: np.ndarray, node_ids, is_original, mode: str):
-    """Reconstruction targets per training mode; row i's target is `t[i]`.
-
-    BASE/AUG reconstruct the mean of the node's original (un-augmented)
-    rows. They return an `nnet.IndexedRows`: one row per node, in ascending
-    node id order, equal to `originals.mean(axis=0, dtype=float64)` cast to
-    the inputs' dtype, and each row's index into that table. AVG
-    reconstructs each row's own input: `inputs` itself, read only.
-    """
-    if mode not in AE_MODES:
-        raise InputError(f"unknown AE mode {mode!r}")
-    inputs = np.asarray(inputs)
-    if mode == "AVG":
-        return inputs
-    nodes, rows = np.unique(np.asarray(node_ids), return_inverse=True)
+def _node_means(inputs: np.ndarray, node_ids, is_original):
+    """(table, index): one row per node, in ascending node id order, equal to
+    the mean of the node's original (un-augmented) rows as float64 cast to
+    the inputs' dtype, and each row's index into that table."""
+    nodes, index = np.unique(np.asarray(node_ids), return_inverse=True)
     is_original = np.asarray(is_original, dtype=bool)
     table = np.empty((len(nodes), *inputs.shape[1:]), dtype=inputs.dtype)
     for k, nid in enumerate(nodes):
-        originals = inputs[(rows == k) & is_original]
+        originals = inputs[(index == k) & is_original]
         if not len(originals):
             raise InputError(f"no original rows for node {nid}")
         table[k] = originals.mean(axis=0, dtype=np.float64)
-    return nnet.IndexedRows(table, rows)
+    return table, index
 
 
-def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
-                      mode: str = "BASE"):
-    """Train the symmetric float32 dense AE on `targets` (an array with one
-    row per input, or `nnet.IndexedRows` as `ae_targets` gives); returns
-    (AEModel of its trained encoder, per-epoch losses).
+def train_autoencoder(inputs, node_ids, is_original, config: AeConfig,
+                      seed: int, mode: str = "BASE"):
+    """Train the symmetric float32 dense AE on the targets `mode` picks;
+    returns (AEModel of its trained encoder, per-epoch losses). AVG
+    reconstructs each row's own input, BASE and AUG the mean of its node's
+    original rows (`_node_means`); AUG's caller passes only those rows.
 
     The AE sees only the live cells, the inputs nonzero in some training
     row: from the full-width init, layer 0 keeps their columns and the
     decoder's last layer their outputs. Batches gather live columns as they
-    are drawn; when `targets` is `inputs` (AVG), the target batch is the
-    input batch. So the loss drops only terms that are 0 in every row, and
-    averages over the live outputs. The encoder returned is full width, its
-    dead columns +0.0, which the bundle file leaves out; an input nonzero
-    there gets the latent it has at 0. Inputs with no live cell raise
-    InputError.
+    are drawn; under AVG the target batch is the input batch. So the loss
+    drops only terms that are 0 in every row, and averages over the live
+    outputs. The encoder returned is full width, its dead columns +0.0,
+    which the bundle file leaves out; an input nonzero there gets the
+    latent it has at 0. Inputs with no live cell raise InputError.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
-    same = targets is inputs
     inputs = np.asarray(inputs, dtype=np.float32)
     if inputs.ndim != 2:
         raise InputError(f"inputs must be 2-D, one row per example, got shape "
@@ -215,13 +205,11 @@ def train_autoencoder(inputs, targets, config: AeConfig, seed: int,
         raise InputError(f"the live set is empty: no input column is nonzero "
                          f"in any of the {len(inputs)} training rows")
     rows = nnet.IndexedRows(inputs, columns=live)
-    if same:
+    if mode == "AVG":
         targets = rows
-    elif isinstance(targets, nnet.IndexedRows):
-        targets = nnet.IndexedRows(np.asarray(targets.table, dtype=np.float32)
-                                   .take(live, axis=1), targets.index)
     else:
-        targets = nnet.IndexedRows(np.asarray(targets, dtype=np.float32), columns=live)
+        table, index = _node_means(inputs, node_ids, is_original)
+        targets = nnet.IndexedRows(table.take(live, axis=1), index)
     in_dim, hidden = inputs.shape[1], config.hidden
     dims = [in_dim, *hidden, config.latent_dim, *reversed(hidden), in_dim]
     acts = [config.activation] * (len(dims) - 2) + ["linear"]

@@ -9,7 +9,6 @@ in the test suite.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -49,9 +48,6 @@ class DenseNet:
     @property
     def in_dim(self):
         return self.layers[0].weights.shape[1]
-
-    def copy(self) -> "DenseNet":
-        return copy.deepcopy(self)
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,6 @@ class ForwardRecord:
     pre: list = field(default_factory=list)
     post: list = field(default_factory=list)
     masks: list = field(default_factory=list)
-    n_layers: int = 0
 
 
 def forward(net: DenseNet, x, mode: str = "eval", rng=None, masks=None):
@@ -135,7 +130,7 @@ def forward(net: DenseNet, x, mode: str = "eval", rng=None, masks=None):
     h = x.reshape(1, -1) if single else x
     if h.shape[1] != net.in_dim:
         raise InputError(f"input dim {h.shape[1]}, net expects {net.in_dim}")
-    rec = ForwardRecord(x=h, n_layers=len(net.layers))
+    rec = ForwardRecord(x=h)
     for i, layer in enumerate(net.layers):
         z = h @ layer.weights.T + layer.bias
         a = _activate(z, layer.activation)
@@ -162,7 +157,7 @@ def backward(net: DenseNet, rec: ForwardRecord, grad_out):
 
     A non-finite gradient at layer 0's output raises NumericalError.
     """
-    if rec.n_layers != len(net.layers) or len(rec.post) != len(net.layers):
+    if len(rec.post) != len(net.layers):
         raise InputError("stale or mismatched forward record")
     g = np.asarray(grad_out)
     if g.ndim == 1:
@@ -309,7 +304,7 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
     losses).
 
     `net` is updated step by step and is the net returned; a caller that
-    needs the untrained net passes `net.copy()`. `inputs` and `targets` are
+    needs the untrained net passes a deep copy. `inputs` and `targets` are
     each an array with one row per example or an `IndexedRows`, from which
     each batch gathers its rows; when `targets` is `inputs`, the target
     batch is the input batch. Each step's gradients are dropped before the

@@ -14,11 +14,11 @@ Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
 Training adds no second one. The grid reaches farther than the camera sees,
 so about two thirds of the default AE's 1936 inputs are 0 in every training
 row. The AE reads and reconstructs only the live ones (`train_autoencoder`),
-gathering each batch's live columns as it is drawn. BASE and AUG reconstruct
-one target row per node (`ae_targets`), AVG its input batch; AUG copies only
-its original rows, and each net trains in place. The encoder comes back full
-width with +0.0 dead columns, which the bundle file leaves out: layer 0 is
-~1.2 MB of the map file, not 3.9 MB.
+gathering each batch's live columns as it is drawn. As the mode picks, BASE
+and AUG reconstruct one target row per node and AVG its input batch; AUG
+copies only its original rows, and each net trains in place. The encoder
+comes back full width with +0.0 dead columns, which the bundle file leaves
+out: layer 0 is ~1.2 MB of the map file, not 3.9 MB.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .geometry import Intrinsics
 from .localizer import (
     AEModel,
     LocalizerBundle,
-    ae_targets,
     build_index,
     embed_vec,
     grid_to_input,
@@ -193,9 +192,8 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     keep = arrays.is_original if mode == "AUG" else slice(None)
     inputs = arrays.inputs[keep]
     node_ids = arrays.node_ids[keep]
-    targets = ae_targets(inputs, node_ids, arrays.is_original[keep], mode)
-    ae, ae_losses = train_autoencoder(inputs, targets, cfg.ae,
-                                      derive_seed(seed, SEED_AE), mode)
+    ae, ae_losses = train_autoencoder(inputs, node_ids, arrays.is_original[keep],
+                                      cfg.ae, derive_seed(seed, SEED_AE), mode)
     latents = embed_batched(ae, inputs)
     index = build_index(latents, node_ids)
     reg, reg_losses = train_regressor(latents, node_ids, arrays.rel_poses[keep],

@@ -103,7 +103,9 @@ class WeatherSpec:
     """Per-frame perturbation knobs. The all-zero spec is a no-op.
 
     range_attenuation == 0 disables the fog cutoff. Every knob is
-    non-negative and finite, and the two probabilities are at most 1.
+    non-negative and finite, the two probabilities are at most 1, and
+    confusion_radius is at most 255: labels are clipped to 0..255, so a
+    wider radius perturbs nothing more.
     """
 
     label_confusion_prob: float = 0.0
@@ -120,6 +122,9 @@ class WeatherSpec:
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # also rejects NaN
                 raise InputError(f"{name} must be non-negative and finite, got {value}")
+        if self.confusion_radius > 255:
+            raise InputError(f"confusion_radius must be at most 255, got "
+                             f"{self.confusion_radius}")
 
 
 def generate_world(seed: int, spec: WorldSpec = WorldSpec()) -> World:

@@ -93,6 +93,9 @@ def balance_samples(samples, n_nodes: int, seed: int) -> tuple:
     """Undersample every node to the minimum per-node count (seeded)."""
     by_node = [[] for _ in range(n_nodes)]
     for i, s in enumerate(samples):
+        if not 0 <= s.node_id < n_nodes:  # -1 would join the last node
+            raise InputError(f"sample {i} has node id {s.node_id}, outside "
+                             f"0..{n_nodes - 1}")
         by_node[s.node_id].append(i)
     sizes = [len(b) for b in by_node]
     if min(sizes, default=0) == 0:

@@ -52,6 +52,16 @@ def test_bad_hidden_width_exits_2_at_load(tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+def test_negative_seed_exits_2_at_load(tmp_path, capsys):
+    # np.random.SeedSequence once raised an untyped ValueError mid-run
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config: seed -1 must be >= 0" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")])

@@ -99,6 +99,7 @@ def test_config_key_paths():
     ({"confusion_radius": -1}, "confusion_radius"),
     ({"depth_noise_sigma": -0.1}, "depth_noise_sigma"),
     ({"range_attenuation": -40.0}, "range_attenuation"),
+    ({"confusion_radius": 10**30}, "confusion_radius must be at most 255"),
 ])
 def test_bad_weather_rejected_at_load(weather, field):
     with pytest.raises(InputError, match=r"config eval\.weather: " + field):
@@ -183,6 +184,8 @@ def test_bad_train_values_rejected_at_load():
      r"config eval: weather 'fog' sets no perturbation; only 'clean' may"),
     ({"eval": {"weather": [{"name": "fog", "confusion_radius": 3}]}},
      r"config eval: weather 'fog' sets no perturbation"),
+    # np.random.SeedSequence takes no negative seed; it raised mid-run
+    ({"seed": -1}, r"config: seed -1 must be >= 0"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

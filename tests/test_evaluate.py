@@ -31,12 +31,12 @@ from sbevloc.evaluate import (
 from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
 from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import (
-    ae_targets,
     grid_to_input,
     load_bundle,
     localize,
     save_bundle,
     train_autoencoder,
+    _node_means,
 )
 from sbevloc.pipeline import (
     ACCUMULATION_WINDOW,
@@ -187,6 +187,14 @@ def test_split_train_test_counts(ratio, want_train):
 def test_split_train_test_rejects_bad_input(counts, ratio, match):
     with pytest.raises(InputError, match=match):
         split_train_test(_samples(counts), len(counts), ratio, seed=0)
+
+
+@pytest.mark.parametrize("node_id", [-1, 2])
+def test_split_train_test_rejects_node_id_outside_the_map(node_id):
+    # -1 once joined node 1's group; 2 raised an untyped IndexError
+    samples = _samples([3, 3]) + (Sample(99, node_id, Pose2(0, 0, 0)),)
+    with pytest.raises(InputError, match=rf"sample 6 has node id {node_id}, outside 0\.\.1"):
+        split_train_test(samples, 2, seed=0)
 
 
 @pytest.mark.parametrize("metric, pred, truth", [
@@ -373,8 +381,8 @@ def test_trained_bundle_round_trip(two_runs, tmp_path):
 
 def live_cell_reference(inputs, targets, cfg, seed):
     """The live-cell AE built by hand: the full-width init's live layer-0
-    columns and last-layer rows, trained by `nnet.train` on materialized
-    live columns; returns (net, losses, live)."""
+    columns and last-layer rows, trained by `nnet.train` on the live columns
+    of `targets`, one row per input; returns (net, losses, live)."""
     live = np.flatnonzero(inputs.any(axis=0))
     hidden, in_dim = cfg.hidden, inputs.shape[1]
     dims = [in_dim, *hidden, cfg.latent_dim, *reversed(hidden), in_dim]
@@ -384,7 +392,7 @@ def live_cell_reference(inputs, targets, cfg, seed):
     net.layers[0] = nnet.Layer(first.weights[:, live].copy(), first.bias, first.activation)
     net.layers[-1] = nnet.Layer(last.weights[live], last.bias[live], last.activation)
     x = inputs[:, live].copy()
-    y = targets.table[targets.index][:, live].copy()
+    y = targets[:, live].copy()
     trained, losses = nnet.train(net, x, y, cfg.train, seed)
     return trained, losses, live
 
@@ -393,14 +401,15 @@ def test_train_autoencoder_zeroes_only_dead_columns(two_runs):
     cfg, (_, art), _ = two_runs
     arrays = art.arrays
     inputs = arrays.inputs
-    targets = ae_targets(inputs, arrays.node_ids, arrays.is_original, "BASE")
     seed = derive_seed(cfg.seed, SEED_AE)
-    model, losses = train_autoencoder(inputs, targets, cfg.ae, seed)
+    model, losses = train_autoencoder(inputs, arrays.node_ids, arrays.is_original,
+                                      cfg.ae, seed)
     # the run trained the same encoder
     for got, want in zip(model.net.layers, art.trained["BASE"].bundle.ae.net.layers,
                          strict=True):
         assert got.weights.tobytes() == want.weights.tobytes()
-    trained, want_losses, live = live_cell_reference(inputs, targets, cfg.ae, seed)
+    table, index = _node_means(inputs, arrays.node_ids, arrays.is_original)
+    trained, want_losses, live = live_cell_reference(inputs, table[index], cfg.ae, seed)
     assert losses == want_losses
     dead = ~inputs.any(axis=0)
     assert 0 < dead.sum() < inputs.shape[1]
@@ -431,8 +440,8 @@ def test_train_autoencoder_on_live_cells(two_runs, monkeypatch):
     for mode in ("BASE", "AVG", "AUG"):
         keep = arrays.is_original if mode == "AUG" else slice(None)
         x = arrays.inputs[keep]
-        targets = ae_targets(x, arrays.node_ids[keep], arrays.is_original[keep], mode)
-        model, losses = train_autoencoder(x, targets, ae, seed, mode)
+        model, losses = train_autoencoder(x, arrays.node_ids[keep],
+                                          arrays.is_original[keep], ae, seed, mode)
         live = x.any(axis=0)
         n_live = int(live.sum())
         assert 0 < n_live < x.shape[1]
@@ -456,4 +465,4 @@ def test_train_autoencoder_rejects_an_empty_live_set(tiny_cfg):
     x = np.zeros((5, 16), np.float32)
     x[:, 3] = -0.0
     with pytest.raises(InputError, match="live set is empty"):
-        train_autoencoder(x, x, tiny_cfg.ae, 0, "AVG")
+        train_autoencoder(x, [0] * 5, [True] * 5, tiny_cfg.ae, 0, "AVG")

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import struct
@@ -19,7 +20,6 @@ from sbevloc.localizer import (
     LocalizerBundle,
     RegConfig,
     RegModel,
-    ae_targets,
     coarse_localize,
     embed,
     embed_vec,
@@ -91,27 +91,24 @@ def test_pool_grid_divisibility():
 
 def test_ae_targets_base_is_node_mean():
     inputs = np.array([[0.0, 0.0], [1.0, 1.0], [4.0, 2.0]])
-    ids = [0, 0, 1]
-    t = ae_targets(inputs, ids, [True] * 3, "BASE")
+    table, index = localizer._node_means(inputs, [0, 0, 1], [True] * 3)
+    t = table[index]
     assert np.allclose(t[0], [0.5, 0.5])
     assert np.allclose(t[1], [0.5, 0.5])
     assert np.allclose(t[2], [4.0, 2.0])
 
 
-def test_ae_targets_avg_is_identity():
-    inputs = np.random.default_rng(0).normal(size=(5, 3))
-    t = ae_targets(inputs, [0, 0, 1, 1, 1], [True, False] * 2 + [True], "AVG")
-    assert np.array_equal(t, inputs)
-
-
 def test_ae_targets_separate_source_set():
     # augmented inputs reconstruct the mean of the ORIGINAL samples
-    inputs = np.array([[2.0], [2.1], [1.9], [4.0], [4.2], [7.0]])
+    inputs = np.array([[2.0], [2.1], [1.9], [4.0], [4.2], [7.0]], np.float32)
+    ids = [0, 0, 0, 0, 0, 1]
     is_original = [True, False, False, True, False, True]
-    t = ae_targets(inputs, [0, 0, 0, 0, 0, 1], is_original, "BASE")
+    table, index = localizer._node_means(inputs, ids, is_original)
+    t = table[index]
     assert np.allclose(t[:5], 3.0) and t[5] == 7.0
     with pytest.raises(InputError, match="no original rows for node 1"):
-        ae_targets(inputs, [0, 0, 0, 0, 0, 1], is_original[:5] + [False], "AUG")
+        train_autoencoder(inputs, ids, is_original[:5] + [False],
+                          small_ae(epochs=1), 0, "AUG")
 
 
 def materialized_node_means(inputs, node_ids, is_original):
@@ -133,18 +130,30 @@ def test_ae_targets_table_rows_equal_per_row_node_means(mode):
     ids = rng.permutation(np.arange(60) % 5 + 3)    # node ids 3..7, unsorted
     is_original = rng.random(60) < 0.3
     is_original[np.unique(ids, return_index=True)[1]] = True
-    t = ae_targets(inputs, ids, is_original, mode)
-    assert isinstance(t, nnet.IndexedRows)
-    assert t.table.shape == (5, 7) and t.table.dtype == np.float32
-    assert len(t) == 60
+    if mode == "AUG":   # AUG trains on the original rows only
+        inputs, ids, is_original = inputs[is_original], ids[is_original], is_original[is_original]
+    table, index = localizer._node_means(inputs, ids, is_original)
+    assert table.shape == (5, 7) and table.dtype == np.float32
+    assert len(index) == len(inputs)
     want = materialized_node_means(inputs, ids, is_original)
-    assert t.table[t.index].tobytes() == want.tobytes()
-    assert t[np.arange(60)].tobytes() == want.tobytes()
+    assert table[index].tobytes() == want.tobytes()
 
 
-def test_ae_targets_avg_makes_no_copy():
-    inputs = np.random.default_rng(22).random((6, 3), dtype=np.float32)
-    assert ae_targets(inputs, [0, 0, 1, 1, 2, 2], [True] * 6, "AVG") is inputs
+def test_ae_targets_avg_makes_no_copy(monkeypatch):
+    # under AVG the target batch is the input batch: `nnet.train` gets one
+    # set of rows, over the caller's array, as both
+    x = np.random.default_rng(22).random((6, 3), dtype=np.float32)
+    seen = []
+    plain_train = nnet.train
+
+    def spy(net, inputs, targets, config, seed):
+        seen.append((inputs, targets))
+        return plain_train(net, inputs, targets, config, seed)
+
+    monkeypatch.setattr(nnet, "train", spy)
+    train_autoencoder(x, [0, 0, 1, 1, 2, 2], [True] * 6, small_ae(epochs=1), 0, "AVG")
+    [(inputs, targets)] = seen
+    assert targets is inputs and inputs.table is x
 
 
 def test_indexed_rows_reject_bad_index():
@@ -164,7 +173,7 @@ def test_train_autoencoder_overfits_one_sample():
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (1, 16)).astype(np.float32)
     cfg = small_ae(epochs=300, learning_rate=0.01, batch_size=1)
-    model, losses = train_autoencoder(x, x, cfg, 2)
+    model, losses = train_autoencoder(x, [0], [True], cfg, 2, "AVG")
     assert losses[-1] < 1e-3 * max(losses[0], 1e-12)
     assert model.latent_dim == 4
 
@@ -173,16 +182,18 @@ def test_train_autoencoder_deterministic():
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 1, (10, 16)).astype(np.float32)
     cfg = small_ae(epochs=10)
-    _, l1 = train_autoencoder(x, x, cfg, 4)
-    _, l2 = train_autoencoder(x, x, cfg, 4)
-    assert l1 == l2
+    ids, is_original = np.arange(10) % 3, np.arange(10) < 5
+    for mode in localizer.AE_MODES:
+        _, l1 = train_autoencoder(x, ids, is_original, cfg, 4, mode)
+        _, l2 = train_autoencoder(x, ids, is_original, cfg, 4, mode)
+        assert l1 == l2
 
 
 def test_train_autoencoder_keeps_the_trained_encoder():
     x = np.random.default_rng(7).uniform(0, 1, (12, 16)).astype(np.float32)
     cfg = AeConfig(hidden=(8, 6), latent_dim=4, activation="relu",
                    train=nnet.TrainConfig(epochs=3, batch_size=5))
-    model, losses = train_autoencoder(x, x, cfg, 9)
+    model, losses = train_autoencoder(x, [0] * 12, [True] * 12, cfg, 9, "AVG")
     # every input column is live, so the live-cell AE is the full symmetric
     # AE, from the same init and seed
     full = nnet.init_net([16, 8, 6, 4, 6, 8, 16], ["relu"] * 5 + ["linear"],
@@ -201,19 +212,28 @@ def test_train_autoencoder_keeps_the_trained_encoder():
 
 
 def test_train_autoencoder_on_compact_targets_equals_materialized():
+    # each mode picks its targets: the AE equals `nnet.train` of the full AE
+    # (every column is live) on those targets stored row by row
     rng = np.random.default_rng(23)
     x = rng.random((40, 16), dtype=np.float32)
     ids = np.arange(40) % 4
     is_original = np.arange(40) < 8
     cfg = small_ae(epochs=3, batch_size=7)
-    compact = ae_targets(x, ids, is_original, "BASE")
-    m_compact, l_compact = train_autoencoder(x, compact, cfg, 5)
-    m_rows, l_rows = train_autoencoder(
-        x, materialized_node_means(x, ids, is_original), cfg, 5)
-    assert l_compact == l_rows
-    for got, want in zip(m_compact.net.layers, m_rows.net.layers, strict=True):
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert got.bias.tobytes() == want.bias.tobytes()
+    for mode in localizer.AE_MODES:
+        keep = is_original if mode == "AUG" else slice(None)   # as train_localizer
+        rows, nodes, original = x[keep], ids[keep], is_original[keep]
+        means = materialized_node_means(rows, nodes, original)
+        assert (means != rows).any(axis=1).all()   # no row is its node's mean
+        targets = rows if mode == "AVG" else means
+        full = nnet.init_net([16, 8, 4, 8, 16], ["sigmoid"] * 3 + ["linear"],
+                             seed=5, dtype=np.float32)
+        trained, want_losses = nnet.train(full, rows, targets, cfg.train, 5)
+        model, losses = train_autoencoder(rows, nodes, original, cfg, 5, mode)
+        assert model.mode == mode
+        assert losses == want_losses
+        for got, want in zip(model.net.layers, trained.layers[:2], strict=True):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
 
 
 def test_train_autoencoder_memory_high_water():
@@ -222,7 +242,6 @@ def test_train_autoencoder_memory_high_water():
     cfg = AeConfig(train=nnet.TrainConfig(epochs=1))
     batch, in_dim = cfg.train.batch_size, 1936
     x = np.random.default_rng(24).random((2 * batch, in_dim), dtype=np.float32)
-    targets = ae_targets(x, np.arange(2 * batch) % 8, np.ones(2 * batch, bool), "BASE")
     dims = [in_dim, *cfg.hidden, cfg.latent_dim, *reversed(cfg.hidden), in_dim]
     param_bytes = 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
     # two forward records' worth (pre and post per layer: one record, and
@@ -233,7 +252,7 @@ def test_train_autoencoder_memory_high_water():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        train_autoencoder(x, targets, cfg, 1)
+        train_autoencoder(x, np.arange(2 * batch) % 8, np.ones(2 * batch, bool), cfg, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,8 +264,8 @@ def test_train_autoencoder_memory_high_water():
 
 def test_train_autoencoder_rejects_bad_mode():
     with pytest.raises(InputError):
-        train_autoencoder(np.zeros((1, 4)), np.zeros((1, 4)),
-                          small_ae(epochs=1), 0, mode="FOO")
+        train_autoencoder(np.zeros((1, 4)), [0], [True], small_ae(epochs=1), 0,
+                          mode="FOO")
 
 
 # --- embed --------------------------------------------------------------------
@@ -583,8 +602,8 @@ def test_train_regressor_is_plain_full_width_training():
     assert not xs[:, 4].any()
     init = nnet.init_net([6, 5, 4, 3], ["relu", "relu", "linear"],
                          dropout=[0.25, 0.25, 0.0], seed=17, dtype=np.float32)
-    net, want_losses = nnet.train(init.copy(), xs, poses.astype(np.float32),
-                                  cfg.train, 17)
+    net, want_losses = nnet.train(copy.deepcopy(init), xs,
+                                  poses.astype(np.float32), cfg.train, 17)
     w_lat = net.layers[0].weights[:, 3:]
     net.layers[0].bias[:] -= (w_lat @ (mu / sd)).astype(np.float32)
     net.layers[0].weights[:, 3:] = (w_lat / sd).astype(np.float32)

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from sbevloc.errors import InputError, NumericalError
 from sbevloc import nnet
-from sbevloc.localizer import AeConfig, ae_targets, train_autoencoder
+from sbevloc.localizer import AeConfig, train_autoencoder
 from sbevloc.nnet import (
     DenseNet,
     Layer,
@@ -55,7 +56,7 @@ def numeric_grad(net, x, y, masks=None, h=1e-5, indices=None):
     theta0 = flat_params(net)
     idx = range(len(theta0)) if indices is None else indices
     g = np.zeros(len(theta0))
-    work = net.copy()
+    work = copy.deepcopy(net)
     for j in idx:
         tp = theta0.copy()
         tp[j] += h
@@ -349,7 +350,7 @@ def test_train_zero_epochs_unchanged():
         TrainConfig(epochs=0)
     net = init_net([4, 2], ["linear"], seed=14)
     before = flat_params(net).copy()
-    given = net.copy()
+    given = copy.deepcopy(net)
     trained, losses = train(given, np.ones((3, 4)), np.ones((3, 2)),
                             TrainConfig(epochs=1), 0)
     assert len(losses) == 1
@@ -364,11 +365,11 @@ def test_train_deterministic_per_seed():
     y = rng.normal(size=(100, 2))
     net = init_net([6, 8, 2], ["relu", "linear"], dropout=[0.2, 0.0], seed=16)
     cfg = TrainConfig(epochs=5)
-    a, la = train(net.copy(), x, y, cfg, 17)
-    b, lb = train(net.copy(), x, y, cfg, 17)
+    a, la = train(copy.deepcopy(net), x, y, cfg, 17)
+    b, lb = train(copy.deepcopy(net), x, y, cfg, 17)
     assert la == lb
     assert np.array_equal(flat_params(a), flat_params(b))
-    c, lc = train(net.copy(), x, y, cfg, 18)
+    c, lc = train(copy.deepcopy(net), x, y, cfg, 18)
     assert not np.array_equal(flat_params(a), flat_params(c))
 
 
@@ -434,8 +435,8 @@ def test_train_on_dead_columns_equals_full_gradients(kind, dead_share):
         net = init_net([30, 20, 10, 3], ["relu", "relu", "linear"],
                        dropout=[0.3, 0.2, 0.0], seed=42)
     cfg = TrainConfig(learning_rate=3e-3, batch_size=32, epochs=3)   # a short last batch
-    got, got_losses = train(net.copy(), x, y, cfg, 43)
-    want, want_losses = full_gradient_train(net.copy(), x, y, cfg, 43)
+    got, got_losses = train(copy.deepcopy(net), x, y, cfg, 43)
+    want, want_losses = full_gradient_train(copy.deepcopy(net), x, y, cfg, 43)
     assert got_losses == want_losses
     for g, w in zip(got.layers, want.layers):
         assert g.weights.tobytes() == w.weights.tobytes()
@@ -467,7 +468,7 @@ def test_adam_moments_c_contiguous_whatever_the_gradient_order():
     _, g = mse_loss(out, np.zeros_like(out))
     grads = backward(net, rec, g)
     cfg = TrainConfig()
-    c_net, f_net = net.copy(), net.copy()
+    c_net, f_net = copy.deepcopy(net), copy.deepcopy(net)
     c_state = optimizer_step(c_net, grads, cfg)
     f_state = optimizer_step(f_net, [(np.asfortranarray(w), b) for w, b in grads], cfg)
     assert all(m.flags.c_contiguous for pair in f_state.m + f_state.v for m in pair)
@@ -476,7 +477,7 @@ def test_adam_moments_c_contiguous_whatever_the_gradient_order():
         optimizer_step(f_net, grads, cfg, f_state)
     assert flat_params(c_net).tobytes() == flat_params(f_net).tobytes()
     with pytest.raises(InputError, match="gradient shapes"):
-        optimizer_step(net.copy(), [(w[:, :-1], b) for w, b in grads], cfg)
+        optimizer_step(copy.deepcopy(net), [(w[:, :-1], b) for w, b in grads], cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -508,11 +509,10 @@ def test_train_on_dead_columns_memory_high_water():
     gathered_batch_bytes = 4 * batch * in_dim
     adam_scratch_bytes = 4 * 2 * nnet._ADAM_BLOCK
     for mode in ("BASE", "AVG"):
-        targets = ae_targets(x, np.arange(rows) % 8, np.ones(rows, bool), mode)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            train_autoencoder(x, targets, cfg, 1, mode)
+            train_autoencoder(x, np.arange(rows) % 8, np.ones(rows, bool), cfg, 1, mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -547,10 +547,10 @@ def test_train_on_column_subset_equals_materialized_columns():
     net = init_net([5, 3, 5], ["sigmoid", "linear"], seed=53, dtype=np.float32)
     cfg = TrainConfig(batch_size=8, epochs=2)
     compact = x.take(columns, axis=1)
-    want, want_losses = train(net.copy(), compact, compact.copy(), cfg, 54)
+    want, want_losses = train(copy.deepcopy(net), compact, compact.copy(), cfg, 54)
     rows = nnet.IndexedRows(x, columns=columns)
     for targets in (rows, nnet.IndexedRows(x.copy(), columns=columns)):
-        got, losses = train(net.copy(), rows, targets, cfg, 54)
+        got, losses = train(copy.deepcopy(net), rows, targets, cfg, 54)
         assert losses == want_losses
         assert flat_params(got).tobytes() == flat_params(want).tobytes()
 

@@ -239,7 +239,7 @@ def test_cloud_dimension_mismatch():
 # --- rasterize_bev -------------------------------------------------------
 
 def test_rasterize_empty_cloud():
-    out = rasterize_bev(PointCloud(np.zeros((0, 3))), SPEC)
+    out = rasterize_bev(PointCloud(np.zeros((0, 3)), np.zeros(0, np.uint8)), SPEC)
     assert out.grid.sum() == 0
     assert out.grid.shape == (352, 352)
 
@@ -478,14 +478,14 @@ def test_accumulate_empty_cloud_is_neutral():
     frames = window_frames(np.random.default_rng(11), 4, 300)
     current = frames[-1][1]
     want = accumulate_sbev(frames, current, spec).grid
-    empty = (PointCloud(np.zeros((0, 3))), Pose2(1, 0, 0.1))
+    empty = (PointCloud(np.zeros((0, 3)), np.zeros(0, np.uint8)), Pose2(1, 0, 0.1))
     for i in range(len(frames) + 1):
         window = frames[:i] + [empty] + frames[i:]
         assert np.array_equal(accumulate_sbev(window, current, spec).grid, want)
 
 
 def test_accumulate_frame_count_checked():
-    cloud = PointCloud(np.zeros((0, 3)))
+    cloud = PointCloud(np.zeros((0, 3)), np.zeros(0, np.uint8))
     pose = Pose2(0, 0, 0)
     with pytest.raises(InputError):
         accumulate_sbev([], pose, SPEC)

@@ -586,10 +586,18 @@ def test_weather_deterministic_and_shape_preserving():
 @pytest.mark.parametrize("knobs", [
     {"label_confusion_prob": 1.5}, {"depth_dropout_prob": -0.1},
     {"confusion_radius": -1}, {"depth_noise_sigma": -0.05},
-    {"range_attenuation": -40.0}, {"depth_noise_sigma": math.nan}])
+    {"range_attenuation": -40.0}, {"depth_noise_sigma": math.nan},
+    {"confusion_radius": 256}, {"confusion_radius": 10**30}])
 def test_weather_spec_rejects_bad_knobs(knobs):
     with pytest.raises(InputError):
         WeatherSpec(**knobs)
+
+
+def test_weather_widest_confusion_radius_perturbs():
+    # 255 reaches every label from any label; clipping keeps each in 0..255
+    depth, labels = frame_fixture()
+    _, got = perturb_weather((depth, labels), WeatherSpec(1.0, 255), seed=4)
+    assert (got[labels == 0] == 0).all() and (got != labels).any()
 
 
 # --- lane_shift ----------------------------------------------------------

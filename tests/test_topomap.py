@@ -178,6 +178,15 @@ def test_balance_rejects_empty_node():
         balance_samples(make_dataset([3, 0]), 2, seed=0)
 
 
+@pytest.mark.parametrize("node_id", [-1, 2])
+def test_balance_rejects_node_id_outside_the_map(node_id):
+    # -1 once joined node 1's group and came back in its quota; 2 raised
+    # an untyped IndexError
+    samples = make_dataset([3, 3]) + (Sample(6, node_id, Pose2(0, 0, 0)),)
+    with pytest.raises(InputError, match=rf"sample 6 has node id {node_id}, outside 0\.\.1"):
+        balance_samples(samples, 2, seed=0)
+
+
 # --- augmentation --------------------------------------------------------
 
 def test_augment_empty_config():
