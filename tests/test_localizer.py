@@ -98,6 +98,23 @@ def test_ae_targets_base_is_node_mean():
     assert np.allclose(t[2], [4.0, 2.0])
 
 
+def test_ae_targets_avg_is_identity(monkeypatch):
+    # under AVG each row's target is the row itself, not its node's mean
+    inputs = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
+    seen = []
+    plain_train = nnet.train
+
+    def spy(net, rows, targets, config, seed):
+        seen.append(targets)
+        return plain_train(net, rows, targets, config, seed)
+
+    monkeypatch.setattr(nnet, "train", spy)
+    train_autoencoder(inputs, [0, 0, 1, 1, 1], [True, False] * 2 + [True],
+                      small_ae(epochs=1), 0, "AVG")
+    [targets] = seen
+    assert np.array_equal(targets[np.arange(5)], inputs)
+
+
 def test_ae_targets_separate_source_set():
     # augmented inputs reconstruct the mean of the ORIGINAL samples
     inputs = np.array([[2.0], [2.1], [1.9], [4.0], [4.2], [7.0]], np.float32)
