@@ -237,7 +237,10 @@ def _convert(value, hint, path):
         return tuple(_convert(v, a, path) for v, a in zip(value, args))
     if hint in (bool, int, float, str):
         if hint is float and type(value) is int:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise InputError(f"config {path}: integer too large for a float") from None
         # bool is an int subclass, but a number field takes no bool
         if not isinstance(value, hint) or (isinstance(value, bool)
                                            and hint is not bool):

@@ -39,7 +39,7 @@ from .config import (
 )
 from .errors import InputError
 from .fusion import KfState, fuse_trajectory
-from .geometry import Pose2, global_from_relative, wrap_angle
+from .geometry import Pose2, pose2_compose, wrap_angle
 from .localizer import LocalizerBundle, nearest_nodes, regressor_inputs
 from .pipeline import (
     TrainingArrays,
@@ -133,7 +133,7 @@ class ConditionData:
 def _batch_fine(bundle: LocalizerBundle, node_ids, latents):
     xs = regressor_inputs(node_ids, bundle.reg.n_nodes, latents)
     out, _ = nnet.forward(bundle.reg.net, xs, mode="eval")
-    return [Pose2(float(r[0]), float(r[1]), wrap_angle(float(r[2]))) for r in out]
+    return [Pose2(float(r[0]), float(r[1]), float(r[2])) for r in out]
 
 
 def evaluate_condition(bundle: LocalizerBundle, cond: ConditionData,
@@ -150,7 +150,7 @@ def evaluate_condition(bundle: LocalizerBundle, cond: ConditionData,
     mae_p = mae_xytheta(rel_perfect, rel_true)
 
     rel_predicted = _batch_fine(bundle, pred_nodes, latents)
-    glob_pred = [global_from_relative(bundle.topo.nodes[nid].pose, rel)
+    glob_pred = [pose2_compose(bundle.topo.nodes[nid].pose, rel)
                  for nid, rel in zip(pred_nodes, rel_predicted)]
     mae_g = mae_xytheta(glob_pred, cond.globals)
 

@@ -1,5 +1,9 @@
 """Planar pose algebra (SE(2)), pinhole intrinsics, and labeled clouds.
 
+SE(2) operations: `pose2_compose` (a ∘ b; a global pose is node ∘ rel),
+`pose2_inverse` and `relative_pose` (node⁻¹ ∘ frame). `Pose2` wraps theta on
+construction, so callers need not wrap it first.
+
 Conventions used package-wide:
 
 - angles are radians wrapped to (-pi, pi]; degrees appear only at I/O and
@@ -123,10 +127,6 @@ def pose2_inverse(a: Pose2) -> Pose2:
 
 
 def relative_pose(node: Pose2, frame: Pose2) -> Pose2:
-    """Pose of `frame` expressed in `node`'s frame: node⁻¹ ∘ frame."""
+    """Pose of `frame` expressed in `node`'s frame: node⁻¹ ∘ frame; its
+    inverse is pose2_compose(node, rel)."""
     return pose2_compose(pose2_inverse(node), frame)
-
-
-def global_from_relative(node: Pose2, rel: Pose2) -> Pose2:
-    """Inverse of relative_pose: node ∘ rel."""
-    return pose2_compose(node, rel)

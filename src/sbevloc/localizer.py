@@ -40,7 +40,7 @@ import numpy as np
 
 from . import nnet
 from .errors import FormatError, InputError, SbevError
-from .geometry import Pose2, global_from_relative, wrap_angle
+from .geometry import Pose2, pose2_compose
 from .sbev import SBev
 from .topomap import TopoMap
 
@@ -200,6 +200,9 @@ def train_autoencoder(inputs, node_ids, is_original, config: AeConfig,
     if inputs.ndim != 2:
         raise InputError(f"inputs must be 2-D, one row per example, got shape "
                          f"{inputs.shape}")
+    for name, column in (("node_ids", node_ids), ("is_original", is_original)):
+        if len(column) != len(inputs):
+            raise InputError(f"{name} has {len(column)} rows, inputs {len(inputs)}")
     live = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
     if not len(live):
         raise InputError(f"the live set is empty: no input column is nonzero "
@@ -358,23 +361,7 @@ def fine_localize(model: RegModel, node_id: int, latent: np.ndarray) -> Pose2:
     """Regress the (x, y, theta) pose relative to the chosen node."""
     x = regressor_inputs([node_id], model.n_nodes, np.reshape(latent, (1, -1)))[0]
     out, _ = nnet.forward(model.net, x, mode="eval")
-    return Pose2(float(out[0]), float(out[1]), wrap_angle(float(out[2])))
-
-
-def _column_mean_std(x: np.ndarray, block: int = 1024):
-    """`x.mean` and `x.std(axis=0, dtype=np.float64)`, bit for bit, from
-    float64 copies of `block` rows at a time. numpy adds rows in order
-    along axis 0, so each block after the first is reduced with the running
-    sum as its first row."""
-    def total(rows_of):
-        acc = None
-        for i in range(0, len(x), block):
-            rows = rows_of(x[i:i + block])
-            acc = np.add.reduce(rows if acc is None else np.vstack([acc, rows]))
-        return acc
-
-    mu = total(lambda rows: rows.astype(np.float64)) / len(x)
-    return mu, np.sqrt(total(lambda rows: np.square(rows - mu)) / len(x))
+    return Pose2(float(out[0]), float(out[1]), float(out[2]))
 
 
 def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
@@ -392,7 +379,8 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     if counts.max() != counts.min():
         raise InputError(f"unbalanced node counts (min {counts.min()}, "
                          f"max {counts.max()}); balance the dataset")
-    mu, sd = _column_mean_std(latents)
+    mu = latents.mean(axis=0, dtype=np.float64)
+    sd = latents.std(axis=0, dtype=np.float64)
     sd = np.maximum(sd, 1e-12 + 1e-3 * sd.max())
     # standardized in place by blocks: one block's float64 (z - mu) / sd is
     # the only temporary
@@ -444,7 +432,7 @@ def localize(bundle: LocalizerBundle, sb: SBev) -> LocalizationResult:
     latent = embed(bundle.ae, sb)
     node_id, dist = coarse_localize(bundle.index, latent)
     rel = fine_localize(bundle.reg, node_id, latent)
-    glob = global_from_relative(bundle.topo.nodes[node_id].pose, rel)
+    glob = pose2_compose(bundle.topo.nodes[node_id].pose, rel)
     return LocalizationResult(node_id, rel, glob, dist)
 
 

@@ -62,6 +62,17 @@ def test_negative_seed_exits_2_at_load(tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+def test_float_field_too_large_exits_2_at_load(tmp_path, capsys):
+    # float() of a JSON integer past float's range once raised an untyped
+    # OverflowError
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text('{"kf": {"q_xy": 1' + "0" * 400 + "}}")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "config kf.q_xy: integer too large for a float" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")])

@@ -186,6 +186,10 @@ def test_bad_train_values_rejected_at_load():
      r"config eval: weather 'fog' sets no perturbation"),
     # np.random.SeedSequence takes no negative seed; it raised mid-run
     ({"seed": -1}, r"config: seed -1 must be >= 0"),
+    # float(value) raised an untyped OverflowError
+    ({"synth": {"route_length": 10**400}},
+     r"config synth\.route_length: integer too large for a float"),
+    ({"kf": {"q_xy": -10**400}}, r"config kf\.q_xy: integer too large for a float"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

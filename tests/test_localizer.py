@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbevloc import localizer, nnet
+from sbevloc import evaluate, localizer, nnet
 from sbevloc.errors import FormatError, InputError
-from sbevloc.geometry import Pose2, global_from_relative
+from sbevloc.geometry import Pose2, pose2_compose, wrap_angle
 from sbevloc.localizer import (
     AeConfig,
     AEModel,
@@ -33,7 +33,6 @@ from sbevloc.localizer import (
     save_bundle,
     train_autoencoder,
     train_regressor,
-    _column_mean_std,
     _screen,
 )
 from sbevloc.sbev import SBev
@@ -283,6 +282,17 @@ def test_train_autoencoder_rejects_bad_mode():
     with pytest.raises(InputError):
         train_autoencoder(np.zeros((1, 4)), [0], [True], small_ae(epochs=1), 0,
                           mode="FOO")
+
+
+@pytest.mark.parametrize("mode", localizer.AE_MODES)
+def test_train_autoencoder_rejects_columns_of_another_length(mode):
+    # AVG reads neither column and once trained on 5 rows with 4 node ids;
+    # BASE and AUG raised numpy's untyped broadcast ValueError
+    x = np.random.default_rng(3).normal(size=(5, 3)).astype(np.float32)
+    with pytest.raises(InputError, match="node_ids has 4 rows, inputs 5"):
+        train_autoencoder(x, [0, 0, 1, 1], [True] * 5, small_ae(epochs=1), 0, mode)
+    with pytest.raises(InputError, match="is_original has 6 rows, inputs 5"):
+        train_autoencoder(x, [0, 0, 1, 1, 1], [True] * 6, small_ae(epochs=1), 0, mode)
 
 
 # --- embed --------------------------------------------------------------------
@@ -632,20 +642,6 @@ def test_train_regressor_is_plain_full_width_training():
             == (init.layers[0].weights[:, 4] / sd[1]).astype(np.float32).tobytes())
 
 
-@pytest.mark.parametrize("block", [1024, 7, 1])
-def test_column_mean_std_equals_numpy(block):
-    # offsets, spreads apart, a column of -0.0, and one whose float64 sums
-    # round (magnitudes over 2^-40..2^40), so that an order change shows
-    rng = np.random.default_rng(21)
-    x = (rng.normal(size=(2500, 6)) * [1e-3, 1.0, 50.0, 1.0, 1.0, 1.0]
-         + [0.0, 300.0, -7.0, 0.0, 0.0, 0.0]).astype(np.float32)
-    x[:, 3] = -0.0
-    x[:, 4] = rng.lognormal(0.0, 8.0, 2500) * rng.choice([-1.0, 1.0], 2500)
-    mu, sd = _column_mean_std(x, block)
-    assert mu.tobytes() == x.mean(axis=0, dtype=np.float64).tobytes()
-    assert sd.tobytes() == x.std(axis=0, dtype=np.float64).tobytes()
-
-
 def test_regressor_training_freezes_encoder():
     model = tiny_ae(seed=12)
     before = [l.weights.tobytes() + l.bias.tobytes() for l in model.net.layers]
@@ -672,11 +668,36 @@ def make_bundle(seed=15):
     return LocalizerBundle(topo, ae, reg, index)
 
 
+@pytest.mark.parametrize("bias", [10.0, -10.0, 1e4])
+def test_batch_and_single_row_fine_wrap_theta_alike(bias):
+    # both paths leave the one wrap to Pose2. Weights and latents are
+    # multiples of 1/8 and 1/4, so every float32 sum is exact and a GEMM
+    # row equals the one-row forward; output 2's bias puts raw theta
+    # outside (-pi, pi]
+    bundle = make_bundle()
+    rng = np.random.default_rng(23)
+    for layer in bundle.reg.net.layers:
+        layer.weights[:] = rng.integers(-8, 9, layer.weights.shape) / 8
+        layer.bias[:] = rng.integers(-8, 9, layer.bias.shape) / 8
+    bundle.reg.net.layers[-1].bias[2] = bias
+    ids = rng.integers(0, 3, 12)
+    latents = (rng.integers(-8, 9, (12, 4)) / 4).astype(np.float32)
+    raw, _ = nnet.forward(bundle.reg.net, regressor_inputs(ids, 3, latents), mode="eval")
+    assert (np.abs(raw[:, 2]) > math.pi).all()
+    batch = evaluate._batch_fine(bundle, ids, latents)
+    assert isinstance(batch, list) and len(batch) == len(ids)
+    for i, got in enumerate(batch):
+        want = fine_localize(bundle.reg, ids[i], latents[i])
+        assert (np.array([got.x, got.y, got.theta]).tobytes()
+                == np.array([want.x, want.y, want.theta]).tobytes())
+        assert got.theta == wrap_angle(float(raw[i, 2]))
+
+
 def test_localize_consistency():
     bundle = make_bundle()
     grid = np.random.default_rng(16).integers(0, 200, (32, 32)).astype(np.uint8)
     res = localize(bundle, SBev(grid, 0.25))
-    want = global_from_relative(bundle.topo.nodes[res.node_id].pose, res.rel_pose)
+    want = pose2_compose(bundle.topo.nodes[res.node_id].pose, res.rel_pose)
     assert res.global_pose == want
     assert 0 <= res.node_id < 3
     assert res.nn_distance >= 0

@@ -1,5 +1,6 @@
 """Guards on the names that packaging and the benchmark's traced run use."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -37,6 +38,20 @@ def test_traced_benchmark_targets_exist(monkeypatch):
     for module, func, _ in targets:
         mod = importlib.import_module(f"sbevloc.{module}")
         assert callable(getattr(mod, func, None)), f"sbevloc.{module}.{func}"
+
+
+def test_benchmark_workload_attributes_exist():
+    # perfbench/workloads.py reads these as `module.name`; an untraced one,
+    # such as localizer.embed, is otherwise resolved only by the benchmark
+    modules = {"evaluate", "fusion", "localizer", "pipeline", "synthworld"}
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("localizer", "embed") in read and ("synthworld", "lane_shift") in read
+    for module, name in sorted(read):
+        mod = importlib.import_module(f"sbevloc.{module}")
+        assert hasattr(mod, name), f"sbevloc.{module}.{name}"
 
 
 def test_benchmark_modules_import(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbevloc.errors import InputError
-from sbevloc.geometry import Pose2, global_from_relative, relative_pose, wrap_angle
+from sbevloc.geometry import Pose2, pose2_compose, relative_pose, wrap_angle
 from sbevloc.sbev import GridSpec, SBev, cell_centers
 from sbevloc.topomap import (
     AugmentConfig,
@@ -132,7 +132,7 @@ def test_assign_to_nodes_rel_pose():
     topo = make_map([(0, 0), (20, 0)])
     (s,) = assign_to_nodes(topo, [(7, Pose2(21, 1, 0.2))])
     assert s.frame_id == 7 and s.node_id == 1
-    back = global_from_relative(topo.nodes[1].pose, s.rel_pose)
+    back = pose2_compose(topo.nodes[1].pose, s.rel_pose)
     assert back.x == pytest.approx(21)
     assert back.y == pytest.approx(1)
 
