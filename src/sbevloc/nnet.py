@@ -348,22 +348,12 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
 
 
 def net_arrays(net: DenseNet, name: str) -> dict:
-    """Named arrays of `net`, each layer stored column-sparse.
-
-    Per layer i: `{name}.{i}.columns`, a bool mask over the layer's input
-    columns marking those that hold any weight whose bits are not +0.0;
-    `{name}.{i}.weights`, float32 (out, marked columns), only those columns;
-    and `{name}.{i}.bias` float32. Then `{name}.activation`/`.dropout` per
-    layer. A float32 net round-trips bit for bit: a column left out is all
-    +0.0, and a -0.0 column is kept.
-    """
+    """Named arrays of `net`: per layer i, `{name}.{i}.weights` (out, in)
+    and `{name}.{i}.bias` (out,), float32; then `{name}.activation` and
+    `{name}.dropout`, one entry per layer."""
     arrays = {}
     for i, layer in enumerate(net.layers):
-        w = np.asarray(layer.weights, np.float32)
-        columns = (w.view(np.uint32) != 0).any(axis=0)
-        arrays[f"{name}.{i}.columns"] = columns
-        # C order: `w[:, columns]` would be Fortran-ordered
-        arrays[f"{name}.{i}.weights"] = w.compress(columns, axis=1)
+        arrays[f"{name}.{i}.weights"] = np.asarray(layer.weights, np.float32)
         arrays[f"{name}.{i}.bias"] = np.asarray(layer.bias, np.float32)
     arrays[f"{name}.activation"] = np.array([l.activation for l in net.layers])
     arrays[f"{name}.dropout"] = np.array([l.dropout for l in net.layers])
@@ -371,29 +361,18 @@ def net_arrays(net: DenseNet, name: str) -> dict:
 
 
 def net_from_arrays(arrays, name: str) -> DenseNet:
-    """Inverse of `net_arrays` over any mapping: each layer's unmarked
-    columns are +0.0. Parameters must be finite float32, and each mask a
-    1-D bool array marking as many columns as its weights hold."""
+    """Inverse of `net_arrays` over any mapping; the net holds its arrays.
+    Parameters must be finite float32."""
     layers = []
     for i, (act, dropout) in enumerate(zip(arrays[f"{name}.activation"].tolist(),
                                            arrays[f"{name}.dropout"].tolist(),
                                            strict=True)):
         key = f"{name}.{i}"
-        columns = arrays[f"{key}.columns"]
         w, b = arrays[f"{key}.weights"], arrays[f"{key}.bias"]
         if w.dtype != np.float32 or b.dtype != np.float32:
             raise ValueError(f"{key} parameters are {w.dtype}/{b.dtype}, "
                              "not float32")
-        if columns.dtype != np.bool_ or columns.ndim != 1:
-            raise ValueError(f"{key}.columns is {columns.dtype} of shape "
-                             f"{columns.shape}, not a 1-D bool mask")
-        marked = np.count_nonzero(columns)
-        if w.ndim != 2 or w.shape[1] != marked:
-            raise ValueError(f"{key}.weights has shape {w.shape}, but "
-                             f"{key}.columns marks {marked} columns")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"{key} parameters are not all finite")
-        full = np.zeros((len(w), len(columns)), np.float32)
-        full[:, columns] = w
-        layers.append(Layer(full, b, act, float(dropout)))
+        layers.append(Layer(w, b, act, float(dropout)))
     return DenseNet(layers)

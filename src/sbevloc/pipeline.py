@@ -17,8 +17,8 @@ row. The AE reads and reconstructs only the live ones (`train_autoencoder`),
 gathering each batch's live columns as it is drawn. As the mode picks, BASE
 and AUG reconstruct one target row per node and AVG its input batch; AUG
 copies only its original rows, and each net trains in place. The encoder
-comes back full width with +0.0 dead columns, which the bundle file leaves
-out: layer 0 is ~1.2 MB of the map file, not 3.9 MB.
+comes back full width with +0.0 dead columns, zero runs that deflate
+shrinks: layer 0 is ~1.1 MB of the map file, not 3.9 MB.
 """
 
 from __future__ import annotations

@@ -152,14 +152,14 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec, frame_id: int = 0) -> SBev:
 
     Among the points at a cell's top height, the larger label ID wins. Two
     scatter-max passes over the flat cell index: the first gives each
-    cell's top height, the second the largest label among the points at it.
-    Points that must not count go to the sentinel cell n_cells: off the
-    grid (`flat_cells`), a height outside the window or NaN, label 0, and
-    in the second pass a point below its cell's top. Both passes run over
-    n_cells + 1 entries and drop the last. Every other point keeps the
-    exact cell it had, so the grid equals that of the masked points alone.
-    A max does not depend on the order of its inputs, so neither does the
-    result; -0.0 and +0.0 tie.
+    cell's top height, the second, over the points at their cell's top
+    only, the largest label among them. Points that must not count go to
+    the sentinel cell n_cells: off the grid (`flat_cells`), a height
+    outside the window or NaN, and label 0. Both passes run over n_cells +
+    1 entries and drop the last. Every other point keeps the exact cell it
+    had, so the grid equals that of the masked points alone. A max does not
+    depend on the order of its inputs, so neither does the result; -0.0 and
+    +0.0 tie.
     """
     n_cells = spec.size * spec.size
     x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
@@ -172,9 +172,9 @@ def rasterize_bev(cloud: PointCloud, spec: GridSpec, frame_id: int = 0) -> SBev:
     top = np.full(n_cells + 1, -np.inf)
     with np.errstate(invalid="ignore"):    # NaN heights, all in the sentinel
         np.maximum.at(top, cell, z)
-    cell[np.not_equal(z, top[cell], out=mask)] = n_cells   # below the top
+    at_top = np.flatnonzero(z == top[cell])
     grid = np.zeros(n_cells + 1, dtype=np.uint8)
-    np.maximum.at(grid, cell, cloud.labels)
+    np.maximum.at(grid, cell[at_top], cloud.labels[at_top])
     return SBev(grid[:n_cells].reshape(spec.size, spec.size), spec.resolution, frame_id)
 
 

@@ -52,6 +52,18 @@ def test_bad_hidden_width_exits_2_at_load(tmp_path, capsys):
     assert not (out / "config.json").exists()
 
 
+def test_layer_width_too_wide_exits_2_at_load(tmp_path, capsys):
+    # nnet.init_net once raised numpy's untyped "Maximum allowed dimension
+    # exceeded" mid-run
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"ae": {"latent_dim": 10**20}}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config ae: latent_dim [100000000000000000000] must be >= 1 and at most" in err
+    assert not (out / "config.json").exists()
+
+
 def test_negative_seed_exits_2_at_load(tmp_path, capsys):
     # np.random.SeedSequence once raised an untyped ValueError mid-run
     cfg_path = tmp_path / "bad.json"

@@ -190,6 +190,12 @@ def test_bad_train_values_rejected_at_load():
     ({"synth": {"route_length": 10**400}},
      r"config synth\.route_length: integer too large for a float"),
     ({"kf": {"q_xy": -10**400}}, r"config kf\.q_xy: integer too large for a float"),
+    # nnet.init_net raised numpy's untyped "Maximum allowed dimension exceeded"
+    ({"ae": {"latent_dim": 10**20}},
+     r"config ae: latent_dim \[100000000000000000000\] must be >= 1 and at most "
+     r"numpy's largest dimension, 9223372036854775807"),
+    ({"reg": {"hidden": [256, 2**63]}},
+     r"config reg: hidden layer widths \[256, 9223372036854775808\] must be >= 1 and at"),
 ])
 def test_bad_section_values_rejected_at_load(doc, message):
     with pytest.raises(InputError, match=message):

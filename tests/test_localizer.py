@@ -1,9 +1,11 @@
 import copy
+import io
 import math
 import re
 import struct
 import tracemalloc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -413,6 +415,33 @@ def test_nearest_nodes_over_index_blocks(monkeypatch, seed):
         nearest_nodes(index, queries)
 
 
+@pytest.mark.parametrize("rows, dim, block", [(8496, 128, None), (2000, 1936, None),
+                                               (700, 8, 100)])
+def test_one_row_scan_is_blocked_and_bit_equal(monkeypatch, rows, dim, block):
+    # the one-row path reads the index in blocks; each row's d2 is a row-wise
+    # einsum, so it equals a full scan's bit for bit. Block 100 splits 700
+    # rows of 8 into 12-row blocks, the last one short, and ties straddle them
+    if block:
+        monkeypatch.setattr(localizer, "SCREEN_BLOCK", block)
+    rng = np.random.default_rng(dim)
+    lats = rng.random((rows, dim), dtype=np.float32)
+    lats[rows // 2:] = lats[:rows - rows // 2]
+    index = EmbeddingIndex(lats, rng.integers(0, 59, rows))
+    queries = lats[rng.integers(0, rows, 3)] + rng.normal(0, 0.02, (3, dim)).astype(np.float32)
+    for q in (*queries, lats[5]):
+        tracemalloc.start()
+        ids, dists = nearest_nodes(index, q[None])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        want_ids, want_dists = loop_nearest(index, q[None])
+        assert ids.tolist() == want_ids
+        assert dists.tobytes() == np.array(want_dists, np.float32).tobytes()
+        # one block of float32 differences, not the full scan's rows x dim
+        # (4.35 MB at 8496 x 128, 15.5 MB at 2000 x 1936), and a few
+        # arrays of one entry per index row
+        assert peak < 4 * localizer.SCREEN_BLOCK + 64 * rows, peak
+
+
 def test_nearest_nodes_exact_ties():
     # rows 0 and 2 tie across nodes 7 and 3; rows 1 and 3 tie within node 4;
     # the query at 0 ties rows 0, 2, 4 and 5 across nodes 7, 3, 9 and 3
@@ -703,9 +732,21 @@ def test_localize_consistency():
     assert res.nn_distance >= 0
 
 
-def _npz_members(path) -> dict:
+def _stored_members(path) -> dict:
+    """bundle.npz's members as stored: planar ones as byte planes."""
     with np.load(path, allow_pickle=False) as z:
         return {k: z[k] for k in z.files}
+
+
+def _npz_members(path) -> dict:
+    """bundle.npz's members, planar ones decoded."""
+    with np.load(path, allow_pickle=False) as z:
+        return {k: localizer._from_planes(k, z[k]) for k in z.files}
+
+
+def _write_members(path, members) -> None:
+    """Write decoded members back as save_bundle stores them."""
+    np.savez_compressed(path, **{k: localizer._to_planes(k, v) for k, v in members.items()})
 
 
 def test_bundle_round_trip(tmp_path):
@@ -713,7 +754,7 @@ def test_bundle_round_trip(tmp_path):
     save_bundle(tmp_path / "bundle", bundle)
     assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["bundle.npz"]
     stored = _npz_members(tmp_path / "bundle" / "bundle.npz")
-    assert stored["format_version"] == 3
+    assert stored["format_version"] == 4
     assert stored["index_node_ids"].dtype == np.dtype("<u4")
     # only the encoder half of the autoencoder is stored
     assert stored["ae.activation"].tolist() == ["relu", "relu"]
@@ -777,17 +818,37 @@ def test_missing_bundle_file_raises_format_error(tmp_path, name):
     assert any(f"'{k} is not a file in the archive'" in str(e.value) for k in gone)
 
 
-def _flip_weight_byte(raw: bytes) -> bytes:
-    weights = make_bundle().reg.net.layers[1].weights.tobytes()
-    at = raw.index(weights) + len(weights) // 2
+def _deflated(raw: bytes, member: str) -> range:
+    """The byte offsets of `member`'s deflated data in the archive `raw`."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        info = archive.getinfo(member)
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    return range(start, start + info.compress_size)
+
+
+def _flip(raw: bytes, at: int) -> bytes:
     return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
+
+
+def _flip_weight_byte(raw: bytes) -> bytes:
+    data = _deflated(raw, "reg.1.weights.npy")
+    return _flip(raw, data[len(data) // 2])
 
 
 def _edit_members(edit):
     def apply(path):
         members = _npz_members(path)
         edit(members)
-        np.savez(path, **members)
+        _write_members(path, members)
+    return apply
+
+
+def _edit_stored(edit):
+    def apply(path):
+        members = _stored_members(path)
+        edit(members)
+        np.savez_compressed(path, **members)
     return apply
 
 
@@ -811,12 +872,11 @@ def _raw(edit):
     (_edit_members(lambda m: m.update(thresholds=m["thresholds"][:1])),
      "not enough values to unpack"),
     (_edit_members(lambda m: m.update(nodes=m["nodes"].ravel())),
-     "node poses must be (n, 3), got shape (9,)"),
+     "nodes planes are uint8 of shape (8, 9), not uint8 (8, ...) with 3 axes"),
     (_edit_members(lambda m: m.update(nodes=m["nodes"][:, 1:])),
      "node poses must be (n, 3), got shape (3, 2)"),
     (_edit_members(lambda m: m["index_node_ids"].__setitem__(0, 3)), "index node ids"),
-    (_edit_members(lambda m: m.update({"reg.1.weights": np.zeros((3, 7), np.float32),
-                                       "reg.1.columns": np.ones(7, bool)})),
+    (_edit_members(lambda m: m.update({"reg.1.weights": np.zeros((3, 7), np.float32)})),
      "do not chain"),
     (_edit_members(lambda m: m.update({"ae.activation": np.array(["relu", "tanh"])})),
      "'tanh'"),
@@ -828,20 +888,19 @@ def _raw(edit):
     (_edit_members(lambda m: m["reg.1.bias"].__setitem__(2, -math.inf)),
      "reg.1 parameters are not all finite"),
     (_edit_members(lambda m: m.update(ae_mode="FOO")), "AE mode 'FOO' not one of"),
-    (_edit_members(lambda m: m.pop("ae.0.columns")), "ae.0.columns"),
-    (_edit_members(lambda m: m.update({"ae.0.columns": m["ae.0.columns"].astype(np.uint8)})),
-     "ae.0.columns is uint8 of shape (16,), not a 1-D bool mask"),
-    (_edit_members(lambda m: m.update({"ae.0.columns": m["ae.0.columns"].reshape(4, 4)})),
-     "ae.0.columns is bool of shape (4, 4), not a 1-D bool mask"),
-    (_edit_members(lambda m: m["ae.0.columns"].__setitem__(3, False)),
-     "ae.0.weights has shape (8, 16), but ae.0.columns marks 15 columns"),
+    (_edit_stored(lambda m: m.update(index_latents=m["index_latents"].astype(np.uint16))),
+     "index_latents planes are uint16 of shape (4, 4, 9)"),
+    (_edit_stored(lambda m: m.update({"ae.0.weights": m["ae.0.weights"][:3]})),
+     "ae.0.weights planes are uint8 of shape (3, 16, 8), not uint8 (4, ...) with 3 axes"),
+    (_edit_stored(lambda m: m.update({"reg.0.bias": m["reg.0.bias"].ravel()})),
+     "reg.0.bias planes are uint8 of shape (32,), not uint8 (4, ...) with 2 axes"),
 ], ids=["truncated", "flipped-weight-byte", "no-reg.0.bias", "object-member",
         "format-version-1", "topomap-nan-pose", "manifest-truncated",
         "manifest-array-root", "topomap-truncated", "topomap-array-root",
         "topomap-node-without-x", "index-id-past-map", "weights-do-not-chain",
         "activation-tanh", "pool-zero", "index-nan-latent", "ae-inf-weight",
-        "reg-inf-bias", "ae-mode-unknown", "no-ae.0.columns", "columns-not-bool",
-        "columns-2d", "columns-count-not-width"])
+        "reg-inf-bias", "ae-mode-unknown", "planes-not-uint8", "planes-of-3-bytes",
+        "planes-an-axis-short"])
 def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
     save_bundle(tmp_path, make_bundle())
     corrupt(tmp_path / "bundle.npz")
@@ -849,18 +908,66 @@ def test_malformed_bundle_file_raises_format_error(tmp_path, corrupt, reason):
         load_bundle(tmp_path)
 
 
-def test_version_2_bundle_file_is_rejected(tmp_path):
-    # format 2 stored every layer's full weights and no column masks
+def test_version_3_bundle_file_is_rejected(tmp_path):
+    # format 3 stored raw members, each layer's weights without the input
+    # columns that held +0.0 only, and a bool mask over them
     bundle = make_bundle()
+    bundle.ae.net.layers[0].weights[:, 3] = 0.0
     save_bundle(tmp_path, bundle)
-    members = {k: v for k, v in _npz_members(tmp_path / "bundle.npz").items()
-               if not k.endswith(".columns")}
+    members = _npz_members(tmp_path / "bundle.npz")
     for name, net in (("ae", bundle.ae.net), ("reg", bundle.reg.net)):
         for i, layer in enumerate(net.layers):
-            members[f"{name}.{i}.weights"] = layer.weights
-    np.savez(tmp_path / "bundle.npz", **{**members, "format_version": 2})
-    with pytest.raises(FormatError, match=r"bundle\.npz: .*format_version 2, expected 3"):
+            columns = layer.weights.view(np.uint32).any(axis=0)
+            members[f"{name}.{i}.columns"] = columns
+            members[f"{name}.{i}.weights"] = layer.weights.compress(columns, axis=1)
+    np.savez(tmp_path / "bundle.npz", **{**members, "format_version": 3})
+    with pytest.raises(FormatError, match=r"bundle\.npz: .*format_version 3, expected 4"):
         load_bundle(tmp_path)
+
+
+def _bundle_arrays(bundle) -> list:
+    return [*(a for net in (bundle.ae.net, bundle.reg.net) for layer in net.layers
+              for a in (layer.weights, layer.bias)),
+            bundle.index.latents, bundle.index.node_ids, bundle.topo.poses()]
+
+
+def test_bundle_file_keeps_every_bit(tmp_path):
+    # np.array_equal cannot tell -0.0 from +0.0, so arrays compare by bytes
+    bundle = make_bundle()
+    w = bundle.ae.net.layers[0].weights
+    w[:, 2], w[:, 5] = 0.0, -0.0
+    w[0, 7] = w[1, 9] = np.finfo(np.float32).smallest_subnormal
+    w[2, 7] = -np.finfo(np.float32).smallest_normal / 3
+    w[3, 7], w[4, 7] = np.finfo(np.float32).max, -np.finfo(np.float32).max
+    bundle.reg.net.layers[1].bias[:] = [-0.0, np.finfo(np.float32).max, 1e-45]
+    bundle.index.latents[0] = [-0.0, 0.0, 1e-40, -3e38]
+    save_bundle(tmp_path, bundle)
+    back = load_bundle(tmp_path)
+    for got, want in zip(_bundle_arrays(back), _bundle_arrays(bundle), strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_flipped_deflated_byte_raises_or_changes_nothing(tmp_path):
+    # a flip in a deflated member either fails the load, or lands in bits the
+    # stream does not read and leaves every array as it was
+    bundle = make_bundle()
+    save_bundle(tmp_path, bundle)
+    raw = (tmp_path / "bundle.npz").read_bytes()
+    failed = 0
+    for at in (*_deflated(raw, "index_latents.npy"), *_deflated(raw, "reg.1.weights.npy")):
+        (tmp_path / "bundle.npz").write_bytes(_flip(raw, at))
+        try:
+            back = load_bundle(tmp_path)
+        except FormatError as e:
+            assert "bundle.npz: unreadable bundle" in str(e)
+            failed += 1
+        else:
+            assert all(a.tobytes() == b.tobytes() for a, b in
+                       zip(_bundle_arrays(back), _bundle_arrays(bundle), strict=True))
+    assert failed > 0.9 * (len(_deflated(raw, "index_latents.npy"))
+                           + len(_deflated(raw, "reg.1.weights.npy")))
 
 
 def _with_index(latents, node_ids) -> LocalizerBundle:
@@ -881,14 +988,21 @@ def test_index_file_round_trip(tmp_path):
 
 
 def test_index_file_bytes(tmp_path):
-    # the index members hold latents as little-endian f4 and node ids as u4
+    # each index member is stored as its byte planes: plane k holds byte k of
+    # every little-endian element, the elements in column-major order
     lats = np.array([[0.5, -1.0, 2.0, 3.25], [-0.0, 1e-3, 0.0, 7.0]], dtype=np.float32)
     ids = [2, 0]
     save_bundle(tmp_path, _with_index(lats, ids))
-    stored = _npz_members(tmp_path / "bundle.npz")
-    assert stored["index_node_ids"].dtype == np.dtype("<u4")
-    assert stored["index_node_ids"].tobytes() == struct.pack("<2I", *ids)
-    assert stored["index_latents"].tobytes() == struct.pack("<8f", *lats.ravel())
+    stored = _stored_members(tmp_path / "bundle.npz")
+    ids_le = np.frombuffer(struct.pack("<2I", *ids), np.uint8).reshape(2, 4)
+    assert stored["index_node_ids"].dtype == np.uint8
+    assert stored["index_node_ids"].tobytes() == ids_le.T.tobytes()
+    lats_le = np.frombuffer(struct.pack("<8f", *lats.ravel()), np.uint8).reshape(2, 4, 4)
+    assert stored["index_latents"].shape == (4, 4, 2)
+    assert stored["index_latents"].tobytes() == lats_le.transpose(2, 1, 0).tobytes()
+    decoded = _npz_members(tmp_path / "bundle.npz")
+    assert decoded["index_node_ids"].dtype == np.dtype("<u4")
+    assert decoded["index_node_ids"].tolist() == ids
 
 
 def test_index_file_truncation(tmp_path):

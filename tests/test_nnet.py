@@ -601,41 +601,21 @@ def test_weights_truncated(tmp_path):
         net_from_arrays({**arrays, "w.0.bias": arrays["w.0.bias"].astype(np.float64)}, "w")
 
 
-@pytest.mark.parametrize("zero, stored", [(0.0, 5), (-0.0, 6), (None, 6)],
-                         ids=["plus-zero-column-dropped", "minus-zero-column-kept",
-                              "no-zero-column"])
-def test_weights_stored_column_sparse(tmp_path, zero, stored):
+@pytest.mark.parametrize("zero", [0.0, -0.0, None],
+                         ids=["plus-zero-column", "minus-zero-column", "no-zero-column"])
+def test_weights_round_trip_keeps_zero_columns(tmp_path, zero):
+    # every column is stored, a zero one too, and comes back bit for bit
     net = init_net([6, 4, 2], ["relu", "linear"], seed=22, dtype=np.float32)
     if zero is not None:
         net.layers[0].weights[:, 2] = zero
-    net.layers[0].weights[1, 4] = 0.0     # one +0.0 weight keeps its column
+    net.layers[0].weights[1, 4] = 0.0
     arrays = net_arrays(net, "w")
-    assert arrays["w.0.columns"].dtype == np.bool_
-    assert arrays["w.0.columns"].tolist() == [i != 2 or stored == 6 for i in range(6)]
-    assert arrays["w.0.weights"].shape == (4, stored)
-    assert arrays["w.0.weights"].flags.c_contiguous
-    assert arrays["w.1.columns"].all() and arrays["w.1.weights"].shape == (2, 4)
+    assert arrays["w.0.weights"].shape == (4, 6)
+    assert arrays["w.1.weights"].shape == (2, 4)
     back = net_from_arrays(_saved(tmp_path, arrays), "w")
     for a, b in zip(net.layers, back.layers, strict=True):
         assert b.weights.tobytes() == a.weights.tobytes()
         assert b.bias.tobytes() == a.bias.tobytes()
-
-
-@pytest.mark.parametrize("edit, error, match", [
-    (lambda a: a.pop("w.0.columns"), KeyError, "w.0.columns"),
-    (lambda a: a.update({"w.0.columns": a["w.0.columns"].astype(np.int64)}), ValueError,
-     r"w\.0\.columns is int64 of shape \(3,\), not a 1-D bool mask"),
-    (lambda a: a.update({"w.0.columns": a["w.0.columns"].reshape(1, 3)}), ValueError,
-     r"w\.0\.columns is bool of shape \(1, 3\), not a 1-D bool mask"),
-    (lambda a: a["w.0.columns"].__setitem__(0, False), ValueError,
-     r"w\.0\.weights has shape \(2, 3\), but w\.0\.columns marks 2 columns"),
-], ids=["missing", "not-bool", "2d", "count-not-width"])
-def test_weights_bad_column_mask(tmp_path, edit, error, match):
-    net = init_net([3, 2], ["linear"], seed=23, dtype=np.float32)
-    arrays = _saved(tmp_path, net_arrays(net, "w"))
-    edit(arrays)
-    with pytest.raises(error, match=match):
-        net_from_arrays(arrays, "w")
 
 
 # --- full-size architecture spot checks ---------------------------------------
