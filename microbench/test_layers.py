@@ -44,8 +44,6 @@ from sbevloc.pipeline import (
 from sbevloc.sbev import (
     GridSpec,
     accumulate_sbev,
-    build_point_cloud,
-    filter_labels,
     rasterize_bev,
 )
 from sbevloc.synthworld import (
@@ -179,15 +177,33 @@ def test_render_frame(benchmark, world):
     assert labels.any() and (depth > 0).any()
 
 
-def test_ego_cloud(benchmark, world):
+def frozen_build_point_cloud(depth, labels, k):
+    """Reference: the unprojection as it was before the per-camera tables,
+    a 2-D nonzero and a per-call subtraction."""
+    valid = (depth > 0) & (labels != 0)
+    vs, us = np.nonzero(valid)
+    xyz = np.empty((3, len(vs))).T
+    xyz[:, 0] = d = depth[valid]
+    xyz[:, 1] = -((us - k.cx) * d / k.fx)
+    xyz[:, 2] = -((vs - k.cy) * d / k.fy)
+    return xyz, labels[valid]
+
+
+@pytest.mark.parametrize("weather", [None, RAIN], ids=["clean", "rain"])
+def test_ego_cloud(benchmark, world, weather):
     k, policy = CFG.camera.intrinsics(), CFG.classes.policy()
     depth, labels = render_frame(world, world.route[100], k)
+    if weather is not None:
+        depth, labels = perturb_weather((depth, labels), weather, 7)
     cloud = benchmark(ego_cloud, depth, labels, k, policy)
-    # reference: the label map filtered, then every pixel unprojected
-    want = build_point_cloud(depth, filter_labels(labels, policy), k)
-    assert len(cloud) > 0
-    assert cloud.xyz.tobytes() == want.xyz.tobytes()
-    assert cloud.labels.tobytes() == want.labels.tobytes()
+    # reference: the label map filtered by a lookup of its own, then every
+    # pixel unprojected by the frozen code
+    lut = np.zeros(256, dtype=np.uint8)
+    lut[sorted(policy.keep_set)] = sorted(policy.keep_set)
+    xyz, kept = frozen_build_point_cloud(depth, lut[labels], k)
+    assert len(cloud) > 0 and cloud.xyz.flags.f_contiguous
+    assert cloud.xyz.tobytes(order="A") == xyz.tobytes(order="A")
+    assert cloud.labels.tobytes() == kept.tobytes()
 
 
 def test_perturb_weather(benchmark, world):
@@ -216,7 +232,10 @@ def test_rotate_grid(benchmark, real_window):
 def test_grid_to_input(benchmark):
     grid = np.random.default_rng(3).integers(0, 256, (SPEC.size, SPEC.size), dtype=np.uint8)
     x = benchmark(grid_to_input, grid, 8)
-    assert x.shape == ((SPEC.size // 8) ** 2,)
+    n = SPEC.size // 8
+    mean = grid.astype(np.float64).reshape(n, 8, n, 8).mean(axis=(1, 3))
+    want = (mean / 255.0).ravel().astype(np.float32)
+    assert x.dtype == want.dtype and x.tobytes() == want.tobytes()
 
 
 # the default networks at the training batch: the 1936-512-128-512-1936

@@ -58,18 +58,24 @@ BUNDLE_VERSION = 4
 
 
 def pool_grid(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Average-pool a grid by an integer factor, as float64.
+    """Average-pool a 2-D grid by an integer factor, as float64.
 
-    Block sums are taken in two passes, rows then columns, in float64. For
-    an integer grid every partial sum is an exact integer, so the result
-    equals a float64 block mean bit for bit.
+    Block sums are taken in two passes, rows then columns: a uint8 grid's in
+    the least unsigned type that holds factor**2 * 255 (uint16 up to factor
+    16), any other's in float64. For an integer grid every partial sum is an
+    exact integer, so the result equals a float64 block mean bit for bit.
     """
     grid = np.asarray(grid)
+    if grid.ndim != 2:
+        raise InputError(f"pooled grid must be 2-D, got shape {grid.shape}")
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)):
+        raise InputError(f"pool factor must be an integer, got {factor!r}")
     h, w = grid.shape
     if factor < 1 or h % factor or w % factor:
         raise InputError(f"pool factor {factor} does not divide grid {grid.shape}")
-    sums = (grid.reshape(h // factor, factor, w).sum(axis=1, dtype=np.float64)
-            .reshape(h // factor, w // factor, factor).sum(axis=2))
+    acc = np.min_scalar_type(factor**2 * 255) if grid.dtype == np.uint8 else np.float64
+    sums = (grid.reshape(h // factor, factor, w).sum(axis=1, dtype=acc)
+            .reshape(h // factor, w // factor, factor).sum(axis=2, dtype=acc))
     return sums / (factor * factor)
 
 

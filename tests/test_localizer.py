@@ -80,6 +80,38 @@ def test_pool_grid_full_size():
     assert np.allclose(x, 1.0)
 
 
+@pytest.mark.parametrize("factor", [1, 2, 8, 16, 17])
+def test_pool_grid_uint8_bit_equal_to_float64_mean(factor):
+    # 272 = 16 * 17; at factor 17 a block of 255s sums to 73695, past uint16
+    rng = np.random.default_rng(factor)
+    grids = [np.full((272, 272), 255, dtype=np.uint8),
+             rng.integers(0, 256, (272, 272), dtype=np.uint8),
+             rng.integers(0, 256, (272, 2 * 272), dtype=np.uint8)]
+    for g in grids:
+        h, w = g.shape
+        mean = g.astype(np.float64).reshape(h // factor, factor, w // factor, factor).mean(
+            axis=(1, 3))
+        got = pool_grid(g, factor)
+        assert got.dtype == np.float64 and got.tobytes() == mean.tobytes()
+
+
+@pytest.mark.parametrize("grid", [np.zeros(64), np.zeros((8, 8, 1)), np.uint8(3)],
+                         ids=["1d", "3d", "0d"])
+def test_pool_grid_not_2d_raises_input_error(grid):
+    with pytest.raises(InputError, match="2-D"):
+        pool_grid(grid, 2)
+    with pytest.raises(InputError, match="2-D"):
+        grid_to_input(grid, 2)
+
+
+@pytest.mark.parametrize("factor", [2.0, 2.5, True, "2", np.float64(2.0)])
+def test_pool_grid_factor_not_an_integer_raises_input_error(factor):
+    with pytest.raises(InputError, match="integer"):
+        pool_grid(np.zeros((8, 8), dtype=np.uint8), factor)
+    with pytest.raises(InputError, match="integer"):
+        grid_to_input(np.zeros((8, 8), dtype=np.uint8), factor)
+
+
 def test_pool_grid_divisibility():
     with pytest.raises(InputError):
         pool_grid(np.zeros((10, 10)), 3)

@@ -18,6 +18,7 @@ from sbevloc.sbev import (
     GridSpec,
     SBev,
     accumulate_sbev,
+    _pixel_offsets,
     build_point_cloud,
     filter_labels,
     flat_cells,
@@ -43,6 +44,19 @@ def rendered_frames(k, poses=slice(30, 42), weather=None):
                            dataclasses.replace(cfg.synth, route_length=40.0))
     return list(render_stream(world, world.route[poses], k, weather=weather,
                               weather_seed=1))
+
+
+def frozen_build_point_cloud(depth, labels, k):
+    """The unprojection as it was before the per-camera tables (the
+    reference): a 2-D nonzero and a per-call subtraction."""
+    depth = np.asarray(depth, dtype=np.float64)
+    valid = (depth > 0) & (labels != 0)
+    vs, us = np.nonzero(valid)
+    xyz = np.empty((3, len(vs))).T
+    xyz[:, 0] = d = depth[valid]
+    xyz[:, 1] = -((us - k.cx) * d / k.fx)
+    xyz[:, 2] = -((vs - k.cy) * d / k.fy)
+    return PointCloud(xyz, labels[valid])
 
 
 def brute_rasterize(cloud, spec):
@@ -115,6 +129,17 @@ def test_filter_labels_trivia():
 def test_filter_labels_empty_keep():
     labels = np.arange(16, dtype=np.uint8).reshape(4, 4)
     assert filter_labels(labels, ClassPolicy(keep_set=set())).sum() == 0
+
+
+def test_class_policy_lut_built_once_read_only():
+    policy = ClassPolicy(keep_set={4, 7, 255})
+    assert not policy.lut.flags.writeable
+    assert policy.lut.dtype == np.uint8 and policy.lut.shape == (256,)
+    assert policy.lut.tolist() == [c if c in {4, 7, 255} else 0 for c in range(256)]
+    assert policy == ClassPolicy(keep_set={255, 7, 4})
+    assert hash(policy) == hash(ClassPolicy(keep_set={255, 7, 4}))
+    with pytest.raises(ValueError):
+        policy.lut[5] = 5
 
 
 def test_filter_labels_histogram_oracle():
@@ -190,6 +215,69 @@ def test_cloud_axes_are_ego():
     assert (y, z) == pytest.approx((-(60 - 50) * 4.0 / 100, -(70 - 50) * 4.0 / 100))
 
 
+BAD_MAPS = [np.ones(5), np.ones((2, 3, 4)), np.float64(1.0), np.ones((1, 1, 1))]
+
+
+@pytest.mark.parametrize("depth", BAD_MAPS, ids=["1d", "3d", "0d", "1x1x1"])
+def test_cloud_of_a_map_not_2d_raises_input_error(depth):
+    labels = np.full(np.shape(depth), 4, dtype=np.uint8)
+    policy = ClassPolicy(keep_set={4})
+    with pytest.raises(InputError, match="2-D"):
+        build_point_cloud(depth, labels, K)
+    with pytest.raises(InputError, match="2-D"):
+        ego_cloud(depth, labels, K, policy)
+
+
+@pytest.mark.parametrize("weather", [None, RAIN], ids=["clean", "rain"])
+def test_cloud_bytes_equal_frozen_reference(weather):
+    """xyz, labels and column-major order byte-equal to the unprojection
+    before the tables, on rendered frames of three shapes, fractional and
+    integral principal points among them."""
+    cameras = [
+        K_QUARTER,                                                    # 80 x 60, cx 39.875
+        Intrinsics(fx=30.0, fy=31.0, cx=20.25, cy=14.5, width=41, height=31),
+        Intrinsics(fx=50.0, fy=50.0, cx=32.0, cy=24.0, width=65, height=49),
+    ]
+    policy = RunConfig().classes.policy()
+    signed_zero = 0
+    for k in cameras:
+        for _, _, depth, labels in rendered_frames(k, slice(30, 33), weather):
+            labels = filter_labels(labels, policy)
+            got = build_point_cloud(depth, labels, k)
+            want = frozen_build_point_cloud(depth, labels, k)
+            assert len(got) > 0 and got.xyz.flags.f_contiguous
+            assert got.xyz.tobytes(order="A") == want.xyz.tobytes(order="A")
+            assert got.labels.tobytes() == want.labels.tobytes()
+            y = got.xyz[:, 1]
+            signed_zero += int(np.count_nonzero((y == 0) & np.signbit(y)))
+    # the pixels at u == cx of the integral camera unproject to y = -0.0
+    assert signed_zero > 0
+
+
+def test_pixel_offset_tables_cached_read_only_per_shape():
+    small = _pixel_offsets(K, (20, 20))
+    assert _pixel_offsets(K, (20, 20)) is small
+    full = _pixel_offsets(K, (101, 101))
+    assert small.shape == (2, 400) and full.shape == (2, 10201)
+    assert small.dtype == full.dtype == np.float64
+    dv, du = full
+    assert du.reshape(101, 101)[7].tolist() == [u - 50.0 for u in range(101)]
+    assert dv.reshape(101, 101)[:, 3].tolist() == [v - 50.0 for v in range(101)]
+    for table in (small, full, du, dv):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[..., 0] = 1.0
+    # a subsampled frame under the same camera reads its own tables
+    depth = np.zeros((101, 101))
+    depth[60, 70] = 3.0
+    labels = (depth > 0).astype(np.uint8)
+    for step in (1, 2, 5):
+        d, l = depth[::step, ::step], labels[::step, ::step]
+        got = build_point_cloud(d, l, K)
+        want = frozen_build_point_cloud(d, l, K)
+        assert got.xyz.tobytes() == want.xyz.tobytes()
+
+
 def test_cloud_counting_oracle():
     rng = np.random.default_rng(1)
     depth = rng.uniform(0, 10, (60, 80))
@@ -206,10 +294,17 @@ def test_cloud_counting_oracle():
     {"resolution": math.nan}, {"resolution": math.inf},
     {"height_window": (math.nan, 1.0)}, {"height_window": (-1.0, math.nan)},
     {"height_window": (-math.inf, 1.0)}, {"height_window": (2.0, 1.0)},
+    {"size": 4.5}, {"size": True}, {"size": "8"},
 ])
 def test_grid_spec_rejects_non_finite_or_empty_geometry(fields):
     with pytest.raises(InputError):
         GridSpec(**fields)
+
+
+@pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, 0.0, -0.25])
+def test_sbev_resolution_must_be_finite_and_positive(resolution):
+    with pytest.raises(InputError, match="finite and positive"):
+        SBev(np.zeros((4, 4), dtype=np.uint8), resolution)
 
 
 def test_clouds_column_major_and_grids_unchanged():
@@ -343,14 +438,29 @@ def test_flat_cells_boundaries():
 
 
 def test_flat_cells_equal_row_major_cells():
-    rng = np.random.default_rng(12)
-    spec = GridSpec(size=16, resolution=0.5)
-    x, y = rng.uniform(-1, 9, 2000), rng.uniform(-5, 5, 2000)
-    xi, yi = np.floor(x / 0.5).astype(int), np.floor((y + 4.0) / 0.5).astype(int)
-    inside = (xi >= 0) & (xi < 16) & (yi >= 0) & (yi < 16)
-    want = np.where(inside, (15 - xi) * 16 + (15 - yi), 256)
-    assert inside.any() and not inside.all()
-    assert flat_cells(spec, x, y).tolist() == want.tolist()
+    # powers of two scale by 1 / res, the others divide; 2**-1074 has no
+    # finite inverse, and every point but the origin falls off its grid
+    for res in (0.5, 0.25, 4.0, 0.3, 0.2, 2.0 ** -1074):
+        rng = np.random.default_rng(12)
+        spec = GridSpec(size=16, resolution=res)
+        half = spec.lateral_extent / 2.0
+        x = np.r_[rng.uniform(-1, 9, 2000) * res / 0.5, 0.0]
+        y = np.r_[rng.uniform(-5, 5, 2000) * res / 0.5, 0.0]
+        xi, yi = np.floor(x / res).astype(int), np.floor((y + half) / res).astype(int)
+        inside = (xi >= 0) & (xi < 16) & (yi >= 0) & (yi < 16)
+        want = np.where(inside, (15 - xi) * 16 + (15 - yi), 256)
+        assert inside.any() and (res < 1e-300 or not inside.all())
+        assert flat_cells(spec, x, y).tolist() == want.tolist(), res
+
+
+@pytest.mark.parametrize("res", [0.3, 0.2, 0.7])
+def test_rasterize_matches_brute_force_any_resolution(res):
+    spec = GridSpec(size=64, resolution=res)
+    rng = np.random.default_rng(14)
+    cloud = tie_heavy_cloud(rng, 5000, spec)
+    want = brute_rasterize(cloud, spec)
+    assert want.any()
+    assert np.array_equal(rasterize_bev(cloud, spec).grid, want)
 
 
 def test_rasterize_non_finite_coordinates_dropped():
@@ -391,6 +501,24 @@ def test_rasterize_grid_edges_and_height_bounds():
     want = brute_rasterize(cloud, spec)
     assert sorted(want[want != 0].tolist()) == [1, 3, 4, 5, 7, 8]
     assert np.array_equal(rasterize_bev(cloud, spec).grid, want)
+
+
+def test_rasterize_and_accumulate_leave_clouds_unchanged():
+    # the cells are computed in place, in a copy or the window's buffer
+    rng = np.random.default_rng(13)
+    clouds = [random_cloud(rng, 400) for _ in range(3)]
+    clouds.append(PointCloud(np.asfortranarray(clouds[0].xyz), clouds[0].labels))
+    before = [(c.xyz.tobytes(order="A"), c.labels.tobytes()) for c in clouds]
+    for cloud in clouds:
+        assert rasterize_bev(cloud, SPEC).grid.any()
+    frames = [(c, Pose2(0.3 * i, 0.1, 0.02 * i)) for i, c in enumerate(clouds)]
+    assert accumulate_sbev(frames, frames[-1][1], SPEC).grid.any()
+    assert accumulate_sbev(frames[:1], frames[0][1], SPEC).grid.any()
+    assert [(c.xyz.tobytes(order="A"), c.labels.tobytes()) for c in clouds] == before
+    x, y = clouds[1].xyz[:, 0].copy(), clouds[1].xyz[:, 1].copy()
+    flat_cells(SPEC, x, y)
+    assert x.tobytes() == clouds[1].xyz[:, 0].tobytes()
+    assert y.tobytes() == clouds[1].xyz[:, 1].tobytes()
 
 
 # --- accumulate_sbev -----------------------------------------------------
