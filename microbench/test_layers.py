@@ -445,15 +445,17 @@ def test_save_load_bundle(benchmark, world, tmp_path):
     assert all(localize(loaded, sb) == localize(bundle, sb) for sb in sbevs)
 
 
-@pytest.mark.parametrize("n, rows, dim", [(31, 8496, 128), (1, 8496, 128), (31, 2000, 1936)],
-                         ids=["batch", "one_row", "full_grid_batch"])
+@pytest.mark.parametrize("n, rows, dim", [(31, 8496, 128), (1, 8496, 128), (1, 1152, 128),
+                                          (31, 2000, 1936)],
+                         ids=["batch", "one_row", "one_row_relocalize", "full_grid_batch"])
 def test_nearest_nodes(benchmark, n, rows, dim):
     """A default-size index, 8496 sigmoid-range latents of 128 over 59 nodes:
-    a 31-row batch, as one ablation scoring call, and one row, as
-    relocalize's. Then a 31-row batch of pooled full grids, 1936 wide with
-    about a third of the cells lit, against 2000 of them: the screen's
-    margins follow the width, so wide rows stay batched. Each is checked
-    against the subtract-first loop."""
+    a 31-row batch, as one ablation scoring call, and one row, as a
+    relocalize-style call on it. Then one row against 1152 rows, the size of
+    relocalize's index, and a 31-row batch of pooled full grids, 1936 wide
+    with about a third of the cells lit, against 2000 of them. Each pick is
+    checked against a float64 subtract-first scan, ties to the smallest node
+    id, and each distance against the picked row's float32 one."""
     rng = np.random.default_rng(9)
     lats = rng.random((rows, dim), dtype=np.float32)
     if dim > 128:
@@ -462,11 +464,13 @@ def test_nearest_nodes(benchmark, n, rows, dim):
     queries = lats[rng.integers(0, rows, n)] + rng.normal(0, 0.02, (n, dim)).astype(np.float32)
     ids, dists = benchmark(nearest_nodes, index, queries)
     for q, nid, dist in zip(queries, ids.tolist(), dists.tolist()):
-        diff = lats - q
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        tied = np.nonzero(d2 == d2.min())[0]
+        diff64 = lats.astype(np.float64) - q.astype(np.float64)
+        d2 = np.einsum("ij,ij->i", diff64, diff64)
+        tied = np.flatnonzero(d2 == d2.min())
         best = tied[np.argmin(index.node_ids[tied])]
-        assert (nid, dist) == (int(index.node_ids[best]), float(np.sqrt(d2[best])))
+        diff = lats[best:best + 1] - q
+        assert (nid, dist) == (int(index.node_ids[best]),
+                               float(np.sqrt(np.einsum("ij,ij->i", diff, diff))[0]))
 
 
 # one post-KF scoring call of the ablation benchmark: 140 odometry steps,

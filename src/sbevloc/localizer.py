@@ -3,10 +3,9 @@
 A dense autoencoder is trained on reduced S-BEVs (8x average pooled, scaled
 to [0, 1]) to reconstruct, as its mode picks, each input (AVG) or its
 node's mean (BASE, AUG); its bottleneck embeds each grid. Coarse
-localization is exact 1-NN over stored embeddings, a batch at a time
-(`nearest_nodes`): a float64 GEMM, with margins set by the latent width,
-screens the index rows, and the float32 subtract-first distance confirms the
-few that survive, so every pick equals a full scan's. Fine localization
+localization is 1-NN over stored embeddings, a batch at a time
+(`nearest_nodes`): one float64 GEMM per block of queries ranks every index
+row, and the picked row's float32 distance is reported. Fine localization
 feeds [one_hot(node) ++ latent] to a small regressor producing the pose
 relative to the node, composed with the node pose for the global estimate.
 Each trainer takes its run-config section (`AeConfig`, `RegConfig`) and a seed.
@@ -142,20 +141,38 @@ class RegModel:
     n_nodes: int
 
 
+def _node_ids(node_ids) -> np.ndarray:
+    """1-D integer (or empty) `node_ids` as int64; others raise InputError."""
+    ids = np.asarray(node_ids)
+    if ids.ndim != 1 or len(ids) and (ids.dtype.kind not in "iu" or ids.max() > 2**63 - 1):
+        raise InputError(f"node ids must be 1-D integers, got {ids.dtype} {ids.shape}")
+    return ids.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class EmbeddingIndex:
     latents: np.ndarray    # (n, latent_dim) float32
     node_ids: np.ndarray   # (n,) int64
+    # read-only, for `nearest_nodes`: the stable node id order, the rows in
+    # it as float64, and their squared norms
+    _sorted: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lat = np.ascontiguousarray(self.latents, dtype=np.float32)
-        ids = np.asarray(self.node_ids, dtype=np.int64)
-        if lat.ndim != 2 or len(lat) != len(ids):
-            raise InputError("index latents/node_ids mismatch")
+        ids = _node_ids(self.node_ids)
+        if lat.ndim != 2 or len(lat) != len(ids) or lat.shape[1] < 1:
+            raise InputError(f"index latents/node_ids mismatch: latents {lat.shape}, "
+                             f"{len(ids)} node ids; need (n, latent_dim >= 1)")
         if not np.isfinite(lat).all():
             raise InputError("non-finite index latents")
+        order = np.argsort(ids, kind="stable")
+        rows = lat[order].astype(np.float64)
+        sq_norms = np.einsum("ij,ij->i", rows, rows)
+        for a in (order, rows, sq_norms):
+            a.flags.writeable = False
         object.__setattr__(self, "latents", lat)
         object.__setattr__(self, "node_ids", ids)
+        object.__setattr__(self, "_sorted", (order, rows, sq_norms))
 
     def __len__(self):
         return len(self.node_ids)
@@ -248,71 +265,21 @@ def embed(model: AEModel, sb: SBev) -> np.ndarray:
     return embed_vec(model, grid_to_input(sb.grid, model.pool))
 
 
-SCREEN_TINY = float(np.finfo(np.float32).tiny)
-# (query, index row) estimates, or one query's differences, held at a time
-SCREEN_BLOCK = 1 << 18
-
-
-def _screen(index_latents: np.ndarray, latents: np.ndarray):
-    """(rows, cols), row-major: the (query row, index row) pairs that can
-    hold a query's nearest index row.
-
-    A float64 GEMM estimates each d2 as |q|^2 - 2<q, m> + |m|^2, as in the
-    exact search of Johnson, Douze & Jegou, "Billion-scale similarity search
-    with GPUs" (2019). The margins follow from the width by the bounds of
-    Higham, "Accuracy and Stability of Numerical Algorithms" (2002), 3.1:
-    the estimate is within ~2 dim float64 roundings of |q|^2 + |m|^2, the
-    float32 d2 that confirms within ~(dim + 2) float32 roundings of the
-    exact d2. The slack is 4 times the first, plus SCREEN_TINY for float32
-    squares that underflow; gamma is twice the second. A pair survives when
-    its estimate minus slack is within (1 + gamma) / (1 - gamma) of the
-    query's smallest estimate plus slack, as every row the float32 d2 can
-    rank first is. A NaN estimate keeps its pair. The index is read in
-    blocks of at most 8 SCREEN_BLOCK float64 values, each pruned against
-    the bound so far, which only falls.
-    """
-    dim = latents.shape[1]
-    gamma = 2.0 * (dim + 2) * 2.0 ** -24
-    ratio = (1 + gamma) / (1 - gamma)
-    rel_slack = 4.0 * 2 * dim * 2.0 ** -53
-    q = latents.astype(np.float64)
-    q_sq = np.einsum("ij,ij->i", q, q)[:, None]
-    best = np.full(len(q), np.inf)
-    found = []
-    step = max(64, min(SCREEN_BLOCK // max(1, len(q)), 8 * SCREEN_BLOCK // max(1, dim)))
-    for j in range(0, len(index_latents), step):
-        m = index_latents[j:j + step].astype(np.float64)
-        # in place, as each (queries, rows) temporary costs a fresh allocation
-        est = q @ m.T
-        est *= -2.0
-        slack = q_sq + np.einsum("ij,ij->i", m, m)
-        est += slack                                # the estimate
-        slack *= rel_slack
-        slack += SCREEN_TINY
-        est += slack                                # its upper bound
-        best = np.minimum(best, est.min(axis=1))    # NaN sticks
-        est -= slack
-        est -= slack                                # its lower bound
-        r, c = np.nonzero(~(est > ratio * np.maximum(best, 0.0)[:, None]))
-        found.append((r, c + j, est[r, c]))
-    rows, cols, lower = (np.concatenate(a) for a in zip(*found))
-    keep = np.flatnonzero(~(lower > ratio * np.maximum(best, 0.0)[rows]))
-    keep = keep[np.lexsort((cols[keep], rows[keep]))]
-    return rows[keep], cols[keep]
+# float64 values of one block of (query row, index row) distances
+NN_BLOCK = 1 << 18
 
 
 def nearest_nodes(index: EmbeddingIndex, latents: np.ndarray):
-    """Exact 1-NN by Euclidean distance: (node_ids (n,) int64, distances
-    (n,) float32) for the n rows of `latents`.
+    """1-NN by Euclidean distance: (node_ids (n,) int64, distances (n,)
+    float32) for the n rows of `latents`.
 
-    Only the pairs `_screen` keeps get the float32 subtract-first d2 (the
-    float32 expansion cancels on latents of large norm and small
-    differences); a batch of any width takes the screen, one row skips it
-    and reads the index in blocks of at most SCREEN_BLOCK values.
-    The smallest d2 wins, ties toward the smallest node id, then insertion
-    order, so the result equals a full scan's. A row with no finite
-    distance to the index, such as a NaN or infinite latent, raises
-    InputError.
+    A query picks the index row of least float64 |m|^2 - 2<q, m>, a GEMM per
+    block of queries (Johnson, Douze & Jegou, "Billion-scale similarity
+    search with GPUs", 2019); ties go to the smallest node id, then insertion
+    order. Rounding ranks rows whose d2 are within ~4 (dim + 2) 2^-53
+    (|q|^2 + |m|^2), copies too, so either may win. The distance is the
+    picked row's float32 subtract-first one; a non-finite one (a NaN or
+    infinite latent) raises InputError.
     """
     if len(index) == 0:
         raise InputError("empty embedding index")
@@ -320,49 +287,42 @@ def nearest_nodes(index: EmbeddingIndex, latents: np.ndarray):
     if latents.ndim != 2 or latents.shape[1] != index.latent_dim:
         raise InputError(f"latents of shape {latents.shape} do not match the "
                          f"index's latent dim {index.latent_dim}")
+    order, rows, sq_norms = index._sorted
+    queries = -2.0 * latents.astype(np.float64)    # exact, so the GEMM is -2<q, m>
+    winners = np.empty(len(latents), np.intp)
+    step = max(1, NN_BLOCK // len(index))
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(latents) == 1:
-            rows, cols = np.zeros(len(index), np.intp), np.arange(len(index))
-            d2 = np.empty(len(index), np.float32)
-            step = max(1, SCREEN_BLOCK // index.latent_dim)
-            for j in range(0, len(index), step):
-                diff = index.latents[j:j + step] - latents[0]
-                np.einsum("ij,ij->i", diff, diff, out=d2[j:j + step])
-                del diff    # before the next block's is made
-        else:
-            rows, cols = _screen(index.latents, latents)
-            diff = index.latents[cols] - latents[rows]
-            d2 = np.einsum("ij,ij->i", diff, diff)
-        best = np.minimum.reduceat(d2, np.searchsorted(rows, np.arange(len(latents))))
-    # the index rows are finite: a non-finite query, or a square past
-    # float32's range, gets here
-    if not np.isfinite(best).all():
-        bad = np.flatnonzero(~np.isfinite(best))[0]
+        for i in range(0, len(latents), step):
+            d2 = queries[i:i + step] @ rows.T
+            d2 += sq_norms
+            winners[i:i + step] = order[d2.argmin(axis=1)]
+        diff = index.latents[winners] - latents
+        distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if not np.isfinite(distances).all():
+        bad = np.flatnonzero(~np.isfinite(distances))[0]
         raise InputError(f"no finite distance to the index from latent row "
-                         f"{bad} (best {best[bad]})")
-    # pairs are row-major, so a stable sort keeps insertion order in a node
-    winners = np.flatnonzero(d2 == best[rows])
-    if len(winners) > len(latents):
-        winners = winners[np.lexsort((index.node_ids[cols[winners]], rows[winners]))]
-        winners = winners[np.unique(rows[winners], return_index=True)[1]]
-    return index.node_ids[cols[winners]], np.sqrt(d2[winners])
+                         f"{bad} (best {distances[bad]})")
+    return index.node_ids[winners], distances
 
 
 def coarse_localize(index: EmbeddingIndex, latent: np.ndarray):
-    """Exact 1-NN of one latent, the one-row call of `nearest_nodes`:
+    """1-NN of one 1-D latent, the one-row call of `nearest_nodes`:
     (node_id, distance)."""
-    node_ids, distances = nearest_nodes(index, np.reshape(latent, (1, -1)))
+    if np.shape(latent) != (index.latent_dim,):
+        raise InputError(f"latent of shape {np.shape(latent)} is not one row of the "
+                         f"index's latent dim {index.latent_dim}")
+    node_ids, distances = nearest_nodes(index, [latent])
     return int(node_ids[0]), float(distances[0])
 
 
 def build_index(latents, node_ids) -> EmbeddingIndex:
-    """Flat exact-NN index over every training row."""
+    """Flat (exhaustive) 1-NN index over every training row."""
     return EmbeddingIndex(latents, node_ids)
 
 
 def regressor_inputs(node_ids, n_nodes: int, latents) -> np.ndarray:
     """float32 regressor rows [one_hot(node) ++ latent], one per node id."""
-    ids = np.asarray(node_ids, dtype=np.int64)
+    ids = _node_ids(node_ids)
     # checked first: fancy indexing would wrap a negative id silently
     bad = ids[(ids < 0) | (ids >= n_nodes)]
     if len(bad):
@@ -391,7 +351,7 @@ def train_regressor(latents, node_ids, rel_poses, n_nodes: int,
     returned model consumes raw latents.
     """
     latents = np.asarray(latents, dtype=np.float32)
-    node_ids = np.asarray(node_ids, dtype=np.int64)
+    node_ids = _node_ids(node_ids)
     counts = np.bincount(node_ids, minlength=n_nodes)
     if counts.max() != counts.min():
         raise InputError(f"unbalanced node counts (min {counts.min()}, "

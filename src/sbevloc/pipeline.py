@@ -82,7 +82,7 @@ def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
     slot in the window, so a yielded grid does not depend on `frame_ids`.
 
     `camera_height` is unused. It stays only because `perfbench/workloads.py`
-    passes it positionally; dropping it is ROADMAP item 2.
+    passes it positionally; dropping it is ROADMAP item 5.
     """
     wanted = needed = None
     if frame_ids is not None:

@@ -32,8 +32,10 @@ from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
 from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import (
     grid_to_input,
+    coarse_localize,
     load_bundle,
     localize,
+    nearest_nodes,
     save_bundle,
     train_autoencoder,
     _node_means,
@@ -74,6 +76,27 @@ def test_run_experiment_reruns_are_identical(two_runs):
     assert [c.name for c in art_a.conditions] == [c.name for c in art_b.conditions]
     for ca, cb in zip(art_a.conditions, art_b.conditions):
         assert np.array_equal(ca.inputs, cb.inputs)
+
+
+def test_trained_picks_equal_float64_brute_force(two_runs):
+    # each condition row of the trained bundle: the node of the float64
+    # subtract-first nearest index row (ties to the smallest node id), and
+    # that row's float32 subtract-first distance, batched and one at a time
+    _, (_, art), _ = two_runs
+    for trained in art.trained.values():
+        index = trained.bundle.index
+        for cond in art.conditions:
+            latents = pipeline.embed_batched(trained.bundle.ae, cond.inputs)
+            ids, dists = nearest_nodes(index, latents)
+            for latent, nid, dist in zip(latents, ids.tolist(), dists.tolist(), strict=True):
+                diff64 = index.latents.astype(np.float64) - latent.astype(np.float64)
+                d2 = np.einsum("ij,ij->i", diff64, diff64)
+                tied = np.flatnonzero(d2 == d2.min())
+                row = tied[np.argmin(index.node_ids[tied])]
+                diff = index.latents[row:row + 1] - latent
+                assert nid == index.node_ids[row]
+                assert dist == np.sqrt(np.einsum("ij,ij->i", diff, diff))[0]
+                assert coarse_localize(index, latent) == (nid, dist)
 
 
 def test_run_experiment_conditions_and_rows(two_runs):

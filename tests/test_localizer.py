@@ -35,7 +35,6 @@ from sbevloc.localizer import (
     save_bundle,
     train_autoencoder,
     train_regressor,
-    _screen,
 )
 from sbevloc.sbev import SBev
 from sbevloc.topomap import NodePose, TopoMap
@@ -338,6 +337,8 @@ def test_embed_deterministic_and_finite():
     a = embed(model, sb)
     b = embed(model, sb)
     assert np.array_equal(a, b)
+    # one 1-D latent, as `coarse_localize` takes from `localize`
+    assert a.shape == (4,) and a.dtype == np.float32
     z = embed(model, SBev(np.zeros((32, 32), dtype=np.uint8), 0.25))
     assert np.all(np.isfinite(z))
 
@@ -376,6 +377,41 @@ def test_coarse_non_finite_query_or_index_rejected():
             EmbeddingIndex(np.where(lats == 3.0, bad, lats), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (6, 1), (1, 6), (5,), (7,), ()])
+def test_coarse_localize_takes_one_1d_latent(shape):
+    # a batch, or a row of another width, was reshaped into one query
+    index = EmbeddingIndex(np.eye(6, dtype=np.float32), np.arange(6))
+    with pytest.raises(InputError, match=r"latent of shape .* latent dim 6"):
+        coarse_localize(index, np.zeros(shape))
+    assert coarse_localize(index, np.eye(6)[4]) == (4, 0.0)
+
+
+@pytest.mark.parametrize("ids", [[0.5, 1.7], ["0", "1"], [True, False], [[0, 1]],
+                                 [2 ** 63 + 5], [1, 2 ** 63 + 5], [2 ** 70],
+                                 np.array([0.0, 1.0], np.float32)],
+                         ids=["floats", "strings", "bools", "2d", "past-int64",
+                              "past-int64-mixed", "past-uint64", "float-array"])
+def test_node_ids_must_be_1d_integers(ids):
+    # floats were truncated to ids, strings and bools converted, and 2**63 + 5
+    # raised OverflowError; [[0, 1]] passed the length check of a 1-row index
+    lats = np.zeros((len(ids), 3), np.float32)
+    with pytest.raises(InputError, match="node ids must be 1-D integers"):
+        EmbeddingIndex(lats, ids)
+    with pytest.raises(InputError, match="node ids must be 1-D integers"):
+        regressor_inputs(ids, 5, lats)
+
+
+def test_index_takes_integer_ids_of_any_width_and_no_zero_width_latents():
+    for ids in ([], np.array([], np.int64)):
+        assert len(EmbeddingIndex(np.zeros((0, 4), np.float32), ids)) == 0
+    for dtype in (np.uint8, np.int32, np.uint32, np.uint64):
+        index = EmbeddingIndex(np.zeros((2, 3), np.float32), np.array([4, 1], dtype))
+        assert index.node_ids.dtype == np.int64 and index.node_ids.tolist() == [4, 1]
+    # zero-width latents were accepted, and nearest_nodes divided by 0
+    with pytest.raises(InputError, match=r"latent_dim >= 1"):
+        EmbeddingIndex(np.zeros((2, 0), np.float32), [0, 1])
+
+
 def test_coarse_matches_brute_force():
     rng = np.random.default_rng(8)
     lats = rng.normal(size=(2000, 16)).astype(np.float32)
@@ -390,17 +426,29 @@ def test_coarse_matches_brute_force():
         assert dist == pytest.approx(d[j], rel=1e-5)
 
 
+def oracle(index, latent):
+    """Per index row: the float64 subtract-first d2 from `latent`, the
+    float32 subtract-first distance, and the bound 4 (dim + 2) 2^-53
+    (|q|^2 + |m|^2) on the rounding of the float64 expansion."""
+    q = np.asarray(latent, dtype=np.float32)
+    m64, q64 = index.latents.astype(np.float64), q.astype(np.float64)
+    diff64, diff = m64 - q64, index.latents - q
+    bound = 4 * (index.latent_dim + 2) * 2.0 ** -53 * (q64 @ q64 + (m64 * m64).sum(1))
+    return (np.einsum("ij,ij->i", diff64, diff64),
+            np.sqrt(np.einsum("ij,ij->i", diff, diff)), bound)
+
+
 def loop_nearest(index, latents):
-    """The oracle: each row against every index row, float32 subtract-first
-    d2, ties toward the smallest node id, then insertion order."""
+    """The oracle: each row against every index row, float64 subtract-first
+    d2, ties toward the smallest node id, then insertion order; the distance
+    is the float32 subtract-first one to that row."""
     ids, dists = [], []
     for latent in np.asarray(latents, dtype=np.float32):
-        diff = index.latents - latent
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        candidates = np.nonzero(d2 == d2.min())[0]
+        d2, dist, _ = oracle(index, latent)
+        candidates = np.flatnonzero(d2 == d2.min())
         winner = candidates[np.argmin(index.node_ids[candidates])]
         ids.append(int(index.node_ids[winner]))
-        dists.append(float(np.sqrt(d2[winner])))
+        dists.append(float(dist[winner]))
     return ids, dists
 
 
@@ -408,6 +456,28 @@ def assert_matches_loop(index, latents):
     ids, dists = nearest_nodes(index, latents)
     assert ids.dtype == np.int64 and dists.dtype == np.float32
     assert (ids.tolist(), dists.tolist()) == loop_nearest(index, latents)
+
+
+def assert_within_bound(index, latents) -> int:
+    """Rows whose d2 lie within their two bounds of the oracle's best are
+    near ties. Where all of them are in one node, the pick is that node;
+    otherwise it is the node of one of them. The distance is the
+    float32 one to a near tie of the picked node. Returns how many queries
+    had near ties in more than one node."""
+    latents = np.asarray(latents, dtype=np.float32)
+    ids, dists = nearest_nodes(index, latents)
+    assert ids.dtype == np.int64 and dists.dtype == np.float32
+    ties = 0
+    for latent, nid, dist in zip(latents, ids.tolist(), dists.tolist(), strict=True):
+        d2, f32, bound = oracle(index, latent)
+        best = np.argmin(d2)
+        near = d2 <= d2[best] + bound + bound[best]
+        if (index.node_ids[near] == index.node_ids[best]).all():
+            assert nid == index.node_ids[best]
+        else:
+            ties += 1
+        assert dist in f32[near & (index.node_ids == nid)].tolist()
+    return ties
 
 
 def near_duplicates(rng, n_rows, dim, scale, rel_gap):
@@ -430,31 +500,40 @@ def test_nearest_nodes_matches_loop_on_near_duplicates(seed, n_rows, dim, n, log
     lats = near_duplicates(rng, n_rows, dim, scale, gap)
     index = EmbeddingIndex(lats, rng.integers(0, 5, n_rows))
     queries = lats[rng.integers(0, n_rows, n)] + rng.normal(size=(n, dim)) * scale * gap
-    assert_matches_loop(index, queries)
+    assert_within_bound(index, queries)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_nearest_nodes_over_index_blocks(monkeypatch, seed):
-    # 64 index rows per block, so each query's bound is built over 11 blocks
-    monkeypatch.setattr(localizer, "SCREEN_BLOCK", 1)
+    # blocks of (query row, index row) d2: NN_BLOCK 1 scores one query row
+    # against the index per block, 7 * 700 seven rows, the last block short.
+    # Small integers make every d2 exact, so each block size gives the
+    # loop's picks, ties to the smallest node included
     rng = np.random.default_rng(seed)
-    lats = near_duplicates(rng, 700, 8, 1.0, 1e-6)
-    index = EmbeddingIndex(lats, rng.integers(0, 20, 700))
-    queries = lats[rng.integers(0, 700, 30)] + rng.normal(size=(30, 8)) * 1e-6
-    assert_matches_loop(index, queries)
-    queries[7, 3] = math.nan
-    with pytest.raises(InputError, match="latent row 7 "):
-        nearest_nodes(index, queries)
+    near = near_duplicates(rng, 700, 8, 1.0, 1e-6)
+    exact = rng.integers(-4, 5, (700, 8)).astype(np.float32)
+    ids = rng.integers(0, 20, 700)
+    queries = near[rng.integers(0, 700, 30)] + rng.normal(size=(30, 8)) * 1e-6
+    for block in (1, 7 * 700, localizer.NN_BLOCK):
+        monkeypatch.setattr(localizer, "NN_BLOCK", block)
+        assert_within_bound(EmbeddingIndex(near, ids), queries)
+        assert_matches_loop(EmbeddingIndex(exact, ids), exact[:30] + rng.integers(-1, 2, (30, 8)))
+        queries[7, 3] = math.nan
+        with pytest.raises(InputError, match="latent row 7 "):
+            nearest_nodes(EmbeddingIndex(near, ids), queries)
+        queries[7, 3] = 0.0
 
 
 @pytest.mark.parametrize("rows, dim, block", [(8496, 128, None), (2000, 1936, None),
                                                (700, 8, 100)])
 def test_one_row_scan_is_blocked_and_bit_equal(monkeypatch, rows, dim, block):
-    # the one-row path reads the index in blocks; each row's d2 is a row-wise
-    # einsum, so it equals a full scan's bit for bit. Block 100 splits 700
-    # rows of 8 into 12-row blocks, the last one short, and ties straddle them
+    # one row is one block against the whole index: it holds one float64 d2
+    # per index row, not the rows x dim differences of a subtract-first scan
+    # (4.35 MB at 8496 x 128, 15.5 MB at 2000 x 1936), and its distance is
+    # the picked row's float32 subtract-first one, bit for bit. The second
+    # half of the index copies the first under other nodes, so rows tie
     if block:
-        monkeypatch.setattr(localizer, "SCREEN_BLOCK", block)
+        monkeypatch.setattr(localizer, "NN_BLOCK", block)
     rng = np.random.default_rng(dim)
     lats = rng.random((rows, dim), dtype=np.float32)
     lats[rows // 2:] = lats[:rows - rows // 2]
@@ -462,16 +541,11 @@ def test_one_row_scan_is_blocked_and_bit_equal(monkeypatch, rows, dim, block):
     queries = lats[rng.integers(0, rows, 3)] + rng.normal(0, 0.02, (3, dim)).astype(np.float32)
     for q in (*queries, lats[5]):
         tracemalloc.start()
-        ids, dists = nearest_nodes(index, q[None])
+        nearest_nodes(index, q[None])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        want_ids, want_dists = loop_nearest(index, q[None])
-        assert ids.tolist() == want_ids
-        assert dists.tobytes() == np.array(want_dists, np.float32).tobytes()
-        # one block of float32 differences, not the full scan's rows x dim
-        # (4.35 MB at 8496 x 128, 15.5 MB at 2000 x 1936), and a few
-        # arrays of one entry per index row
-        assert peak < 4 * localizer.SCREEN_BLOCK + 64 * rows, peak
+        assert peak < 8 * rows + 64 * dim + 4096, peak
+        assert_within_bound(index, q[None])
 
 
 def test_nearest_nodes_exact_ties():
@@ -486,6 +560,23 @@ def test_nearest_nodes_exact_ties():
     assert_matches_loop(index, queries)
 
 
+def test_nearest_nodes_duplicate_rows_pick_a_tied_node():
+    # every row twice, under two nodes: rounding, not the node rule, decides
+    # between the copies, so the pick is either node at the copies' distance
+    rng = np.random.default_rng(16)
+    rows = rng.normal(size=(64, 32)).astype(np.float32)
+    lats = np.concatenate([rows, rows])
+    index = EmbeddingIndex(lats, np.arange(128))
+    src = rng.integers(0, 64, 128)
+    queries = (rows[src] + rng.normal(size=(128, 32)) * 0.1).astype(np.float32)
+    ids, dists = nearest_nodes(index, queries)
+    assert set(ids.tolist()) <= set(src.tolist()) | set((src + 64).tolist())
+    assert ((ids % 64) == src).all()
+    want = [float(oracle(index, q)[1][s]) for q, s in zip(queries, src)]
+    assert dists.tolist() == want
+    assert assert_within_bound(index, queries) == 128
+
+
 def test_nearest_nodes_large_norms_tiny_gaps():
     # latents far from the origin that differ in their last bits: the float32
     # expansion |q|^2 - 2<q, m> + |m|^2 cancels and picks wrong here
@@ -498,13 +589,13 @@ def test_nearest_nodes_large_norms_tiny_gaps():
                  + (lats ** 2).sum(1)).argmin(axis=1)
     ids, _ = loop_nearest(index, queries)
     assert (index.node_ids[expansion] != ids).sum() > 10
-    assert_matches_loop(index, queries)
+    assert_within_bound(index, queries)
 
 
-def test_nearest_nodes_near_ties_ranked_by_float32_rounding():
+def test_nearest_nodes_ranks_rows_1_ulp_apart():
     # 25 copies of each of 4 rows, each 1 ulp off in 3 coordinates: their
-    # exact distances differ by less than the float32 d2's rounding, so the
-    # loop's pick is often not the exact nearest, and the screen must keep it
+    # exact distances differ by less than the float32 d2's rounding, so a
+    # float32 subtract-first scan often misses the nearest; float64 does not
     rng = np.random.default_rng(15)
     base = rng.normal(size=(4, 16)).astype(np.float32)
     lats = np.repeat(base, 25, axis=0)
@@ -514,63 +605,74 @@ def test_nearest_nodes_near_ties_ranked_by_float32_rounding():
     index = EmbeddingIndex(lats, np.arange(100))
     queries = (base[rng.integers(0, 4, 40)]
                + rng.normal(size=(40, 16)) * 0.3).astype(np.float32)
-    exact = ((queries.astype(np.float64)[:, None] - lats) ** 2).sum(-1).argmin(axis=1)
+    diff = lats - queries[:, None]
+    float32_scan = np.einsum("ijk,ijk->ij", diff, diff).argmin(axis=1)
     ids, _ = loop_nearest(index, queries)
-    assert (exact != ids).sum() > 10
+    assert (float32_scan != ids).sum() > 10
     assert_matches_loop(index, queries)
 
 
 def test_nearest_nodes_squares_that_underflow():
-    # every float32 square underflows to 0, so all rows tie at d2 = 0 and the
-    # smallest node id wins, though its exact distance is the larger
+    # the float32 squares underflow to 0, the float64 ones do not: the
+    # exactly nearer row wins, and its float32 distance reads 0
     lats = np.array([[0.0], [3e-25]], np.float32)
     index = EmbeddingIndex(lats, np.array([5, 2]))
     queries = np.array([[1e-25], [1e-25]], np.float32)
     ids, dists = nearest_nodes(index, queries)
-    assert ids.tolist() == [2, 2] and dists.tolist() == [0.0, 0.0]
+    assert ids.tolist() == [5, 5] and dists.tolist() == [0.0, 0.0]
     assert_matches_loop(index, queries)
 
 
 @pytest.mark.parametrize("dim", [128, 1601, 1936, 4096])
-def test_nearest_nodes_screens_latents_of_any_width(dim):
-    # the margins grow with the width, so a wide batch takes the screen
-    # too: near-duplicates, copies 1 ulp apart in a few coordinates, which
-    # float32 rounding ranks, pooled-grid-like rows, of which the screen
-    # keeps few, and one d2 that float32 rounds far down
+def test_nearest_nodes_latents_of_any_width(dim):
+    # near-duplicates; copies 1 ulp apart in a few coordinates, which fall
+    # within the bound at the larger widths; pooled-grid-like rows; and one
+    # d2 that float32 rounds far down
     rng = np.random.default_rng(12)
     lats = near_duplicates(rng, 30, dim, 1.0, 1e-7)
-    index = EmbeddingIndex(lats, rng.integers(0, 4, 30))
-    assert_matches_loop(index, lats[[3, 1, 4, 1]] + np.float32(1e-6))
+    assert_within_bound(EmbeddingIndex(lats, rng.integers(0, 4, 30)),
+                        lats[[3, 1, 4, 1]] + np.float32(1e-6))
     lats = np.repeat(rng.normal(size=(2, dim)).astype(np.float32), 20, axis=0)
     for row in lats:
         j = rng.integers(0, dim, 3)
         row[j] = np.nextafter(row[j], (np.inf * rng.choice([-1, 1], 3)).astype(np.float32))
     queries = (lats[rng.integers(0, 40, 12)]
                + rng.normal(size=(12, dim)) * 0.3).astype(np.float32)
-    assert_matches_loop(EmbeddingIndex(lats, np.arange(40)), queries)
+    assert_within_bound(EmbeddingIndex(lats, np.arange(40)), queries)
     lats = rng.random((300, dim), dtype=np.float32) * (rng.random((300, dim)) < 0.35)
     queries = lats[:20] + rng.normal(size=(20, dim)).astype(np.float32) * 0.02
-    rows, _ = _screen(lats, queries)
-    assert len(rows) < 2 * len(queries)
     assert_matches_loop(EmbeddingIndex(lats, np.arange(300) % 59), queries)
     # float32 drops squares added to a large one, 6.0e-5 of this d2 at 4096
-    # dims, so the loop ranks `lossy` before the exactly nearer `single`
+    # dims; float64 ranks the exactly nearer `single` first
     lossy = np.full(dim, 0.99, np.float32)
     lossy[0] = 2.0 ** 12
     single = np.zeros(dim, np.float32)
     single[0] = np.nextafter(np.sqrt(np.einsum("i,i->", lossy, lossy)), np.float32(np.inf))
     index = EmbeddingIndex(np.stack([lossy, single]), np.array([1, 0]))
+    assert nearest_nodes(index, np.zeros((2, dim), np.float32))[0].tolist() == [0, 0]
     assert_matches_loop(index, np.zeros((2, dim), np.float32))
 
 
-def test_nearest_nodes_screen_keeps_few_rows():
-    rng = np.random.default_rng(13)
-    lats = rng.random((2000, 128), dtype=np.float32)
-    queries = lats[:50] + rng.normal(size=(50, 128)).astype(np.float32) * 0.05
-    rows, cols = _screen(lats, queries)
-    assert rows.tolist() == sorted(rows.tolist())
-    assert len(rows) < 2 * len(queries)
-    assert_matches_loop(EmbeddingIndex(lats, np.arange(2000) % 59), queries)
+def test_index_caches_float64_rows_apart_from_the_callers():
+    rng = np.random.default_rng(19)
+    lats = rng.normal(size=(50, 6)).astype(np.float32)
+    ids = rng.integers(0, 7, 50)
+    kept = lats.copy(), ids.copy()
+    index = EmbeddingIndex(lats, ids)
+    order, rows, sq_norms = index._sorted
+    assert order.tolist() == np.argsort(ids, kind="stable").tolist()
+    assert rows.dtype == np.float64 and np.array_equal(rows, lats[order])
+    assert sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+    for cached in index._sorted:
+        assert not cached.flags.writeable
+        assert not any(np.shares_memory(cached, a) for a in (lats, ids, index.latents))
+    before = [a.tobytes() for a in index._sorted]
+    nearest_nodes(index, rng.normal(size=(9, 6)))
+    coarse_localize(index, lats[3])
+    assert [a.tobytes() for a in index._sorted] == before
+    assert lats.tobytes() == kept[0].tobytes() and ids.tobytes() == kept[1].tobytes()
+    # the cache takes no part in equality or repr
+    assert "_sorted" not in repr(index)
 
 
 def test_nearest_nodes_equals_coarse_localize_per_row():
