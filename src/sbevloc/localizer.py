@@ -206,20 +206,23 @@ def _node_means(inputs: np.ndarray, node_ids, is_original):
 
 
 def train_autoencoder(inputs, node_ids, is_original, config: AeConfig,
-                      seed: int, mode: str = "BASE"):
+                      seed: int, mode: str = "BASE", *, columns=None, in_dim=None):
     """Train the symmetric float32 dense AE on the targets `mode` picks;
     returns (AEModel of its trained encoder, per-epoch losses). AVG
     reconstructs each row's own input, BASE and AUG the mean of its node's
     original rows (`_node_means`); AUG's caller passes only those rows.
 
-    The AE sees only the live cells, the inputs nonzero in some training
-    row: from the full-width init, layer 0 keeps their columns and the
-    decoder's last layer their outputs. Batches gather live columns as they
-    are drawn; under AVG the target batch is the input batch. So the loss
-    drops only terms that are 0 in every row, and averages over the live
-    outputs. The encoder returned is full width, its dead columns +0.0; an
-    input nonzero there gets the latent it has at 0. Inputs with no live
-    cell raise InputError.
+    `inputs` are full-width rows, or with `columns` (ascending ids in
+    0..in_dim - 1) rows that hold only those columns of an `in_dim`-wide
+    input, the others taken as 0. The AE sees only the live cells, the
+    inputs nonzero in some row: from the full-width init, layer 0 keeps
+    their columns and the decoder's last layer their outputs. Batches
+    gather rows, and the live columns only when some given column is dead
+    (full-width rows, AUG's original rows); under AVG the target batch is
+    the input batch. So the loss drops only terms that are 0 in every row,
+    and averages over the live outputs. The encoder returned is full width,
+    its dead columns +0.0; an input nonzero there gets the latent it has at
+    0. Inputs with no live cell raise InputError.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
@@ -230,17 +233,25 @@ def train_autoencoder(inputs, node_ids, is_original, config: AeConfig,
     for name, column in (("node_ids", node_ids), ("is_original", is_original)):
         if len(column) != len(inputs):
             raise InputError(f"{name} has {len(column)} rows, inputs {len(inputs)}")
-    live = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
-    if not len(live):
+    if columns is None:
+        columns, in_dim = np.arange(inputs.shape[1]), inputs.shape[1]
+    columns = np.asarray(columns, dtype=np.intp)
+    if (columns.shape != inputs.shape[1:] or np.any(np.diff(columns) <= 0)
+            or len(columns) and not 0 <= columns[0] <= columns[-1] < in_dim):
+        raise InputError(f"columns must be {inputs.shape[1]} ascending ids "
+                         f"in 0..{in_dim - 1}")
+    local = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
+    if not len(local):
         raise InputError(f"the live set is empty: no input column is nonzero "
                          f"in any of the {len(inputs)} training rows")
-    rows = nnet.IndexedRows(inputs, columns=live)
+    live = columns[local]
+    rows = nnet.IndexedRows(inputs, columns=local if len(local) < len(columns) else None)
     if mode == "AVG":
         targets = rows
     else:
         table, index = _node_means(inputs, node_ids, is_original)
-        targets = nnet.IndexedRows(table.take(live, axis=1), index)
-    in_dim, hidden = inputs.shape[1], config.hidden
+        targets = nnet.IndexedRows(table.take(local, axis=1), index)
+    hidden = config.hidden
     dims = [in_dim, *hidden, config.latent_dim, *reversed(hidden), in_dim]
     acts = [config.activation] * (len(dims) - 2) + ["linear"]
     net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)

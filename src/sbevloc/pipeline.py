@@ -11,14 +11,16 @@ the (augmented) training arrays.
 
 Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
 `pool_traversal` fills row by row in place, with no per-row list to stack.
-Training adds no second one. The grid reaches farther than the camera sees,
-so about two thirds of the default AE's 1936 inputs are 0 in every training
-row. The AE reads and reconstructs only the live ones (`train_autoencoder`),
-gathering each batch's live columns as it is drawn. As the mode picks, BASE
-and AUG reconstruct one target row per node and AVG its input batch; AUG
-copies only its original rows, and each net trains in place. The encoder
-comes back full width with +0.0 dead columns, zero runs that deflate
-shrinks: layer 0 is ~1.1 MB of the map file, not 3.9 MB.
+The grid reaches farther than the camera sees, so about two thirds of the
+default AE's 1936 inputs are 0 in every training row; the array then keeps
+only the live columns, cut in place. Training adds no second array: the AE
+reads and reconstructs only the live columns (`train_autoencoder`), each
+batch gathering rows only. As the mode picks, BASE and AUG reconstruct one
+target row per node and AVG its input batch; AUG copies only its original
+rows, and each net trains in place. The encoder comes back full width with
++0.0 dead columns, zero runs that deflate shrinks: layer 0 is ~1.1 MB of
+the map file, not 3.9 MB. The index embeds chunks of rows rebuilt at full
+width, so its latents are the full-width rows' bit for bit.
 """
 
 from __future__ import annotations
@@ -104,9 +106,14 @@ def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
 
 @dataclass
 class TrainingArrays:
-    """Pooled network inputs for the (augmented) balanced training set."""
+    """Pooled network inputs for the (augmented) balanced training set,
+    stored on their live columns: row i at full width is `in_dim` float32
+    zeros with `inputs[i]` at `columns`, and every dropped column is +0.0 in
+    every row."""
 
-    inputs: np.ndarray          # (n, in_dim) float32
+    inputs: np.ndarray          # (n, len(columns)) float32, C-contiguous
+    columns: np.ndarray         # (k,) ascending ids of the kept input columns
+    in_dim: int                 # the full input width
     node_ids: np.ndarray        # (n,)
     rel_poses: np.ndarray       # (n, 3) float64 x, y, theta relative to the node
     is_original: np.ndarray     # (n,) bool; False for augmented variants
@@ -135,8 +142,9 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
     rows, each followed by its `aug` variants, in the stream's frame order.
     Either is None when it has no frames. Training rows are written into one
     float32 array of `len(train_samples) * (1 + rotations + shifts)` rows,
-    allocated at the first row; a sample with another number of variants
-    raises InputError.
+    allocated at the first row, then cut to their live columns in place
+    (`_keep_live_columns`); a sample with another number of variants raises
+    InputError.
     """
     by_frame = {}
     for s in train_samples:
@@ -168,10 +176,37 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
         raise InputError(f"frames without S-BEVs: {missing[:10]}")
     test_inputs = (np.stack([test_rows[f] for f in test_ids])
                    if test_rows else None)
-    arrays = (TrainingArrays(inputs, np.array(ids), np.array(poses),
-                             np.array(orig), np.array(fids))
-              if n_rows else None)
+    arrays = None
+    if n_rows:
+        in_dim = inputs.shape[1]
+        columns = _keep_live_columns(inputs)
+        arrays = TrainingArrays(inputs, columns, in_dim, np.array(ids), np.array(poses),
+                                np.array(orig), np.array(fids))
     return test_inputs, arrays
+
+
+# rows moved per block by `_keep_live_columns`
+COMPACT_ROWS = 256
+
+
+def _keep_live_columns(inputs: np.ndarray) -> np.ndarray:
+    """Cut the float32 (n, width) `inputs` in place to its live columns, each
+    with a nonzero bit in some row, and return their ids.
+
+    Blocks of COMPACT_ROWS rows move down into the buffer's prefix, which
+    then shrinks: block [a, b) lands below b * k <= b * width, where the
+    first unread row starts. So one block is the only copy, never the whole
+    compact array beside the full-width one.
+    """
+    columns = np.flatnonzero(inputs.view(np.uint32).any(axis=0))
+    n, k = len(inputs), len(columns)
+    flat = inputs.reshape(-1)
+    for a in range(0, n, COMPACT_ROWS):
+        block = inputs[a:a + COMPACT_ROWS].take(columns, axis=1)
+        flat[a * k:a * k + block.size] = block.ravel()
+    del flat    # no view of the buffer may outlive its resize
+    inputs.resize((n, k), refcheck=False)
+    return columns
 
 
 @dataclass
@@ -193,8 +228,9 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     inputs = arrays.inputs[keep]
     node_ids = arrays.node_ids[keep]
     ae, ae_losses = train_autoencoder(inputs, node_ids, arrays.is_original[keep],
-                                      cfg.ae, derive_seed(seed, SEED_AE), mode)
-    latents = embed_batched(ae, inputs)
+                                      cfg.ae, derive_seed(seed, SEED_AE), mode,
+                                      columns=arrays.columns, in_dim=arrays.in_dim)
+    latents = embed_batched(ae, inputs, arrays.columns)
     index = build_index(latents, node_ids)
     reg, reg_losses = train_regressor(latents, node_ids, arrays.rel_poses[keep],
                                       len(topo), cfg.reg, derive_seed(seed, SEED_REG))
@@ -203,6 +239,25 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     return TrainedPipeline(bundle, ae_losses, reg_losses, arrays)
 
 
-def embed_batched(ae: AEModel, inputs: np.ndarray, chunk: int = 1024) -> np.ndarray:
-    out = [embed_vec(ae, inputs[i:i + chunk]) for i in range(0, len(inputs), chunk)]
-    return np.concatenate(out, axis=0)
+# rows per encoder pass of `embed_batched`; the chunk boundaries fix the
+# GEMM's blocking, and so the bits of every latent
+EMBED_CHUNK = 1024
+
+
+def embed_batched(ae: AEModel, inputs: np.ndarray, columns=None) -> np.ndarray:
+    """Eval-mode latents, (n, latent_dim) float32, of the n rows of `inputs`,
+    EMBED_CHUNK rows per encoder pass. With `columns`, a row holds only
+    those input columns; each chunk is rebuilt at the encoder's width with
+    +0.0 in the others, so the latents are the full-width rows' bit for bit.
+    """
+    out = np.empty((len(inputs), ae.latent_dim), np.float32)
+    if columns is not None:
+        full = np.zeros((min(len(inputs), EMBED_CHUNK), ae.net.in_dim), np.float32)
+    for i in range(0, len(inputs), EMBED_CHUNK):
+        chunk = inputs[i:i + EMBED_CHUNK]
+        if columns is not None:
+            # only the kept columns are written, so the others stay +0.0
+            full[:len(chunk), columns] = chunk
+            chunk = full[:len(chunk)]
+        out[i:i + EMBED_CHUNK] = embed_vec(ae, chunk)
+    return out

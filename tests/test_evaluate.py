@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sbevloc.config import (
     SEED_AE,
     SEED_BALANCE,
     SEED_KF,
+    SEED_REG,
     SEED_SPLIT,
     SEED_WORLD,
     WeatherDoc,
@@ -31,13 +33,17 @@ from sbevloc.evaluate import (
 from sbevloc.fusion import KfState, OdomSample, kf_predict, kf_update
 from sbevloc.geometry import Pose2, wrap_angle
 from sbevloc.localizer import (
+    AEModel,
+    build_index,
     grid_to_input,
     coarse_localize,
+    embed_vec,
     load_bundle,
     localize,
     nearest_nodes,
     save_bundle,
     train_autoencoder,
+    train_regressor,
     _node_means,
 )
 from sbevloc.pipeline import (
@@ -67,11 +73,21 @@ def two_runs():
     return cfg, run_experiment(cfg), run_experiment(cfg)
 
 
+def full_width(arrays, rows=slice(None)):
+    """Training rows `rows` rebuilt at full width: float32 zeros with each
+    stored row at `arrays.columns`."""
+    x = arrays.inputs[rows]
+    full = np.zeros((len(x), arrays.in_dim), np.float32)
+    full[:, arrays.columns] = x
+    return full
+
+
 def test_run_experiment_reruns_are_identical(two_runs):
     _, (rows_a, art_a), (rows_b, art_b) = two_runs
     # repr spells every float exactly, and NaN equals NaN under it
     assert repr(rows_a) == repr(rows_b)
     assert np.array_equal(art_a.arrays.inputs, art_b.arrays.inputs)
+    assert np.array_equal(art_a.arrays.columns, art_b.arrays.columns)
     assert np.array_equal(art_a.arrays.node_ids, art_b.arrays.node_ids)
     assert [c.name for c in art_a.conditions] == [c.name for c in art_b.conditions]
     for ca, cb in zip(art_a.conditions, art_b.conditions):
@@ -104,8 +120,13 @@ def test_run_experiment_conditions_and_rows(two_runs):
     # the clean weather entry adds no second clean pass
     assert [c.name for c in art.conditions] == ["clean", "rain", "lane+1.5"]
     n_test = len(art.conditions[0].samples)
+    # test rows stay full width; training rows hold their kept columns
+    in_dim = (cfg.grid.size // cfg.ae.pool) ** 2
     for cond in art.conditions:
-        assert cond.inputs.shape == (n_test, art.arrays.inputs.shape[1])
+        assert cond.inputs.shape == (n_test, in_dim)
+    assert art.arrays.in_dim == in_dim
+    assert art.arrays.inputs.shape == (len(art.arrays.node_ids), len(art.arrays.columns))
+    assert art.arrays.inputs.flags.c_contiguous
     variants = [r.variant for r in rows]
     assert variants == ["perfect_node", "predicted_node",
                         "predicted_node_post_kf"] * 3
@@ -256,14 +277,20 @@ def test_pool_traversal_training_rows_in_frame_order(tiny_cfg):
     assert arrays.frame_ids.tolist() == [2, 2, 2, 8, 8, 8]
     assert arrays.node_ids.tolist() == [0, 0, 0, 1, 1, 1]
     assert arrays.is_original.tolist() == [True, False, False] * 2
-    assert np.array_equal(arrays.inputs[3], grid_to_input(sbevs[8].grid, cfg.ae.pool))
+    assert (full_width(arrays, [3]).tobytes()
+            == grid_to_input(sbevs[8].grid, cfg.ae.pool).tobytes())
     assert arrays.rel_poses.dtype == np.float64 and arrays.rel_poses.shape == (6, 3)
     assert arrays.rel_poses[0].tolist() == [1.0, 0.2, 0.1]
     assert arrays.rel_poses[2, 1] == pytest.approx(0.2 + 4 * cfg.grid.resolution)
 
 
-def test_pool_traversal_training_arrays_equal_stacked_rows(tiny_cfg):
-    cfg = tiny_cfg
+@pytest.fixture(scope="module")
+def pooled_rows():
+    """The tiny config's balanced, augmented training rows: `pool_traversal`'s
+    arrays, and a reference with one full-width `grid_to_input` row per
+    variant in a list, stacked at the end, with each row's node id, pose,
+    original flag and frame."""
+    cfg = tiny_config()
     world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
     route = world.route
     topo = build_topo_map(route, cfg.topo.trans_threshold_m,
@@ -273,7 +300,6 @@ def test_pool_traversal_training_arrays_equal_stacked_rows(tiny_cfg):
     samples = balance_samples(train, len(topo), derive_seed(cfg.seed, SEED_BALANCE))
     sbevs = list(traversal_sbevs(world, route, cfg))
     _, arrays = pool_traversal(iter(sbevs), [], cfg.ae.pool, samples, cfg.augment)
-    # reference: one array per row in a list, stacked at the end
     by_frame = {}
     for s in samples:
         by_frame.setdefault(s.frame_id, []).append(s)
@@ -286,14 +312,108 @@ def test_pool_traversal_training_arrays_equal_stacked_rows(tiny_cfg):
                 poses.append((vrel.x, vrel.y, vrel.theta))
                 orig.append(j == 0)
                 fids.append(s.frame_id)
-    want = pipeline.TrainingArrays(np.stack(inputs), np.array(ids), np.array(poses),
-                                   np.array(orig), np.array(fids))
     variants = 1 + len(cfg.augment.rotations_deg) + len(cfg.augment.shifts_cells)
-    assert len(arrays.inputs) == len(samples) * variants > 0
-    for f in dataclasses.fields(pipeline.TrainingArrays):
-        got, ref = getattr(arrays, f.name), getattr(want, f.name)
-        assert got.dtype == ref.dtype and got.shape == ref.shape, f.name
-        assert got.tobytes() == ref.tobytes(), f.name
+    assert len(inputs) == len(samples) * variants > 0
+    want = dict(inputs=np.stack(inputs), node_ids=np.array(ids),
+                rel_poses=np.array(poses), is_original=np.array(orig),
+                frame_ids=np.array(fids))
+    return arrays, want
+
+
+def test_pool_traversal_training_arrays_equal_stacked_rows(pooled_rows):
+    arrays, want = pooled_rows
+    full = want["inputs"]
+    live = np.flatnonzero(full.any(axis=0))
+    assert arrays.in_dim == full.shape[1]
+    assert arrays.columns.tolist() == live.tolist()
+    assert arrays.inputs.flags.c_contiguous
+    want = {**want, "inputs": full[:, live]}
+    for name, ref in want.items():
+        got = getattr(arrays, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    assert {f.name for f in dataclasses.fields(pipeline.TrainingArrays)} == {
+        *want, "columns", "in_dim"}
+
+
+def test_pool_traversal_rebuilt_rows_equal_every_variant(pooled_rows):
+    arrays, want = pooled_rows
+    rebuilt = full_width(arrays)
+    assert rebuilt.shape == want["inputs"].shape
+    assert rebuilt.tobytes() == want["inputs"].tobytes()
+
+
+def test_pool_traversal_drops_only_positive_zero_columns(pooled_rows):
+    arrays, want = pooled_rows
+    bits = want["inputs"].view(np.uint32)
+    dropped = np.setdiff1d(np.arange(arrays.in_dim), arrays.columns)
+    # most of the grid lies beyond the camera's view
+    assert len(arrays.columns) < len(dropped)
+    assert not bits[:, dropped].any()
+    assert bits[:, arrays.columns].any(axis=0).all()
+    assert arrays.inputs.nbytes == len(arrays.inputs) * len(arrays.columns) * 4
+
+
+@pytest.mark.parametrize("n", [1, pipeline.COMPACT_ROWS, 2 * pipeline.COMPACT_ROWS + 3])
+def test_keep_live_columns_in_place(n):
+    # a column with any nonzero bit in any row is kept: -0.0, a subnormal,
+    # NaN, and a value in the last row only; the block boundaries fall
+    # inside the rows at n > COMPACT_ROWS
+    rng = np.random.default_rng(n)
+    x = np.zeros((n, 9), np.float32)
+    x[:, 1] = rng.random(n, dtype=np.float32)
+    x[n // 2, 3] = -0.0
+    x[0, 4] = np.float32(1e-45)
+    x[-1, 6] = np.nan
+    x[-1, 8] = 2.0
+    want = x[:, [1, 3, 4, 6, 8]].copy()
+    columns = pipeline._keep_live_columns(x)
+    assert columns.tolist() == [1, 3, 4, 6, 8]
+    assert x.shape == want.shape and x.flags.c_contiguous and x.flags.owndata
+    assert x.tobytes() == want.tobytes()
+
+
+def test_keep_live_columns_of_all_and_of_no_columns():
+    x = np.arange(1, 13, dtype=np.float32).reshape(4, 3)
+    want = x.copy()
+    assert pipeline._keep_live_columns(x).tolist() == [0, 1, 2]
+    assert x.tobytes() == want.tobytes()
+    x = np.zeros((4, 3), np.float32)
+    assert pipeline._keep_live_columns(x).tolist() == []
+    assert x.shape == (4, 0)
+
+
+def test_pool_traversal_peak_is_the_buffer_and_one_block(tiny_cfg, monkeypatch):
+    # the compact rows are made inside the full-width buffer: cutting it to
+    # the live columns holds one block of full-width rows at most beside it,
+    # where a compact copy made beside the buffer would not fit
+    cfg = tiny_cfg
+    world = generate_world(derive_seed(cfg.seed, SEED_WORLD), cfg.synth)
+    sbevs = list(traversal_sbevs(world, world.route[:10], cfg))
+    samples = [Sample(sb.frame_id, 0, Pose2(0.0, 0.0, 0.0)) for sb in sbevs] * 40
+    variants = 1 + len(cfg.augment.rotations_deg) + len(cfg.augment.shifts_cells)
+    in_dim = (cfg.grid.size // cfg.ae.pool) ** 2
+    n = len(samples) * variants
+    block = pipeline.COMPACT_ROWS * in_dim * 4
+    held = []
+    keep_live_columns = pipeline._keep_live_columns
+
+    def measured(inputs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return keep_live_columns(inputs)
+
+    monkeypatch.setattr(pipeline, "_keep_live_columns", measured)
+    tracemalloc.start()
+    try:
+        _, arrays = pool_traversal(iter(sbevs), [], cfg.ae.pool, samples, cfg.augment)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # held before the cut: the full-width buffer and the per-row lists
+    assert held[0] >= n * in_dim * 4
+    assert peak <= held[0] + block
+    assert arrays.inputs.shape == (n, len(arrays.columns))
+    assert arrays.inputs.nbytes == n * len(arrays.columns) * 4 > block
 
 
 def test_pool_traversal_rejects_a_wrong_variant_count(tiny_cfg, monkeypatch):
@@ -358,8 +478,10 @@ def test_run_experiment_builds_only_pooled_sbevs(monkeypatch):
     assert len(clouds) == 3 * n
     assert repr(rows) == repr(rows_all)
     for field in dataclasses.fields(art.arrays):
-        a, b = getattr(art.arrays, field.name), getattr(art_all.arrays, field.name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        a = np.asarray(getattr(art.arrays, field.name))
+        b = np.asarray(getattr(art_all.arrays, field.name))
+        assert a.dtype == b.dtype and a.shape == b.shape, field.name
+        assert a.tobytes() == b.tobytes(), field.name
     assert len(art.conditions) == len(art_all.conditions) == 3
     for c, c_all in zip(art.conditions, art_all.conditions):
         assert c.inputs.tobytes() == c_all.inputs.tobytes()
@@ -423,14 +545,16 @@ def live_cell_reference(inputs, targets, cfg, seed):
 def test_train_autoencoder_zeroes_only_dead_columns(two_runs):
     cfg, (_, art), _ = two_runs
     arrays = art.arrays
-    inputs = arrays.inputs
+    inputs = full_width(arrays)
     seed = derive_seed(cfg.seed, SEED_AE)
     model, losses = train_autoencoder(inputs, arrays.node_ids, arrays.is_original,
                                       cfg.ae, seed)
-    # the run trained the same encoder
+    # the run trained the same encoder from the kept columns
     for got, want in zip(model.net.layers, art.trained["BASE"].bundle.ae.net.layers,
                          strict=True):
         assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+    assert losses == art.trained["BASE"].ae_losses
     table, index = _node_means(inputs, arrays.node_ids, arrays.is_original)
     trained, want_losses, live = live_cell_reference(inputs, table[index], cfg.ae, seed)
     assert losses == want_losses
@@ -450,7 +574,7 @@ def test_train_autoencoder_on_live_cells(two_runs, monkeypatch):
     arrays = art.arrays
     ae = dataclasses.replace(cfg.ae, train=dataclasses.replace(cfg.ae.train, epochs=3))
     seed = derive_seed(cfg.seed, SEED_AE)
-    init = nnet.init_net([arrays.inputs.shape[1], ae.hidden[0]], [ae.activation],
+    init = nnet.init_net([arrays.in_dim, ae.hidden[0]], [ae.activation],
                          seed=seed, dtype=np.float32).layers[0].weights
     shapes = []
     plain_train = nnet.train
@@ -462,7 +586,7 @@ def test_train_autoencoder_on_live_cells(two_runs, monkeypatch):
     monkeypatch.setattr(nnet, "train", spy)
     for mode in ("BASE", "AVG", "AUG"):
         keep = arrays.is_original if mode == "AUG" else slice(None)
-        x = arrays.inputs[keep]
+        x = full_width(arrays, keep)
         model, losses = train_autoencoder(x, arrays.node_ids[keep],
                                           arrays.is_original[keep], ae, seed, mode)
         live = x.any(axis=0)
@@ -482,6 +606,94 @@ def test_train_autoencoder_on_live_cells(two_runs, monkeypatch):
         lit[:, ~live] = 0.75
         assert (pipeline.embed_batched(model, lit).tobytes()
                 == pipeline.embed_batched(model, x).tobytes())
+
+
+@pytest.mark.parametrize("mode", ["BASE", "AVG", "AUG"])
+def test_compact_rows_train_the_full_width_reference(two_runs, mode):
+    # every bundle member and loss from the kept columns equals the chain
+    # run on the full-width rows: the live-cell AE built by hand, its
+    # encoder embedding 1024-row chunks, and the regressor on those latents
+    cfg, (_, art), _ = two_runs
+    arrays = art.arrays
+    keep = arrays.is_original if mode == "AUG" else slice(None)
+    inputs = full_width(arrays, keep)
+    ids, orig = arrays.node_ids[keep], arrays.is_original[keep]
+    if mode == "AUG":
+        # its original rows leave some kept columns dead
+        assert inputs.any(axis=0).sum() < len(arrays.columns)
+    tp = pipeline.train_localizer(art.topo, arrays, mode, cfg, cfg.seed)
+
+    if mode == "AVG":
+        targets = inputs
+    else:
+        table, index = _node_means(inputs, ids, orig)
+        targets = table[index]
+    net, ae_losses, live = live_cell_reference(inputs, targets, cfg.ae,
+                                               derive_seed(cfg.seed, SEED_AE))
+    w0 = np.zeros((cfg.ae.hidden[0], arrays.in_dim), np.float32)
+    w0[:, live] = net.layers[0].weights
+    first = net.layers[0]
+    encoder = nnet.DenseNet([nnet.Layer(w0, first.bias, first.activation),
+                             *net.layers[1:len(cfg.ae.hidden) + 1]])
+    assert tp.ae_losses == ae_losses
+    assert len(tp.bundle.ae.net.layers) == len(encoder.layers)
+    for got, want in zip(tp.bundle.ae.net.layers, encoder.layers):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+    latents = np.concatenate([embed_vec(tp.bundle.ae, inputs[i:i + 1024])
+                              for i in range(0, len(inputs), 1024)])
+    assert tp.bundle.index.latents.tobytes() == latents.tobytes()
+    assert tp.bundle.index.node_ids.tolist() == ids.tolist()
+    reg, reg_losses = train_regressor(latents, ids, arrays.rel_poses[keep], len(art.topo),
+                                      cfg.reg, derive_seed(cfg.seed, SEED_REG))
+    assert tp.reg_losses == reg_losses
+    for got, want in zip(tp.bundle.reg.net.layers, reg.net.layers, strict=True):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def small_encoder(in_dim, seed=3):
+    net = nnet.init_net([in_dim, 8, 4], ["sigmoid", "sigmoid"], seed=seed,
+                        dtype=np.float32)
+    return AEModel(net, 1)
+
+
+def test_embed_batched_chunks_and_kept_columns():
+    # EMBED_CHUNK rows per encoder pass, the last one short; kept columns
+    # rebuilt at full width give the full-width rows' latents bit for bit
+    model = small_encoder(30)
+    columns = np.arange(1, 30, 3)
+    n = 2 * pipeline.EMBED_CHUNK + 5
+    full = np.zeros((n, 30), np.float32)
+    full[:, columns] = np.random.default_rng(0).random((n, len(columns)), np.float32)
+    got = pipeline.embed_batched(model, full)
+    want = np.concatenate([embed_vec(model, full[i:i + pipeline.EMBED_CHUNK])
+                           for i in range(0, n, pipeline.EMBED_CHUNK)])
+    assert got.dtype == np.float32 and got.shape == (n, 4)
+    assert got.tobytes() == want.tobytes()
+    compact = np.ascontiguousarray(full[:, columns])
+    assert pipeline.embed_batched(model, compact, columns).tobytes() == want.tobytes()
+
+
+def test_embed_batched_of_no_rows():
+    # as `nearest_nodes` returns empty arrays for no rows
+    model = small_encoder(30)
+    index = build_index(np.ones((1, 4), np.float32), [0])
+    for inputs, columns in ((np.zeros((0, 30), np.float32), None),
+                            (np.zeros((0, 2), np.float32), [4, 7])):
+        got = pipeline.embed_batched(model, inputs, columns)
+        assert got.dtype == np.float32 and got.shape == (0, 4)
+        assert [a.shape for a in nearest_nodes(index, got)] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("columns", [[0, 1], [0, 2, 2], [2, 1, 3], [-1, 1, 2], [0, 1, 4],
+                                     [[0, 1, 2]]])
+def test_train_autoencoder_rejects_bad_columns(tiny_cfg, columns):
+    # three stored columns of a 4-wide input: ascending ids in 0..3
+    x = np.ones((5, 3), np.float32)
+    with pytest.raises(InputError, match="3 ascending ids in 0..3"):
+        train_autoencoder(x, [0] * 5, [True] * 5, tiny_cfg.ae, 0, "AVG",
+                          columns=columns, in_dim=4)
 
 
 def test_train_autoencoder_rejects_an_empty_live_set(tiny_cfg):
