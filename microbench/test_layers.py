@@ -35,6 +35,7 @@ from sbevloc.localizer import (
 )
 from sbevloc.pipeline import (
     ACCUMULATION_WINDOW,
+    _keep_live_columns,
     ego_cloud,
     pool_traversal,
     render_stream,
@@ -376,10 +377,10 @@ def test_train_autoencoder_steps(benchmark):
 
 def test_train_autoencoder_dead_columns(benchmark, world, monkeypatch):
     """AE epochs on pooled real S-BEVs, most of whose input columns lie
-    outside the camera's view and are 0 in every row: the AE reads and
-    reconstructs the live cells only, its losses fall and equal the
-    live-cell chain's, and its full-width encoder holds +0.0 in the dead
-    columns."""
+    outside the camera's view and are 0 in every row, cut to their live
+    columns as the training store is: the AE reads and reconstructs the live
+    cells only, its losses fall and equal the live-cell chain's, and its
+    full-width encoder holds +0.0 in the dead columns."""
     cfg = dataclasses.replace(CFG.ae, train=dataclasses.replace(CFG.ae.train, epochs=2))
     sbevs = traversal_sbevs(world, world.route, CFG, frame_ids=range(AE_STEPS * BATCH))
     x = np.stack([grid_to_input(sb.grid, cfg.pool) for sb in sbevs])
@@ -397,7 +398,11 @@ def test_train_autoencoder_dead_columns(benchmark, world, monkeypatch):
         return plain_train(net, *args)
 
     monkeypatch.setattr(nnet, "train", spy)
-    model, losses = benchmark(train_autoencoder, x, node_ids, is_original, cfg, 1)
+    compact = x.copy()
+    columns = _keep_live_columns(compact)
+    assert columns.tolist() == np.flatnonzero(~dead).tolist()
+    model, losses = benchmark(train_autoencoder, compact, node_ids, is_original, cfg, 1,
+                              columns=columns, in_dim=in_dim)
     hidden, latent = cfg.hidden[0], cfg.latent_dim
     assert set(map(tuple, shapes)) == {((hidden, n_live), (latent, hidden),
                                         (hidden, latent), (n_live, hidden))}

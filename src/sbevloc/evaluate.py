@@ -49,7 +49,7 @@ from .pipeline import (
     traversal_sbevs,
 )
 from .synthworld import generate_world, lane_shift
-from .topomap import assign_to_nodes, balance_samples, build_topo_map
+from .topomap import assign_to_nodes, balance_samples, build_topo_map, samples_by_node
 
 REPORT_FIELDS = ("condition", "node_acc", "mae_x_m", "mae_y_m", "mae_theta_deg",
                  "variant", "n")
@@ -75,15 +75,9 @@ def split_train_test(samples, n_nodes: int, ratio: float = 0.8, seed: int = 0):
     """Per-node seeded split of Samples into (train, test) tuples; train
     gets floor(ratio * n) of a node's n samples, clamped to [1, n - 1]."""
     SplitConfig(ratio)  # SplitConfig checks the ratio
-    by_node = [[] for _ in range(n_nodes)]
-    for i, s in enumerate(samples):
-        if not 0 <= s.node_id < n_nodes:  # -1 would join the last node
-            raise InputError(f"sample {i} has node id {s.node_id}, outside "
-                             f"0..{n_nodes - 1}")
-        by_node[s.node_id].append(i)
     rng = np.random.default_rng([seed, 0x57])
     train_idx, test_idx = [], []
-    for nid, members in enumerate(by_node):
+    for nid, members in enumerate(samples_by_node(samples, n_nodes)):
         if len(members) < 2:
             raise InputError(f"node {nid} has {len(members)} samples, need >= 2")
         order = rng.permutation(len(members))

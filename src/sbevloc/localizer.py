@@ -212,17 +212,13 @@ def train_autoencoder(inputs, node_ids, is_original, config: AeConfig,
     reconstructs each row's own input, BASE and AUG the mean of its node's
     original rows (`_node_means`); AUG's caller passes only those rows.
 
-    `inputs` are full-width rows, or with `columns` (ascending ids in
-    0..in_dim - 1) rows that hold only those columns of an `in_dim`-wide
-    input, the others taken as 0. The AE sees only the live cells, the
-    inputs nonzero in some row: from the full-width init, layer 0 keeps
-    their columns and the decoder's last layer their outputs. Batches
-    gather rows, and the live columns only when some given column is dead
-    (full-width rows, AUG's original rows); under AVG the target batch is
-    the input batch. So the loss drops only terms that are 0 in every row,
-    and averages over the live outputs. The encoder returned is full width,
-    its dead columns +0.0; an input nonzero there gets the latent it has at
-    0. Inputs with no live cell raise InputError.
+    `inputs` hold the `columns` (ascending ids in 0..in_dim - 1) of an
+    `in_dim`-wide input, by default all of it. The AE reads and reconstructs
+    exactly those columns, which the caller picks as the live ones
+    (`pipeline._keep_live_columns`): from the `in_dim`-wide init, layer 0
+    keeps their weights and the last layer their outputs, and the loss
+    averages over them. The encoder returned is `in_dim` wide and +0.0 in
+    every other column. Rows with no column raise InputError.
     """
     if mode not in AE_MODES:
         raise InputError(f"unknown AE mode {mode!r}")
@@ -240,27 +236,21 @@ def train_autoencoder(inputs, node_ids, is_original, config: AeConfig,
             or len(columns) and not 0 <= columns[0] <= columns[-1] < in_dim):
         raise InputError(f"columns must be {inputs.shape[1]} ascending ids "
                          f"in 0..{in_dim - 1}")
-    local = np.flatnonzero(np.any(inputs, axis=0))   # NaN counts as live
-    if not len(local):
-        raise InputError(f"the live set is empty: no input column is nonzero "
-                         f"in any of the {len(inputs)} training rows")
-    live = columns[local]
-    rows = nnet.IndexedRows(inputs, columns=local if len(local) < len(columns) else None)
-    if mode == "AVG":
-        targets = rows
-    else:
-        table, index = _node_means(inputs, node_ids, is_original)
-        targets = nnet.IndexedRows(table.take(local, axis=1), index)
+    if not len(columns):
+        raise InputError(f"the live set is empty: the {len(inputs)} training "
+                         f"rows have no input column")
+    targets = inputs if mode == "AVG" else nnet.IndexedRows(
+        *_node_means(inputs, node_ids, is_original))
     hidden = config.hidden
     dims = [in_dim, *hidden, config.latent_dim, *reversed(hidden), in_dim]
     acts = [config.activation] * (len(dims) - 2) + ["linear"]
     net = nnet.init_net(dims, acts, seed=seed, dtype=np.float32)
     first, last = net.layers[0], net.layers[-1]
-    first.weights = first.weights.take(live, axis=1)
-    last.weights, last.bias = last.weights.take(live, axis=0), last.bias.take(live)
-    _, losses = nnet.train(net, rows, targets, config.train, seed)
+    first.weights = first.weights.take(columns, axis=1)
+    last.weights, last.bias = last.weights.take(columns, axis=0), last.bias.take(columns)
+    _, losses = nnet.train(net, inputs, targets, config.train, seed)
     weights = np.zeros((len(first.weights), in_dim), np.float32)
-    weights[:, live] = first.weights
+    weights[:, columns] = first.weights
     first.weights = weights
     encoder = nnet.DenseNet(net.layers[:len(hidden) + 1])
     return AEModel(encoder, config.pool, mode), losses
@@ -459,14 +449,10 @@ def _from_planes(name: str, value: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Decoded:
-    """The members of an open bundle archive by name, planar ones decoded."""
-
-    def __init__(self, archive):
-        self.archive = archive
-
-    def __getitem__(self, name):
-        return _from_planes(name, self.archive[name])
+class _Members(dict):
+    """A bundle's decoded members; a missing one is named as the archive names it."""
+    def __missing__(self, name):
+        raise KeyError(f"{name} is not a file in the archive")
 
 
 def save_bundle(dirpath, bundle: LocalizerBundle) -> None:
@@ -497,11 +483,11 @@ def load_bundle(dirpath) -> LocalizerBundle:
             version = z["format_version"].item()
             if version != BUNDLE_VERSION:
                 raise ValueError(f"format_version {version}, expected {BUNDLE_VERSION}")
-            m = _Decoded(z)
+            m = _Members((name, _from_planes(name, z[name])) for name in z.files)
             trans, ang = m["thresholds"].tolist()
             topo = TopoMap.from_poses(m["nodes"], trans, ang)
-            ae = AEModel(nnet.net_from_arrays(m, "ae"), int(z["pool"].item()),
-                         str(z["ae_mode"].item()))
+            ae = AEModel(nnet.net_from_arrays(m, "ae"), int(m["pool"].item()),
+                         str(m["ae_mode"].item()))
             reg = RegModel(nnet.net_from_arrays(m, "reg"), n_nodes=len(topo))
             index = EmbeddingIndex(m["index_latents"], m["index_node_ids"])
         bundle = LocalizerBundle(topo, ae, reg, index)

@@ -262,41 +262,33 @@ def optimizer_step(net: DenseNet, grads, config: TrainConfig,
 
 @dataclass(frozen=True)
 class IndexedRows:
-    """Row i is `table[index[i], columns]`, or `table[i, columns]` without
-    an index: a per-row set stored once per distinct row, a column subset
-    of the table, or both (all columns without `columns`).
-
-    `r[idx]` gathers the rows `idx` of `r` as one C-contiguous block, as
-    indexing the materialized rows would, without ever holding them all.
+    """Row i is `table[index[i]]`: a per-row set stored once per distinct
+    row. `r[idx]` gathers the rows `idx` of `r` as one C-contiguous block,
+    as indexing the materialized rows would, without ever holding them all.
     """
 
-    table: np.ndarray                  # (distinct rows, dim)
-    index: np.ndarray | None = None    # (rows,) int, each in 0..len(table) - 1
-    columns: np.ndarray | None = None  # (k,) int, each in 0..dim - 1
+    table: np.ndarray    # (distinct rows, dim)
+    index: np.ndarray    # (rows,) int, each in 0..len(table) - 1
 
     def __post_init__(self):
         table = np.asarray(self.table)
         if table.ndim != 2:
             raise InputError(f"row table must be 2-D, got shape {table.shape}")
+        index = np.asarray(self.index, dtype=np.intp)
+        if index.ndim != 1:
+            raise InputError(f"row index must be 1-D, got shape {index.shape}")
+        # checked first: `take` would wrap a negative id silently
+        bad = index[(index < 0) | (index >= len(table))]
+        if len(bad):
+            raise InputError(f"row index {bad[0]} outside 0..{len(table) - 1}")
         object.__setattr__(self, "table", table)
-        for name, n in (("index", len(table)), ("columns", table.shape[1])):
-            if getattr(self, name) is None:
-                continue
-            ids = np.asarray(getattr(self, name), dtype=np.intp)
-            if ids.ndim != 1:
-                raise InputError(f"row {name} must be 1-D, got shape {ids.shape}")
-            # checked first: `take` would wrap a negative id silently
-            bad = ids[(ids < 0) | (ids >= n)]
-            if len(bad):
-                raise InputError(f"row {name} {bad[0]} outside 0..{n - 1}")
-            object.__setattr__(self, name, ids)
+        object.__setattr__(self, "index", index)
 
     def __len__(self):
-        return len(self.table if self.index is None else self.index)
+        return len(self.index)
 
     def __getitem__(self, idx):
-        rows = self.table.take(idx if self.index is None else self.index[idx], axis=0)
-        return rows if self.columns is None else rows.take(self.columns, axis=1)
+        return self.table.take(self.index[idx], axis=0)
 
 
 def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
@@ -304,19 +296,18 @@ def train(net: DenseNet, inputs, targets, config: TrainConfig, seed: int):
     losses).
 
     `net` is updated step by step and is the net returned; a caller that
-    needs the untrained net passes a deep copy. `inputs` and `targets` are
-    each an array with one row per example or an `IndexedRows`, from which
-    each batch gathers its rows; when `targets` is `inputs`, the target
-    batch is the input batch. Each step's gradients are dropped before the
-    next backward pass, so the parameters, one set of gradients and Adam's
-    two moments are the only parameter-sized buffers held at once.
+    needs the untrained net passes a deep copy. `inputs` is an array with
+    one row per example; `targets` is one too, or an `IndexedRows`. Each
+    batch gathers its rows from both; when `targets` is `inputs`, the
+    target batch is the input batch. Each step's gradients are dropped
+    before the next backward pass, so the parameters, one set of gradients
+    and Adam's two moments are the only parameter-sized buffers held at once.
     """
     same = targets is inputs
-    if not isinstance(inputs, IndexedRows):
-        inputs = np.asarray(inputs)
-        if inputs.ndim != 2:
-            raise InputError(f"inputs must be 2-D, one row per example, got "
-                             f"shape {inputs.shape}")
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 2:
+        raise InputError(f"inputs must be 2-D, one row per example, got "
+                         f"shape {inputs.shape}")
     if not isinstance(targets, IndexedRows):
         targets = np.asarray(targets)
     if len(inputs) == 0:

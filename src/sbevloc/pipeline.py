@@ -12,15 +12,15 @@ the (augmented) training arrays.
 Set-up holds one training-set-sized array: `TrainingArrays.inputs`, which
 `pool_traversal` fills row by row in place, with no per-row list to stack.
 The grid reaches farther than the camera sees, so about two thirds of the
-default AE's 1936 inputs are 0 in every training row; the array then keeps
-only the live columns, cut in place. Training adds no second array: the AE
-reads and reconstructs only the live columns (`train_autoencoder`), each
-batch gathering rows only. As the mode picks, BASE and AUG reconstruct one
-target row per node and AVG its input batch; AUG copies only its original
-rows, and each net trains in place. The encoder comes back full width with
-+0.0 dead columns, zero runs that deflate shrinks: layer 0 is ~1.1 MB of
-the map file, not 3.9 MB. The index embeds chunks of rows rebuilt at full
-width, so its latents are the full-width rows' bit for bit.
+default AE's 1936 inputs are 0 in every training row; `_keep_live_columns`,
+the one rule for which columns are live, cuts the array to its live columns
+in place, as it cuts AUG's copy of the original rows. The AE reads and
+reconstructs exactly the columns it is given, each batch gathering rows
+only; BASE and AUG reconstruct one target row per node, AVG its input
+batch. The encoder comes back full width with +0.0 dead columns, zero runs
+that deflate shrinks: layer 0 is ~1.1 MB of the map file, not 3.9 MB. The
+index embeds chunks of rows rebuilt at full width, so its latents are the
+full-width rows' bit for bit.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def sbev_stream(frames, k: Intrinsics, policy: ClassPolicy, grid: GridSpec,
 @dataclass
 class TrainingArrays:
     """Pooled network inputs for the (augmented) balanced training set,
-    stored on their live columns: row i at full width is `in_dim` float32
-    zeros with `inputs[i]` at `columns`, and every dropped column is +0.0 in
-    every row."""
+    stored on their live columns (`_keep_live_columns`): row i at full width
+    is `in_dim` float32 zeros with `inputs[i]` at `columns`, every dropped
+    column is +0.0 in every row, and every kept one nonzero in some row."""
 
     inputs: np.ndarray          # (n, len(columns)) float32, C-contiguous
     columns: np.ndarray         # (k,) ascending ids of the kept input columns
@@ -144,7 +144,7 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
     float32 array of `len(train_samples) * (1 + rotations + shifts)` rows,
     allocated at the first row, then cut to their live columns in place
     (`_keep_live_columns`); a sample with another number of variants raises
-    InputError.
+    InputError. Sample k's variant j is row `k * variants + j`.
     """
     by_frame = {}
     for s in train_samples:
@@ -153,22 +153,20 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
     n_rows = len(train_samples) * variants
     want = set(test_ids)
     test_rows = {}
-    inputs, ids, poses, orig, fids = None, [], [], [], []
+    inputs, rel_poses, written = None, np.empty((n_rows, 3)), []
     for sb in sbevs:
         for s in by_frame.pop(sb.frame_id, ()):
             expanded = augment_sample(sb, s.rel_pose, aug)
             if len(expanded) != variants:
                 raise InputError(f"{len(expanded)} training rows for frame "
                                  f"{s.frame_id}, expected {variants}")
-            for j, (vsb, vrel) in enumerate(expanded):
+            for j, (vsb, vrel) in enumerate(expanded, len(written) * variants):
                 row = grid_to_input(vsb.grid, pool)
                 if inputs is None:
                     inputs = np.empty((n_rows, row.size), dtype=np.float32)
-                inputs[len(ids)] = row
-                ids.append(s.node_id)
-                poses.append((vrel.x, vrel.y, vrel.theta))
-                orig.append(j == 0)
-                fids.append(s.frame_id)
+                inputs[j] = row
+                rel_poses[j] = vrel.x, vrel.y, vrel.theta
+            written.append(s)
         if sb.frame_id in want:
             test_rows[sb.frame_id] = grid_to_input(sb.grid, pool)
     missing = sorted(by_frame.keys() | (want - test_rows.keys()))
@@ -180,8 +178,10 @@ def pool_traversal(sbevs, test_ids, pool: int, train_samples=(),
     if n_rows:
         in_dim = inputs.shape[1]
         columns = _keep_live_columns(inputs)
-        arrays = TrainingArrays(inputs, columns, in_dim, np.array(ids), np.array(poses),
-                                np.array(orig), np.array(fids))
+        arrays = TrainingArrays(
+            inputs, columns, in_dim, np.repeat([s.node_id for s in written], variants),
+            rel_poses, np.tile(np.arange(variants) == 0, len(written)),
+            np.repeat([s.frame_id for s in written], variants))
     return test_inputs, arrays
 
 
@@ -191,7 +191,7 @@ COMPACT_ROWS = 256
 
 def _keep_live_columns(inputs: np.ndarray) -> np.ndarray:
     """Cut the float32 (n, width) `inputs` in place to its live columns, each
-    with a nonzero bit in some row, and return their ids.
+    with a nonzero bit in some row (-0.0 and NaN too), and return their ids.
 
     Blocks of COMPACT_ROWS rows move down into the buffer's prefix, which
     then shrinks: block [a, b) lands below b * k <= b * width, where the
@@ -222,15 +222,18 @@ def train_localizer(topo: TopoMap, arrays: TrainingArrays, mode: str,
     """Train AE + regressor for one ablation mode from prepared arrays.
 
     BASE uses everything with node-average targets; AVG reconstructs each
-    input instead; AUG drops the augmented variants.
+    input instead; AUG drops the augmented variants and cuts its copy of the
+    original rows to the columns live in them (`_keep_live_columns`).
     """
     keep = arrays.is_original if mode == "AUG" else slice(None)
-    inputs = arrays.inputs[keep]
+    inputs, columns = arrays.inputs[keep], arrays.columns
+    if mode == "AUG":
+        columns = columns[_keep_live_columns(inputs)]
     node_ids = arrays.node_ids[keep]
     ae, ae_losses = train_autoencoder(inputs, node_ids, arrays.is_original[keep],
                                       cfg.ae, derive_seed(seed, SEED_AE), mode,
-                                      columns=arrays.columns, in_dim=arrays.in_dim)
-    latents = embed_batched(ae, inputs, arrays.columns)
+                                      columns=columns, in_dim=arrays.in_dim)
+    latents = embed_batched(ae, inputs, columns)
     index = build_index(latents, node_ids)
     reg, reg_losses = train_regressor(latents, node_ids, arrays.rel_poses[keep],
                                       len(topo), cfg.reg, derive_seed(seed, SEED_REG))

@@ -89,14 +89,20 @@ def assign_to_nodes(topo: TopoMap, frames) -> tuple:
                  for (frame_id, pose), nid in zip(frames, nearest))
 
 
-def balance_samples(samples, n_nodes: int, seed: int) -> tuple:
-    """Undersample every node to the minimum per-node count (seeded)."""
+def samples_by_node(samples, n_nodes: int) -> list:
+    """Each node's sample indices, ascending; other node ids raise InputError."""
     by_node = [[] for _ in range(n_nodes)]
     for i, s in enumerate(samples):
         if not 0 <= s.node_id < n_nodes:  # -1 would join the last node
             raise InputError(f"sample {i} has node id {s.node_id}, outside "
                              f"0..{n_nodes - 1}")
         by_node[s.node_id].append(i)
+    return by_node
+
+
+def balance_samples(samples, n_nodes: int, seed: int) -> tuple:
+    """Undersample every node to the minimum per-node count (seeded)."""
+    by_node = samples_by_node(samples, n_nodes)
     sizes = [len(b) for b in by_node]
     if min(sizes, default=0) == 0:
         empty = [i for i, n in enumerate(sizes) if n == 0]

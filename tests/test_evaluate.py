@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import RAIN, tiny_config
-from sbevloc import evaluate, nnet, pipeline
+from sbevloc import cli, evaluate, nnet, pipeline
 from sbevloc.config import (
     SEED_AE,
     SEED_BALANCE,
@@ -17,6 +17,7 @@ from sbevloc.config import (
     SEED_WORLD,
     WeatherDoc,
     derive_seed,
+    save_resolved_config,
 )
 from sbevloc.errors import InputError
 from sbevloc.evaluate import (
@@ -73,13 +74,29 @@ def two_runs():
     return cfg, run_experiment(cfg), run_experiment(cfg)
 
 
-def full_width(arrays, rows=slice(None)):
-    """Training rows `rows` rebuilt at full width: float32 zeros with each
-    stored row at `arrays.columns`."""
-    x = arrays.inputs[rows]
-    full = np.zeros((len(x), arrays.in_dim), np.float32)
-    full[:, arrays.columns] = x
+def widen(x, columns, in_dim):
+    """Rows `x` of the input columns `columns` rebuilt at full width:
+    `in_dim` float32 zeros with each row at `columns`."""
+    full = np.zeros((len(x), in_dim), np.float32)
+    full[:, columns] = x
     return full
+
+
+def full_width(arrays, rows=slice(None)):
+    """Training rows `rows` rebuilt at full width."""
+    return widen(arrays.inputs[rows], arrays.columns, arrays.in_dim)
+
+
+def store_rows(arrays, mode):
+    """The rows, their columns, node ids and original flags that
+    `train_localizer` trains `mode` on: AUG's original rows cut by
+    `_keep_live_columns`, as the store is."""
+    if mode != "AUG":
+        return arrays.inputs, arrays.columns, arrays.node_ids, arrays.is_original
+    keep = arrays.is_original
+    x = arrays.inputs[keep]
+    columns = arrays.columns[pipeline._keep_live_columns(x)]
+    return x, columns, arrays.node_ids[keep], arrays.is_original[keep]
 
 
 def test_run_experiment_reruns_are_identical(two_runs):
@@ -395,6 +412,8 @@ def test_pool_traversal_peak_is_the_buffer_and_one_block(tiny_cfg, monkeypatch):
     in_dim = (cfg.grid.size // cfg.ae.pool) ** 2
     n = len(samples) * variants
     block = pipeline.COMPACT_ROWS * in_dim * 4
+    # the rotation tables are cached before measuring
+    augment_sample(sbevs[0], Pose2(0.0, 0.0, 0.0), cfg.augment)
     held = []
     keep_live_columns = pipeline._keep_live_columns
 
@@ -409,8 +428,12 @@ def test_pool_traversal_peak_is_the_buffer_and_one_block(tiny_cfg, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # held before the cut: the full-width buffer and the per-row lists
-    assert held[0] >= n * in_dim * 4
+    # held before the cut: the full-width buffer, the (n, 3) float64 poses,
+    # and per sample 64 B of bookkeeping at most, not a list entry per row;
+    # the last sample's variant grids are still bound to the loop's locals
+    buffer, poses = n * in_dim * 4, n * 3 * 8
+    assert buffer + poses <= held[0] <= (buffer + poses + 64 * len(samples)
+                                         + variants * sbevs[0].grid.nbytes)
     assert peak <= held[0] + block
     assert arrays.inputs.shape == (n, len(arrays.columns))
     assert arrays.inputs.nbytes == n * len(arrays.columns) * 4 > block
@@ -545,19 +568,21 @@ def live_cell_reference(inputs, targets, cfg, seed):
 def test_train_autoencoder_zeroes_only_dead_columns(two_runs):
     cfg, (_, art), _ = two_runs
     arrays = art.arrays
-    inputs = full_width(arrays)
     seed = derive_seed(cfg.seed, SEED_AE)
-    model, losses = train_autoencoder(inputs, arrays.node_ids, arrays.is_original,
-                                      cfg.ae, seed)
-    # the run trained the same encoder from the kept columns
+    model, losses = train_autoencoder(arrays.inputs, arrays.node_ids, arrays.is_original,
+                                      cfg.ae, seed, columns=arrays.columns,
+                                      in_dim=arrays.in_dim)
+    # the run trained the same encoder from the store
     for got, want in zip(model.net.layers, art.trained["BASE"].bundle.ae.net.layers,
                          strict=True):
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
     assert losses == art.trained["BASE"].ae_losses
+    inputs = full_width(arrays)
     table, index = _node_means(inputs, arrays.node_ids, arrays.is_original)
     trained, want_losses, live = live_cell_reference(inputs, table[index], cfg.ae, seed)
     assert losses == want_losses
+    assert live.tolist() == arrays.columns.tolist()
     dead = ~inputs.any(axis=0)
     assert 0 < dead.sum() < inputs.shape[1]
     w0 = model.net.layers[0].weights
@@ -585,13 +610,13 @@ def test_train_autoencoder_on_live_cells(two_runs, monkeypatch):
 
     monkeypatch.setattr(nnet, "train", spy)
     for mode in ("BASE", "AVG", "AUG"):
-        keep = arrays.is_original if mode == "AUG" else slice(None)
-        x = full_width(arrays, keep)
-        model, losses = train_autoencoder(x, arrays.node_ids[keep],
-                                          arrays.is_original[keep], ae, seed, mode)
+        rows, columns, ids, orig = store_rows(arrays, mode)
+        model, losses = train_autoencoder(rows, ids, orig, ae, seed, mode,
+                                          columns=columns, in_dim=arrays.in_dim)
+        x = widen(rows, columns, arrays.in_dim)
         live = x.any(axis=0)
         n_live = int(live.sum())
-        assert 0 < n_live < x.shape[1]
+        assert n_live == len(columns) < x.shape[1]
         # layer 0 read, and the decoder reconstructed, the live cells only
         assert shapes.pop() == [(ae.hidden[0], n_live), (ae.latent_dim, ae.hidden[0]),
                                 (ae.hidden[0], ae.latent_dim), (n_live, ae.hidden[0])]
@@ -652,6 +677,40 @@ def test_compact_rows_train_the_full_width_reference(two_runs, mode):
         assert got.bias.tobytes() == want.bias.tobytes()
 
 
+def test_every_row_set_trained_is_live_in_every_given_column(monkeypatch):
+    # the store's one rule: each row set the AE trains on has a nonzero bit
+    # in every column it comes with, AUG's original rows too
+    seen = []
+    plain = pipeline.train_autoencoder
+
+    def spy(inputs, node_ids, is_original, config, seed, mode, *, columns, in_dim):
+        seen.append((mode, inputs.shape[1], len(columns),
+                     bool(inputs.view(np.uint32).any(axis=0).all())))
+        return plain(inputs, node_ids, is_original, config, seed, mode,
+                     columns=columns, in_dim=in_dim)
+
+    monkeypatch.setattr(pipeline, "train_autoencoder", spy)
+    run_experiment(tiny_config(modes=("BASE", "AVG", "AUG")))
+    assert [m for m, *_ in seen] == ["BASE", "AVG", "AUG"]
+    for mode, width, n_columns, live in seen:
+        assert width == n_columns and live, mode
+    # AUG's original rows keep fewer columns than the whole store
+    assert seen[2][1] < seen[0][1]
+
+
+def test_a_keep_set_of_no_rendered_class_leaves_no_live_set(tmp_path, capsys):
+    # config.py's promise: only the data decides this, as an InputError;
+    # the world never renders class 1
+    cfg = tiny_config()
+    cfg = dataclasses.replace(cfg, classes=dataclasses.replace(cfg.classes, keep_set=(1,)))
+    with pytest.raises(InputError, match="live set is empty"):
+        run_experiment(cfg)
+    path = tmp_path / "in.json"
+    save_resolved_config(path, cfg)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "live set is empty" in capsys.readouterr().err
+
+
 def small_encoder(in_dim, seed=3):
     net = nnet.init_net([in_dim, 8, 4], ["sigmoid", "sigmoid"], seed=seed,
                         dtype=np.float32)
@@ -697,7 +756,10 @@ def test_train_autoencoder_rejects_bad_columns(tiny_cfg, columns):
 
 
 def test_train_autoencoder_rejects_an_empty_live_set(tiny_cfg):
+    # the store's cut of +0.0 rows keeps no column
     x = np.zeros((5, 16), np.float32)
-    x[:, 3] = -0.0
-    with pytest.raises(InputError, match="live set is empty"):
-        train_autoencoder(x, [0] * 5, [True] * 5, tiny_cfg.ae, 0, "AVG")
+    columns = pipeline._keep_live_columns(x)
+    assert x.shape == (5, 0)
+    for kw in (dict(columns=columns, in_dim=16), {}):
+        with pytest.raises(InputError, match="live set is empty"):
+            train_autoencoder(x, [0] * 5, [True] * 5, tiny_cfg.ae, 0, "AVG", **kw)

@@ -189,8 +189,8 @@ def test_ae_targets_table_rows_equal_per_row_node_means(mode):
 
 
 def test_ae_targets_avg_makes_no_copy(monkeypatch):
-    # under AVG the target batch is the input batch: `nnet.train` gets one
-    # set of rows, over the caller's array, as both
+    # under AVG the target batch is the input batch: `nnet.train` gets the
+    # caller's array as both inputs and targets
     x = np.random.default_rng(22).random((6, 3), dtype=np.float32)
     seen = []
     plain_train = nnet.train
@@ -202,7 +202,7 @@ def test_ae_targets_avg_makes_no_copy(monkeypatch):
     monkeypatch.setattr(nnet, "train", spy)
     train_autoencoder(x, [0, 0, 1, 1, 2, 2], [True] * 6, small_ae(epochs=1), 0, "AVG")
     [(inputs, targets)] = seen
-    assert targets is inputs and inputs.table is x
+    assert targets is inputs and inputs is x
 
 
 def test_indexed_rows_reject_bad_index():

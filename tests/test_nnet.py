@@ -491,14 +491,14 @@ def test_non_finite_layer0_gradient_raises(bad):
 
 
 def test_train_on_dead_columns_memory_high_water():
-    # the default AE on 1024 inputs 70% of whose columns are 0 in every row:
-    # it trains on the live columns only, gathered batch by batch, so no
-    # copy of the training set's live columns (2.4 MB) fits under the bound
+    # the default AE on the compact rows of 1024 inputs 70% of whose columns
+    # are 0 in every row, as the training store holds them: it trains on
+    # those columns only, so no copy of the rows (2.4 MB) fits under the bound
     cfg = AeConfig(train=TrainConfig(epochs=1))
     rows, in_dim = 1024, 1936
-    x = np.random.default_rng(50).random((rows, in_dim), dtype=np.float32)
-    x[:, :int(0.7 * in_dim)] = 0.0
     n_live = in_dim - int(0.7 * in_dim)
+    x = np.random.default_rng(50).random((rows, n_live), dtype=np.float32)
+    columns = np.arange(in_dim - n_live, in_dim)
     batch = cfg.train.batch_size
     dims = [n_live, *cfg.hidden, cfg.latent_dim, *reversed(cfg.hidden), n_live]
     param_bytes = 4 * sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
@@ -506,13 +506,14 @@ def test_train_on_dead_columns_memory_high_water():
     # backward's gradient arrays), and the input, target and output-gradient
     # batches
     activation_bytes = 4 * batch * (4 * sum(dims[1:]) + 3 * n_live)
-    gathered_batch_bytes = 4 * batch * in_dim
+    gathered_batch_bytes = 4 * batch * n_live
     adam_scratch_bytes = 4 * 2 * nnet._ADAM_BLOCK
     for mode in ("BASE", "AVG"):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            train_autoencoder(x, np.arange(rows) % 8, np.ones(rows, bool), cfg, 1, mode)
+            train_autoencoder(x, np.arange(rows) % 8, np.ones(rows, bool), cfg, 1, mode,
+                              columns=columns, in_dim=in_dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -524,35 +525,44 @@ def test_train_on_dead_columns_memory_high_water():
         assert bound - peak < 4 * rows * n_live
 
 
-def test_indexed_rows_gather_a_column_subset():
+def test_indexed_rows_gather_rows_by_index():
     x = np.arange(24.0).reshape(4, 6)
-    rows = nnet.IndexedRows(x, columns=[5, 0, 2])
-    got = rows[np.array([3, 1, 3])]
-    assert len(rows) == 4 and got.flags.c_contiguous
-    assert got.tobytes() == x[[3, 1, 3]][:, [5, 0, 2]].copy().tobytes()
-    both = nnet.IndexedRows(x, [2, 2, 0], [1])
-    assert len(both) == 3 and both[np.array([1, 2])].tolist() == [[13.0], [1.0]]
-    for columns in ([6], [-1], [[0, 1]]):
-        with pytest.raises(InputError, match="row columns"):
-            nnet.IndexedRows(x, columns=columns)
+    rows = nnet.IndexedRows(x, [2, 2, 0])
+    got = rows[np.array([1, 2, 1])]
+    assert len(rows) == 3 and got.flags.c_contiguous
+    assert got.tobytes() == x[[2, 0, 2]].tobytes()
+    for index in ([4], [-1], [[0, 1]]):
+        with pytest.raises(InputError, match="row index"):
+            nnet.IndexedRows(x, index)
     with pytest.raises(InputError, match="2-D"):
-        nnet.IndexedRows(x[0], columns=[0])
+        nnet.IndexedRows(x[0], [0])
 
 
-def test_train_on_column_subset_equals_materialized_columns():
-    # targets that are the inputs reuse the input batch
+def test_train_on_targets_that_are_the_inputs_reuses_the_input_batch(monkeypatch):
+    # the loss compares each output with the very batch the forward pass
+    # read, and the net trains as on a copy of the rows as targets
     rng = np.random.default_rng(52)
-    x = rng.random((30, 9), dtype=np.float32)
-    columns = np.array([1, 2, 4, 7, 8])
+    x = rng.random((30, 5), dtype=np.float32)
     net = init_net([5, 3, 5], ["sigmoid", "linear"], seed=53, dtype=np.float32)
     cfg = TrainConfig(batch_size=8, epochs=2)
-    compact = x.take(columns, axis=1)
-    want, want_losses = train(copy.deepcopy(net), compact, compact.copy(), cfg, 54)
-    rows = nnet.IndexedRows(x, columns=columns)
-    for targets in (rows, nnet.IndexedRows(x.copy(), columns=columns)):
-        got, losses = train(copy.deepcopy(net), rows, targets, cfg, 54)
-        assert losses == want_losses
-        assert flat_params(got).tobytes() == flat_params(want).tobytes()
+    want, want_losses = train(copy.deepcopy(net), x, x.copy(), cfg, 54)
+    batches, reused = [], []
+    plain_forward, plain_loss = nnet.forward, nnet.mse_loss
+
+    def forward_spy(net, x, **kw):
+        batches.append(x)
+        return plain_forward(net, x, **kw)
+
+    def loss_spy(pred, target):
+        reused.append(target is batches[-1])
+        return plain_loss(pred, target)
+
+    monkeypatch.setattr(nnet, "forward", forward_spy)
+    monkeypatch.setattr(nnet, "mse_loss", loss_spy)
+    got, losses = train(copy.deepcopy(net), x, x, cfg, 54)
+    assert len(reused) == 2 * 4 and all(reused)
+    assert losses == want_losses
+    assert flat_params(got).tobytes() == flat_params(want).tobytes()
 
 
 def test_init_net_draws_each_layer_as_one_draw():
